@@ -13,7 +13,6 @@ from .engine import (
     Simulation,
     SimulationConfig,
     SimulationReport,
-    SlaViolationEvent,
     proportional_delivery,
     run_simulation,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "Simulation",
     "SimulationConfig",
     "SimulationReport",
-    "SlaViolationEvent",
     "UtilizationWeights",
     "VirtualMachine",
     "VmRequest",

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from .engine import EngineError, FleetMachine, SimulationConfig
-from .model import MachineCapacity, PowerModel, UtilizationWeights
+from .model import MachineCapacity, PowerModel, UtilizationWeights, parse_components
 from .workload import (
     VmRequest,
     WorkloadError,
@@ -98,14 +98,6 @@ def _parse_capacity(raw: Any, context: str) -> MachineCapacity:
         raise ConfigError(f"{context}: {exc}") from None
 
 
-def _parse_weights(raw: Any, context: str) -> UtilizationWeights:
-    raw = _expect_mapping(raw, context)
-    try:
-        return UtilizationWeights(**{k: float(v) for k, v in raw.items()})
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{context}: {exc}") from None
-
-
 def build_simulation_config(raw: dict) -> SimulationConfig:
     section = _expect_mapping(_require(raw, "simulation", "config"), "simulation")
     fleet_raw = _require(section, "fleet", "simulation")
@@ -137,7 +129,13 @@ def build_simulation_config(raw: dict) -> SimulationConfig:
 
     energy_weights = UtilizationWeights()
     if "energy_weights" in section:
-        energy_weights = _parse_weights(section["energy_weights"], "simulation.energy_weights")
+        weights_raw = _expect_mapping(section["energy_weights"], "simulation.energy_weights")
+        try:
+            energy_weights = parse_components(
+                UtilizationWeights, {k: float(v) for k, v in weights_raw.items()}
+            )
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"simulation.energy_weights: {exc}") from None
 
     try:
         return SimulationConfig(

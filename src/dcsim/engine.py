@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .model import (
     MachineCapacity,
@@ -34,7 +34,10 @@ from .model import (
     ResourceVector,
     UtilizationWeights,
     VirtualMachine,
+    machine_rv as hosted_usage_rv,
     power_draw,
+    shares_of,
+    utilization_of,
 )
 from .policies.base import ActionKind, DecisionKind, RebalanceAction, SchedulerPolicy
 from .workload import VmRequest
@@ -80,16 +83,6 @@ class SimulationConfig:
             )
         if self.migration_cost_ticks < 0:
             raise EngineError("migration_cost_ticks must be >= 0")
-
-
-class SlaViolationEvent(NamedTuple):
-    """One resource shortfall: a VM got less than it asked for, for one tick."""
-
-    tick: int
-    vm_id: str
-    resource: str
-    demanded: float
-    delivered: float
 
 
 def proportional_delivery(
@@ -156,7 +149,7 @@ class SimulationReport:
 
 
 class Simulation:
-    """One mutable simulation run.  Also serves as the policy's cluster view."""
+    """One mutable simulation run.  Also serves as the policy's ``ClusterView``."""
 
     def __init__(
         self,
@@ -209,7 +202,8 @@ class Simulation:
         self._landings: dict[int, list[str]] = {}
         self._deferred_standby: list[int] = []
 
-        self._delivered: dict[int, tuple[float, float, float, float]] = {}
+        # Each running machine's delivered usage as shares of its capacity.
+        self._shares: dict[int, tuple[float, float, float, float]] = {}
         self._machine_ws: list[float] = [0.0] * len(self.machines)
 
         self.migration_count = 0
@@ -224,7 +218,7 @@ class Simulation:
         self._series_violations: list[int] = []
 
     # ------------------------------------------------------------------
-    # Cluster view (read-only by convention; policies hold this object)
+    # Cluster view: the ``ClusterView`` members policies read
     # ------------------------------------------------------------------
 
     @property
@@ -275,23 +269,11 @@ class Simulation:
         mean = self.vm_window_mean(vm_id)
         if mean is None:
             return self.policy.default_rv
-        cap = self.machines[machine_id].capacity.as_tuple()
-        return ResourceVector(
-            min(1.0, mean[0] / cap[0]),
-            min(1.0, mean[1] / cap[1]),
-            min(1.0, mean[2] / cap[2]),
-            min(1.0, mean[3] / cap[3]),
-        )
+        return ResourceVector(*shares_of(mean, self.machines[machine_id].capacity.as_tuple()))
 
     def vm_nominal_rv_on(self, vm_id: str, machine_id: int) -> ResourceVector:
-        nom = self._requests[vm_id].nominal.as_tuple()
-        cap = self.machines[machine_id].capacity.as_tuple()
-        return ResourceVector(
-            min(1.0, nom[0] / cap[0]),
-            min(1.0, nom[1] / cap[1]),
-            min(1.0, nom[2] / cap[2]),
-            min(1.0, nom[3] / cap[3]),
-        )
+        nominal = self._requests[vm_id].nominal.as_tuple()
+        return ResourceVector(*shares_of(nominal, self.machines[machine_id].capacity.as_tuple()))
 
     def machine_rv(self, machine_id: int) -> ResourceVector:
         """Used share of a machine as placement logic should see it.
@@ -302,30 +284,17 @@ class Simulation:
         one tick are accounted against the machine.
         """
         pm = self.machines[machine_id]
-        cap = pm.capacity.as_tuple()
-        totals = [0.0, 0.0, 0.0, 0.0]
-        estimated: list[ResourceVector] = []
-        for vm_id in pm.hosted_vm_ids:
-            vm = self.vms[vm_id]
-            if vm.usage_window:
-                last = vm.usage_window[-1]
-                for r in range(4):
-                    totals[r] += last[r]
-            else:
-                estimated.append(self.policy.default_rv)
+        hosted = [self.vms[vm_id] for vm_id in pm.hosted_vm_ids]
+        rv = hosted_usage_rv(pm, hosted)
+        for vm in hosted:
+            if not vm.usage_window:
+                rv = rv.add_clamped(self.policy.default_rv)
         for vm_id in sorted(self._inbound.get(machine_id, ())):
-            estimated.append(self.vm_rv_on(vm_id, machine_id))
-        rv = ResourceVector(
-            min(1.0, totals[0] / cap[0]),
-            min(1.0, totals[1] / cap[1]),
-            min(1.0, totals[2] / cap[2]),
-            min(1.0, totals[3] / cap[3]),
-        )
-        for extra in estimated:
-            rv = rv.add_clamped(extra)
+            rv = rv.add_clamped(self.vm_rv_on(vm_id, machine_id))
         return rv
 
     def machine_free(self, machine_id: int) -> ResourceVector:
+        """Free share of a machine.  Not a ``ClusterView`` member; no policy calls it."""
         return self.machine_rv(machine_id).complement()
 
     def nominal_free(self, machine_id: int) -> tuple[float, float, float, float]:
@@ -509,13 +478,13 @@ class Simulation:
 
     def _arbitrate(self, tick: int) -> int:
         violations = 0
-        self._delivered = {}
+        self._shares = {}
         for pm in self.machines:
             if pm.state is not MachineState.RUNNING:
                 continue
             hosted = pm.hosted_vm_ids
             if not hosted:
-                self._delivered[pm.id] = _USAGE_ZERO
+                self._shares[pm.id] = _USAGE_ZERO
                 continue
             demands = [self._current_demand(vm_id, tick) for vm_id in hosted]
             delivered, shorted = proportional_delivery(demands, pm.capacity.as_tuple())
@@ -526,7 +495,7 @@ class Simulation:
             for values in delivered:
                 for r in range(4):
                     totals[r] += values[r]
-            self._delivered[pm.id] = (totals[0], totals[1], totals[2], totals[3])
+            self._shares[pm.id] = shares_of(totals, pm.capacity.as_tuple())
         self.sla_violation_count += violations
         return violations
 
@@ -538,14 +507,7 @@ class Simulation:
         for pm in self.machines:
             if pm.state is not MachineState.RUNNING:
                 continue
-            totals = self._delivered.get(pm.id, _USAGE_ZERO)
-            cap = pm.capacity.as_tuple()
-            u = 0.0
-            for r in range(4):
-                share = totals[r] / cap[r]
-                if share > 1.0:
-                    share = 1.0
-                u += weights[r] * share
+            u = utilization_of(self._shares.get(pm.id, _USAGE_ZERO), weights)
             pm.current_utilization = u
             if thresholds is None:
                 continue
@@ -628,14 +590,7 @@ class Simulation:
         for pm in self.machines:
             if pm.state is MachineState.RUNNING:
                 running += 1
-                totals = self._delivered.get(pm.id, _USAGE_ZERO)
-                cap = pm.capacity.as_tuple()
-                u = 0.0
-                for r in range(4):
-                    share = totals[r] / cap[r]
-                    if share > 1.0:
-                        share = 1.0
-                    u += weights[r] * share
+                u = utilization_of(self._shares.get(pm.id, _USAGE_ZERO), weights)
                 watts = power_draw(pm, u, model)
             else:
                 watts = model.standby_watts
@@ -666,10 +621,6 @@ class Simulation:
             per_machine_energy_kwh=per_machine,
             policy_stats=dict(self.policy.stats),
         )
-
-
-# Policies receive the live simulation as their (read-only) cluster view.
-ClusterView = Simulation
 
 
 def run_simulation(

@@ -239,6 +239,21 @@ class VirtualMachine:
         return (s[0] / n, s[1] / n, s[2] / n, s[3] / n)
 
 
+def parse_components(cls: type, raw: object):
+    """Build a four-component value such as ``UtilizationWeights`` or ``ResourceVector``.
+
+    ``raw`` is an instance of ``cls``, a mapping of component names, or a
+    list or tuple of four numbers in ``RESOURCES`` order.
+    """
+    if isinstance(raw, cls):
+        return raw
+    if isinstance(raw, dict):
+        return cls(**raw)
+    if isinstance(raw, (list, tuple)) and len(raw) == 4:
+        return cls(*raw)
+    raise ValueError(f"cannot interpret {cls.__name__} from {raw!r}")
+
+
 # ---------------------------------------------------------------------------
 # Pure operations
 # ---------------------------------------------------------------------------
@@ -252,6 +267,34 @@ def _clamp01(x: float) -> float:
     return x
 
 
+def shares_of(
+    amounts: tuple[float, float, float, float], capacity: tuple[float, float, float, float]
+) -> tuple[float, float, float, float]:
+    """Each absolute amount as a share of the matching capacity, clamped to [0, 1]."""
+    return (
+        _clamp01(amounts[0] / capacity[0]),
+        _clamp01(amounts[1] / capacity[1]),
+        _clamp01(amounts[2] / capacity[2]),
+        _clamp01(amounts[3] / capacity[3]),
+    )
+
+
+def utilization_of(
+    shares: tuple[float, float, float, float], weights: tuple[float, float, float, float]
+) -> float:
+    """Weighted sum of the four resource shares, clamped to [0, 1].
+
+    The clamp matters: weights that sum to 1 within tolerance can still sum
+    to slightly more than 1 in floating point.
+    """
+    return _clamp01(
+        weights[0] * shares[0]
+        + weights[1] * shares[1]
+        + weights[2] * shares[2]
+        + weights[3] * shares[3]
+    )
+
+
 def resource_vector_of_vm(vm: VirtualMachine, capacity: MachineCapacity) -> ResourceVector:
     """Build a VM's resource vector relative to ``capacity``.
 
@@ -260,14 +303,7 @@ def resource_vector_of_vm(vm: VirtualMachine, capacity: MachineCapacity) -> Reso
     Raises :class:`NoHistoryError` when the VM has no samples yet; callers
     decide what default to assume in that case.
     """
-    mean = vm.window_mean()
-    cap = capacity.as_tuple()
-    return ResourceVector(
-        _clamp01(mean[0] / cap[0]),
-        _clamp01(mean[1] / cap[1]),
-        _clamp01(mean[2] / cap[2]),
-        _clamp01(mean[3] / cap[3]),
-    )
+    return ResourceVector(*shares_of(vm.window_mean(), capacity.as_tuple()))
 
 
 def rescale_rv(
@@ -295,19 +331,15 @@ def machine_rv(pm: PhysicalMachine, vms: Iterable[VirtualMachine]) -> ResourceVe
     VMs without any usage sample yet contribute nothing here; placement
     logic layers its own assumed footprint on top for those.
     """
-    totals = [0.0, 0.0, 0.0, 0.0]
+    cpu = mem = disk = bw = 0.0
     for vm in vms:
         if vm.usage_window:
             last = vm.usage_window[-1]
-            for i in range(4):
-                totals[i] += last[i]
-    cap = pm.capacity.as_tuple()
-    return ResourceVector(
-        _clamp01(totals[0] / cap[0]),
-        _clamp01(totals[1] / cap[1]),
-        _clamp01(totals[2] / cap[2]),
-        _clamp01(totals[3] / cap[3]),
-    )
+            cpu += last[0]
+            mem += last[1]
+            disk += last[2]
+            bw += last[3]
+    return ResourceVector(*shares_of((cpu, mem, disk, bw), pm.capacity.as_tuple()))
 
 
 def machine_free(pm: PhysicalMachine, vms: Iterable[VirtualMachine]) -> ResourceVector:
@@ -317,13 +349,7 @@ def machine_free(pm: PhysicalMachine, vms: Iterable[VirtualMachine]) -> Resource
 
 def unified_utilization(rv: ResourceVector, weights: UtilizationWeights) -> float:
     """Weighted linear combination of the four resource shares, in [0, 1]."""
-    u = (
-        weights.cpu * rv.cpu
-        + weights.mem * rv.mem
-        + weights.disk * rv.disk
-        + weights.bw * rv.bw
-    )
-    return _clamp01(u)
+    return utilization_of(rv.as_tuple(), weights.as_tuple())
 
 
 def power_draw(pm: PhysicalMachine, u: float, model: PowerModel) -> float:

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-from ..model import ResourceVector, UtilizationWeights
+from ..model import ResourceVector, UtilizationWeights, parse_components
 from .base import (
     ActionKind,
+    ClusterView,
     DecisionKind,
     PlacementDecision,
     RebalanceAction,
@@ -38,34 +39,14 @@ RECOMMENDED_POLICY_PARAMS: dict[str, Any] = {
 }
 
 
-def _parse_weights(raw: Any) -> UtilizationWeights:
-    if isinstance(raw, UtilizationWeights):
-        return raw
-    if isinstance(raw, dict):
-        return UtilizationWeights(**raw)
-    if isinstance(raw, (list, tuple)) and len(raw) == 4:
-        return UtilizationWeights(*raw)
-    raise ValueError(f"cannot interpret utilization weights from {raw!r}")
-
-
-def _parse_rv(raw: Any) -> ResourceVector:
-    if isinstance(raw, ResourceVector):
-        return raw
-    if isinstance(raw, dict):
-        return ResourceVector(**raw)
-    if isinstance(raw, (list, tuple)) and len(raw) == 4:
-        return ResourceVector(*raw)
-    raise ValueError(f"cannot interpret a resource vector from {raw!r}")
-
-
 def _build_similarity(params: dict[str, Any]) -> SimilarityPolicy:
     kwargs = dict(params)
     if "similarity_method" in kwargs:
         kwargs["similarity_method"] = SimilarityMethod(kwargs["similarity_method"])
     if "weights" in kwargs:
-        kwargs["weights"] = _parse_weights(kwargs["weights"])
+        kwargs["weights"] = parse_components(UtilizationWeights, kwargs["weights"])
     if "default_rv" in kwargs:
-        kwargs["default_rv"] = _parse_rv(kwargs["default_rv"])
+        kwargs["default_rv"] = parse_components(ResourceVector, kwargs["default_rv"])
     return SimilarityPolicy(PolicyConfig(**kwargs))
 
 
@@ -78,7 +59,7 @@ def _build_recommended(params: dict[str, Any]) -> SimilarityPolicy:
 def _build_single_threshold(params: dict[str, Any]) -> SingleThresholdPolicy:
     kwargs = dict(params)
     if "weights" in kwargs:
-        kwargs["weights"] = _parse_weights(kwargs["weights"])
+        kwargs["weights"] = parse_components(UtilizationWeights, kwargs["weights"])
     return SingleThresholdPolicy(**kwargs)
 
 
@@ -115,6 +96,7 @@ def build_policy(spec: dict[str, Any] | str) -> SchedulerPolicy:
 
 __all__ = [
     "ActionKind",
+    "ClusterView",
     "DecisionKind",
     "DynamicRoundRobinPolicy",
     "GreedyPolicy",

@@ -11,12 +11,45 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import Iterable, Optional, Protocol, runtime_checkable
 
-from ..model import DEFAULT_RV, ResourceVector, UtilizationWeights
+from ..model import (
+    DEFAULT_RV,
+    MachineCapacity,
+    PhysicalMachine,
+    PowerModel,
+    ResourceVector,
+    UtilizationWeights,
+)
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from ..engine import ClusterView
+
+@runtime_checkable
+class ClusterView(Protocol):
+    """What a policy may read of the cluster; the engine's ``Simulation`` is one.
+
+    Policies treat every member as read-only and change state only through
+    the decisions and actions they return.
+    """
+
+    @property
+    def current_tick(self) -> int: ...
+    @property
+    def power_model(self) -> PowerModel: ...
+
+    def all_machines(self) -> list[PhysicalMachine]: ...
+    def machine(self, machine_id: int) -> PhysicalMachine: ...
+    def running_machines(self) -> list[PhysicalMachine]: ...
+    def standby_machines(self) -> list[PhysicalMachine]: ...
+    def vm_host(self, vm_id: str) -> Optional[int]: ...
+    def vm_in_flight(self, vm_id: str) -> bool: ...
+    def has_inbound(self, machine_id: int) -> bool: ...
+    def vm_nominal(self, vm_id: str) -> MachineCapacity: ...
+    def vm_window_mean(self, vm_id: str) -> Optional[tuple[float, float, float, float]]: ...
+    def vm_rv_on(self, vm_id: str, machine_id: int) -> ResourceVector: ...
+    def vm_nominal_rv_on(self, vm_id: str, machine_id: int) -> ResourceVector: ...
+    def machine_rv(self, machine_id: int) -> ResourceVector: ...
+    def nominal_free(self, machine_id: int) -> tuple[float, float, float, float]: ...
+    def cpu_used_abs(self, machine_id: int) -> float: ...
 
 
 class DecisionKind(Enum):
@@ -120,16 +153,16 @@ class SchedulerPolicy:
         """``(u_up, u_down)`` if the policy reacts to utilization breaches."""
         return None
 
-    def allocate(self, vm_id: str, view: "ClusterView") -> PlacementDecision:
+    def allocate(self, vm_id: str, view: ClusterView) -> PlacementDecision:
         raise NotImplementedError
 
-    def rebalance(self, view: "ClusterView", tick: int) -> Iterable[RebalanceAction]:
+    def rebalance(self, view: ClusterView, tick: int) -> Iterable[RebalanceAction]:
         return ()
 
-    def notify_departure(self, vm_id: str, machine_id: int, view: "ClusterView", tick: int) -> None:
+    def notify_departure(self, vm_id: str, machine_id: int, view: ClusterView, tick: int) -> None:
         """Called by the engine when a VM departs while hosted."""
 
-    def migration_landing_ok(self, vm_id: str, machine_id: int, view: "ClusterView") -> bool:
+    def migration_landing_ok(self, vm_id: str, machine_id: int, view: ClusterView) -> bool:
         """Re-validate a delayed migration at landing time."""
         return True
 

@@ -8,13 +8,10 @@ the power-save and retirement variants — never put back to standby.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import Iterator, Optional
 
 from ..model import MachineCapacity, PhysicalMachine, UtilizationWeights, unified_utilization
-from .base import ActionKind, PlacementDecision, RebalanceAction, SchedulerPolicy
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..engine import ClusterView
+from .base import ClusterView, PlacementDecision, RebalanceAction, SchedulerPolicy
 
 
 def _fits_nominal(free: tuple[float, float, float, float], nominal: MachineCapacity) -> bool:
@@ -41,7 +38,7 @@ class RoundRobinPolicy(SchedulerPolicy):
         super().__init__()
         self._cursor = 0
 
-    def allocate(self, vm_id: str, view: "ClusterView") -> PlacementDecision:
+    def allocate(self, vm_id: str, view: ClusterView) -> PlacementDecision:
         machines = view.all_machines()
         nominal = view.vm_nominal(vm_id)
         n = len(machines)
@@ -58,7 +55,7 @@ class GreedyPolicy(SchedulerPolicy):
 
     name = "greedy"
 
-    def allocate(self, vm_id: str, view: "ClusterView") -> PlacementDecision:
+    def allocate(self, vm_id: str, view: ClusterView) -> PlacementDecision:
         nominal = view.vm_nominal(vm_id)
         for pm in view.all_machines():
             if _fits_nominal(view.nominal_free(pm.id), nominal):
@@ -71,7 +68,7 @@ class PowerSavePolicy(SchedulerPolicy):
 
     name = "power_save"
 
-    def allocate(self, vm_id: str, view: "ClusterView") -> PlacementDecision:
+    def allocate(self, vm_id: str, view: ClusterView) -> PlacementDecision:
         nominal = view.vm_nominal(vm_id)
         for pm in view.running_machines():
             if _fits_nominal(view.nominal_free(pm.id), nominal):
@@ -81,7 +78,7 @@ class PowerSavePolicy(SchedulerPolicy):
                 return PlacementDecision.wake_and_place(pm.id)
         return PlacementDecision.reject()
 
-    def rebalance(self, view: "ClusterView", tick: int) -> Iterator[RebalanceAction]:
+    def rebalance(self, view: ClusterView, tick: int) -> Iterator[RebalanceAction]:
         for pm in view.running_machines():
             if not pm.hosted_vm_ids and not view.has_inbound(pm.id):
                 yield RebalanceAction.standby_machine(pm.id, reason="idle")
@@ -106,7 +103,7 @@ class DynamicRoundRobinPolicy(SchedulerPolicy):
         self._cursor = 0
         self._retiring: dict[int, int] = {}
 
-    def allocate(self, vm_id: str, view: "ClusterView") -> PlacementDecision:
+    def allocate(self, vm_id: str, view: ClusterView) -> PlacementDecision:
         machines = [pm for pm in view.all_machines() if pm.id not in self._retiring]
         if not machines:
             return PlacementDecision.reject()
@@ -119,12 +116,12 @@ class DynamicRoundRobinPolicy(SchedulerPolicy):
                 return _admit(pm)
         return PlacementDecision.reject()
 
-    def notify_departure(self, vm_id: str, machine_id: int, view: "ClusterView", tick: int) -> None:
+    def notify_departure(self, vm_id: str, machine_id: int, view: ClusterView, tick: int) -> None:
         pm = view.machine(machine_id)
         if pm.hosted_vm_ids and machine_id not in self._retiring:
             self._retiring[machine_id] = tick
 
-    def rebalance(self, view: "ClusterView", tick: int) -> Iterator[RebalanceAction]:
+    def rebalance(self, view: ClusterView, tick: int) -> Iterator[RebalanceAction]:
         for pm_id in sorted(self._retiring):
             pm = view.machine(pm_id)
             if pm.hosted_vm_ids and tick - self._retiring[pm_id] >= self.retirement_threshold:
@@ -145,7 +142,7 @@ class DynamicRoundRobinPolicy(SchedulerPolicy):
                 yield RebalanceAction.standby_machine(pm_id, reason="retirement")
                 del self._retiring[pm_id]
 
-    def _find_target(self, vm_id: str, view: "ClusterView") -> Optional[PhysicalMachine]:
+    def _find_target(self, vm_id: str, view: ClusterView) -> Optional[PhysicalMachine]:
         nominal = view.vm_nominal(vm_id)
         for pm in view.all_machines():
             if pm.id in self._retiring:
@@ -185,13 +182,13 @@ class SingleThresholdPolicy(SchedulerPolicy):
 
     # -- helpers -----------------------------------------------------------
 
-    def _vm_cpu_abs(self, vm_id: str, view: "ClusterView") -> float:
+    def _vm_cpu_abs(self, vm_id: str, view: ClusterView) -> float:
         usage = view.vm_window_mean(vm_id)
         if usage is not None:
             return usage[0]
         return view.vm_nominal(vm_id).cpu
 
-    def _footprint(self, vm_id: str, pm: PhysicalMachine, view: "ClusterView") -> float:
+    def _footprint(self, vm_id: str, pm: PhysicalMachine, view: ClusterView) -> float:
         if view.vm_window_mean(vm_id) is not None:
             rv = view.vm_rv_on(vm_id, pm.id)
         else:
@@ -199,7 +196,7 @@ class SingleThresholdPolicy(SchedulerPolicy):
         return unified_utilization(rv, self.weights)
 
     def _power_increase(
-        self, vm_id: str, pm: PhysicalMachine, view: "ClusterView", plan_on: bool
+        self, vm_id: str, pm: PhysicalMachine, view: ClusterView, plan_on: bool
     ) -> float:
         model = view.power_model
         slope = pm.peak_power_watts * (1.0 - model.idle_fraction)
@@ -210,7 +207,7 @@ class SingleThresholdPolicy(SchedulerPolicy):
 
     # -- placement ---------------------------------------------------------
 
-    def allocate(self, vm_id: str, view: "ClusterView") -> PlacementDecision:
+    def allocate(self, vm_id: str, view: ClusterView) -> PlacementDecision:
         vm_cpu = self._vm_cpu_abs(vm_id, view)
         best = None
         for pm in view.all_machines():
@@ -226,7 +223,7 @@ class SingleThresholdPolicy(SchedulerPolicy):
 
     # -- epoch replanning ----------------------------------------------------
 
-    def rebalance(self, view: "ClusterView", tick: int) -> Iterator[RebalanceAction]:
+    def rebalance(self, view: ClusterView, tick: int) -> Iterator[RebalanceAction]:
         if tick % self.epoch_ticks != 0:
             return
         machines = view.all_machines()

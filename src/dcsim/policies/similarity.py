@@ -22,20 +22,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import Iterator, Optional
 
 from ..model import (
     DEFAULT_RV,
+    ZERO_RV,
     BreachSide,
     PhysicalMachine,
     ResourceVector,
     UtilizationWeights,
     unified_utilization,
 )
-from .base import PlacementDecision, RebalanceAction, SchedulerPolicy
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..engine import ClusterView
+from .base import ClusterView, DecisionKind, PlacementDecision, RebalanceAction, SchedulerPolicy
 
 
 class SimilarityMethod(Enum):
@@ -141,13 +139,13 @@ class SimilarityPolicy(SchedulerPolicy):
 
     # -- placement ---------------------------------------------------------
 
-    def allocate(self, vm_id: str, view: "ClusterView") -> PlacementDecision:
+    def allocate(self, vm_id: str, view: ClusterView) -> PlacementDecision:
         return self._pick(vm_id, view, exclude=frozenset(), extras=None, allow_wake=True)
 
     def _pick(
         self,
         vm_id: str,
-        view: "ClusterView",
+        view: ClusterView,
         exclude: frozenset[int],
         extras: Optional[dict[int, ResourceVector]],
         allow_wake: bool,
@@ -192,7 +190,7 @@ class SimilarityPolicy(SchedulerPolicy):
 
     # -- rebalancing -------------------------------------------------------
 
-    def rebalance(self, view: "ClusterView", tick: int) -> Iterator[RebalanceAction]:
+    def rebalance(self, view: ClusterView, tick: int) -> Iterator[RebalanceAction]:
         for pm_id in [pm.id for pm in view.running_machines()]:
             pm = view.machine(pm_id)
             if not pm.is_running:
@@ -213,7 +211,7 @@ class SimilarityPolicy(SchedulerPolicy):
         )
 
     def scale_up_check(
-        self, pm: PhysicalMachine, tick: int, view: "ClusterView"
+        self, pm: PhysicalMachine, tick: int, view: ClusterView
     ) -> Optional[RebalanceAction]:
         """Hand off the hottest VM of a persistently overloaded machine.
 
@@ -236,9 +234,9 @@ class SimilarityPolicy(SchedulerPolicy):
         decision = self._pick(
             vm_id, view, exclude=frozenset((pm.id,)), extras=None, allow_wake=True
         )
-        if decision.kind.value == "place":
+        if decision.kind is DecisionKind.PLACE:
             return RebalanceAction.migrate(vm_id, pm.id, decision.machine_id, reason="scale-up")
-        if decision.kind.value == "wake-and-place":
+        if decision.kind is DecisionKind.WAKE_AND_PLACE:
             return RebalanceAction.wake_and_migrate(
                 vm_id, pm.id, decision.machine_id, reason="scale-up"
             )
@@ -246,7 +244,7 @@ class SimilarityPolicy(SchedulerPolicy):
         return None
 
     def scale_down_check(
-        self, pm: PhysicalMachine, tick: int, view: "ClusterView"
+        self, pm: PhysicalMachine, tick: int, view: ClusterView
     ) -> Optional[list[RebalanceAction]]:
         """Plan a full evacuation of a persistently underloaded machine.
 
@@ -265,19 +263,19 @@ class SimilarityPolicy(SchedulerPolicy):
             decision = self._pick(
                 vm_id, view, exclude=frozenset((pm.id,)), extras=extras, allow_wake=False
             )
-            if decision.kind.value != "place":
+            if decision.kind is not DecisionKind.PLACE:
                 self._count("scale_down_blocked")
                 return None
             target = decision.machine_id
             vm_rv = view.vm_rv_on(vm_id, target)
-            extras[target] = extras.get(target, ResourceVector(0, 0, 0, 0)).add_clamped(vm_rv)
+            extras[target] = extras.get(target, ZERO_RV).add_clamped(vm_rv)
             plan.append(RebalanceAction.migrate(vm_id, pm.id, target, reason="scale-down"))
         plan.append(RebalanceAction.standby_machine(pm.id, reason="scale-down"))
         return plan
 
     # -- delayed-migration validation ---------------------------------------
 
-    def migration_landing_ok(self, vm_id: str, machine_id: int, view: "ClusterView") -> bool:
+    def migration_landing_ok(self, vm_id: str, machine_id: int, view: ClusterView) -> bool:
         """A landing must still leave the target below the packing cap."""
         pm = view.machine(machine_id)
         if not pm.is_running:

@@ -6,18 +6,20 @@ from typing import Optional
 
 from dcsim.model import (
     DEFAULT_RV,
+    ZERO_RV,
     MachineCapacity,
     MachineState,
     PhysicalMachine,
     PowerModel,
     ResourceVector,
+    shares_of,
 )
 
 CAP = MachineCapacity(4000.0, 8192.0, 1000.0, 1000.0)
 
 
 class FakeView:
-    """Minimal stand-in for the engine's cluster view.
+    """Minimal stand-in for the engine's ``ClusterView``.
 
     Machine used shares, per-VM resource vectors, nominal sizes and window
     means are all set directly by the test; the stub does no bookkeeping of
@@ -37,7 +39,7 @@ class FakeView:
         self.free_overrides: dict[int, tuple] = {}
         self.cpu_abs: dict[int, float] = {}
 
-    # -- view protocol -------------------------------------------------------
+    # -- ClusterView -------------------------------------------------------
 
     @property
     def current_tick(self):
@@ -81,20 +83,11 @@ class FakeView:
         return self.vm_rvs.get(vm_id, DEFAULT_RV)
 
     def vm_nominal_rv_on(self, vm_id, machine_id):
-        n = self.vm_nominal(vm_id)
-        cap = self.machines[machine_id].capacity
-        return ResourceVector(
-            min(1.0, n.cpu / cap.cpu),
-            min(1.0, n.mem / cap.mem),
-            min(1.0, n.disk / cap.disk),
-            min(1.0, n.bw / cap.bw),
-        )
+        nominal = self.vm_nominal(vm_id).as_tuple()
+        return ResourceVector(*shares_of(nominal, self.machines[machine_id].capacity.as_tuple()))
 
     def machine_rv(self, machine_id):
-        return self.machine_rvs.get(machine_id, ResourceVector(0, 0, 0, 0))
-
-    def machine_free(self, machine_id):
-        return self.machine_rv(machine_id).complement()
+        return self.machine_rvs.get(machine_id, ZERO_RV)
 
     def nominal_free(self, machine_id):
         if machine_id in self.free_overrides:

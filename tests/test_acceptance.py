@@ -47,6 +47,7 @@ from dcsim.model import (
     UtilizationWeights,
     power_draw,
     rescale_rv,
+    shares_of,
     unified_utilization,
 )
 from dcsim.policies.similarity import cosine_similarity
@@ -127,9 +128,18 @@ def test_01_core_math_matches_exact_references_on_10000_inputs():
         got = power_draw(pm, u, PowerModel(idle_fraction=idle))
         worst = max(worst, oracle.rel_error(got, oracle.exact_power(peak, idle, u)))
 
+    # The share formula the engine uses for resource vectors, including the
+    # clamp of over-committed amounts.
+    for _ in range(ORACLE_INPUTS):
+        cap = oracle.random_capacity_tuple(rng)
+        amounts = tuple(rng.uniform(0.0, 1.5 * c) for c in cap)
+        got = shares_of(amounts, cap)
+        for g, e in zip(got, oracle.exact_window_rv([amounts], cap)):
+            worst = max(worst, oracle.rel_error(g, e))
+
     _verdict(
         worst <= ORACLE_TOLERANCE,
-        "core math (cosine, unified utilization, rescale, power) matches exact "
+        "core math (cosine, unified utilization, resource shares, rescale, power) matches exact "
         f"references on {ORACLE_INPUTS} inputs each; worst relative error "
         f"{worst:.3e} <= {ORACLE_TOLERANCE}",
     )

@@ -15,6 +15,7 @@ from dcsim.config import (
     load_raw_config,
     parse_override,
 )
+from dcsim.model import UtilizationWeights
 from dcsim.workload import WorkloadProfile, generate_workload, load_trace_files
 
 
@@ -123,6 +124,24 @@ class TestBuildSimulationConfig:
         raw = base_config()
         raw["simulation"]["fleet"][0]["count"] = 0
         with pytest.raises(ConfigError, match="count"):
+            build_simulation_config(raw)
+
+    def test_energy_weights_mapping_builds(self):
+        raw = base_config()
+        raw["simulation"]["energy_weights"] = {"cpu": 0.7, "mem": 0.1, "disk": 0.1, "bw": 0.1}
+        cfg = build_simulation_config(raw)
+        assert cfg.energy_weights == UtilizationWeights(0.7, 0.1, 0.1, 0.1)
+
+    def test_energy_weights_must_sum_to_one(self):
+        raw = base_config()
+        raw["simulation"]["energy_weights"] = {"cpu": 0.5, "mem": 0.5, "disk": 0.5, "bw": 0.5}
+        with pytest.raises(ConfigError, match=r"simulation\.energy_weights"):
+            build_simulation_config(raw)
+
+    def test_energy_weights_must_be_a_mapping(self):
+        raw = base_config()
+        raw["simulation"]["energy_weights"] = [0.25, 0.25, 0.25, 0.25]
+        with pytest.raises(ConfigError, match=r"simulation\.energy_weights"):
             build_simulation_config(raw)
 
     def test_engine_validation_is_wrapped(self):

@@ -2,6 +2,7 @@
 
 import pytest
 
+import _fakes as fakes
 from dcsim.engine import (
     EngineError,
     FleetMachine,
@@ -17,7 +18,7 @@ from dcsim.model import (
     PowerModel,
     UtilizationWeights,
 )
-from dcsim.policies.base import PlacementDecision, RebalanceAction, SchedulerPolicy
+from dcsim.policies.base import ClusterView, PlacementDecision, RebalanceAction, SchedulerPolicy
 from dcsim.policies.baselines import GreedyPolicy
 from dcsim.policies.similarity import PolicyConfig, SimilarityPolicy
 from dcsim.workload import DemandSample, VmRequest
@@ -531,6 +532,21 @@ class TestEnergy:
         report = Simulation(cfg, [req], ScriptedPolicy({"vm-0": 0})).run()
         assert report.total_energy_kwh == pytest.approx(100.0 * 300.0 / 3.6e6, rel=1e-12)
 
+    def test_saturated_machine_with_float_heavy_weights_bills_peak(self):
+        # 0.2 + 0.4 + 0.3 + 0.1 passes validation but sums to 1.0000000000000002
+        # in floating point; a machine saturated on every resource must still
+        # bill exactly its peak draw.
+        cfg = SimulationConfig(
+            fleet=fleet(1),
+            duration_ticks=5,
+            tick_length_seconds=60.0,
+            initial_running_count=1,
+            energy_weights=UtilizationWeights(0.2, 0.4, 0.3, 0.1),
+        )
+        reqs = [flat_request("vm-0", 2000.0)]
+        report = run_simulation(cfg, reqs, ScriptedPolicy({"vm-0": 0}))
+        assert report.total_energy_kwh == pytest.approx(200.0 * 300.0 / 3.6e6, rel=1e-12)
+
     def test_arrival_wake_bills_loaded_from_the_wake_tick(self):
         # Arrivals run before arbitration, so a machine woken for a new VM
         # already serves (and bills) that VM's demand in the same tick.
@@ -617,6 +633,10 @@ class TestReporting:
 
 
 class TestViewSemantics:
+    def test_simulation_and_fake_view_provide_every_cluster_view_member(self):
+        assert isinstance(Simulation(config(1), [], GreedyPolicy()), ClusterView)
+        assert isinstance(fakes.FakeView([fakes.make_machine(0)]), ClusterView)
+
     def test_window_size_follows_policy_request(self):
         class ShortWindow(GreedyPolicy):
             usage_window_seconds = 120.0

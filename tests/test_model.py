@@ -22,7 +22,9 @@ from dcsim.model import (
     power_draw,
     rescale_rv,
     resource_vector_of_vm,
+    shares_of,
     unified_utilization,
+    utilization_of,
 )
 from dcsim.policies.similarity import cosine_similarity
 
@@ -129,6 +131,14 @@ class TestFrozenValues:
         assert unified_utilization(rv, UtilizationWeights()) == pytest.approx(
             0.225, rel=1e-12
         )
+
+    def test_utilization_clamps_weights_that_sum_past_one_in_floats(self):
+        assert 0.2 + 0.4 + 0.3 + 0.1 > 1.0
+        assert utilization_of((1, 1, 1, 1), (0.2, 0.4, 0.3, 0.1)) == 1.0
+
+    def test_shares_clamp_overcommit(self):
+        shares = shares_of((500.0, 2000.0, 0.0, 100.0), (1000.0, 1000.0, 1000.0, 1000.0))
+        assert shares == (0.5, 1.0, 0.0, 0.1)
 
     def test_power_idle_and_peak(self):
         pm = PhysicalMachine(0, MachineCapacity(1, 1, 1, 1), peak_power_watts=200.0)

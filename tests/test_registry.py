@@ -80,6 +80,10 @@ class TestBuildPolicy:
         with pytest.raises(ValueError, match="bad parameters"):
             build_policy({"id": "greedy", "wibble": 1})
 
+    def test_uninterpretable_vector_is_an_error(self):
+        with pytest.raises(ValueError, match="cannot interpret ResourceVector"):
+            build_policy({"id": "similarity", "default_rv": [0.3, 0.3]})
+
     def test_invalid_parameter_value_propagates(self):
         with pytest.raises(ValueError):
             build_policy({"id": "similarity", "u_up": 2.0})
