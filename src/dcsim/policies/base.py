@@ -29,6 +29,10 @@ class ClusterView(Protocol):
 
     Policies treat every member as read-only and change state only through
     the decisions and actions they return.
+
+    ``vm_rv_on`` and ``vm_nominal_rv_on`` depend on the machine only through
+    its capacity: machines of equal ``MachineCapacity`` get the same vector,
+    so a policy may compute a VM's share once per capacity class.
     """
 
     @property

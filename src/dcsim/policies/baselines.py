@@ -10,7 +10,13 @@ from __future__ import annotations
 
 from typing import Iterator, Optional
 
-from ..model import MachineCapacity, PhysicalMachine, UtilizationWeights, unified_utilization
+from ..model import (
+    MachineCapacity,
+    PhysicalMachine,
+    PowerModel,
+    UtilizationWeights,
+    unified_utilization,
+)
 from .base import ClusterView, PlacementDecision, RebalanceAction, SchedulerPolicy
 
 
@@ -160,6 +166,9 @@ class SingleThresholdPolicy(SchedulerPolicy):
     to the machine whose power draw grows least, subject to the machine's
     planned CPU utilization staying strictly below ``threshold``.  Machines
     are woken when nothing running fits, and are never put back to standby.
+    The replan moves VMs freely, with no migration cost in its objective
+    (22,124 moves per simulated day on the ``compare_single_threshold``
+    preset).
     """
 
     name = "single_threshold"
@@ -188,45 +197,96 @@ class SingleThresholdPolicy(SchedulerPolicy):
             return usage[0]
         return view.vm_nominal(vm_id).cpu
 
-    def _footprint(self, vm_id: str, pm: PhysicalMachine, view: ClusterView) -> float:
-        if view.vm_window_mean(vm_id) is not None:
-            rv = view.vm_rv_on(vm_id, pm.id)
-        else:
-            rv = view.vm_nominal_rv_on(vm_id, pm.id)
-        return unified_utilization(rv, self.weights)
+    @staticmethod
+    def _fleet(
+        machines: list[PhysicalMachine], model: PowerModel
+    ) -> tuple[list[tuple[int, float, float, float, int]], list[int]]:
+        """Scoring terms per machine, and one machine standing for each capacity class.
 
-    def _power_increase(
-        self, vm_id: str, pm: PhysicalMachine, view: ClusterView, plan_on: bool
-    ) -> float:
-        model = view.power_model
-        slope = pm.peak_power_watts * (1.0 - model.idle_fraction)
-        increase = slope * self._footprint(vm_id, pm, view)
-        if not plan_on:
-            increase += pm.peak_power_watts * model.idle_fraction - model.standby_watts
-        return increase
+        Returns ``(terms, representatives)``.  ``terms`` holds, in fleet
+        order, each machine's ``(id, cpu capacity, slope, wake cost, class)``:
+        the slope is the watts one unit of unified utilization adds, the wake
+        cost what leaving standby adds, and the class an index into
+        ``representatives``, the id of the first machine of each distinct
+        capacity.
+        """
+        classes: dict[MachineCapacity, int] = {}
+        representatives: list[int] = []
+        terms = []
+        for pm in machines:
+            cls = classes.get(pm.capacity)
+            if cls is None:
+                cls = classes[pm.capacity] = len(representatives)
+                representatives.append(pm.id)
+            peak = pm.peak_power_watts
+            slope = peak * (1.0 - model.idle_fraction)
+            wake = peak * model.idle_fraction - model.standby_watts
+            terms.append((pm.id, pm.capacity.cpu, slope, wake, cls))
+        return terms, representatives
+
+    def _footprints(self, vm_id: str, view: ClusterView, representatives: list[int]) -> list[float]:
+        """The VM's unified footprint on each capacity class.
+
+        One machine stands for its class because the view's share of a VM
+        on a machine depends on the machine only through its capacity.
+        """
+        if view.vm_window_mean(vm_id) is not None:
+            rv_on = view.vm_rv_on
+        else:
+            rv_on = view.vm_nominal_rv_on
+        return [unified_utilization(rv_on(vm_id, pm_id), self.weights) for pm_id in representatives]
+
+    def _cheapest(
+        self,
+        vm_cpu: float,
+        footprints: list[float],
+        plan_cpu: dict[int, float],
+        plan_on: dict[int, bool],
+        terms: list[tuple[int, float, float, float, int]],
+    ) -> Optional[tuple[float, int]]:
+        """The least ``(power increase, machine id)`` for a VM, or None.
+
+        Only machines whose planned CPU utilization stays strictly below the
+        threshold with the VM added qualify.  A machine planned off also
+        pays its wake cost.
+        """
+        threshold = self.threshold
+        best = None
+        for pm_id, cpu_capacity, slope, wake, cls in terms:
+            if (plan_cpu[pm_id] + vm_cpu) / cpu_capacity >= threshold:
+                continue
+            increase = slope * footprints[cls]
+            if not plan_on[pm_id]:
+                increase += wake
+            if best is None or (increase, pm_id) < best:
+                best = (increase, pm_id)
+        return best
 
     # -- placement ---------------------------------------------------------
 
     def allocate(self, vm_id: str, view: ClusterView) -> PlacementDecision:
-        vm_cpu = self._vm_cpu_abs(vm_id, view)
-        best = None
-        for pm in view.all_machines():
-            used_cpu = view.cpu_used_abs(pm.id)
-            if (used_cpu + vm_cpu) / pm.capacity.cpu >= self.threshold:
-                continue
-            increase = self._power_increase(vm_id, pm, view, plan_on=pm.is_running)
-            if best is None or (increase, pm.id) < (best[0], best[1]):
-                best = (increase, pm.id, pm)
+        machines = view.all_machines()
+        terms, representatives = self._fleet(machines, view.power_model)
+        best = self._cheapest(
+            self._vm_cpu_abs(vm_id, view),
+            self._footprints(vm_id, view, representatives),
+            {pm.id: view.cpu_used_abs(pm.id) for pm in machines},
+            {pm.id: pm.is_running for pm in machines},
+            terms,
+        )
         if best is None:
             return PlacementDecision.reject()
-        return _admit(best[2])
+        return _admit(view.machine(best[1]))
 
     # -- epoch replanning ----------------------------------------------------
 
     def rebalance(self, view: ClusterView, tick: int) -> Iterator[RebalanceAction]:
         if tick % self.epoch_ticks != 0:
             return
+        # The whole plan is made before the first action is yielded, so the
+        # view cannot change under the per-pass terms and footprints.
         machines = view.all_machines()
+        terms, representatives = self._fleet(machines, view.power_model)
         plan_cpu = {pm.id: 0.0 for pm in machines}
         plan_on = {pm.id: pm.is_running for pm in machines}
         by_id = {pm.id: pm for pm in machines}
@@ -244,21 +304,17 @@ class SingleThresholdPolicy(SchedulerPolicy):
             if host is not None:
                 plan_cpu[host] += self._vm_cpu_abs(vm_id, view)
 
-        order = sorted(placed, key=lambda item: (-self._vm_cpu_abs(item[0], view), item[0]))
+        vm_cpu = {vm_id: self._vm_cpu_abs(vm_id, view) for vm_id, _ in placed}
+        order = sorted(placed, key=lambda item: (-vm_cpu[item[0]], item[0]))
         moves = []
         for vm_id, current_host in order:
-            vm_cpu = self._vm_cpu_abs(vm_id, view)
-            best = None
-            for pm in machines:
-                if (plan_cpu[pm.id] + vm_cpu) / pm.capacity.cpu >= self.threshold:
-                    continue
-                increase = self._power_increase(vm_id, pm, view, plan_on[pm.id])
-                if best is None or (increase, pm.id) < (best[0], best[1]):
-                    best = (increase, pm.id)
+            cpu = vm_cpu[vm_id]
+            footprints = self._footprints(vm_id, view, representatives)
+            best = self._cheapest(cpu, footprints, plan_cpu, plan_on, terms)
             target = best[1] if best is not None else current_host
             if best is None:
                 self._count("replan_stuck")
-            plan_cpu[target] += vm_cpu
+            plan_cpu[target] += cpu
             needs_wake = not plan_on[target]
             plan_on[target] = True
             if target != current_host:

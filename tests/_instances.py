@@ -31,8 +31,8 @@ _PROFILES = [
 ]
 
 
-def _random_policy_spec(rng: random.Random) -> dict:
-    kind = rng.choice(
+def _random_policy_spec(rng: random.Random, policy_id: str | None = None) -> dict:
+    kind = policy_id or rng.choice(
         [
             "similarity",
             "similarity",
@@ -67,8 +67,11 @@ def _random_policy_spec(rng: random.Random) -> dict:
     return {"id": kind}
 
 
-def make_instance(seed: int):
-    """Build one random (config, workload, policy_spec) triple."""
+def make_instance(seed: int, policy_id: str | None = None):
+    """Build one random (config, workload, policy_spec) triple.
+
+    ``policy_id`` fixes the policy kind; its parameters are still drawn.
+    """
     rng = random.Random(seed)
     n_machines = rng.randint(1, 5)
     fleet = tuple(
@@ -106,7 +109,7 @@ def make_instance(seed: int):
         lifetime_ticks=rng.choice([None, rng.randint(3, duration)]),
     )
     workload = generate_workload(spec)
-    return config, workload, _random_policy_spec(rng)
+    return config, workload, _random_policy_spec(rng, policy_id)
 
 
 # ---------------------------------------------------------------------------

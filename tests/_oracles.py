@@ -5,6 +5,10 @@ arithmetic (``fractions.Fraction``) where the target expression is rational,
 and 50-digit ``mpmath`` arithmetic where it is not (cosine similarity needs a
 square root).  Floats convert to Fraction losslessly, so the reference value
 is the mathematically exact result for the same binary inputs.
+
+``ReferenceSingleThreshold`` is the one reference policy: it keeps the direct
+per-(VM, machine) scoring that the production policy's per-capacity-class
+scoring must reproduce decision for decision.
 """
 
 from __future__ import annotations
@@ -13,6 +17,10 @@ import random
 from fractions import Fraction
 
 import mpmath
+
+from dcsim.model import unified_utilization
+from dcsim.policies.base import PlacementDecision, RebalanceAction
+from dcsim.policies.baselines import SingleThresholdPolicy
 
 mpmath.mp.dps = 50
 
@@ -115,3 +123,99 @@ def random_weights_tuple(rng: random.Random) -> Tuple4:
     # Pin the last weight so the four sum to 1 within a couple of ulp.
     w[3] = 1.0 - (w[0] + w[1] + w[2])
     return tuple(w)
+
+
+# ---------------------------------------------------------------------------
+# Reference policies
+# ---------------------------------------------------------------------------
+
+
+class ReferenceSingleThreshold(SingleThresholdPolicy):
+    """``single_threshold`` scored the direct way: every (VM, machine) pair.
+
+    Each candidate machine's footprint and power increase are computed from
+    that machine itself, with no grouping by capacity and no per-pass cache.
+    It uses none of the production helpers, only the constructor, ``name``
+    and the ``replan_stuck`` counter.
+    """
+
+    def _ref_cpu(self, vm_id, view):
+        usage = view.vm_window_mean(vm_id)
+        if usage is not None:
+            return usage[0]
+        return view.vm_nominal(vm_id).cpu
+
+    def _ref_increase(self, vm_id, pm, view, plan_on):
+        if view.vm_window_mean(vm_id) is not None:
+            rv = view.vm_rv_on(vm_id, pm.id)
+        else:
+            rv = view.vm_nominal_rv_on(vm_id, pm.id)
+        model = view.power_model
+        slope = pm.peak_power_watts * (1.0 - model.idle_fraction)
+        increase = slope * unified_utilization(rv, self.weights)
+        if not plan_on:
+            increase += pm.peak_power_watts * model.idle_fraction - model.standby_watts
+        return increase
+
+    def allocate(self, vm_id, view):
+        vm_cpu = self._ref_cpu(vm_id, view)
+        best = None
+        for pm in view.all_machines():
+            used_cpu = view.cpu_used_abs(pm.id)
+            if (used_cpu + vm_cpu) / pm.capacity.cpu >= self.threshold:
+                continue
+            increase = self._ref_increase(vm_id, pm, view, pm.is_running)
+            if best is None or (increase, pm.id) < (best[0], best[1]):
+                best = (increase, pm.id, pm)
+        if best is None:
+            return PlacementDecision.reject()
+        if best[2].is_running:
+            return PlacementDecision.place(best[1])
+        return PlacementDecision.wake_and_place(best[1])
+
+    def rebalance(self, view, tick):
+        if tick % self.epoch_ticks != 0:
+            return
+        machines = view.all_machines()
+        plan_cpu = {pm.id: 0.0 for pm in machines}
+        plan_on = {pm.id: pm.is_running for pm in machines}
+        by_id = {pm.id: pm for pm in machines}
+
+        placed = []
+        skipped = []
+        for pm in machines:
+            for vm_id in pm.hosted_vm_ids:
+                if view.vm_in_flight(vm_id):
+                    skipped.append(vm_id)
+                else:
+                    placed.append((vm_id, pm.id))
+        for vm_id in skipped:
+            host = view.vm_host(vm_id)
+            if host is not None:
+                plan_cpu[host] += self._ref_cpu(vm_id, view)
+
+        order = sorted(placed, key=lambda item: (-self._ref_cpu(item[0], view), item[0]))
+        moves = []
+        for vm_id, current_host in order:
+            vm_cpu = self._ref_cpu(vm_id, view)
+            best = None
+            for pm in machines:
+                if (plan_cpu[pm.id] + vm_cpu) / pm.capacity.cpu >= self.threshold:
+                    continue
+                increase = self._ref_increase(vm_id, pm, view, plan_on[pm.id])
+                if best is None or (increase, pm.id) < (best[0], best[1]):
+                    best = (increase, pm.id)
+            target = best[1] if best is not None else current_host
+            if best is None:
+                self._count("replan_stuck")
+            plan_cpu[target] += vm_cpu
+            needs_wake = not plan_on[target]
+            plan_on[target] = True
+            if target != current_host:
+                moves.append((vm_id, current_host, target, needs_wake))
+
+        for vm_id, source, target, needs_wake in moves:
+            if needs_wake and not by_id[target].is_running:
+                yield RebalanceAction.wake_and_migrate(vm_id, source, target, reason="replan")
+            else:
+                yield RebalanceAction.migrate(vm_id, source, target, reason="replan")

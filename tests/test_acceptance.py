@@ -34,6 +34,8 @@ import filecmp
 import random
 from pathlib import Path
 
+import pytest
+
 import _oracles as oracle
 from _instances import run_checked_instance
 from dcsim.cli import main as cli_main
@@ -51,6 +53,8 @@ from dcsim.model import (
     unified_utilization,
 )
 from dcsim.policies.similarity import cosine_similarity
+
+pytestmark = pytest.mark.acceptance
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"

@@ -249,14 +249,18 @@ class TestSingleThreshold:
         )
         view.nominals["vm-a"] = MachineCapacity(400, 819.2, 100, 100)
         policy = SingleThresholdPolicy()
+        terms, representatives = policy._fleet(view.all_machines(), view.power_model)
+        footprints = policy._footprints("vm-a", view, representatives)
+
+        def increase(plan_on):
+            best = policy._cheapest(0.0, footprints, {0: 0.0}, {0: plan_on}, terms)
+            assert best is not None and best[1] == 0
+            return best[0]
+
         # Footprint is 0.1 of every resource -> unified 0.1; slope 100 W.
         # Waking adds idle draw 100 W minus the 10 W standby it replaces.
-        assert policy._power_increase("vm-a", view.machines[0], view, plan_on=False) == pytest.approx(
-            100.0 * 0.1 + 100.0 - 10.0
-        )
-        assert policy._power_increase("vm-a", view.machines[0], view, plan_on=True) == pytest.approx(
-            10.0
-        )
+        assert increase(plan_on=False) == pytest.approx(100.0 * 0.1 + 100.0 - 10.0)
+        assert increase(plan_on=True) == pytest.approx(10.0)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):

@@ -1,0 +1,189 @@
+"""``single_threshold`` against its direct per-(VM, machine) reference.
+
+The policy scores a VM once per capacity class and then compares machines by
+arithmetic alone.  These tests hold it to the reference policy in
+``_oracles`` decision for decision, and bound how many per-VM share lookups
+an epoch replan may make, so the per-machine cost cannot return unnoticed.
+"""
+
+from __future__ import annotations
+
+import random
+
+import _fakes as fakes
+from _instances import make_instance
+from _oracles import ReferenceSingleThreshold
+from dcsim.engine import FleetMachine, Simulation, SimulationConfig
+from dcsim.model import MachineCapacity, MachineState, PowerModel
+from dcsim.policies import SingleThresholdPolicy
+from dcsim.workload import WorkloadProfile, WorkloadSpec, generate_workload
+
+DIFFERENTIAL_INSTANCES = 240
+
+
+def _recording(policy_cls):
+    """``policy_cls`` extended to log its decisions and what its replans saw."""
+
+    class Recording(policy_cls):
+        def __init__(self, **params):
+            super().__init__(**params)
+            self.log = []
+            self.saw_in_flight = False
+            self.saw_no_history = False
+
+        def allocate(self, vm_id, view):
+            self.saw_no_history |= view.vm_window_mean(vm_id) is None
+            decision = super().allocate(vm_id, view)
+            self.log.append((view.current_tick, vm_id, decision))
+            return decision
+
+        def rebalance(self, view, tick):
+            if tick % self.epoch_ticks == 0:
+                self.saw_in_flight |= any(
+                    view.vm_in_flight(vm_id)
+                    for pm in view.all_machines()
+                    for vm_id in pm.hosted_vm_ids
+                )
+            for action in super().rebalance(view, tick):
+                self.log.append((tick, action))
+                yield action
+
+    return Recording
+
+
+def _run(policy_cls, config, workload, params):
+    policy = _recording(policy_cls)(**params)
+    report = Simulation(config, workload, policy).run()
+    return policy, report
+
+
+def test_matches_reference_on_random_instances():
+    covered = {
+        "equal capacity, different peak": 0,
+        "standby draw": 0,
+        "in-flight VM at a replan": 0,
+        "VM without usage history": 0,
+        "replan with nothing fitting": 0,
+    }
+    for seed in range(DIFFERENTIAL_INSTANCES):
+        config, workload, spec = make_instance(seed, "single_threshold")
+        params = {k: v for k, v in spec.items() if k != "id"}
+        ref, ref_report = _run(ReferenceSingleThreshold, config, workload, params)
+        got, got_report = _run(SingleThresholdPolicy, config, workload, params)
+        assert got.log == ref.log, f"seed {seed}: decisions differ"
+        assert got.stats == ref.stats, f"seed {seed}: policy_stats differ"
+        assert got_report == ref_report, f"seed {seed}: reports differ"
+
+        peaks: dict[MachineCapacity, set[float]] = {}
+        for fm in config.fleet:
+            peaks.setdefault(fm.capacity, set()).add(fm.peak_power_watts)
+        covered["equal capacity, different peak"] += any(len(p) > 1 for p in peaks.values())
+        covered["standby draw"] += config.power_model.standby_watts > 0
+        covered["in-flight VM at a replan"] += ref.saw_in_flight
+        covered["VM without usage history"] += ref.saw_no_history
+        covered["replan with nothing fitting"] += ref.stats.get("replan_stuck", 0) > 0
+    assert all(covered.values()), covered
+
+
+def test_replan_matches_reference_for_vms_without_history():
+    # The engine gives every hosted VM a usage sample before the replan, so
+    # the replan's nominal fallback is exercised on the view stub instead.
+    rng = random.Random(7)
+    capacities = [fakes.CAP, MachineCapacity(2000.0, 4096.0, 500.0, 500.0)]
+    for _ in range(100):
+        machines = [
+            fakes.make_machine(
+                i,
+                cap=rng.choice(capacities),
+                peak=rng.choice([120.0, 200.0, 350.0]),
+                state=rng.choice([MachineState.RUNNING, MachineState.STANDBY]),
+            )
+            for i in range(rng.randint(1, 6))
+        ]
+        view = fakes.FakeView(
+            machines, power_model=PowerModel(idle_fraction=0.5, standby_watts=rng.choice([0.0, 5.0]))
+        )
+        for n in range(rng.randint(1, 8)):
+            vm_id = f"vm-{n}"
+            running = [pm for pm in machines if pm.is_running]
+            if not running:
+                break
+            rng.choice(running).add_vm(vm_id)
+            view.nominals[vm_id] = MachineCapacity(
+                rng.uniform(100.0, 1500.0), rng.uniform(100.0, 3000.0), 50.0, 50.0
+            )
+            if rng.random() < 0.5:
+                view.window_means[vm_id] = (rng.uniform(50.0, 1500.0), 100.0, 10.0, 10.0)
+            if rng.random() < 0.2:
+                view.in_flight.add(vm_id)
+        threshold = rng.choice([0.3, 0.75, 1.0])
+        ref = ReferenceSingleThreshold(threshold=threshold, epoch_ticks=1)
+        got = SingleThresholdPolicy(threshold=threshold, epoch_ticks=1)
+        assert list(got.rebalance(view, 0)) == list(ref.rebalance(view, 0))
+        assert got.stats == ref.stats
+
+
+class _CountingView:
+    """Forwards every read to the simulation, counting per-VM share lookups."""
+
+    def __init__(self, sim):
+        self._sim = sim
+        self.share_calls = 0
+
+    def __getattr__(self, name):
+        return getattr(self._sim, name)
+
+    def vm_rv_on(self, vm_id, machine_id):
+        self.share_calls += 1
+        return self._sim.vm_rv_on(vm_id, machine_id)
+
+    def vm_nominal_rv_on(self, vm_id, machine_id):
+        self.share_calls += 1
+        return self._sim.vm_nominal_rv_on(vm_id, machine_id)
+
+
+class _CountedSingleThreshold(SingleThresholdPolicy):
+    def __init__(self, **params):
+        super().__init__(**params)
+        self.epochs = []  # (share lookups, VMs placed) per epoch replan
+
+    def rebalance(self, view, tick):
+        counting = _CountingView(view)
+        placed = sum(
+            not view.vm_in_flight(vm_id)
+            for pm in view.all_machines()
+            for vm_id in pm.hosted_vm_ids
+        )
+        yield from super().rebalance(counting, tick)
+        if tick % self.epoch_ticks == 0:
+            self.epochs.append((counting.share_calls, placed))
+
+
+def test_replan_looks_up_shares_once_per_vm_and_capacity_class():
+    classes = [
+        MachineCapacity(2000.0, 4096.0, 500.0, 500.0),
+        MachineCapacity(4000.0, 8192.0, 1000.0, 1000.0),
+        MachineCapacity(8000.0, 16384.0, 2000.0, 2000.0),
+    ]
+    fleet = tuple(
+        FleetMachine(cap, peak_power_watts=peak)
+        for cap in classes
+        for peak in (120.0, 200.0, 360.0, 450.0)
+    )
+    config = SimulationConfig(
+        fleet=fleet,
+        duration_ticks=40,
+        initial_running_count=len(fleet),
+        power_model=PowerModel(idle_fraction=0.5, standby_watts=5.0),
+        migration_cost_ticks=1,
+    )
+    workload = generate_workload(
+        WorkloadSpec(seed=11, vm_count=30, duration_ticks=40, profile=WorkloadProfile.MIXED_INTENSIVE)
+    )
+    policy = _CountedSingleThreshold(threshold=1.0, epoch_ticks=5)
+    Simulation(config, workload, policy).run()
+
+    assert len(policy.epochs) == 8
+    assert max(placed for _, placed in policy.epochs) > 0
+    for calls, placed in policy.epochs:
+        assert calls <= placed * len(classes)
