@@ -43,7 +43,7 @@ from .policies import (
     SimilarityPolicy,
     build_policy,
     cosine_similarity,
-    score_candidate,
+    score_shares,
 )
 from .workload import (
     DemandSample,
@@ -94,7 +94,7 @@ __all__ = [
     "resource_vector_of_vm",
     "run_simulation",
     "save_trace_files",
-    "score_candidate",
+    "score_shares",
     "unified_utilization",
     "__version__",
 ]

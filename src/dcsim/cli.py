@@ -6,7 +6,8 @@ parameter value), ``compare`` (several policies on identical inputs) and
 command echoes the fully resolved configuration into its output directory,
 so results are reproducible from their own metadata.
 
-Exit codes: 0 on success, 2 for configuration errors, 3 for I/O errors.
+Exit codes: 0 on success, 2 for configuration errors, 3 for I/O errors,
+4 for engine errors (a policy decision the engine cannot carry out).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .config import (
     effective_config_json,
     load_raw_config,
 )
-from .engine import run_simulation
+from .engine import EngineError, run_simulation
 from .metrics import compare_policies, run_sweep, write_csv, write_plot_data
 from .policies import build_policy
 from .workload import generate_workload, save_trace_files
@@ -34,6 +35,7 @@ from .workload import generate_workload, save_trace_files
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
+EXIT_ENGINE = 4
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -229,6 +231,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except EngineError as exc:
+        print(f"engine error: {exc}", file=sys.stderr)
+        return EXIT_ENGINE
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

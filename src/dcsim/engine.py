@@ -17,6 +17,11 @@ Each tick runs a fixed pipeline:
 
 The engine draws no random numbers and iterates every collection in a fixed
 order, so a run is a pure function of (config, workload, policy).
+
+Each machine's used share (``machine_rv``) is memoized.  ``_arbitrate``
+clears the memo, since it is the only phase that records usage.  A machine's
+entry is also dropped whenever its hosted list or inbound set changes; every
+such change goes through ``_set_host`` or ``_set_inbound``, which drop it.
 """
 
 from __future__ import annotations
@@ -206,6 +211,9 @@ class Simulation:
         self._shares: dict[int, tuple[float, float, float, float]] = {}
         self._machine_ws: list[float] = [0.0] * len(self.machines)
 
+        # Memoized used shares (see the module docstring for invalidation).
+        self._used: dict[int, ResourceVector] = {}
+
         self.migration_count = 0
         self.wake_count = 0
         self.standby_count = 0
@@ -283,6 +291,13 @@ class Simulation:
         contribute their estimated share, so back-to-back placements within
         one tick are accounted against the machine.
         """
+        rv = self._used.get(machine_id)
+        if rv is None:
+            rv = self._used[machine_id] = self._used_share(machine_id)
+        return rv
+
+    def _used_share(self, machine_id: int) -> ResourceVector:
+        """``machine_rv`` computed afresh, without the memo."""
         pm = self.machines[machine_id]
         hosted = [self.vms[vm_id] for vm_id in pm.hosted_vm_ids]
         rv = hosted_usage_rv(pm, hosted)
@@ -341,22 +356,37 @@ class Simulation:
         pm.clear_breach()
         self.standby_count += 1
 
-    def _place(self, vm: VirtualMachine, pm: PhysicalMachine) -> None:
-        vm.host_id = pm.id
-        pm.add_vm(vm.id)
-        pm.last_used_tick = self.tick
+    def _set_host(self, vm: VirtualMachine, target: Optional[PhysicalMachine]) -> None:
+        """Take ``vm`` off its host, if any, and put it on ``target``, if given.
 
-    def _unhost(self, vm: VirtualMachine) -> None:
+        The only place hosted lists change; it drops both machines' memoized
+        used shares.
+        """
         if vm.host_id is not None:
             self.machines[vm.host_id].remove_vm(vm.id)
+            self._used.pop(vm.host_id, None)
             vm.host_id = None
+        if target is not None:
+            target.add_vm(vm.id)
+            vm.host_id = target.id
+            self._used.pop(target.id, None)
+
+    def _set_inbound(self, vm_id: str, target_id: int, inbound: bool) -> None:
+        """Add ``vm_id`` to, or remove it from, the machine's inbound set.
+
+        The only place inbound sets change; it drops the machine's memoized
+        used share.
+        """
+        if inbound:
+            self._inbound.setdefault(target_id, set()).add(vm_id)
+        else:
+            self._inbound[target_id].discard(vm_id)
+        self._used.pop(target_id, None)
 
     def _move(self, vm: VirtualMachine, target: PhysicalMachine) -> None:
         source = self.machines[vm.host_id]
-        source.remove_vm(vm.id)
+        self._set_host(vm, target)
         source.clear_breach()
-        vm.host_id = target.id
-        target.add_vm(vm.id)
         target.last_used_tick = self.tick
         self.migration_count += 1
 
@@ -394,7 +424,7 @@ class Simulation:
             if land_tick != tick:
                 continue
             del self._inflight[vm_id]
-            self._inbound[target_id].discard(vm_id)
+            self._set_inbound(vm_id, target_id, False)
             vm = self.vms.get(vm_id)
             if vm is None or vm.host_id is None:
                 continue  # departed mid-flight
@@ -415,9 +445,9 @@ class Simulation:
                 continue
             if vm_id in self._inflight:
                 target_id, _ = self._inflight.pop(vm_id)
-                self._inbound[target_id].discard(vm_id)
+                self._set_inbound(vm_id, target_id, False)
             host_id = vm.host_id
-            self._unhost(vm)
+            self._set_host(vm, None)
             del self.vms[vm_id]
             self._demand_idx.pop(vm_id, None)
             if host_id is not None:
@@ -460,7 +490,8 @@ class Simulation:
                 raise EngineError(
                     f"policy {self.policy.name!r} placed {vm_id} on standby machine {target.id}"
                 )
-            self._place(vm, target)
+            self._set_host(vm, target)
+            target.last_used_tick = tick
 
     # -- step 4: demand + arbitration --------------------------------------
 
@@ -479,6 +510,7 @@ class Simulation:
     def _arbitrate(self, tick: int) -> int:
         violations = 0
         self._shares = {}
+        self._used.clear()
         for pm in self.machines:
             if pm.state is not MachineState.RUNNING:
                 continue
@@ -575,7 +607,7 @@ class Simulation:
             return
         land_tick = tick + cost
         self._inflight[vm.id] = (target.id, land_tick)
-        self._inbound.setdefault(target.id, set()).add(vm.id)
+        self._set_inbound(vm.id, target.id, True)
         self._landings.setdefault(land_tick, []).append(vm.id)
         self.machines[vm.host_id].clear_breach()
 

@@ -105,12 +105,9 @@ def _run_point(
     return run_simulation(sim_config, workload, build_policy(policy_spec))
 
 
-def _sweep_worker(payload) -> tuple[int, Optional[SweepPoint], Optional[str]]:
+def _sweep_worker(payload) -> tuple[int, SweepPoint]:
     index, sim_config, workload, spec, value = payload
-    try:
-        report = _run_point(sim_config, workload, spec)
-    except ValueError as exc:
-        return index, None, str(exc)
+    report = _run_point(sim_config, workload, spec)
     return (
         index,
         SweepPoint(
@@ -120,7 +117,6 @@ def _sweep_worker(payload) -> tuple[int, Optional[SweepPoint], Optional[str]]:
             mean_running_machines=report.mean_running_machines,
             migrations=report.migration_count,
         ),
-        None,
     )
 
 
@@ -135,8 +131,10 @@ def run_sweep(
     """Run one simulation per parameter value against a shared workload.
 
     ``values`` defaults to the standard grid for the parameter.  Points
-    whose configuration is invalid (e.g. a ``u_up`` too close to ``u_down``)
-    are skipped with a warning and recorded in ``result.skipped``.
+    whose policy cannot be built (e.g. a ``u_up`` too close to ``u_down``)
+    are skipped with a warning and recorded in ``result.skipped``.  An error
+    raised while a point's simulation runs, such as an ``EngineError`` from
+    a faulty policy decision, is not a skip: it propagates to the caller.
     """
     if values is None:
         if parameter not in DEFAULT_GRIDS:
@@ -152,25 +150,24 @@ def run_sweep(
     if numeric:
         values = sorted(values)
 
-    payloads = [
-        (i, sim_config, workload, _derive_policy_spec(policy_spec, parameter, v), v)
-        for i, v in enumerate(values)
-    ]
+    result = SweepResult(parameter=parameter)
+    payloads = []
+    for i, v in enumerate(values):
+        spec = _derive_policy_spec(policy_spec, parameter, v)
+        try:
+            build_policy(spec)
+        except ValueError as exc:
+            log.warning("skipping %s=%r: %s", parameter, v, exc)
+            result.skipped.append((v, str(exc)))
+            continue
+        payloads.append((i, sim_config, workload, spec, v))
     if jobs > 1 and len(payloads) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(_sweep_worker, payloads))
     else:
         outcomes = [_sweep_worker(p) for p in payloads]
     outcomes.sort(key=lambda item: item[0])
-
-    result = SweepResult(parameter=parameter)
-    for index, point, error in outcomes:
-        if point is not None:
-            result.points.append(point)
-        else:
-            value = values[index]
-            log.warning("skipping %s=%r: %s", parameter, value, error)
-            result.skipped.append((value, error))
+    result.points = [point for _, point in outcomes]
     return result
 
 
@@ -185,7 +182,8 @@ def compare_policies(
 
     Savings are ``(baseline - ours) / baseline * 100``; a policy compared
     against itself reports 0.  When the baseline count is zero the
-    percentage is undefined and reported as ``None``.
+    percentage is undefined and reported as ``None``.  An error raised by
+    any simulation, such as an ``EngineError``, propagates to the caller.
     """
     names = []
     specs = []

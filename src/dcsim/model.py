@@ -45,31 +45,13 @@ class ResourceVector:
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.cpu, self.mem, self.disk, self.bw)
 
-    def dot(self, other: "ResourceVector") -> float:
-        return (
-            self.cpu * other.cpu
-            + self.mem * other.mem
-            + self.disk * other.disk
-            + self.bw * other.bw
-        )
-
-    def norm(self) -> float:
-        return math.sqrt(self.dot(self))
-
     def add_clamped(self, other: "ResourceVector") -> "ResourceVector":
         """Componentwise sum, clamped into [0, 1]."""
-        return ResourceVector(
-            min(1.0, self.cpu + other.cpu),
-            min(1.0, self.mem + other.mem),
-            min(1.0, self.disk + other.disk),
-            min(1.0, self.bw + other.bw),
-        )
+        return ResourceVector(*clamped_sum_of(self.as_tuple(), other.as_tuple()))
 
     def complement(self) -> "ResourceVector":
         """The free share left on a machine whose used share is this vector."""
-        return ResourceVector(
-            1.0 - self.cpu, 1.0 - self.mem, 1.0 - self.disk, 1.0 - self.bw
-        )
+        return ResourceVector(*complement_of(self.as_tuple()))
 
 
 ZERO_RV = ResourceVector(0.0, 0.0, 0.0, 0.0)
@@ -277,6 +259,23 @@ def shares_of(
         _clamp01(amounts[2] / capacity[2]),
         _clamp01(amounts[3] / capacity[3]),
     )
+
+
+def clamped_sum_of(
+    a: tuple[float, float, float, float], b: tuple[float, float, float, float]
+) -> tuple[float, float, float, float]:
+    """Componentwise sum of two share tuples, each component capped at 1."""
+    return (
+        min(1.0, a[0] + b[0]),
+        min(1.0, a[1] + b[1]),
+        min(1.0, a[2] + b[2]),
+        min(1.0, a[3] + b[3]),
+    )
+
+
+def complement_of(shares: tuple[float, float, float, float]) -> tuple[float, float, float, float]:
+    """The free share left on a machine whose used share is ``shares``."""
+    return (1.0 - shares[0], 1.0 - shares[1], 1.0 - shares[2], 1.0 - shares[3])
 
 
 def utilization_of(

@@ -25,7 +25,7 @@ from .similarity import (
     SimilarityMethod,
     SimilarityPolicy,
     cosine_similarity,
-    score_candidate,
+    score_shares,
 )
 
 #: Tuned similarity configuration used by the ``recommended`` preset.
@@ -113,5 +113,5 @@ __all__ = [
     "SingleThresholdPolicy",
     "build_policy",
     "cosine_similarity",
-    "score_candidate",
+    "score_shares",
 ]

@@ -17,7 +17,13 @@ from ..model import (
     UtilizationWeights,
     unified_utilization,
 )
-from .base import ClusterView, PlacementDecision, RebalanceAction, SchedulerPolicy
+from .base import (
+    CapacityClasses,
+    ClusterView,
+    PlacementDecision,
+    RebalanceAction,
+    SchedulerPolicy,
+)
 
 
 def _fits_nominal(free: tuple[float, float, float, float], nominal: MachineCapacity) -> bool:
@@ -210,13 +216,12 @@ class SingleThresholdPolicy(SchedulerPolicy):
         ``representatives``, the id of the first machine of each distinct
         capacity.
         """
-        classes: dict[MachineCapacity, int] = {}
+        classes = CapacityClasses()
         representatives: list[int] = []
         terms = []
         for pm in machines:
-            cls = classes.get(pm.capacity)
-            if cls is None:
-                cls = classes[pm.capacity] = len(representatives)
+            cls = classes.index(pm.capacity)
+            if cls == len(representatives):
                 representatives.append(pm.id)
             peak = pm.peak_power_watts
             slope = peak * (1.0 - model.idle_fraction)

@@ -26,14 +26,27 @@ from typing import Iterator, Optional
 
 from ..model import (
     DEFAULT_RV,
-    ZERO_RV,
     BreachSide,
     PhysicalMachine,
     ResourceVector,
     UtilizationWeights,
+    clamped_sum_of,
+    complement_of,
     unified_utilization,
+    utilization_of,
 )
-from .base import ClusterView, DecisionKind, PlacementDecision, RebalanceAction, SchedulerPolicy
+from .base import (
+    CapacityClasses,
+    ClusterView,
+    DecisionKind,
+    PlacementDecision,
+    RebalanceAction,
+    SchedulerPolicy,
+)
+
+Shares = tuple[float, float, float, float]
+
+_ZERO_SHARES: Shares = (0.0, 0.0, 0.0, 0.0)
 
 
 class SimilarityMethod(Enum):
@@ -43,17 +56,19 @@ class SimilarityMethod(Enum):
     FREE_FIT = "free-fit"
 
 
-def cosine_similarity(a: ResourceVector, b: ResourceVector) -> float:
-    """Cosine of the angle between two resource vectors, in [0, 1].
+def cosine_of(a: Shares, b: Shares) -> float:
+    """Cosine of the angle between two share tuples, in [0, 1].
 
-    Resource vectors are componentwise non-negative, so the cosine is never
-    negative.  If either vector has zero length the similarity is defined
-    as 0 (nothing aligns with an absent shape).
+    Shares are componentwise non-negative, so the cosine is never negative.
+    If either tuple has zero length the similarity is defined as 0 (nothing
+    aligns with an absent shape).
     """
-    denom = a.norm() * b.norm()
+    denom = math.sqrt(a[0] * a[0] + a[1] * a[1] + a[2] * a[2] + a[3] * a[3]) * math.sqrt(
+        b[0] * b[0] + b[1] * b[1] + b[2] * b[2] + b[3] * b[3]
+    )
     if denom == 0.0:
         return 0.0
-    value = a.dot(b) / denom
+    value = (a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + a[3] * b[3]) / denom
     if value < 0.0:
         return 0.0
     if value > 1.0:
@@ -61,10 +76,13 @@ def cosine_similarity(a: ResourceVector, b: ResourceVector) -> float:
     return value
 
 
-def score_candidate(
-    vm_rv: ResourceVector, machine_used_rv: ResourceVector, method: SimilarityMethod
-) -> float:
-    """Similarity score of one candidate machine for one VM.
+def cosine_similarity(a: ResourceVector, b: ResourceVector) -> float:
+    """Cosine similarity of two resource vectors; see :func:`cosine_of`."""
+    return cosine_of(a.as_tuple(), b.as_tuple())
+
+
+def score_shares(vm_share: Shares, machine_used: Shares, method: SimilarityMethod) -> float:
+    """Similarity score of one candidate machine for one VM, on share tuples.
 
     ``dissimilar`` compares against the machine's used share (lower is
     better); ``free-fit`` compares against its free share (higher is
@@ -72,8 +90,8 @@ def score_candidate(
     raw score.
     """
     if method is SimilarityMethod.DISSIMILAR:
-        return cosine_similarity(vm_rv, machine_used_rv)
-    return cosine_similarity(vm_rv, machine_used_rv.complement())
+        return cosine_of(vm_share, machine_used)
+    return cosine_of(vm_share, complement_of(machine_used))
 
 
 @dataclass(frozen=True, slots=True)
@@ -132,6 +150,7 @@ class SimilarityPolicy(SchedulerPolicy):
         self.usage_window_seconds = self.config.delta_window_seconds
         self.default_rv = self.config.default_rv
         self.utilization_weights = self.config.weights
+        self._classes = CapacityClasses()
 
     @property
     def breach_thresholds(self) -> tuple[float, float]:
@@ -147,38 +166,50 @@ class SimilarityPolicy(SchedulerPolicy):
         vm_id: str,
         view: ClusterView,
         exclude: frozenset[int],
-        extras: Optional[dict[int, ResourceVector]],
+        extras: Optional[dict[int, Shares]],
         allow_wake: bool,
     ) -> PlacementDecision:
         """Rank eligible running machines and take the first that fits.
 
         ``extras`` layers hypothetical, not-yet-executed placements on top
-        of the view so multi-VM plans stay internally consistent.
+        of the view so multi-VM plans stay internally consistent.  The VM's
+        share is fetched once per capacity class, which the view guarantees
+        is the same on every machine of the class.
         """
         cfg = self.config
         cap_u = cfg.u_up - cfg.buffer
+        method = cfg.similarity_method
+        dissimilar = method is SimilarityMethod.DISSIMILAR
+        threshold = cfg.similarity_threshold
+        class_of = self._classes.index
+        vm_shares: dict[int, Shares] = {}
         ranked = []
         for pm in view.running_machines():
-            if pm.id in exclude:
+            pm_id = pm.id
+            if pm_id in exclude:
                 continue
-            vm_rv = view.vm_rv_on(vm_id, pm.id)
-            used = view.machine_rv(pm.id)
-            if extras is not None and pm.id in extras:
-                used = used.add_clamped(extras[pm.id])
-            score = score_candidate(vm_rv, used, cfg.similarity_method)
-            if cfg.similarity_method is SimilarityMethod.DISSIMILAR:
-                if score > cfg.similarity_threshold:
+            cls = class_of(pm.capacity)
+            vm_share = vm_shares.get(cls)
+            if vm_share is None:
+                vm_share = vm_shares[cls] = view.vm_rv_on(vm_id, pm_id).as_tuple()
+            used = view.machine_rv(pm_id).as_tuple()
+            if extras is not None and pm_id in extras:
+                used = clamped_sum_of(used, extras[pm_id])
+            score = score_shares(vm_share, used, method)
+            if dissimilar:
+                if score > threshold:
                     continue
-                ranked.append((score, pm.id, vm_rv, used))
+                ranked.append((score, pm_id, vm_share, used))
             else:
-                if score < cfg.similarity_threshold:
+                if score < threshold:
                     continue
-                ranked.append((-score, pm.id, vm_rv, used))
-        ranked.sort(key=lambda item: (item[0], item[1]))
+                ranked.append((-score, pm_id, vm_share, used))
+        # Machine ids are unique, so the sort never compares past them.
+        ranked.sort()
 
-        for _, pm_id, vm_rv, used in ranked:
-            estimated = unified_utilization(used.add_clamped(vm_rv), cfg.weights)
-            if estimated < cap_u:
+        weights = cfg.weights.as_tuple()
+        for _, pm_id, vm_share, used in ranked:
+            if utilization_of(clamped_sum_of(used, vm_share), weights) < cap_u:
                 return PlacementDecision.place(pm_id)
 
         if allow_wake:
@@ -257,7 +288,7 @@ class SimilarityPolicy(SchedulerPolicy):
             return None
         if any(view.vm_in_flight(vm_id) for vm_id in pm.hosted_vm_ids):
             return None
-        extras: dict[int, ResourceVector] = {}
+        extras: dict[int, Shares] = {}
         plan = []
         for vm_id in list(pm.hosted_vm_ids):
             decision = self._pick(
@@ -267,8 +298,8 @@ class SimilarityPolicy(SchedulerPolicy):
                 self._count("scale_down_blocked")
                 return None
             target = decision.machine_id
-            vm_rv = view.vm_rv_on(vm_id, target)
-            extras[target] = extras.get(target, ZERO_RV).add_clamped(vm_rv)
+            vm_share = view.vm_rv_on(vm_id, target).as_tuple()
+            extras[target] = clamped_sum_of(extras.get(target, _ZERO_SHARES), vm_share)
             plan.append(RebalanceAction.migrate(vm_id, pm.id, target, reason="scale-down"))
         plan.append(RebalanceAction.standby_machine(pm.id, reason="scale-down"))
         return plan

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from dcsim import policies
 from dcsim.model import (
     DEFAULT_RV,
     ZERO_RV,
@@ -14,6 +15,7 @@ from dcsim.model import (
     ResourceVector,
     shares_of,
 )
+from dcsim.policies.base import PlacementDecision, SchedulerPolicy
 
 CAP = MachineCapacity(4000.0, 8192.0, 1000.0, 1000.0)
 
@@ -106,3 +108,40 @@ def make_machine(machine_id, *, state=MachineState.RUNNING, last_used=0, cap=CAP
         state=state,
         last_used_tick=last_used,
     )
+
+
+
+class StandbyPlacer(SchedulerPolicy):
+    """Places every VM on one fixed machine whether or not it is running.
+
+    Pointed at a standby machine it is a faulty policy: the engine raises
+    ``EngineError`` on its first placement.  Importing this module registers
+    it as ``standby_placer``.
+    """
+
+    name = "standby_placer"
+
+    def __init__(self, machine=0):
+        super().__init__()
+        self.machine = machine
+
+    def allocate(self, vm_id, view):
+        return PlacementDecision.place(self.machine)
+
+
+class _FakePolicyId(str):
+    """A policy id whose unpickling imports this module.
+
+    Sweep and compare workers build their policy from the spec they are
+    sent.  A worker started by ``spawn`` or ``forkserver`` has imported no
+    test module, so the id's class brings this module, and with it the
+    registry entry below, into the worker.
+    """
+
+
+def standby_placer_spec(machine):
+    """A policy spec for ``StandbyPlacer`` that any pool worker can build."""
+    return {"id": _FakePolicyId(StandbyPlacer.name), "machine": machine}
+
+
+policies._REGISTRY.setdefault(StandbyPlacer.name, lambda params: StandbyPlacer(**params))

@@ -6,9 +6,11 @@ and 50-digit ``mpmath`` arithmetic where it is not (cosine similarity needs a
 square root).  Floats convert to Fraction losslessly, so the reference value
 is the mathematically exact result for the same binary inputs.
 
-``ReferenceSingleThreshold`` is the one reference policy: it keeps the direct
-per-(VM, machine) scoring that the production policy's per-capacity-class
-scoring must reproduce decision for decision.
+Two reference policies keep the direct per-(VM, machine) scoring that the
+production policies' per-capacity-class scoring must reproduce decision for
+decision: ``ReferenceSingleThreshold`` and ``ReferenceSimilarity``.
+``fresh_machine_rv`` recomputes a machine's used share from scratch, as the
+reference for the engine's memoized one.
 """
 
 from __future__ import annotations
@@ -18,9 +20,17 @@ from fractions import Fraction
 
 import mpmath
 
-from dcsim.model import unified_utilization
-from dcsim.policies.base import PlacementDecision, RebalanceAction
+from dcsim.model import (
+    ZERO_RV,
+    BreachSide,
+    ResourceVector,
+    machine_rv,
+    shares_of,
+    unified_utilization,
+)
+from dcsim.policies.base import DecisionKind, PlacementDecision, RebalanceAction
 from dcsim.policies.baselines import SingleThresholdPolicy
+from dcsim.policies.similarity import SimilarityMethod, SimilarityPolicy, cosine_similarity
 
 mpmath.mp.dps = 50
 
@@ -219,3 +229,92 @@ class ReferenceSingleThreshold(SingleThresholdPolicy):
                 yield RebalanceAction.wake_and_migrate(vm_id, source, target, reason="replan")
             else:
                 yield RebalanceAction.migrate(vm_id, source, target, reason="replan")
+
+
+class ReferenceSimilarity(SimilarityPolicy):
+    """The similarity policy scored the direct way, on ``ResourceVector``s.
+
+    ``_pick`` asks the view for the VM's share and the used share of every
+    candidate machine, with no grouping by capacity; ``scale_down_check``
+    accumulates its planned placements as vectors to match.
+    """
+
+    def _pick(self, vm_id, view, exclude, extras, allow_wake):
+        cfg = self.config
+        cap_u = cfg.u_up - cfg.buffer
+        ranked = []
+        for pm in view.running_machines():
+            if pm.id in exclude:
+                continue
+            vm_rv = view.vm_rv_on(vm_id, pm.id)
+            used = view.machine_rv(pm.id)
+            if extras is not None and pm.id in extras:
+                used = used.add_clamped(extras[pm.id])
+            if cfg.similarity_method is SimilarityMethod.DISSIMILAR:
+                score = cosine_similarity(vm_rv, used)
+                if score > cfg.similarity_threshold:
+                    continue
+                ranked.append((score, pm.id, vm_rv, used))
+            else:
+                score = cosine_similarity(vm_rv, used.complement())
+                if score < cfg.similarity_threshold:
+                    continue
+                ranked.append((-score, pm.id, vm_rv, used))
+        ranked.sort(key=lambda item: (item[0], item[1]))
+
+        for _, pm_id, vm_rv, used in ranked:
+            if unified_utilization(used.add_clamped(vm_rv), cfg.weights) < cap_u:
+                return PlacementDecision.place(pm_id)
+
+        if allow_wake:
+            standby = view.standby_machines()
+            if standby:
+                chosen = min(standby, key=lambda pm: (pm.last_used_tick, pm.id))
+                return PlacementDecision.wake_and_place(chosen.id)
+        return PlacementDecision.reject()
+
+    def scale_down_check(self, pm, tick, view):
+        if not self._breach_mature(pm, BreachSide.UNDER, tick):
+            return None
+        if any(view.vm_in_flight(vm_id) for vm_id in pm.hosted_vm_ids):
+            return None
+        extras = {}
+        plan = []
+        for vm_id in list(pm.hosted_vm_ids):
+            decision = self._pick(
+                vm_id, view, exclude=frozenset((pm.id,)), extras=extras, allow_wake=False
+            )
+            if decision.kind is not DecisionKind.PLACE:
+                self._count("scale_down_blocked")
+                return None
+            target = decision.machine_id
+            vm_rv = view.vm_rv_on(vm_id, target)
+            extras[target] = extras.get(target, ZERO_RV).add_clamped(vm_rv)
+            plan.append(RebalanceAction.migrate(vm_id, pm.id, target, reason="scale-down"))
+        plan.append(RebalanceAction.standby_machine(pm.id, reason="scale-down"))
+        return plan
+
+
+def _fresh_vm_rv_on(sim, vm_id, machine_id):
+    """A VM's share of one machine, recomputed from its usage window."""
+    mean = sim.vm_window_mean(vm_id)
+    if mean is None:
+        return sim.policy.default_rv
+    return ResourceVector(*shares_of(mean, sim.machines[machine_id].capacity.as_tuple()))
+
+
+def fresh_machine_rv(sim, machine_id):
+    """A machine's used share, recomputed from scratch.
+
+    Latest usage of the hosted VMs, the default share for those without
+    samples, then the shares of VMs inbound through a delayed migration.
+    """
+    pm = sim.machines[machine_id]
+    hosted = [sim.vms[vm_id] for vm_id in pm.hosted_vm_ids]
+    rv = machine_rv(pm, hosted)
+    for vm in hosted:
+        if not vm.usage_window:
+            rv = rv.add_clamped(sim.policy.default_rv)
+    for vm_id in sorted(sim._inbound.get(machine_id, ())):
+        rv = rv.add_clamped(_fresh_vm_rv_on(sim, vm_id, machine_id))
+    return rv

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from dcsim.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
+import _fakes  # noqa: F401  (registers the standby_placer policy)
+from dcsim.cli import EXIT_CONFIG, EXIT_ENGINE, EXIT_IO, EXIT_OK, main
 from dcsim.config import (
     ConfigError,
     apply_overrides,
@@ -291,6 +292,18 @@ class TestCliRun:
         code = main(["run", "--config", str(bad), "--out", str(tmp_path / "o")])
         assert code == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_policy_fault_is_engine_error(self, config_file, tmp_path, capsys, command):
+        # Machine 2 of the three is on standby; placing there is a fault.
+        # Importing _fakes registered the policy.
+        cfg = config_file(
+            policy={"id": "standby_placer", "machine": 2},
+            sweep={"parameter": "machine", "values": [0, 2]},
+        )
+        code = main([command, "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == EXIT_ENGINE
+        assert "engine error" in capsys.readouterr().err
 
     def test_unknown_policy_is_config_error(self, config_file, tmp_path, capsys):
         code = main(

@@ -1,8 +1,14 @@
 """Unit tests for the experiment harness: sweeps, comparisons, CSV output."""
 
+import functools
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+
 import pytest
 
-from dcsim.engine import FleetMachine, SimulationConfig
+import _fakes as fakes
+from dcsim import metrics
+from dcsim.engine import EngineError, FleetMachine, SimulationConfig
 from dcsim.metrics import (
     COMPARISON_SCHEMA,
     DEFAULT_GRIDS,
@@ -72,6 +78,25 @@ class TestRunSweep:
         assert len(result.skipped) == 1
         assert result.skipped[0][0] == 0.25
         assert "gap" in result.skipped[0][1]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_engine_error_in_a_run_propagates(self, sim_config, workload, jobs):
+        # Machine 3 is on standby, so placing there is a policy fault, not a
+        # configuration the sweep may skip.
+        spec = fakes.standby_placer_spec(0)
+        with pytest.raises(EngineError, match="standby machine 3"):
+            run_sweep(sim_config, workload, spec, "machine", values=[0, 3], jobs=jobs)
+
+    def test_engine_error_propagates_from_spawned_workers(
+        self, sim_config, workload, monkeypatch
+    ):
+        spawn = multiprocessing.get_context("spawn")
+        monkeypatch.setattr(
+            metrics, "ProcessPoolExecutor", functools.partial(ProcessPoolExecutor, mp_context=spawn)
+        )
+        spec = fakes.standby_placer_spec(0)
+        with pytest.raises(EngineError, match="standby machine 3"):
+            run_sweep(sim_config, workload, spec, "machine", values=[0, 3], jobs=2)
 
     def test_unknown_parameter_without_values_is_an_error(self, sim_config, workload):
         with pytest.raises(ValueError, match="no default grid"):
@@ -151,6 +176,12 @@ class TestComparePolicies:
             ],
         )
         assert [r.policy for r in result.rows] == ["packing-tight", "packing-loose"]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_engine_error_in_a_run_propagates(self, sim_config, workload, jobs):
+        specs = ["greedy", fakes.standby_placer_spec(3)]
+        with pytest.raises(EngineError, match="standby machine 3"):
+            compare_policies(sim_config, workload, specs, jobs=jobs)
 
     def test_unknown_baseline_rejected(self, sim_config, workload):
         with pytest.raises(ValueError, match="baseline"):

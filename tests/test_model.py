@@ -17,6 +17,8 @@ from dcsim.model import (
     ResourceVector,
     UtilizationWeights,
     VirtualMachine,
+    clamped_sum_of,
+    complement_of,
     machine_free,
     machine_rv,
     power_draw,
@@ -44,11 +46,6 @@ class TestResourceVector:
         with pytest.raises(ValueError):
             ResourceVector(bad, 0.5, 0.5, 0.5)
 
-    def test_dot_and_norm(self):
-        a = ResourceVector(0.3, 0.0, 0.4, 0.0)
-        assert a.dot(a) == pytest.approx(0.25)
-        assert a.norm() == pytest.approx(0.5)
-
     def test_add_clamped_saturates(self):
         a = ResourceVector(0.9, 0.2, 0.0, 1.0)
         b = ResourceVector(0.3, 0.2, 0.0, 0.5)
@@ -57,6 +54,15 @@ class TestResourceVector:
     def test_complement(self):
         rv = ResourceVector(0.25, 0.5, 0.0, 1.0)
         assert rv.complement().as_tuple() == (0.75, 0.5, 1.0, 0.0)
+
+    def test_methods_equal_their_tuple_forms(self):
+        rng = random.Random(5)
+        for _ in range(1000):
+            a = tuple(rng.random() for _ in range(4))
+            b = tuple(rng.random() for _ in range(4))
+            ra, rb = ResourceVector(*a), ResourceVector(*b)
+            assert ra.add_clamped(rb).as_tuple() == clamped_sum_of(a, b)
+            assert ra.complement().as_tuple() == complement_of(a)
 
     def test_zero_and_default_constants(self):
         assert ZERO_RV.as_tuple() == (0.0, 0.0, 0.0, 0.0)

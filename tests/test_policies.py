@@ -10,7 +10,7 @@ from dcsim.policies.similarity import (
     SimilarityMethod,
     SimilarityPolicy,
     cosine_similarity,
-    score_candidate,
+    score_shares,
 )
 
 
@@ -22,16 +22,14 @@ class TestScoreCandidate:
     def test_dissimilar_scores_against_used(self):
         vm = ResourceVector(0.7, 0.1, 0.05, 0.05)
         used = ResourceVector(0.1, 0.7, 0.05, 0.05)
-        assert score_candidate(vm, used, SimilarityMethod.DISSIMILAR) == pytest.approx(
-            cosine_similarity(vm, used)
-        )
+        score = score_shares(vm.as_tuple(), used.as_tuple(), SimilarityMethod.DISSIMILAR)
+        assert score == cosine_similarity(vm, used)
 
     def test_free_fit_scores_against_complement(self):
         vm = ResourceVector(0.7, 0.1, 0.05, 0.05)
         used = ResourceVector(0.1, 0.7, 0.05, 0.05)
-        assert score_candidate(vm, used, SimilarityMethod.FREE_FIT) == pytest.approx(
-            cosine_similarity(vm, used.complement())
-        )
+        score = score_shares(vm.as_tuple(), used.as_tuple(), SimilarityMethod.FREE_FIT)
+        assert score == cosine_similarity(vm, used.complement())
 
 
 class TestPolicyConfig:

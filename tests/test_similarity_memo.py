@@ -1,0 +1,284 @@
+"""The similarity policy's per-class scoring and the engine's memoized view.
+
+``_pick`` fetches a VM's share once per capacity class and scores on plain
+tuples; the engine memoizes each machine's used share.  These tests hold both
+to the direct reference in ``_oracles`` decision for decision, check every
+memoized answer against a fresh recomputation, and bound the work per pick and
+per tick so that per-candidate recomputation cannot return unnoticed.
+"""
+
+from __future__ import annotations
+
+from _instances import make_instance
+from _oracles import ReferenceSimilarity, fresh_machine_rv
+from dcsim.engine import FleetMachine, Simulation, SimulationConfig
+from dcsim.model import MachineCapacity, MachineState, PowerModel
+from dcsim.policies import build_policy
+from dcsim.policies.base import (
+    CapacityClasses,
+    PlacementDecision,
+    RebalanceAction,
+    SchedulerPolicy,
+)
+from dcsim.policies.similarity import SimilarityPolicy
+from dcsim.workload import DemandSample, VmRequest, WorkloadProfile, WorkloadSpec, generate_workload
+
+DIFFERENTIAL_INSTANCES = 300
+
+
+class FreshSimulation(Simulation):
+    """A simulation whose view recomputes every used share on every call."""
+
+    def machine_rv(self, machine_id):
+        return fresh_machine_rv(self, machine_id)
+
+
+class CheckedSimulation(Simulation):
+    """A simulation that checks each memoized used share against a fresh one.
+
+    It also notes whether a VM ever departed while its migration was in flight.
+    """
+
+    departed_in_flight = False
+
+    def machine_rv(self, machine_id):
+        got = super().machine_rv(machine_id)
+        assert got == fresh_machine_rv(self, machine_id), (self.tick, machine_id)
+        return got
+
+    def _process_departures(self, tick):
+        for vm_id in self._departures.get(tick, ()):
+            self.departed_in_flight |= self.vm_in_flight(vm_id)
+        super()._process_departures(tick)
+
+
+def _recording(policy_cls):
+    """``policy_cls`` extended to log its decisions and what its picks saw."""
+
+    class Recording(policy_cls):
+        def __init__(self, config):
+            super().__init__(config)
+            self.log = []
+            self.picked_with_inbound = False
+            self.picked_with_extras = False
+
+        def allocate(self, vm_id, view):
+            decision = super().allocate(vm_id, view)
+            self.log.append((view.current_tick, vm_id, decision))
+            return decision
+
+        def rebalance(self, view, tick):
+            for action in super().rebalance(view, tick):
+                self.log.append((tick, action))
+                yield action
+
+        def _pick(self, vm_id, view, exclude, extras, allow_wake):
+            self.picked_with_inbound |= any(
+                view.has_inbound(pm.id) for pm in view.running_machines()
+            )
+            self.picked_with_extras |= bool(extras)
+            return super()._pick(vm_id, view, exclude, extras, allow_wake)
+
+    return Recording
+
+
+def _run(sim_cls, policy_cls, config, workload, spec):
+    policy = _recording(policy_cls)(build_policy(spec).config)
+    sim = sim_cls(config, workload, policy)
+    return sim, policy, sim.run()
+
+
+def test_matches_reference_on_random_instances():
+    covered = {
+        "dissimilar": 0,
+        "free-fit": 0,
+        "migration_cost_ticks 0": 0,
+        "migration_cost_ticks > 0": 0,
+        "pick while an inbound flight exists": 0,
+        "pick using planned extras": 0,
+        "departure while a migration is in flight": 0,
+        "wake": 0,
+        "blocked scale-down": 0,
+    }
+    for seed in range(DIFFERENTIAL_INSTANCES):
+        config, workload, spec = make_instance(seed, "similarity")
+        _, ref, ref_report = _run(FreshSimulation, ReferenceSimilarity, config, workload, spec)
+        sim, got, got_report = _run(CheckedSimulation, SimilarityPolicy, config, workload, spec)
+        assert got.log == ref.log, f"seed {seed}: decisions differ"
+        assert got.stats == ref.stats, f"seed {seed}: policy_stats differ"
+        assert got_report == ref_report, f"seed {seed}: reports differ"
+
+        covered[spec["similarity_method"]] += 1
+        if config.migration_cost_ticks:
+            covered["migration_cost_ticks > 0"] += 1
+        else:
+            covered["migration_cost_ticks 0"] += 1
+        covered["pick while an inbound flight exists"] += got.picked_with_inbound
+        covered["pick using planned extras"] += got.picked_with_extras
+        covered["departure while a migration is in flight"] += sim.departed_in_flight
+        covered["wake"] += got_report.wake_count > 0
+        covered["blocked scale-down"] += got.stats.get("scale_down_blocked", 0) > 0
+    assert all(covered.values()), covered
+
+
+class _MigrateThenLook(SchedulerPolicy):
+    """Places every VM on machine 0 and sends ``vm-a`` to machine 1 at tick 1.
+
+    It reads machine 1's used share in every allocation and rebalance.
+    """
+
+    name = "migrate-then-look"
+
+    def allocate(self, vm_id, view):
+        view.machine_rv(1)
+        return PlacementDecision.place(0)
+
+    def rebalance(self, view, tick):
+        if tick == 1:
+            yield RebalanceAction.migrate("vm-a", 0, 1)
+        view.machine_rv(1)
+
+
+def _flat(vm_id, level, arrival, departure):
+    trace = tuple(DemandSample(t, level, level, level, level) for t in range(arrival, 10))
+    nominal = MachineCapacity(level, level, level, level)
+    return VmRequest(vm_id, nominal, arrival, departure, trace)
+
+
+def test_departure_in_flight_drops_the_target_share_before_the_next_pick():
+    # vm-a departs at tick 2 while in flight to machine 1; vm-b's allocation
+    # in the same tick, before arbitration, must not see vm-a's share there.
+    capacity = MachineCapacity(1000.0, 1000.0, 1000.0, 1000.0)
+    config = SimulationConfig(
+        fleet=(FleetMachine(capacity, 200.0),) * 2,
+        duration_ticks=4,
+        initial_running_count=2,
+        migration_cost_ticks=3,
+    )
+    workload = [_flat("vm-a", 100.0, 0, 2), _flat("vm-b", 100.0, 2, None)]
+    sim = CheckedSimulation(config, workload, _MigrateThenLook())
+    sim.run()
+    assert sim.departed_in_flight
+
+
+def test_capacity_classes_number_distinct_capacities_in_order_of_first_sight():
+    small = MachineCapacity(2000.0, 4096.0, 500.0, 500.0)
+    large = MachineCapacity(8000.0, 16384.0, 2000.0, 2000.0)
+    small_again = MachineCapacity(*small.as_tuple())
+    classes = CapacityClasses()
+    assert [classes.index(c) for c in (large, small, large, small_again, small)] == [0, 1, 0, 1, 1]
+    assert classes.capacities == [large, small]
+
+
+# ---------------------------------------------------------------------------
+# Bounds on the work
+# ---------------------------------------------------------------------------
+
+
+class _CountingView:
+    """Forwards every read to the simulation, counting per-VM share lookups."""
+
+    def __init__(self, sim):
+        self._sim = sim
+        self.share_calls = 0
+
+    def __getattr__(self, name):
+        return getattr(self._sim, name)
+
+    def vm_rv_on(self, vm_id, machine_id):
+        self.share_calls += 1
+        return self._sim.vm_rv_on(vm_id, machine_id)
+
+
+class _CountedSimilarity(SimilarityPolicy):
+    def __init__(self, config):
+        super().__init__(config)
+        self.picks = []  # (share lookups, capacity classes, candidates) per pick
+
+    def _pick(self, vm_id, view, exclude, extras, allow_wake):
+        counting = _CountingView(view)
+        decision = super()._pick(vm_id, counting, exclude, extras, allow_wake)
+        candidates = [pm for pm in view.running_machines() if pm.id not in exclude]
+        classes = {pm.capacity for pm in candidates}
+        self.picks.append((counting.share_calls, len(classes), len(candidates)))
+        return decision
+
+
+class _CountingSimulation(Simulation):
+    """Counts uncached used-share computations between two arbitrations.
+
+    Each window runs from one arbitration to the next: a tick's rebalance
+    plus the next tick's landings, departures and arrivals.  Its bound is
+    the machines running when it opens, plus the machines woken and the
+    hosted-list or inbound-set changes made inside it.
+    """
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.windows = []  # (computations, bound)
+        self._computed = 0
+        self._bound = self.config.initial_running_count
+
+    def _used_share(self, machine_id):
+        self._computed += 1
+        return super()._used_share(machine_id)
+
+    def _set_host(self, vm, target):
+        self._bound += (vm.host_id is not None) + (target is not None)
+        super()._set_host(vm, target)
+
+    def _set_inbound(self, vm_id, target_id, inbound):
+        self._bound += 1
+        super()._set_inbound(vm_id, target_id, inbound)
+
+    def _wake(self, pm):
+        self._bound += 1
+        super()._wake(pm)
+
+    def _arbitrate(self, tick):
+        self.windows.append((self._computed, self._bound))
+        violations = super()._arbitrate(tick)
+        self._computed = 0
+        self._bound = sum(pm.state is MachineState.RUNNING for pm in self.machines)
+        return violations
+
+
+def test_work_per_pick_and_per_tick_is_bounded():
+    capacities = [
+        MachineCapacity(2000.0, 4096.0, 500.0, 500.0),
+        MachineCapacity(4000.0, 8192.0, 1000.0, 1000.0),
+        MachineCapacity(8000.0, 16384.0, 2000.0, 2000.0),
+    ]
+    fleet = tuple(FleetMachine(cap, 200.0) for cap in capacities for _ in range(4))
+    config = SimulationConfig(
+        fleet=fleet,
+        duration_ticks=60,
+        initial_running_count=6,
+        power_model=PowerModel(idle_fraction=0.5),
+        migration_cost_ticks=1,
+    )
+    workload = generate_workload(
+        WorkloadSpec(
+            seed=5,
+            vm_count=30,
+            duration_ticks=60,
+            profile=WorkloadProfile.SPIKY,
+            arrival_spread_ticks=20,
+            lifetime_ticks=40,
+        )
+    )
+    spec = {"id": "similarity", "u_down": 0.3, "similarity_method": "dissimilar"}
+    policy = _CountedSimilarity(build_policy(spec).config)
+    sim = _CountingSimulation(config, workload, policy)
+    report = sim.run()
+
+    assert report.migration_count > 0 and policy.stats.get("scale_down_blocked", 0) > 0
+    # Picks that see several machines of one class are where a per-machine
+    # lookup would show.
+    assert sum(candidates > classes for _, classes, candidates in policy.picks) > 100
+    for calls, classes, _ in policy.picks:
+        assert calls <= classes
+    windows = sim.windows + [(sim._computed, sim._bound)]
+    assert sum(computed for computed, _ in windows) > 0
+    for computed, bound in windows:
+        assert computed <= bound
