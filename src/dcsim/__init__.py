@@ -27,12 +27,10 @@ from .model import (
     ResourceVector,
     UtilizationWeights,
     VirtualMachine,
-    machine_free,
-    machine_rv,
     power_draw,
     rescale_rv,
-    resource_vector_of_vm,
     unified_utilization,
+    used_shares_of,
 )
 from .policies import (
     PlacementDecision,
@@ -86,15 +84,13 @@ __all__ = [
     "cosine_similarity",
     "generate_workload",
     "load_trace_files",
-    "machine_free",
-    "machine_rv",
     "power_draw",
     "proportional_delivery",
     "rescale_rv",
-    "resource_vector_of_vm",
     "run_simulation",
     "save_trace_files",
     "score_shares",
     "unified_utilization",
+    "used_shares_of",
     "__version__",
 ]

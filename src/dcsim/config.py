@@ -185,11 +185,15 @@ class Experiment:
     sweep: Optional[dict] = None
     compare: Optional[dict] = None
     output_dir: Optional[str] = None
-    _workload_cache: Optional[list[VmRequest]] = field(default=None, repr=False)
+    _workload_cache: dict[Optional[int], list[VmRequest]] = field(
+        default_factory=dict, repr=False
+    )
 
     def materialize_workload(self, seed_override: Optional[int] = None) -> list[VmRequest]:
-        if self._workload_cache is not None:
-            return self._workload_cache
+        """The experiment's workload, built once per ``seed_override``."""
+        cached = self._workload_cache.get(seed_override)
+        if cached is not None:
+            return cached
         section = self.workload_section
         if "spec" in section:
             spec = build_workload_spec(section["spec"], seed_override)
@@ -205,7 +209,7 @@ class Experiment:
             raise ConfigError(
                 "workload: needs either a 'spec' mapping or 'trace'+'meta' file paths"
             )
-        self._workload_cache = workload
+        self._workload_cache[seed_override] = workload
         return workload
 
 

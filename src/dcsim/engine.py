@@ -36,12 +36,14 @@ from .model import (
     BreachSide,
     PhysicalMachine,
     PowerModel,
-    ResourceVector,
+    Shares,
     UtilizationWeights,
     VirtualMachine,
-    machine_rv as hosted_usage_rv,
+    clamped_sum_of,
+    complement_of,
     power_draw,
     shares_of,
+    used_shares_of,
     utilization_of,
 )
 from .policies.base import ActionKind, DecisionKind, RebalanceAction, SchedulerPolicy
@@ -187,6 +189,7 @@ class Simulation:
                 )
             )
 
+        self._default_share = policy.default_rv.as_tuple()
         self._window_ticks = max(
             1, math.ceil(policy.usage_window_seconds / config.tick_length_seconds)
         )
@@ -208,11 +211,11 @@ class Simulation:
         self._deferred_standby: list[int] = []
 
         # Each running machine's delivered usage as shares of its capacity.
-        self._shares: dict[int, tuple[float, float, float, float]] = {}
+        self._shares: dict[int, Shares] = {}
         self._machine_ws: list[float] = [0.0] * len(self.machines)
 
         # Memoized used shares (see the module docstring for invalidation).
-        self._used: dict[int, ResourceVector] = {}
+        self._used: dict[int, Shares] = {}
 
         self.migration_count = 0
         self.wake_count = 0
@@ -268,22 +271,22 @@ class Simulation:
             return None
         return vm.window_mean()
 
-    def vm_rv_on(self, vm_id: str, machine_id: int) -> ResourceVector:
+    def vm_rv_on(self, vm_id: str, machine_id: int) -> Shares:
         """The VM's usage share relative to one machine's capacity.
 
-        Falls back to the policy's assumed default vector when the VM has
+        Falls back to the policy's assumed default share when the VM has
         no delivered-usage history yet.
         """
         mean = self.vm_window_mean(vm_id)
         if mean is None:
-            return self.policy.default_rv
-        return ResourceVector(*shares_of(mean, self.machines[machine_id].capacity.as_tuple()))
+            return self._default_share
+        return shares_of(mean, self.machines[machine_id].capacity.as_tuple())
 
-    def vm_nominal_rv_on(self, vm_id: str, machine_id: int) -> ResourceVector:
+    def vm_nominal_rv_on(self, vm_id: str, machine_id: int) -> Shares:
         nominal = self._requests[vm_id].nominal.as_tuple()
-        return ResourceVector(*shares_of(nominal, self.machines[machine_id].capacity.as_tuple()))
+        return shares_of(nominal, self.machines[machine_id].capacity.as_tuple())
 
-    def machine_rv(self, machine_id: int) -> ResourceVector:
+    def machine_rv(self, machine_id: int) -> Shares:
         """Used share of a machine as placement logic should see it.
 
         Hosted VMs contribute their latest delivered usage; VMs placed this
@@ -291,26 +294,26 @@ class Simulation:
         contribute their estimated share, so back-to-back placements within
         one tick are accounted against the machine.
         """
-        rv = self._used.get(machine_id)
-        if rv is None:
-            rv = self._used[machine_id] = self._used_share(machine_id)
-        return rv
+        used = self._used.get(machine_id)
+        if used is None:
+            used = self._used[machine_id] = self._used_share(machine_id)
+        return used
 
-    def _used_share(self, machine_id: int) -> ResourceVector:
+    def _used_share(self, machine_id: int) -> Shares:
         """``machine_rv`` computed afresh, without the memo."""
         pm = self.machines[machine_id]
         hosted = [self.vms[vm_id] for vm_id in pm.hosted_vm_ids]
-        rv = hosted_usage_rv(pm, hosted)
+        used = used_shares_of(pm, hosted)
         for vm in hosted:
             if not vm.usage_window:
-                rv = rv.add_clamped(self.policy.default_rv)
+                used = clamped_sum_of(used, self._default_share)
         for vm_id in sorted(self._inbound.get(machine_id, ())):
-            rv = rv.add_clamped(self.vm_rv_on(vm_id, machine_id))
-        return rv
+            used = clamped_sum_of(used, self.vm_rv_on(vm_id, machine_id))
+        return used
 
-    def machine_free(self, machine_id: int) -> ResourceVector:
+    def machine_free(self, machine_id: int) -> Shares:
         """Free share of a machine.  Not a ``ClusterView`` member; no policy calls it."""
-        return self.machine_rv(machine_id).complement()
+        return complement_of(self.machine_rv(machine_id))
 
     def nominal_free(self, machine_id: int) -> tuple[float, float, float, float]:
         """Capacity minus nominal sizes of hosted plus inbound VMs."""

@@ -11,6 +11,7 @@ from __future__ import annotations
 import logging
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Any, Optional, Union
 
 from .engine import SimulationConfig, SimulationReport, run_simulation
@@ -105,19 +106,17 @@ def _run_point(
     return run_simulation(sim_config, workload, build_policy(policy_spec))
 
 
-def _sweep_worker(payload) -> tuple[int, SweepPoint]:
-    index, sim_config, workload, spec, value = payload
-    report = _run_point(sim_config, workload, spec)
-    return (
-        index,
-        SweepPoint(
-            value=value,
-            energy_kwh=report.total_energy_kwh,
-            sla_violations=report.sla_violation_count,
-            mean_running_machines=report.mean_running_machines,
-            migrations=report.migration_count,
-        ),
-    )
+def _run_points(
+    sim_config: SimulationConfig,
+    workload: list[VmRequest],
+    policy_specs: list[Union[dict[str, Any], str]],
+    jobs: int,
+) -> list[SimulationReport]:
+    """One report per policy spec, in order; in a process pool when ``jobs`` > 1."""
+    if jobs > 1 and len(policy_specs) > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(_run_point, repeat(sim_config), repeat(workload), policy_specs))
+    return [_run_point(sim_config, workload, spec) for spec in policy_specs]
 
 
 def run_sweep(
@@ -151,8 +150,9 @@ def run_sweep(
         values = sorted(values)
 
     result = SweepResult(parameter=parameter)
-    payloads = []
-    for i, v in enumerate(values):
+    kept = []
+    specs = []
+    for v in values:
         spec = _derive_policy_spec(policy_spec, parameter, v)
         try:
             build_policy(spec)
@@ -160,14 +160,18 @@ def run_sweep(
             log.warning("skipping %s=%r: %s", parameter, v, exc)
             result.skipped.append((v, str(exc)))
             continue
-        payloads.append((i, sim_config, workload, spec, v))
-    if jobs > 1 and len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_sweep_worker, payloads))
-    else:
-        outcomes = [_sweep_worker(p) for p in payloads]
-    outcomes.sort(key=lambda item: item[0])
-    result.points = [point for _, point in outcomes]
+        kept.append(v)
+        specs.append(spec)
+    for v, report in zip(kept, _run_points(sim_config, workload, specs, jobs)):
+        result.points.append(
+            SweepPoint(
+                value=v,
+                energy_kwh=report.total_energy_kwh,
+                sla_violations=report.sla_violation_count,
+                mean_running_machines=report.mean_running_machines,
+                migrations=report.migration_count,
+            )
+        )
     return result
 
 
@@ -202,16 +206,7 @@ def compare_policies(
     if baseline not in names:
         raise ValueError(f"baseline {baseline!r} is not among the compared policies")
 
-    payloads = list(enumerate(zip(names, specs)))
-    if jobs > 1 and len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            reports = list(
-                pool.map(_compare_worker, [(i, sim_config, workload, s) for i, (_, s) in payloads])
-            )
-    else:
-        reports = [_compare_worker((i, sim_config, workload, s)) for i, (_, s) in payloads]
-    reports.sort(key=lambda item: item[0])
-    by_name = {names[i]: report for i, report in reports}
+    by_name = dict(zip(names, _run_points(sim_config, workload, specs, jobs)))
 
     base = by_name[baseline]
     result = ComparisonResult(baseline=baseline)
@@ -231,11 +226,6 @@ def compare_policies(
             )
         )
     return result
-
-
-def _compare_worker(payload) -> tuple[int, SimulationReport]:
-    index, sim_config, workload, spec = payload
-    return index, _run_point(sim_config, workload, spec)
 
 
 def _savings(baseline: float, ours: float) -> Optional[float]:

@@ -17,6 +17,11 @@ from typing import Iterable, Optional
 
 RESOURCES = ("cpu", "mem", "disk", "bw")
 
+#: A share of a machine's capacity per resource, in ``RESOURCES`` order.  The
+#: program passes shares as plain tuples; ``ResourceVector`` validates shares
+#: that arrive from configuration or the public API.
+Shares = tuple[float, float, float, float]
+
 
 class NoHistoryError(RuntimeError):
     """Raised when a usage-based quantity is requested for a VM without samples."""
@@ -42,19 +47,8 @@ class ResourceVector:
         _check_fraction("disk", self.disk)
         _check_fraction("bw", self.bw)
 
-    def as_tuple(self) -> tuple[float, float, float, float]:
+    def as_tuple(self) -> Shares:
         return (self.cpu, self.mem, self.disk, self.bw)
-
-    def add_clamped(self, other: "ResourceVector") -> "ResourceVector":
-        """Componentwise sum, clamped into [0, 1]."""
-        return ResourceVector(*clamped_sum_of(self.as_tuple(), other.as_tuple()))
-
-    def complement(self) -> "ResourceVector":
-        """The free share left on a machine whose used share is this vector."""
-        return ResourceVector(*complement_of(self.as_tuple()))
-
-
-ZERO_RV = ResourceVector(0.0, 0.0, 0.0, 0.0)
 
 #: Assumed usage share for a VM that has no observation history yet.
 DEFAULT_RV = ResourceVector(0.25, 0.25, 0.25, 0.25)
@@ -251,7 +245,7 @@ def _clamp01(x: float) -> float:
 
 def shares_of(
     amounts: tuple[float, float, float, float], capacity: tuple[float, float, float, float]
-) -> tuple[float, float, float, float]:
+) -> Shares:
     """Each absolute amount as a share of the matching capacity, clamped to [0, 1]."""
     return (
         _clamp01(amounts[0] / capacity[0]),
@@ -261,9 +255,7 @@ def shares_of(
     )
 
 
-def clamped_sum_of(
-    a: tuple[float, float, float, float], b: tuple[float, float, float, float]
-) -> tuple[float, float, float, float]:
+def clamped_sum_of(a: Shares, b: Shares) -> Shares:
     """Componentwise sum of two share tuples, each component capped at 1."""
     return (
         min(1.0, a[0] + b[0]),
@@ -273,14 +265,12 @@ def clamped_sum_of(
     )
 
 
-def complement_of(shares: tuple[float, float, float, float]) -> tuple[float, float, float, float]:
+def complement_of(shares: Shares) -> Shares:
     """The free share left on a machine whose used share is ``shares``."""
     return (1.0 - shares[0], 1.0 - shares[1], 1.0 - shares[2], 1.0 - shares[3])
 
 
-def utilization_of(
-    shares: tuple[float, float, float, float], weights: tuple[float, float, float, float]
-) -> float:
+def utilization_of(shares: Shares, weights: tuple[float, float, float, float]) -> float:
     """Weighted sum of the four resource shares, clamped to [0, 1].
 
     The clamp matters: weights that sum to 1 within tolerance can still sum
@@ -292,17 +282,6 @@ def utilization_of(
         + weights[2] * shares[2]
         + weights[3] * shares[3]
     )
-
-
-def resource_vector_of_vm(vm: VirtualMachine, capacity: MachineCapacity) -> ResourceVector:
-    """Build a VM's resource vector relative to ``capacity``.
-
-    Each component is the mean absolute usage over the VM's observation
-    window divided by the corresponding machine capacity, clamped to [0, 1].
-    Raises :class:`NoHistoryError` when the VM has no samples yet; callers
-    decide what default to assume in that case.
-    """
-    return ResourceVector(*shares_of(vm.window_mean(), capacity.as_tuple()))
 
 
 def rescale_rv(
@@ -324,7 +303,7 @@ def rescale_rv(
     )
 
 
-def machine_rv(pm: PhysicalMachine, vms: Iterable[VirtualMachine]) -> ResourceVector:
+def used_shares_of(pm: PhysicalMachine, vms: Iterable[VirtualMachine]) -> Shares:
     """Used share of a machine: sum of hosted VMs' latest delivered usage.
 
     VMs without any usage sample yet contribute nothing here; placement
@@ -338,12 +317,7 @@ def machine_rv(pm: PhysicalMachine, vms: Iterable[VirtualMachine]) -> ResourceVe
             mem += last[1]
             disk += last[2]
             bw += last[3]
-    return ResourceVector(*shares_of((cpu, mem, disk, bw), pm.capacity.as_tuple()))
-
-
-def machine_free(pm: PhysicalMachine, vms: Iterable[VirtualMachine]) -> ResourceVector:
-    """Free share of a machine: the componentwise complement of its used share."""
-    return machine_rv(pm, vms).complement()
+    return shares_of((cpu, mem, disk, bw), pm.capacity.as_tuple())
 
 
 def unified_utilization(rv: ResourceVector, weights: UtilizationWeights) -> float:

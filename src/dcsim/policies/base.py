@@ -19,6 +19,7 @@ from ..model import (
     PhysicalMachine,
     PowerModel,
     ResourceVector,
+    Shares,
     UtilizationWeights,
 )
 
@@ -30,8 +31,12 @@ class ClusterView(Protocol):
     Policies treat every member as read-only and change state only through
     the decisions and actions they return.
 
+    Shares of a machine's capacity come as plain ``Shares`` tuples in
+    ``RESOURCES`` order, each component in [0, 1]; the view does not wrap
+    them in ``ResourceVector``.
+
     ``vm_rv_on`` and ``vm_nominal_rv_on`` depend on the machine only through
-    its capacity: machines of equal ``MachineCapacity`` get the same vector,
+    its capacity: machines of equal ``MachineCapacity`` get the same share,
     so a policy may compute a VM's share once per capacity class.
 
     ``machine_rv`` and ``vm_rv_on`` return the same value until the engine
@@ -53,9 +58,9 @@ class ClusterView(Protocol):
     def has_inbound(self, machine_id: int) -> bool: ...
     def vm_nominal(self, vm_id: str) -> MachineCapacity: ...
     def vm_window_mean(self, vm_id: str) -> Optional[tuple[float, float, float, float]]: ...
-    def vm_rv_on(self, vm_id: str, machine_id: int) -> ResourceVector: ...
-    def vm_nominal_rv_on(self, vm_id: str, machine_id: int) -> ResourceVector: ...
-    def machine_rv(self, machine_id: int) -> ResourceVector: ...
+    def vm_rv_on(self, vm_id: str, machine_id: int) -> Shares: ...
+    def vm_nominal_rv_on(self, vm_id: str, machine_id: int) -> Shares: ...
+    def machine_rv(self, machine_id: int) -> Shares: ...
     def nominal_free(self, machine_id: int) -> tuple[float, float, float, float]: ...
     def cpu_used_abs(self, machine_id: int) -> float: ...
 
@@ -175,7 +180,7 @@ class SchedulerPolicy:
     #: vectors.  The engine sizes per-VM windows from this.
     usage_window_seconds: float = 300.0
 
-    #: Assumed resource vector for VMs without usage history.
+    #: Assumed share for VMs without usage history; the engine reads it once.
     default_rv: ResourceVector = DEFAULT_RV
 
     #: Weights used for the utilization the engine measures per machine.

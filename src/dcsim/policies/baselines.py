@@ -15,7 +15,7 @@ from ..model import (
     PhysicalMachine,
     PowerModel,
     UtilizationWeights,
-    unified_utilization,
+    utilization_of,
 )
 from .base import (
     CapacityClasses,
@@ -239,7 +239,8 @@ class SingleThresholdPolicy(SchedulerPolicy):
             rv_on = view.vm_rv_on
         else:
             rv_on = view.vm_nominal_rv_on
-        return [unified_utilization(rv_on(vm_id, pm_id), self.weights) for pm_id in representatives]
+        weights = self.weights.as_tuple()
+        return [utilization_of(rv_on(vm_id, pm_id), weights) for pm_id in representatives]
 
     def _cheapest(
         self,

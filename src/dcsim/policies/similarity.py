@@ -29,10 +29,10 @@ from ..model import (
     BreachSide,
     PhysicalMachine,
     ResourceVector,
+    Shares,
     UtilizationWeights,
     clamped_sum_of,
     complement_of,
-    unified_utilization,
     utilization_of,
 )
 from .base import (
@@ -43,8 +43,6 @@ from .base import (
     RebalanceAction,
     SchedulerPolicy,
 )
-
-Shares = tuple[float, float, float, float]
 
 _ZERO_SHARES: Shares = (0.0, 0.0, 0.0, 0.0)
 
@@ -191,8 +189,8 @@ class SimilarityPolicy(SchedulerPolicy):
             cls = class_of(pm.capacity)
             vm_share = vm_shares.get(cls)
             if vm_share is None:
-                vm_share = vm_shares[cls] = view.vm_rv_on(vm_id, pm_id).as_tuple()
-            used = view.machine_rv(pm_id).as_tuple()
+                vm_share = vm_shares[cls] = view.vm_rv_on(vm_id, pm_id)
+            used = view.machine_rv(pm_id)
             if extras is not None and pm_id in extras:
                 used = clamped_sum_of(used, extras[pm_id])
             score = score_shares(vm_share, used, method)
@@ -252,11 +250,12 @@ class SimilarityPolicy(SchedulerPolicy):
         """
         if not self._breach_mature(pm, BreachSide.OVER, tick):
             return None
+        weights = self.config.weights.as_tuple()
         hottest = None
         for vm_id in pm.hosted_vm_ids:
             if view.vm_in_flight(vm_id):
                 continue
-            u = unified_utilization(view.vm_rv_on(vm_id, pm.id), self.config.weights)
+            u = utilization_of(view.vm_rv_on(vm_id, pm.id), weights)
             if hottest is None or u > hottest[0]:
                 hottest = (u, vm_id)
         if hottest is None:
@@ -298,7 +297,7 @@ class SimilarityPolicy(SchedulerPolicy):
                 self._count("scale_down_blocked")
                 return None
             target = decision.machine_id
-            vm_share = view.vm_rv_on(vm_id, target).as_tuple()
+            vm_share = view.vm_rv_on(vm_id, target)
             extras[target] = clamped_sum_of(extras.get(target, _ZERO_SHARES), vm_share)
             plan.append(RebalanceAction.migrate(vm_id, pm.id, target, reason="scale-down"))
         plan.append(RebalanceAction.standby_machine(pm.id, reason="scale-down"))
@@ -311,7 +310,6 @@ class SimilarityPolicy(SchedulerPolicy):
         pm = view.machine(machine_id)
         if not pm.is_running:
             return False
-        vm_rv = view.vm_rv_on(vm_id, machine_id)
-        used = view.machine_rv(machine_id)
-        estimated = unified_utilization(used.add_clamped(vm_rv), self.config.weights)
+        used = clamped_sum_of(view.machine_rv(machine_id), view.vm_rv_on(vm_id, machine_id))
+        estimated = utilization_of(used, self.config.weights.as_tuple())
         return estimated < self.config.u_up - self.config.buffer

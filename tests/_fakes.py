@@ -7,7 +7,6 @@ from typing import Optional
 from dcsim import policies
 from dcsim.model import (
     DEFAULT_RV,
-    ZERO_RV,
     MachineCapacity,
     MachineState,
     PhysicalMachine,
@@ -26,6 +25,8 @@ class FakeView:
     Machine used shares, per-VM resource vectors, nominal sizes and window
     means are all set directly by the test; the stub does no bookkeeping of
     its own beyond reading the ``PhysicalMachine`` objects it was given.
+    Tests set shares as ``ResourceVector``s; the view returns them as plain
+    tuples, as the engine does.
     """
 
     def __init__(self, machines, *, tick=0, power_model=None):
@@ -82,14 +83,15 @@ class FakeView:
         return self.window_means.get(vm_id)
 
     def vm_rv_on(self, vm_id, machine_id):
-        return self.vm_rvs.get(vm_id, DEFAULT_RV)
+        return self.vm_rvs.get(vm_id, DEFAULT_RV).as_tuple()
 
     def vm_nominal_rv_on(self, vm_id, machine_id):
         nominal = self.vm_nominal(vm_id).as_tuple()
-        return ResourceVector(*shares_of(nominal, self.machines[machine_id].capacity.as_tuple()))
+        return shares_of(nominal, self.machines[machine_id].capacity.as_tuple())
 
     def machine_rv(self, machine_id):
-        return self.machine_rvs.get(machine_id, ZERO_RV)
+        rv = self.machine_rvs.get(machine_id)
+        return rv.as_tuple() if rv is not None else (0.0, 0.0, 0.0, 0.0)
 
     def nominal_free(self, machine_id):
         if machine_id in self.free_overrides:

@@ -10,7 +10,8 @@ Two reference policies keep the direct per-(VM, machine) scoring that the
 production policies' per-capacity-class scoring must reproduce decision for
 decision: ``ReferenceSingleThreshold`` and ``ReferenceSimilarity``.
 ``fresh_machine_rv`` recomputes a machine's used share from scratch, as the
-reference for the engine's memoized one.
+reference for the engine's memoized one.  The reference policies wrap the
+view's share tuples in ``ResourceVector`` as they read them.
 """
 
 from __future__ import annotations
@@ -21,12 +22,13 @@ from fractions import Fraction
 import mpmath
 
 from dcsim.model import (
-    ZERO_RV,
     BreachSide,
     ResourceVector,
-    machine_rv,
+    clamped_sum_of,
+    complement_of,
     shares_of,
     unified_utilization,
+    used_shares_of,
 )
 from dcsim.policies.base import DecisionKind, PlacementDecision, RebalanceAction
 from dcsim.policies.baselines import SingleThresholdPolicy
@@ -157,9 +159,9 @@ class ReferenceSingleThreshold(SingleThresholdPolicy):
 
     def _ref_increase(self, vm_id, pm, view, plan_on):
         if view.vm_window_mean(vm_id) is not None:
-            rv = view.vm_rv_on(vm_id, pm.id)
+            rv = ResourceVector(*view.vm_rv_on(vm_id, pm.id))
         else:
-            rv = view.vm_nominal_rv_on(vm_id, pm.id)
+            rv = ResourceVector(*view.vm_nominal_rv_on(vm_id, pm.id))
         model = view.power_model
         slope = pm.peak_power_watts * (1.0 - model.idle_fraction)
         increase = slope * unified_utilization(rv, self.weights)
@@ -231,6 +233,14 @@ class ReferenceSingleThreshold(SingleThresholdPolicy):
                 yield RebalanceAction.migrate(vm_id, source, target, reason="replan")
 
 
+_ZERO_RV = ResourceVector(0.0, 0.0, 0.0, 0.0)
+
+
+def _add_clamped(a, b):
+    """Componentwise sum of two resource vectors, clamped into [0, 1]."""
+    return ResourceVector(*clamped_sum_of(a.as_tuple(), b.as_tuple()))
+
+
 class ReferenceSimilarity(SimilarityPolicy):
     """The similarity policy scored the direct way, on ``ResourceVector``s.
 
@@ -246,24 +256,24 @@ class ReferenceSimilarity(SimilarityPolicy):
         for pm in view.running_machines():
             if pm.id in exclude:
                 continue
-            vm_rv = view.vm_rv_on(vm_id, pm.id)
-            used = view.machine_rv(pm.id)
+            vm_rv = ResourceVector(*view.vm_rv_on(vm_id, pm.id))
+            used = ResourceVector(*view.machine_rv(pm.id))
             if extras is not None and pm.id in extras:
-                used = used.add_clamped(extras[pm.id])
+                used = _add_clamped(used, extras[pm.id])
             if cfg.similarity_method is SimilarityMethod.DISSIMILAR:
                 score = cosine_similarity(vm_rv, used)
                 if score > cfg.similarity_threshold:
                     continue
                 ranked.append((score, pm.id, vm_rv, used))
             else:
-                score = cosine_similarity(vm_rv, used.complement())
+                score = cosine_similarity(vm_rv, ResourceVector(*complement_of(used.as_tuple())))
                 if score < cfg.similarity_threshold:
                     continue
                 ranked.append((-score, pm.id, vm_rv, used))
         ranked.sort(key=lambda item: (item[0], item[1]))
 
         for _, pm_id, vm_rv, used in ranked:
-            if unified_utilization(used.add_clamped(vm_rv), cfg.weights) < cap_u:
+            if unified_utilization(_add_clamped(used, vm_rv), cfg.weights) < cap_u:
                 return PlacementDecision.place(pm_id)
 
         if allow_wake:
@@ -288,8 +298,8 @@ class ReferenceSimilarity(SimilarityPolicy):
                 self._count("scale_down_blocked")
                 return None
             target = decision.machine_id
-            vm_rv = view.vm_rv_on(vm_id, target)
-            extras[target] = extras.get(target, ZERO_RV).add_clamped(vm_rv)
+            vm_rv = ResourceVector(*view.vm_rv_on(vm_id, target))
+            extras[target] = _add_clamped(extras.get(target, _ZERO_RV), vm_rv)
             plan.append(RebalanceAction.migrate(vm_id, pm.id, target, reason="scale-down"))
         plan.append(RebalanceAction.standby_machine(pm.id, reason="scale-down"))
         return plan
@@ -299,8 +309,8 @@ def _fresh_vm_rv_on(sim, vm_id, machine_id):
     """A VM's share of one machine, recomputed from its usage window."""
     mean = sim.vm_window_mean(vm_id)
     if mean is None:
-        return sim.policy.default_rv
-    return ResourceVector(*shares_of(mean, sim.machines[machine_id].capacity.as_tuple()))
+        return sim.policy.default_rv.as_tuple()
+    return shares_of(mean, sim.machines[machine_id].capacity.as_tuple())
 
 
 def fresh_machine_rv(sim, machine_id):
@@ -311,10 +321,10 @@ def fresh_machine_rv(sim, machine_id):
     """
     pm = sim.machines[machine_id]
     hosted = [sim.vms[vm_id] for vm_id in pm.hosted_vm_ids]
-    rv = machine_rv(pm, hosted)
+    used = used_shares_of(pm, hosted)
     for vm in hosted:
         if not vm.usage_window:
-            rv = rv.add_clamped(sim.policy.default_rv)
+            used = clamped_sum_of(used, sim.policy.default_rv.as_tuple())
     for vm_id in sorted(sim._inbound.get(machine_id, ())):
-        rv = rv.add_clamped(_fresh_vm_rv_on(sim, vm_id, machine_id))
-    return rv
+        used = clamped_sum_of(used, _fresh_vm_rv_on(sim, vm_id, machine_id))
+    return used

@@ -199,6 +199,15 @@ class TestBuildExperiment:
         exp = build_experiment(base_config())
         assert exp.materialize_workload() is exp.materialize_workload()
 
+    def test_workload_cache_is_keyed_on_the_seed(self):
+        exp = build_experiment(base_config())
+        first = exp.materialize_workload(1)
+        second = exp.materialize_workload(2)
+        assert second is not first
+        assert second == build_experiment(base_config()).materialize_workload(2)
+        assert second != first
+        assert exp.materialize_workload(1) is first
+
     def test_effective_json_is_stable(self):
         a = effective_config_json(base_config())
         b = effective_config_json(json.loads(json.dumps(base_config())))

@@ -1,8 +1,11 @@
 """Unit tests for the simulation engine: tick pipeline, arbitration, energy."""
 
+from pathlib import Path
+
 import pytest
 
 import _fakes as fakes
+from dcsim.config import apply_overrides, build_experiment, load_raw_config
 from dcsim.engine import (
     EngineError,
     FleetMachine,
@@ -16,14 +19,17 @@ from dcsim.model import (
     MachineState,
     BreachSide,
     PowerModel,
+    ResourceVector,
     UtilizationWeights,
 )
+from dcsim.policies import build_policy
 from dcsim.policies.base import ClusterView, PlacementDecision, RebalanceAction, SchedulerPolicy
 from dcsim.policies.baselines import GreedyPolicy
 from dcsim.policies.similarity import PolicyConfig, SimilarityPolicy
 from dcsim.workload import DemandSample, VmRequest
 
 CAP = MachineCapacity(1000.0, 1000.0, 1000.0, 1000.0)
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def fleet(n, peak=200.0, cap=CAP):
@@ -460,8 +466,7 @@ class TestDelayedMigrations:
         sim._step()
         sim._step()
         # vm-0 is hosted on 0 but also reserved on 1 through the flight.
-        rv = sim.machine_rv(1)
-        assert rv.cpu > 0.0
+        assert sim.machine_rv(1)[0] > 0.0
         free = sim.nominal_free(1)
         assert free[0] == pytest.approx(1000.0 - 100.0)
         assert sim.cpu_used_abs(1) > 0.0
@@ -646,7 +651,7 @@ class TestViewSemantics:
 
     def test_default_rv_used_before_history(self):
         sim = Simulation(config(1), [flat_request("vm-0", 100.0)], GreedyPolicy())
-        assert sim.vm_rv_on("vm-0", 0) == sim.policy.default_rv
+        assert sim.vm_rv_on("vm-0", 0) == sim.policy.default_rv.as_tuple()
 
     def test_machine_rv_counts_fresh_vms_at_default_footprint(self):
         reqs = [flat_request("vm-0", 100.0)]
@@ -656,16 +661,50 @@ class TestViewSemantics:
         sim._process_departures(0)
         sim._process_arrivals(0)
         # Placed but not yet arbitrated: footprint is the assumed default.
-        assert sim.machine_rv(0) == policy.default_rv
+        assert sim.machine_rv(0) == policy.default_rv.as_tuple()
 
     def test_machine_rv_uses_delivered_after_arbitration(self):
         reqs = [flat_request("vm-0", 100.0)]
         sim = Simulation(config(1), reqs, ScriptedPolicy({"vm-0": 0}))
         sim._step()
-        assert sim.machine_rv(0).as_tuple() == pytest.approx((0.1, 0.1, 0.1, 0.1))
+        assert sim.machine_rv(0) == pytest.approx((0.1, 0.1, 0.1, 0.1))
 
     def test_last_used_tick_advances_for_running_machines(self):
         sim = Simulation(config(2, duration=4), [], GreedyPolicy())
         sim._step()
         sim._step()
         assert all(pm.last_used_tick == 1 for pm in sim.all_machines())
+
+    @pytest.mark.parametrize(
+        "preset, policy_spec",
+        [
+            ("sweep_scale_down.json", None),
+            ("compare_single_threshold.json", {"id": "single_threshold", "threshold": 0.75}),
+        ],
+        ids=["similarity", "single_threshold"],
+    )
+    def test_a_run_builds_no_resource_vector(self, monkeypatch, preset, policy_spec):
+        # Shares travel as plain tuples; ResourceVector validates only what
+        # enters from config or the public API.
+        raw = apply_overrides(
+            load_raw_config(str(CONFIG_DIR / preset)),
+            [
+                "workload.spec.vm_count=30",
+                "workload.spec.duration_ticks=240",
+                "simulation.duration_ticks=240",
+            ],
+        )
+        exp = build_experiment(raw)
+        workload = exp.materialize_workload()
+        policy = build_policy(policy_spec or exp.policy_spec)
+        built = []
+        check = ResourceVector.__post_init__
+
+        def counting(rv):
+            built.append(rv)
+            check(rv)
+
+        monkeypatch.setattr(ResourceVector, "__post_init__", counting)
+        report = run_simulation(exp.sim_config, workload, policy)
+        assert report.migration_count > 0
+        assert len(built) == 0

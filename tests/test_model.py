@@ -8,7 +8,6 @@ import pytest
 import _oracles as oracle
 from dcsim.model import (
     DEFAULT_RV,
-    ZERO_RV,
     MachineCapacity,
     MachineState,
     NoHistoryError,
@@ -19,13 +18,11 @@ from dcsim.model import (
     VirtualMachine,
     clamped_sum_of,
     complement_of,
-    machine_free,
-    machine_rv,
     power_draw,
     rescale_rv,
-    resource_vector_of_vm,
     shares_of,
     unified_utilization,
+    used_shares_of,
     utilization_of,
 )
 from dcsim.policies.similarity import cosine_similarity
@@ -47,25 +44,12 @@ class TestResourceVector:
             ResourceVector(bad, 0.5, 0.5, 0.5)
 
     def test_add_clamped_saturates(self):
-        a = ResourceVector(0.9, 0.2, 0.0, 1.0)
-        b = ResourceVector(0.3, 0.2, 0.0, 0.5)
-        assert a.add_clamped(b).as_tuple() == (1.0, 0.4, 0.0, 1.0)
+        assert clamped_sum_of((0.9, 0.2, 0.0, 1.0), (0.3, 0.2, 0.0, 0.5)) == (1.0, 0.4, 0.0, 1.0)
 
     def test_complement(self):
-        rv = ResourceVector(0.25, 0.5, 0.0, 1.0)
-        assert rv.complement().as_tuple() == (0.75, 0.5, 1.0, 0.0)
+        assert complement_of((0.25, 0.5, 0.0, 1.0)) == (0.75, 0.5, 1.0, 0.0)
 
-    def test_methods_equal_their_tuple_forms(self):
-        rng = random.Random(5)
-        for _ in range(1000):
-            a = tuple(rng.random() for _ in range(4))
-            b = tuple(rng.random() for _ in range(4))
-            ra, rb = ResourceVector(*a), ResourceVector(*b)
-            assert ra.add_clamped(rb).as_tuple() == clamped_sum_of(a, b)
-            assert ra.complement().as_tuple() == complement_of(a)
-
-    def test_zero_and_default_constants(self):
-        assert ZERO_RV.as_tuple() == (0.0, 0.0, 0.0, 0.0)
+    def test_default_constant(self):
         assert DEFAULT_RV.as_tuple() == (0.25, 0.25, 0.25, 0.25)
 
     def test_is_immutable(self):
@@ -129,8 +113,8 @@ class TestFrozenValues:
         vm = VirtualMachine("vm-1", MachineCapacity(1, 1, 1, 1), 0, window_ticks=4)
         vm.record_usage((400, 200, 5, 5))
         vm.record_usage((600, 300, 15, 15))
-        rv = resource_vector_of_vm(vm, cap)
-        assert rv.as_tuple() == pytest.approx((0.25, 0.5, 0.1, 0.1), rel=1e-12)
+        shares = shares_of(vm.window_mean(), cap.as_tuple())
+        assert shares == pytest.approx((0.25, 0.5, 0.1, 0.1), rel=1e-12)
 
     def test_unified_utilization_equal_weights(self):
         rv = ResourceVector(0.70, 0.10, 0.05, 0.05)
@@ -177,8 +161,6 @@ class TestVirtualMachine:
         assert not vm.has_history
         with pytest.raises(NoHistoryError):
             vm.window_mean()
-        with pytest.raises(NoHistoryError):
-            resource_vector_of_vm(vm, MachineCapacity(1, 1, 1, 1))
 
     def test_window_evicts_oldest(self):
         vm = VirtualMachine("vm-0", MachineCapacity(1, 1, 1, 1), 0, window_ticks=2)
@@ -226,16 +208,14 @@ class TestPhysicalMachine:
         vm1.record_usage((100, 0, 0, 0))
         vm1.record_usage((200, 0, 0, 0))  # only this latest sample counts
         vm2.record_usage((300, 500, 0, 0))
-        rv = machine_rv(pm, [vm1, vm2])
-        assert rv.as_tuple() == pytest.approx((0.5, 0.5, 0.0, 0.0))
-        assert machine_free(pm, [vm1, vm2]).as_tuple() == pytest.approx(
-            (0.5, 0.5, 1.0, 1.0)
-        )
+        used = used_shares_of(pm, [vm1, vm2])
+        assert used == pytest.approx((0.5, 0.5, 0.0, 0.0))
+        assert complement_of(used) == pytest.approx((0.5, 0.5, 1.0, 1.0))
 
     def test_machine_rv_ignores_vms_without_history(self):
         pm = PhysicalMachine(0, MachineCapacity(1000, 1000, 1000, 1000), 100.0)
         vm = VirtualMachine("vm-1", MachineCapacity(1, 1, 1, 1), 0)
-        assert machine_rv(pm, [vm]).as_tuple() == (0.0, 0.0, 0.0, 0.0)
+        assert used_shares_of(pm, [vm]) == (0.0, 0.0, 0.0, 0.0)
 
     def test_machine_rv_clamps_overcommit(self):
         pm = PhysicalMachine(0, MachineCapacity(100, 100, 100, 100), 100.0)
@@ -243,7 +223,7 @@ class TestPhysicalMachine:
         vm2 = VirtualMachine("vm-2", MachineCapacity(1, 1, 1, 1), 0)
         vm1.record_usage((80, 0, 0, 0))
         vm2.record_usage((80, 0, 0, 0))
-        assert machine_rv(pm, [vm1, vm2]).cpu == 1.0
+        assert used_shares_of(pm, [vm1, vm2])[0] == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -305,9 +285,9 @@ class TestRandomizedAgainstOracle:
             vm = VirtualMachine("vm-0", MachineCapacity(1, 1, 1, 1), 0, window_ticks=5)
             for s in samples:
                 vm.record_usage(s)
-            got = resource_vector_of_vm(vm, MachineCapacity(*cap))
+            got = shares_of(vm.window_mean(), cap)
             expected = oracle.exact_window_rv(samples, cap)
-            for g, e in zip(got.as_tuple(), expected):
+            for g, e in zip(got, expected):
                 assert oracle.rel_error(g, e) <= TOL
 
     def test_cosine_symmetry_and_bounds(self):

@@ -3,7 +3,13 @@
 import pytest
 
 import _fakes as fakes
-from dcsim.model import BreachSide, MachineState, ResourceVector, UtilizationWeights
+from dcsim.model import (
+    BreachSide,
+    MachineState,
+    ResourceVector,
+    UtilizationWeights,
+    complement_of,
+)
 from dcsim.policies.base import ActionKind, DecisionKind, PlacementDecision, RebalanceAction
 from dcsim.policies.similarity import (
     PolicyConfig,
@@ -29,7 +35,7 @@ class TestScoreCandidate:
         vm = ResourceVector(0.7, 0.1, 0.05, 0.05)
         used = ResourceVector(0.1, 0.7, 0.05, 0.05)
         score = score_shares(vm.as_tuple(), used.as_tuple(), SimilarityMethod.FREE_FIT)
-        assert score == cosine_similarity(vm, used.complement())
+        assert score == cosine_similarity(vm, ResourceVector(*complement_of(used.as_tuple())))
 
 
 class TestPolicyConfig:

@@ -2,6 +2,8 @@
 
 import pytest
 
+import dcsim
+import dcsim.policies
 from dcsim.model import ResourceVector, UtilizationWeights
 from dcsim.policies import (
     POLICY_IDS,
@@ -90,3 +92,8 @@ class TestBuildPolicy:
 
     def test_policies_are_fresh_instances(self):
         assert build_policy("greedy") is not build_policy("greedy")
+
+
+@pytest.mark.parametrize("module", [dcsim, dcsim.policies], ids=lambda m: m.__name__)
+def test_every_public_export_resolves(module):
+    assert [name for name in module.__all__ if not hasattr(module, name)] == []
