@@ -92,6 +92,19 @@ class SimulationConfig:
             raise EngineError("migration_cost_ticks must be >= 0")
 
 
+def _column_sums(
+    rows: list[tuple[float, float, float, float]],
+) -> tuple[float, float, float, float]:
+    """Per-resource totals of four-component rows, summed in row order."""
+    t0 = t1 = t2 = t3 = 0.0
+    for a, b, c, d in rows:
+        t0 += a
+        t1 += b
+        t2 += c
+        t3 += d
+    return (t0, t1, t2, t3)
+
+
 def proportional_delivery(
     demands: list[tuple[float, float, float, float]],
     capacity: tuple[float, float, float, float],
@@ -103,10 +116,7 @@ def proportional_delivery(
     Returns the delivered tuples plus ``(vm_index, resource_index)`` pairs
     for every shorted demand.
     """
-    totals = [0.0, 0.0, 0.0, 0.0]
-    for demand in demands:
-        for r in range(4):
-            totals[r] += demand[r]
+    totals = _column_sums(demands)
     factors = [1.0, 1.0, 1.0, 1.0]
     shorted_resources = []
     for r in range(4):
@@ -526,11 +536,7 @@ class Simulation:
             for i, vm_id in enumerate(hosted):
                 self.vms[vm_id].record_usage(delivered[i])
             violations += len(shorted)
-            totals = [0.0, 0.0, 0.0, 0.0]
-            for values in delivered:
-                for r in range(4):
-                    totals[r] += values[r]
-            self._shares[pm.id] = shares_of(totals, pm.capacity.as_tuple())
+            self._shares[pm.id] = shares_of(_column_sums(delivered), pm.capacity.as_tuple())
         self.sla_violation_count += violations
         return violations
 

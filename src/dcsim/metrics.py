@@ -1,9 +1,12 @@
 """Experiment harness: parameter sweeps, policy comparisons and file output.
 
 Every sweep point runs one full simulation against the *same* workload, so
-curves reflect only the swept parameter.  CSV output carries a versioned
-schema comment and uses round-trip float formatting; writing, reading and
-re-writing a file reproduces it byte for byte.
+curves reflect only the swept parameter.  With ``jobs`` > 1 the points run
+in a process pool of at most one worker per point; the simulation config
+and the workload reach each worker once, when it starts, and workers treat
+both as read-only.  CSV output carries a versioned schema comment and uses
+round-trip float formatting; writing, reading and re-writing a file
+reproduces it byte for byte.
 """
 
 from __future__ import annotations
@@ -11,7 +14,6 @@ from __future__ import annotations
 import logging
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import Any, Optional, Union
 
 from .engine import SimulationConfig, SimulationReport, run_simulation
@@ -106,16 +108,40 @@ def _run_point(
     return run_simulation(sim_config, workload, build_policy(policy_spec))
 
 
+# A pool worker's (sim_config, workload), set once by _init_worker.
+_worker_inputs: Optional[tuple[SimulationConfig, list[VmRequest]]] = None
+
+
+def _init_worker(sim_config: SimulationConfig, workload: list[VmRequest]) -> None:
+    global _worker_inputs
+    _worker_inputs = (sim_config, workload)
+
+
+def _run_worker_point(policy_spec: Union[dict[str, Any], str]) -> SimulationReport:
+    return _run_point(*_worker_inputs, policy_spec)
+
+
 def _run_points(
     sim_config: SimulationConfig,
     workload: list[VmRequest],
     policy_specs: list[Union[dict[str, Any], str]],
     jobs: int,
 ) -> list[SimulationReport]:
-    """One report per policy spec, in order; in a process pool when ``jobs`` > 1."""
-    if jobs > 1 and len(policy_specs) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_run_point, repeat(sim_config), repeat(workload), policy_specs))
+    """One report per policy spec, in order; in a process pool when ``jobs`` > 1.
+
+    The pool has ``min(jobs, len(policy_specs))`` workers.  Each receives
+    ``sim_config`` and ``workload`` once, through the pool initializer:
+    inherited under the ``fork`` start method, pickled once per worker under
+    ``spawn`` or ``forkserver``.  Each task then carries only its policy
+    spec.  Workers treat both inputs as read-only, so every point sees the
+    same ones.
+    """
+    workers = min(jobs, len(policy_specs))
+    if workers > 1:
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_init_worker, initargs=(sim_config, workload)
+        ) as pool:
+            return list(pool.map(_run_worker_point, policy_specs))
     return [_run_point(sim_config, workload, spec) for spec in policy_specs]
 
 

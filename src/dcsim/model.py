@@ -179,7 +179,7 @@ class VirtualMachine:
     window_ticks: int = 5
     host_id: Optional[int] = None
     usage_window: deque = field(init=False)
-    _window_sums: list[float] = field(init=False)
+    _window_sums: tuple[float, float, float, float] = field(init=False)
 
     def __post_init__(self) -> None:
         if self.window_ticks < 1:
@@ -190,7 +190,7 @@ class VirtualMachine:
                 f"arrival {self.arrival_tick}"
             )
         self.usage_window = deque(maxlen=self.window_ticks)
-        self._window_sums = [0.0, 0.0, 0.0, 0.0]
+        self._window_sums = (0.0, 0.0, 0.0, 0.0)
 
     @property
     def has_history(self) -> bool:
@@ -198,13 +198,14 @@ class VirtualMachine:
 
     def record_usage(self, sample: tuple[float, float, float, float]) -> None:
         """Append one tick of delivered usage, evicting the oldest if full."""
-        if len(self.usage_window) == self.usage_window.maxlen:
-            old = self.usage_window[0]
-            for i in range(4):
-                self._window_sums[i] -= old[i]
-        self.usage_window.append(sample)
-        for i in range(4):
-            self._window_sums[i] += sample[i]
+        window = self.usage_window
+        s0, s1, s2, s3 = self._window_sums
+        if len(window) == window.maxlen:
+            o0, o1, o2, o3 = window[0]
+            s0, s1, s2, s3 = s0 - o0, s1 - o1, s2 - o2, s3 - o3
+        window.append(sample)
+        c, m, d, b = sample
+        self._window_sums = (s0 + c, s1 + m, s2 + d, s3 + b)
 
     def window_mean(self) -> tuple[float, float, float, float]:
         """Mean absolute usage over the window.  Raises if there is no history."""

@@ -147,3 +147,15 @@ def standby_placer_spec(machine):
 
 
 policies._REGISTRY.setdefault(StandbyPlacer.name, lambda params: StandbyPlacer(**params))
+
+
+class PickleCountingList(list):
+    """A list that counts in ``pickles`` how often it has been pickled."""
+
+    def __init__(self, items=()):
+        super().__init__(items)
+        self.pickles = 0
+
+    def __reduce_ex__(self, protocol):
+        self.pickles += 1
+        return super().__reduce_ex__(protocol)

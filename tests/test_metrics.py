@@ -31,6 +31,53 @@ from dcsim.workload import WorkloadProfile, WorkloadSpec, generate_workload
 
 CAP = MachineCapacity(4000, 8192, 1000, 1000)
 
+#: More points than the two workers of the parallel tests.  With u_down at
+#: 0.3 the similarity runs record ``scale_down_blocked`` in their policy_stats.
+EAGER_SIMILARITY = {"id": "similarity", "u_down": 0.3}
+FIVE_U_UP = [0.6, 0.7, 0.8, 0.9, 1.0]
+FIVE_POLICIES = [
+    "greedy",
+    "round_robin",
+    "power_save",
+    dict(EAGER_SIMILARITY, label="similarity-eager"),
+    "recommended",
+]
+
+
+def _spawn_pools(monkeypatch):
+    """Start the pools of ``metrics`` with ``spawn`` instead of the default method."""
+    spawn = multiprocessing.get_context("spawn")
+    monkeypatch.setattr(
+        metrics, "ProcessPoolExecutor", functools.partial(ProcessPoolExecutor, mp_context=spawn)
+    )
+
+
+@pytest.fixture(params=["default", "spawn"])
+def start_method(request, monkeypatch):
+    """Runs a test's pools under the default start method, then under ``spawn``."""
+    if request.param == "spawn":
+        _spawn_pools(monkeypatch)
+    return request.param
+
+
+@pytest.fixture
+def point_reports(monkeypatch):
+    """The reports of every ``_run_points`` call made during a test, in call order."""
+    calls = []
+    run_points = metrics._run_points
+
+    def recording(*args):
+        reports = run_points(*args)
+        calls.append(reports)
+        return reports
+
+    monkeypatch.setattr(metrics, "_run_points", recording)
+    return calls
+
+
+def _policy_stats(calls):
+    return [[report.policy_stats for report in reports] for reports in calls]
+
 
 @pytest.fixture(scope="module")
 def sim_config():
@@ -90,10 +137,7 @@ class TestRunSweep:
     def test_engine_error_propagates_from_spawned_workers(
         self, sim_config, workload, monkeypatch
     ):
-        spawn = multiprocessing.get_context("spawn")
-        monkeypatch.setattr(
-            metrics, "ProcessPoolExecutor", functools.partial(ProcessPoolExecutor, mp_context=spawn)
-        )
+        _spawn_pools(monkeypatch)
         spec = fakes.standby_placer_spec(0)
         with pytest.raises(EngineError, match="standby machine 3"):
             run_sweep(sim_config, workload, spec, "machine", values=[0, 3], jobs=2)
@@ -128,14 +172,23 @@ class TestRunSweep:
         assert DEFAULT_GRIDS["similarity_threshold"][0] == 0.0
         assert DEFAULT_GRIDS["similarity_threshold"][-1] == 1.0
 
-    def test_parallel_matches_serial(self, sim_config, workload):
-        serial = run_sweep(
-            sim_config, workload, "similarity", "u_up", values=[0.5, 0.7], jobs=1
-        )
-        parallel = run_sweep(
-            sim_config, workload, "similarity", "u_up", values=[0.5, 0.7], jobs=2
-        )
+    def test_parallel_matches_serial(self, sim_config, workload, start_method, point_reports):
+        serial = run_sweep(sim_config, workload, EAGER_SIMILARITY, "u_up", FIVE_U_UP, jobs=1)
+        parallel = run_sweep(sim_config, workload, EAGER_SIMILARITY, "u_up", FIVE_U_UP, jobs=2)
+        assert len(parallel.points) == len(FIVE_U_UP)
         assert serial.points == parallel.points
+        serial_stats, parallel_stats = _policy_stats(point_reports)
+        assert all(stats["scale_down_blocked"] > 0 for stats in serial_stats)
+        assert serial_stats == parallel_stats
+
+    def test_spawned_workers_receive_the_workload_once_each(
+        self, sim_config, workload, monkeypatch
+    ):
+        _spawn_pools(monkeypatch)
+        counted = fakes.PickleCountingList(workload)
+        result = run_sweep(sim_config, counted, "similarity", "u_up", values=FIVE_U_UP, jobs=2)
+        assert len(result.points) == len(FIVE_U_UP)
+        assert 1 <= counted.pickles <= 2
 
 
 class TestComparePolicies:
@@ -187,10 +240,25 @@ class TestComparePolicies:
         with pytest.raises(ValueError, match="baseline"):
             compare_policies(sim_config, workload, ["greedy"], baseline="nope")
 
-    def test_parallel_matches_serial(self, sim_config, workload):
-        serial = compare_policies(sim_config, workload, ["greedy", "round_robin"], jobs=1)
-        parallel = compare_policies(sim_config, workload, ["greedy", "round_robin"], jobs=2)
+    def test_parallel_matches_serial(self, sim_config, workload, start_method, point_reports):
+        serial = compare_policies(sim_config, workload, FIVE_POLICIES, jobs=1)
+        parallel = compare_policies(sim_config, workload, FIVE_POLICIES, jobs=2)
+        assert len(parallel.rows) == len(FIVE_POLICIES)
         assert serial.rows == parallel.rows
+        serial_stats, parallel_stats = _policy_stats(point_reports)
+        assert serial_stats[3]["scale_down_blocked"] > 0
+        assert serial_stats == parallel_stats
+
+    def test_pool_has_no_more_workers_than_points(self, sim_config, workload, monkeypatch):
+        sizes = []
+
+        def recording_pool(*args, max_workers, **kwargs):
+            sizes.append(max_workers)
+            return ProcessPoolExecutor(*args, max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(metrics, "ProcessPoolExecutor", recording_pool)
+        compare_policies(sim_config, workload, ["greedy", "round_robin"], jobs=8)
+        assert sizes == [2]
 
 
 class TestSavings:
