@@ -5,9 +5,10 @@ Each tick runs a fixed pipeline:
 1. land migrations whose transfer delay has elapsed;
 2. process VM departures;
 3. offer new arrivals (and earlier rejections) to the policy;
-4. advance demand traces and arbitrate each machine's resources — when a
-   machine is over-committed every contender receives its proportional
-   share and each shorted (vm, resource) pair produces one SLA violation;
+4. read each hosted VM's demand and arbitrate each machine's resources —
+   when a machine is over-committed every contender receives its
+   proportional share and each shorted (vm, resource) pair produces one SLA
+   violation;
 5. measure per-machine unified utilization and track threshold-breach
    episodes;
 6. run the policy's rebalance pass, executing each emitted action as it is
@@ -17,6 +18,11 @@ Each tick runs a fixed pipeline:
 
 The engine draws no random numbers and iterates every collection in a fixed
 order, so a run is a pure function of (config, workload, policy).
+
+A VM's demand at a tick is a step function of its trace: zero before the
+first sample, each sample held until the next, the last held after the end.
+The engine reads it as ``rows[tick - first]`` (see ``_trace_rows``); a
+generated trace has a sample every tick and is read as it is.
 
 Each machine's used share (``machine_rv``) is memoized.  ``_arbitrate``
 clears the memo, since it is the only phase that records usage.  A machine's
@@ -28,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 from .model import (
     MachineCapacity,
@@ -47,7 +53,7 @@ from .model import (
     utilization_of,
 )
 from .policies.base import ActionKind, DecisionKind, RebalanceAction, SchedulerPolicy
-from .workload import VmRequest
+from .workload import DemandSample, VmRequest
 
 _USAGE_ZERO = (0.0, 0.0, 0.0, 0.0)
 
@@ -103,6 +109,32 @@ def _column_sums(
         t2 += c
         t3 += d
     return (t0, t1, t2, t3)
+
+
+def _trace_rows(
+    trace: tuple[DemandSample, ...], duration_ticks: int
+) -> tuple[int, int, Sequence[DemandSample]]:
+    """``(first, last, rows)`` such that ``rows[tick - first]`` is the sample in force.
+
+    ``last`` is the index of the final row, which holds for every later
+    tick.  A trace with a sample every tick is returned as it is.  A gapped
+    one (only a loaded file has gaps) is expanded, each missing tick holding
+    the previous sample, up to ``duration_ticks``.  An empty trace gets
+    ``first = duration_ticks``, which no tick reaches.
+    """
+    if not trace:
+        return duration_ticks, -1, trace
+    first = trace[0].tick
+    if trace[-1].tick - first == len(trace) - 1:
+        return first, len(trace) - 1, trace
+    rows: list[DemandSample] = []
+    for sample in trace:
+        if sample.tick >= duration_ticks:
+            break
+        if rows:
+            rows.extend([rows[-1]] * (sample.tick - first - len(rows)))
+        rows.append(sample)
+    return first, len(rows) - 1, rows
 
 
 def proportional_delivery(
@@ -210,7 +242,8 @@ class Simulation:
                 self._arrivals.setdefault(req.arrival_tick, []).append(req.vm_id)
 
         self.vms: dict[str, VirtualMachine] = {}
-        self._demand_idx: dict[str, int] = {}
+        # Each created VM's ``_trace_rows``.
+        self._rows: dict[str, tuple[int, int, Sequence[DemandSample]]] = {}
         self._pending: list[str] = []
         self._departures: dict[int, list[str]] = {}
 
@@ -462,7 +495,7 @@ class Simulation:
             host_id = vm.host_id
             self._set_host(vm, None)
             del self.vms[vm_id]
-            self._demand_idx.pop(vm_id, None)
+            del self._rows[vm_id]
             if host_id is not None:
                 self.policy.notify_departure(vm_id, host_id, self, tick)
             elif vm_id in self._pending:
@@ -488,7 +521,7 @@ class Simulation:
                     window_ticks=self._window_ticks,
                 )
                 self.vms[vm_id] = vm
-                self._demand_idx[vm_id] = 0
+                self._rows[vm_id] = _trace_rows(req.trace, self.config.duration_ticks)
                 if req.departure_tick is not None and req.departure_tick < self.config.duration_ticks:
                     self._departures.setdefault(req.departure_tick, []).append(vm_id)
             decision = self.policy.allocate(vm_id, self)
@@ -508,35 +541,42 @@ class Simulation:
 
     # -- step 4: demand + arbitration --------------------------------------
 
-    def _current_demand(self, vm_id: str, tick: int) -> tuple[float, float, float, float]:
-        trace = self._requests[vm_id].trace
-        idx = self._demand_idx[vm_id]
-        n = len(trace)
-        while idx + 1 < n and trace[idx + 1].tick <= tick:
-            idx += 1
-        self._demand_idx[vm_id] = idx
-        if n == 0 or trace[idx].tick > tick:
-            return _USAGE_ZERO
-        sample = trace[idx]
-        return (sample.cpu, sample.mem, sample.disk, sample.bw)
-
     def _arbitrate(self, tick: int) -> int:
+        """Deliver each hosted VM's demand; return the tick's SLA violations.
+
+        A machine whose totals fit its capacity delivers every demand as
+        asked; only an over-committed one goes through
+        ``proportional_delivery``.
+        """
         violations = 0
-        self._shares = {}
+        shares = self._shares = {}
         self._used.clear()
+        vms = self.vms
+        all_rows = self._rows
         for pm in self.machines:
             if pm.state is not MachineState.RUNNING:
                 continue
             hosted = pm.hosted_vm_ids
             if not hosted:
-                self._shares[pm.id] = _USAGE_ZERO
+                shares[pm.id] = _USAGE_ZERO
                 continue
-            demands = [self._current_demand(vm_id, tick) for vm_id in hosted]
-            delivered, shorted = proportional_delivery(demands, pm.capacity.as_tuple())
-            for i, vm_id in enumerate(hosted):
-                self.vms[vm_id].record_usage(delivered[i])
-            violations += len(shorted)
-            self._shares[pm.id] = shares_of(_column_sums(delivered), pm.capacity.as_tuple())
+            demands = []
+            for vm_id in hosted:
+                first, last, rows = all_rows[vm_id]
+                i = tick - first
+                if i < 0:
+                    demands.append(_USAGE_ZERO)
+                else:
+                    demands.append(rows[i if i < last else last][1:])
+            cap = pm.capacity.as_tuple()
+            totals = _column_sums(demands)
+            if totals[0] > cap[0] or totals[1] > cap[1] or totals[2] > cap[2] or totals[3] > cap[3]:
+                demands, shorted = proportional_delivery(demands, cap)
+                violations += len(shorted)
+                totals = _column_sums(demands)
+            for vm_id, usage in zip(hosted, demands):
+                vms[vm_id].record_usage(usage)
+            shares[pm.id] = shares_of(totals, cap)
         self.sla_violation_count += violations
         return violations
 

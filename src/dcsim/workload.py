@@ -6,6 +6,11 @@ inputs.  Generation uses Python's ``random.Random`` (the Mersenne Twister),
 whose output for a given seed is documented to be reproducible across
 platforms and CPython releases; every VM draws from its own derived streams
 so toggling one feature never shifts the randomness of another.
+
+The traces depend on the fixed order of the draws within each stream and on
+``random.uniform(a, b)`` being ``a + (b - a) * random()``, the formula the
+Python documentation gives for it: the generator calls ``random()`` and
+applies that formula itself.
 """
 
 from __future__ import annotations
@@ -148,34 +153,52 @@ def generate_workload(spec: WorkloadSpec) -> list[VmRequest]:
     per-VM nominal size uniformly around ``nominal_fraction``.
     """
     ref = spec.reference_capacity.as_tuple()
-    period = spec.diurnal_period_ticks or spec.duration_ticks
+    duration = spec.duration_ticks
+    period = spec.diurnal_period_ticks or duration
+    magnitude = spec.spike_magnitude
     width = len(str(max(spec.vm_count - 1, 1)))
+
+    # The time-varying level shared by every VM, one entry per tick.
+    if spec.profile is WorkloadProfile.DIURNAL:
+        amplitude = spec.diurnal_amplitude
+        levels = [
+            (1.0 - amplitude)
+            + amplitude * 0.5 * (1.0 - math.cos(2.0 * math.pi * (tick % period) / period))
+            for tick in range(duration)
+        ]
+    else:
+        levels = [1.0] * duration
 
     spikes_enabled = (
         spec.profile in (WorkloadProfile.SPIKY, WorkloadProfile.MIXED_INTENSIVE)
         and spec.spike_probability > 0.0
     )
+    private_spikes = spikes_enabled and not spec.spike_synchronized
     # Synchronized spikes model flash crowds: one global schedule, drawn from
     # its own stream (vm_index 0 / stream 3 cannot collide with any per-VM
     # stream), makes every VM surge on the same ticks.
-    sync_spike: Optional[list[bool]] = None
     if spikes_enabled and spec.spike_synchronized:
         sync_rng = _derived_rng(spec.seed, 0, 3)
-        sync_spike = []
         left = 0
-        for _ in range(spec.duration_ticks):
+        for tick in range(duration):
             if left == 0 and sync_rng.random() < spec.spike_probability:
                 left = spec.spike_duration_ticks
-            sync_spike.append(left > 0)
             if left > 0:
+                levels[tick] *= magnitude
                 left -= 1
+
+    # ``random.uniform(a, b)`` is documented as ``a + (b - a) * random()``;
+    # calling ``random`` directly draws the same numbers.
+    lo = -spec.jitter
+    span = spec.jitter - lo
+    # Builds a DemandSample without the namedtuple's Python-level __new__.
+    new_sample = tuple.__new__
 
     requests = []
     for index in range(spec.vm_count):
         vm_id = f"vm-{index:0{width}d}"
         life_rng = _derived_rng(spec.seed, index, 0)
         base_rng = _derived_rng(spec.seed, index, 1)
-        spike_rng = _derived_rng(spec.seed, index, 2)
 
         fraction = spec.nominal_fraction
         if spec.nominal_fraction_spread > 0.0:
@@ -186,49 +209,61 @@ def generate_workload(spec: WorkloadSpec) -> list[VmRequest]:
         nominal = MachineCapacity(
             ref[0] * fraction, ref[1] * fraction, ref[2] * fraction, ref[3] * fraction
         )
-        nom = nominal.as_tuple()
-        ceiling = [c * spec.spike_magnitude for c in nom]
+        n0, n1, n2, n3 = nominal.as_tuple()
+        c0, c1, c2, c3 = n0 * magnitude, n1 * magnitude, n2 * magnitude, n3 * magnitude
 
         arrival = life_rng.randint(0, spec.arrival_spread_ticks)
         departure: Optional[int] = None
         if spec.lifetime_ticks is not None:
             departure = arrival + spec.lifetime_ticks
-        trace_end = spec.duration_ticks if departure is None else min(departure, spec.duration_ticks)
+        trace_end = duration if departure is None else min(departure, duration)
 
         # Per-resource mean demand for this VM, before time-varying effects.
         if spec.profile is WorkloadProfile.MIXED_INTENSIVE:
-            dominant = index % 4
-            means = [
-                nom[i] * (spec.dominant_level if i == dominant else spec.background_level)
-                for i in range(4)
-            ]
+            scales = [spec.background_level] * 4
+            scales[index % 4] = spec.dominant_level
         else:
-            means = [nom[i] * spec.mean_level for i in range(4)]
+            scales = [spec.mean_level] * 4
+        m0, m1, m2, m3 = n0 * scales[0], n1 * scales[1], n2 * scales[2], n3 * scales[3]
 
-        spike_left = 0
+        vm_levels = levels
+        if private_spikes:
+            # The spike stream is separate from the demand stream, so its
+            # draws can all be made before the samples.
+            spike_random = _derived_rng(spec.seed, index, 2).random
+            vm_levels = levels[:]
+            spike_left = 0
+            for tick in range(arrival, trace_end):
+                if spike_left == 0 and spike_random() < spec.spike_probability:
+                    spike_left = spec.spike_duration_ticks
+                if spike_left > 0:
+                    vm_levels[tick] *= magnitude
+                    spike_left -= 1
+
+        # Each value is min(max(x, 0.0), ceiling) written as comparisons that
+        # return the same operand as min and max, ties included.
+        draw = base_rng.random
         samples = []
+        append = samples.append
         for tick in range(arrival, trace_end):
-            level = 1.0
-            if spec.profile is WorkloadProfile.DIURNAL:
-                phase = 2.0 * math.pi * (tick % period) / period
-                level = (1.0 - spec.diurnal_amplitude) + spec.diurnal_amplitude * 0.5 * (
-                    1.0 - math.cos(phase)
-                )
-            if spikes_enabled:
-                if sync_spike is not None:
-                    if sync_spike[tick]:
-                        level *= spec.spike_magnitude
-                else:
-                    if spike_left == 0 and spike_rng.random() < spec.spike_probability:
-                        spike_left = spec.spike_duration_ticks
-                    if spike_left > 0:
-                        level *= spec.spike_magnitude
-                        spike_left -= 1
-            values = []
-            for i in range(4):
-                jittered = means[i] * (1.0 + base_rng.uniform(-spec.jitter, spec.jitter))
-                values.append(min(max(jittered * level, 0.0), ceiling[i]))
-            samples.append(DemandSample(tick, values[0], values[1], values[2], values[3]))
+            level = vm_levels[tick]
+            x = m0 * (1.0 + (lo + span * draw())) * level
+            v0 = 0.0 if x < 0.0 else x
+            if c0 < v0:
+                v0 = c0
+            x = m1 * (1.0 + (lo + span * draw())) * level
+            v1 = 0.0 if x < 0.0 else x
+            if c1 < v1:
+                v1 = c1
+            x = m2 * (1.0 + (lo + span * draw())) * level
+            v2 = 0.0 if x < 0.0 else x
+            if c2 < v2:
+                v2 = c2
+            x = m3 * (1.0 + (lo + span * draw())) * level
+            v3 = 0.0 if x < 0.0 else x
+            if c3 < v3:
+                v3 = c3
+            append(new_sample(DemandSample, (tick, v0, v1, v2, v3)))
 
         requests.append(
             VmRequest(

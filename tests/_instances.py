@@ -3,11 +3,15 @@
 ``run_checked_instance(seed)`` builds a random fleet, workload and policy,
 then steps the simulation tick by tick, asserting structural invariants and
 cross-checking arbitration, demand lookup and energy accounting against
-independent brute-force implementations after every tick.
+independent brute-force implementations after every tick.  With
+``sparse=True`` the generated traces are first thinned by ``thin_workload``,
+so the demand lookup also meets gaps, late first and early last samples, and
+empty traces.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from bisect import bisect_right
 
@@ -110,6 +114,28 @@ def make_instance(seed: int, policy_id: str | None = None):
     )
     workload = generate_workload(spec)
     return config, workload, _random_policy_spec(rng, policy_id)
+
+
+def thin_workload(workload, seed: int):
+    """Sparse copies of dense traces, thinned with their own RNG stream.
+
+    Each VM's trace is either emptied or loses a random prefix and suffix
+    (a first sample after arrival, a last one before departure) and a random
+    share of what is left (gaps).  ``make_instance``'s draws are untouched.
+    """
+    rng = random.Random(f"thin-{seed}")
+    thinned = []
+    for req in workload:
+        trace = req.trace
+        if rng.random() < 0.1:
+            trace = ()
+        else:
+            start = rng.randint(0, len(trace) // 3)
+            stop = len(trace) - rng.randint(0, len(trace) // 3)
+            keep = rng.uniform(0.2, 1.0)
+            trace = tuple(s for s in trace[start:stop] if rng.random() < keep)
+        thinned.append(dataclasses.replace(req, trace=trace))
+    return thinned
 
 
 # ---------------------------------------------------------------------------
@@ -306,9 +332,11 @@ def check_report(sim: CheckedSimulation, report, seed: int) -> None:
         _fail(seed, -1, "negative counter")
 
 
-def run_checked_instance(seed: int):
+def run_checked_instance(seed: int, sparse: bool = False):
     """Run one random instance under full invariant checking."""
     config, workload, policy_spec = make_instance(seed)
+    if sparse:
+        workload = thin_workload(workload, seed)
     sim = CheckedSimulation(config, workload, build_policy(policy_spec))
     for tick in range(config.duration_ticks):
         sim._step()

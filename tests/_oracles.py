@@ -10,19 +10,24 @@ Two reference policies keep the direct per-(VM, machine) scoring that the
 production policies' per-capacity-class scoring must reproduce decision for
 decision: ``ReferenceSingleThreshold`` and ``ReferenceSimilarity``.
 ``fresh_machine_rv`` recomputes a machine's used share from scratch, as the
-reference for the engine's memoized one.  The reference policies wrap the
+reference for the engine's memoized one.  ``reference_generate_workload`` is
+the per-(VM, tick, resource) generator loop that the straight-line
+``generate_workload`` must reproduce sample for sample.  The reference policies wrap the
 view's share tuples in ``ResourceVector`` as they read them.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
+from typing import Optional
 
 import mpmath
 
 from dcsim.model import (
     BreachSide,
+    MachineCapacity,
     ResourceVector,
     clamped_sum_of,
     complement_of,
@@ -33,6 +38,7 @@ from dcsim.model import (
 from dcsim.policies.base import DecisionKind, PlacementDecision, RebalanceAction
 from dcsim.policies.baselines import SingleThresholdPolicy
 from dcsim.policies.similarity import SimilarityMethod, SimilarityPolicy, cosine_similarity
+from dcsim.workload import DemandSample, VmRequest, WorkloadProfile, WorkloadSpec, _derived_rng
 
 mpmath.mp.dps = 50
 
@@ -328,3 +334,105 @@ def fresh_machine_rv(sim, machine_id):
     for vm_id in sorted(sim._inbound.get(machine_id, ())):
         used = clamped_sum_of(used, _fresh_vm_rv_on(sim, vm_id, machine_id))
     return used
+
+
+# ---------------------------------------------------------------------------
+# Reference workload generator
+# ---------------------------------------------------------------------------
+
+
+def reference_generate_workload(spec: WorkloadSpec) -> list[VmRequest]:
+    """The generator loop as first written: per VM, tick and resource.
+
+    Recomputes the diurnal level for every (VM, tick), draws jitter with
+    ``random.uniform`` and clamps with ``min(max(x, 0.0), ceiling)``.
+    """
+    ref = spec.reference_capacity.as_tuple()
+    period = spec.diurnal_period_ticks or spec.duration_ticks
+    width = len(str(max(spec.vm_count - 1, 1)))
+
+    spikes_enabled = (
+        spec.profile in (WorkloadProfile.SPIKY, WorkloadProfile.MIXED_INTENSIVE)
+        and spec.spike_probability > 0.0
+    )
+    sync_spike: Optional[list[bool]] = None
+    if spikes_enabled and spec.spike_synchronized:
+        sync_rng = _derived_rng(spec.seed, 0, 3)
+        sync_spike = []
+        left = 0
+        for _ in range(spec.duration_ticks):
+            if left == 0 and sync_rng.random() < spec.spike_probability:
+                left = spec.spike_duration_ticks
+            sync_spike.append(left > 0)
+            if left > 0:
+                left -= 1
+
+    requests = []
+    for index in range(spec.vm_count):
+        vm_id = f"vm-{index:0{width}d}"
+        life_rng = _derived_rng(spec.seed, index, 0)
+        base_rng = _derived_rng(spec.seed, index, 1)
+        spike_rng = _derived_rng(spec.seed, index, 2)
+
+        fraction = spec.nominal_fraction
+        if spec.nominal_fraction_spread > 0.0:
+            size_rng = _derived_rng(spec.seed, index, 4)
+            fraction *= 1.0 + size_rng.uniform(
+                -spec.nominal_fraction_spread, spec.nominal_fraction_spread
+            )
+        nominal = MachineCapacity(
+            ref[0] * fraction, ref[1] * fraction, ref[2] * fraction, ref[3] * fraction
+        )
+        nom = nominal.as_tuple()
+        ceiling = [c * spec.spike_magnitude for c in nom]
+
+        arrival = life_rng.randint(0, spec.arrival_spread_ticks)
+        departure: Optional[int] = None
+        if spec.lifetime_ticks is not None:
+            departure = arrival + spec.lifetime_ticks
+        trace_end = spec.duration_ticks if departure is None else min(departure, spec.duration_ticks)
+
+        if spec.profile is WorkloadProfile.MIXED_INTENSIVE:
+            dominant = index % 4
+            means = [
+                nom[i] * (spec.dominant_level if i == dominant else spec.background_level)
+                for i in range(4)
+            ]
+        else:
+            means = [nom[i] * spec.mean_level for i in range(4)]
+
+        spike_left = 0
+        samples = []
+        for tick in range(arrival, trace_end):
+            level = 1.0
+            if spec.profile is WorkloadProfile.DIURNAL:
+                phase = 2.0 * math.pi * (tick % period) / period
+                level = (1.0 - spec.diurnal_amplitude) + spec.diurnal_amplitude * 0.5 * (
+                    1.0 - math.cos(phase)
+                )
+            if spikes_enabled:
+                if sync_spike is not None:
+                    if sync_spike[tick]:
+                        level *= spec.spike_magnitude
+                else:
+                    if spike_left == 0 and spike_rng.random() < spec.spike_probability:
+                        spike_left = spec.spike_duration_ticks
+                    if spike_left > 0:
+                        level *= spec.spike_magnitude
+                        spike_left -= 1
+            values = []
+            for i in range(4):
+                jittered = means[i] * (1.0 + base_rng.uniform(-spec.jitter, spec.jitter))
+                values.append(min(max(jittered * level, 0.0), ceiling[i]))
+            samples.append(DemandSample(tick, values[0], values[1], values[2], values[3]))
+
+        requests.append(
+            VmRequest(
+                vm_id=vm_id,
+                nominal=nominal,
+                arrival_tick=arrival,
+                departure_tick=departure,
+                trace=tuple(samples),
+            )
+        )
+    return requests

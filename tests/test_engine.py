@@ -1,5 +1,6 @@
 """Unit tests for the simulation engine: tick pipeline, arbitration, energy."""
 
+import math
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ from dcsim.engine import (
     FleetMachine,
     Simulation,
     SimulationConfig,
+    _column_sums,
     proportional_delivery,
     run_simulation,
 )
@@ -21,6 +23,7 @@ from dcsim.model import (
     PowerModel,
     ResourceVector,
     UtilizationWeights,
+    shares_of,
 )
 from dcsim.policies import build_policy
 from dcsim.policies.base import ClusterView, PlacementDecision, RebalanceAction, SchedulerPolicy
@@ -175,6 +178,47 @@ class TestProportionalDelivery:
             assert sum(d[r] for d in delivered) <= 1000 + 1e-9
 
 
+class TestArbitrationBoundary:
+    """A machine's totals exactly at, and one ulp over, its capacity."""
+
+    def step_once(self, demands):
+        reqs = [
+            VmRequest(f"vm-{i}", CAP, 0, None, (DemandSample(0, *d),))
+            for i, d in enumerate(demands)
+        ]
+        sim = Simulation(config(1, duration=1), reqs, ScriptedPolicy({r.vm_id: 0 for r in reqs}))
+        sim._step()
+        delivered = [sim.vms[r.vm_id].usage_window[-1] for r in reqs]
+        return sim, delivered
+
+    def test_totals_equal_to_capacity_are_delivered_in_full(self):
+        demands = [(600.0, 250.0, 1000.0, 0.0), (400.0, 750.0, 0.0, 1000.0)]
+        assert _column_sums(demands) == CAP.as_tuple()
+        sim, delivered = self.step_once(demands)
+        assert sim.sla_violation_count == 0
+        assert delivered == demands
+        assert sim._shares[0] == shares_of(_column_sums(delivered), CAP.as_tuple())
+
+    def test_one_ulp_over_shorts_only_that_resource(self):
+        over = math.nextafter(1000.0, math.inf)
+        demands = [(600.0, 250.0, 1000.0, 0.0), (over - 600.0, 750.0, 0.0, 1000.0)]
+        assert _column_sums(demands) == (over, 1000.0, 1000.0, 1000.0)
+        sim, delivered = self.step_once(demands)
+        assert sim.sla_violation_count == 2  # both VMs, CPU only
+        for got, want in zip(delivered, demands):
+            assert got[0] < want[0]
+            assert got[1:] == want[1:]
+        assert sim._shares[0] == shares_of(_column_sums(delivered), CAP.as_tuple())
+
+    def test_over_committed_share_is_summed_from_delivered_usage(self):
+        # Scaled down to capacity, these three CPU demands sum to just under it.
+        demands = [(207.5, 0.0, 0.0, 0.0), (777.9, 0.0, 0.0, 0.0), (711.0, 0.0, 0.0, 0.0)]
+        sim, delivered = self.step_once(demands)
+        assert sim.sla_violation_count == 3
+        assert sim._shares[0] == shares_of(_column_sums(delivered), CAP.as_tuple())
+        assert sim._shares[0][0] < 1.0
+
+
 # ---------------------------------------------------------------------------
 # Arrivals, rejections, departures
 # ---------------------------------------------------------------------------
@@ -251,6 +295,63 @@ class TestArrivalsAndDepartures:
             sim._step()
             seen.append(sim.vms["vm-0"].usage_window[-1][0])
         assert seen == [100.0, 100.0, 100.0, 400.0, 400.0]
+
+    def test_demand_is_zero_until_a_late_first_sample(self):
+        trace = (DemandSample(3, 200.0, 1.0, 2.0, 3.0), DemandSample(4, 300.0, 1.0, 2.0, 3.0))
+        req = VmRequest("vm-0", MachineCapacity(400, 4, 4, 4), 0, None, trace)
+        sim = Simulation(config(1, duration=6), [req], ScriptedPolicy({"vm-0": 0}))
+        seen = []
+        for _ in range(6):
+            sim._step()
+            seen.append(sim.vms["vm-0"].usage_window[-1])
+        zero = (0.0, 0.0, 0.0, 0.0)
+        late = [(200.0, 1.0, 2.0, 3.0), (300.0, 1.0, 2.0, 3.0), (300.0, 1.0, 2.0, 3.0)]
+        assert seen == [zero, zero, zero] + late
+
+    @pytest.mark.parametrize("every", [1, 2, 3], ids=["dense", "gap-1", "gap-2"])
+    def test_vm_first_hosted_mid_trace_reads_the_sample_in_force(self, every):
+        trace = tuple(DemandSample(t, 10.0 * t, 0.0, 0.0, 0.0) for t in range(0, 9, every))
+        req = VmRequest("vm-0", MachineCapacity(100, 1, 1, 1), 0, None, trace)
+        policy = ScriptedPolicy({"vm-0": 0}, reject_until_tick=4)
+        sim = Simulation(config(1, duration=9), [req], policy)
+        for _ in range(4):
+            sim._step()
+        assert sim.rejected_requests == 4
+        assert not sim.vms["vm-0"].usage_window
+        seen = []
+        for _ in range(5):
+            sim._step()
+            seen.append(sim.vms["vm-0"].usage_window[-1][0])
+        assert seen == [10.0 * (t - t % every) for t in range(4, 9)]
+
+    def test_empty_trace_demands_nothing(self):
+        req = VmRequest("vm-0", MachineCapacity(100, 1, 1, 1), 0, None, ())
+        sim = Simulation(config(1, duration=3), [req], ScriptedPolicy({"vm-0": 0}))
+        sim.run()
+        assert list(sim.vms["vm-0"].usage_window) == [(0.0, 0.0, 0.0, 0.0)] * 3
+
+    def test_dense_trace_is_read_in_place(self):
+        req = flat_request("vm-0", 100.0, arrival=2)
+        sim = Simulation(config(1, duration=5), [req], ScriptedPolicy({"vm-0": 0}))
+        sim.run()
+        first, _, rows = sim._rows["vm-0"]
+        assert first == 2
+        assert rows is req.trace
+
+    def test_gapped_trace_expansion_stops_at_the_horizon(self):
+        trace = (
+            DemandSample(1, 100.0, 0.0, 0.0, 0.0),
+            DemandSample(3, 200.0, 0.0, 0.0, 0.0),
+            DemandSample(40, 900.0, 0.0, 0.0, 0.0),
+        )
+        req = VmRequest("vm-0", MachineCapacity(900, 1, 1, 1), 0, None, trace)
+        sim = Simulation(config(1, duration=6), [req], ScriptedPolicy({"vm-0": 0}))
+        seen = []
+        for _ in range(6):
+            sim._step()
+            seen.append(sim.vms["vm-0"].usage_window[-1][0])
+        assert seen == [0.0, 100.0, 100.0, 200.0, 200.0, 200.0]
+        assert len(sim._rows["vm-0"][2]) == 3  # ticks 1, 2 and 3
 
 
 # ---------------------------------------------------------------------------

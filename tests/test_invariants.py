@@ -16,14 +16,41 @@ from _instances import (
     demand_at,
     make_instance,
     run_checked_instance,
+    thin_workload,
 )
 
 UNIT_INSTANCES = 250
+SPARSE_INSTANCES = 150
 
 
 @pytest.mark.parametrize("seed", range(UNIT_INSTANCES))
 def test_random_instance_invariants(seed):
     run_checked_instance(seed)
+
+
+@pytest.mark.parametrize("seed", range(SPARSE_INSTANCES))
+def test_sparse_trace_instance_invariants(seed):
+    run_checked_instance(seed, sparse=True)
+
+
+def test_sparse_instances_cover_every_trace_shape():
+    shapes = set()
+    for seed in range(SPARSE_INSTANCES):
+        _, workload, _ = make_instance(seed)
+        for dense, sparse in zip(workload, thin_workload(workload, seed)):
+            ticks = [s.tick for s in sparse.trace]
+            if not ticks:
+                shapes.add("empty")
+                continue
+            if ticks[0] > dense.arrival_tick:
+                shapes.add("late first sample")
+            if ticks[-1] < dense.trace[-1].tick:
+                shapes.add("early last sample")
+            if any(b - a > 1 for a, b in zip(ticks, ticks[1:])):
+                shapes.add("gap")
+            if ticks[-1] - ticks[0] == len(ticks) - 1:
+                shapes.add("dense")
+    assert shapes == {"empty", "late first sample", "early last sample", "gap", "dense"}
 
 
 def test_instances_cover_the_policy_space():

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from _oracles import reference_generate_workload
 from dcsim.model import MachineCapacity
 from dcsim.workload import (
     DemandSample,
@@ -249,6 +250,62 @@ class TestGeneration:
         )
         for a, b in zip(plain, spiked):
             assert a.arrival_tick == b.arrival_tick
+
+
+_SPIKY = dict(profile=WorkloadProfile.SPIKY, spike_probability=0.05, spike_duration_ticks=4)
+
+REFERENCE_CASES = {
+    "steady": dict(profile=WorkloadProfile.STEADY),
+    "diurnal": dict(profile=WorkloadProfile.DIURNAL),
+    "spiky": dict(_SPIKY),
+    "mixed-intensive": dict(profile=WorkloadProfile.MIXED_INTENSIVE, spike_probability=0.05),
+    "private-spikes": dict(_SPIKY, spike_magnitude=1.7),
+    "synchronized-spikes": dict(_SPIKY, spike_synchronized=True),
+    "private-spikes-always": dict(_SPIKY, spike_probability=1.0),
+    "synchronized-spikes-always": dict(_SPIKY, spike_probability=1.0, spike_synchronized=True),
+    "size-spread": dict(nominal_fraction_spread=0.3),
+    "short-lives": dict(_SPIKY, arrival_spread_ticks=90, lifetime_ticks=17),
+    "jitter-zero": dict(jitter=0.0),
+    "ceiling-ties": dict(jitter=0.0, mean_level=1.0, spike_magnitude=1.0),
+    "ceiling-clamps": dict(jitter=0.3, mean_level=1.0, spike_magnitude=1.0),
+    "full-amplitude": dict(profile=WorkloadProfile.DIURNAL, diurnal_amplitude=1.0),
+    "short-period": dict(profile=WorkloadProfile.DIURNAL, diurnal_period_ticks=7),
+    "every-feature": dict(
+        profile=WorkloadProfile.MIXED_INTENSIVE,
+        spike_probability=0.2,
+        spike_synchronized=True,
+        spike_magnitude=1.25,
+        nominal_fraction_spread=0.4,
+        arrival_spread_ticks=60,
+        lifetime_ticks=45,
+        jitter=0.2,
+        dominant_level=1.0,
+    ),
+}
+
+
+class TestReferenceGenerator:
+    """The straight-line generator reproduces the per-resource loop exactly."""
+
+    @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+    def test_matches_reference_loop(self, case):
+        spec = make_spec(vm_count=12, duration_ticks=120, seed=7, **REFERENCE_CASES[case])
+        got = generate_workload(spec)
+        want = reference_generate_workload(spec)
+        assert got == want
+        # repr tells -0.0 from 0.0, which == does not.
+        assert repr(got) == repr(want)
+        assert all(type(s) is DemandSample for req in got for s in req.trace)
+
+    def test_cases_reach_the_edges(self):
+        spec = make_spec(vm_count=12, duration_ticks=120, seed=7, **REFERENCE_CASES["short-lives"])
+        reqs = generate_workload(spec)
+        assert any(req.arrival_tick > 0 for req in reqs)
+        assert any(req.trace[-1].tick < 119 for req in reqs)
+        for case in ("ceiling-ties", "ceiling-clamps"):
+            spec = make_spec(vm_count=12, duration_ticks=120, seed=7, **REFERENCE_CASES[case])
+            reqs = generate_workload(spec)
+            assert any(s.cpu == req.nominal.cpu for req in reqs for s in req.trace)
 
 
 class TestTraceFiles:
