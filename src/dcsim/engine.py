@@ -24,16 +24,27 @@ first sample, each sample held until the next, the last held after the end.
 The engine reads it as ``rows[tick - first]`` (see ``_trace_rows``); a
 generated trace has a sample every tick and is read as it is.
 
+The running machines are kept as a list in id order.  Only ``_wake`` and
+``_standby`` change a machine's state, and they update the list, so the
+per-tick phases that concern running machines only (arbitration,
+measurement, the last-used clocks) walk it instead of the whole fleet.
+Energy walks the whole fleet, standby machines included, in id order.
+
 Each machine's used share (``machine_rv``) is memoized.  ``_arbitrate``
-clears the memo, since it is the only phase that records usage.  A machine's
-entry is also dropped whenever its hosted list or inbound set changes; every
-such change goes through ``_set_host`` or ``_set_inbound``, which drop it.
+clears the memo, since it is the only phase that records usage, and seeds it
+with the share it has just computed for every running machine with no
+inbound VM: that share sums the same delivered usage in the same hosted
+order as ``_used_share`` would.  A machine's entry is dropped whenever its
+hosted list or inbound set changes; every such change goes through
+``_set_host`` or ``_set_inbound``, which drop it.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Optional, Sequence
 
 from .model import (
@@ -56,6 +67,7 @@ from .policies.base import ActionKind, DecisionKind, RebalanceAction, SchedulerP
 from .workload import DemandSample, VmRequest
 
 _USAGE_ZERO = (0.0, 0.0, 0.0, 0.0)
+_machine_id = attrgetter("id")
 
 
 class EngineError(ValueError):
@@ -230,6 +242,10 @@ class Simulation:
                     last_used_tick=0 if state is MachineState.RUNNING else -1,
                 )
             )
+        # The running machines in id order; only ``_wake`` and ``_standby`` change it.
+        self._running = [pm for pm in self.machines if pm.state is MachineState.RUNNING]
+        # Each machine's capacity as a tuple, indexed by machine id.
+        self._capacities = [pm.capacity.as_tuple() for pm in self.machines]
 
         self._default_share = policy.default_rv.as_tuple()
         self._window_ticks = max(
@@ -290,7 +306,7 @@ class Simulation:
         return self.machines[machine_id]
 
     def running_machines(self) -> list[PhysicalMachine]:
-        return [pm for pm in self.machines if pm.state is MachineState.RUNNING]
+        return self._running[:]
 
     def standby_machines(self) -> list[PhysicalMachine]:
         return [pm for pm in self.machines if pm.state is MachineState.STANDBY]
@@ -323,11 +339,11 @@ class Simulation:
         mean = self.vm_window_mean(vm_id)
         if mean is None:
             return self._default_share
-        return shares_of(mean, self.machines[machine_id].capacity.as_tuple())
+        return shares_of(mean, self._capacities[machine_id])
 
     def vm_nominal_rv_on(self, vm_id: str, machine_id: int) -> Shares:
         nominal = self._requests[vm_id].nominal.as_tuple()
-        return shares_of(nominal, self.machines[machine_id].capacity.as_tuple())
+        return shares_of(nominal, self._capacities[machine_id])
 
     def machine_rv(self, machine_id: int) -> Shares:
         """Used share of a machine as placement logic should see it.
@@ -389,6 +405,7 @@ class Simulation:
         if pm.state is not MachineState.STANDBY:
             raise EngineError(f"machine {pm.id} is not standby; cannot wake")
         pm.state = MachineState.RUNNING
+        insort(self._running, pm, key=_machine_id)
         pm.last_used_tick = self.tick
         pm.current_utilization = 0.0
         self.wake_count += 1
@@ -397,6 +414,7 @@ class Simulation:
         if pm.hosted_vm_ids or self.has_inbound(pm.id):
             raise EngineError(f"machine {pm.id} is not empty; cannot standby")
         pm.state = MachineState.STANDBY
+        del self._running[bisect_left(self._running, pm.id, key=_machine_id)]
         pm.last_used_tick = self.tick
         pm.current_utilization = 0.0
         pm.clear_breach()
@@ -454,9 +472,8 @@ class Simulation:
         self._measure(tick)
         self._rebalance(tick)
         self._integrate_energy(tick, violations)
-        for pm in self.machines:
-            if pm.state is MachineState.RUNNING:
-                pm.last_used_tick = tick
+        for pm in self._running:
+            pm.last_used_tick = tick
         self.tick = tick + 1
 
     # -- step 1: migration landings -------------------------------------
@@ -546,37 +563,43 @@ class Simulation:
 
         A machine whose totals fit its capacity delivers every demand as
         asked; only an over-committed one goes through
-        ``proportional_delivery``.
+        ``proportional_delivery``.  Each machine's share also seeds the
+        ``machine_rv`` memo unless the machine has an inbound VM.
         """
         violations = 0
         shares = self._shares = {}
-        self._used.clear()
+        used = self._used
+        used.clear()
+        inbound = self._inbound
+        capacities = self._capacities
         vms = self.vms
         all_rows = self._rows
-        for pm in self.machines:
-            if pm.state is not MachineState.RUNNING:
-                continue
+        for pm in self._running:
+            pm_id = pm.id
             hosted = pm.hosted_vm_ids
             if not hosted:
-                shares[pm.id] = _USAGE_ZERO
-                continue
-            demands = []
-            for vm_id in hosted:
-                first, last, rows = all_rows[vm_id]
-                i = tick - first
-                if i < 0:
-                    demands.append(_USAGE_ZERO)
-                else:
-                    demands.append(rows[i if i < last else last][1:])
-            cap = pm.capacity.as_tuple()
-            totals = _column_sums(demands)
-            if totals[0] > cap[0] or totals[1] > cap[1] or totals[2] > cap[2] or totals[3] > cap[3]:
-                demands, shorted = proportional_delivery(demands, cap)
-                violations += len(shorted)
+                share = _USAGE_ZERO
+            else:
+                demands = []
+                for vm_id in hosted:
+                    first, last, rows = all_rows[vm_id]
+                    i = tick - first
+                    if i < 0:
+                        demands.append(_USAGE_ZERO)
+                    else:
+                        demands.append(rows[i if i < last else last][1:])
+                cap = capacities[pm_id]
                 totals = _column_sums(demands)
-            for vm_id, usage in zip(hosted, demands):
-                vms[vm_id].record_usage(usage)
-            shares[pm.id] = shares_of(totals, cap)
+                if totals[0] > cap[0] or totals[1] > cap[1] or totals[2] > cap[2] or totals[3] > cap[3]:
+                    demands, shorted = proportional_delivery(demands, cap)
+                    violations += len(shorted)
+                    totals = _column_sums(demands)
+                for vm_id, usage in zip(hosted, demands):
+                    vms[vm_id].record_usage(usage)
+                share = shares_of(totals, cap)
+            shares[pm_id] = share
+            if not inbound.get(pm_id):
+                used[pm_id] = share
         self.sla_violation_count += violations
         return violations
 
@@ -585,10 +608,9 @@ class Simulation:
     def _measure(self, tick: int) -> None:
         thresholds = self.policy.breach_thresholds
         weights = self.policy.utilization_weights.as_tuple()
-        for pm in self.machines:
-            if pm.state is not MachineState.RUNNING:
-                continue
-            u = utilization_of(self._shares.get(pm.id, _USAGE_ZERO), weights)
+        shares = self._shares
+        for pm in self._running:
+            u = utilization_of(shares[pm.id], weights)
             pm.current_utilization = u
             if thresholds is None:
                 continue

@@ -200,12 +200,13 @@ class VirtualMachine:
         """Append one tick of delivered usage, evicting the oldest if full."""
         window = self.usage_window
         s0, s1, s2, s3 = self._window_sums
-        if len(window) == window.maxlen:
-            o0, o1, o2, o3 = window[0]
-            s0, s1, s2, s3 = s0 - o0, s1 - o1, s2 - o2, s3 - o3
-        window.append(sample)
         c, m, d, b = sample
-        self._window_sums = (s0 + c, s1 + m, s2 + d, s3 + b)
+        if len(window) == self.window_ticks:
+            o0, o1, o2, o3 = window[0]
+            self._window_sums = ((s0 - o0) + c, (s1 - o1) + m, (s2 - o2) + d, (s3 - o3) + b)
+        else:
+            self._window_sums = (s0 + c, s1 + m, s2 + d, s3 + b)
+        window.append(sample)
 
     def window_mean(self) -> tuple[float, float, float, float]:
         """Mean absolute usage over the window.  Raises if there is no history."""
@@ -247,12 +248,19 @@ def _clamp01(x: float) -> float:
 def shares_of(
     amounts: tuple[float, float, float, float], capacity: tuple[float, float, float, float]
 ) -> Shares:
-    """Each absolute amount as a share of the matching capacity, clamped to [0, 1]."""
+    """Each absolute amount as a share of the matching capacity, clamped to [0, 1].
+
+    Each component is clamped as ``_clamp01`` clamps, written inline.
+    """
+    c = amounts[0] / capacity[0]
+    m = amounts[1] / capacity[1]
+    d = amounts[2] / capacity[2]
+    b = amounts[3] / capacity[3]
     return (
-        _clamp01(amounts[0] / capacity[0]),
-        _clamp01(amounts[1] / capacity[1]),
-        _clamp01(amounts[2] / capacity[2]),
-        _clamp01(amounts[3] / capacity[3]),
+        0.0 if c < 0.0 else 1.0 if c > 1.0 else c,
+        0.0 if m < 0.0 else 1.0 if m > 1.0 else m,
+        0.0 if d < 0.0 else 1.0 if d > 1.0 else d,
+        0.0 if b < 0.0 else 1.0 if b > 1.0 else b,
     )
 
 
@@ -275,14 +283,15 @@ def utilization_of(shares: Shares, weights: tuple[float, float, float, float]) -
     """Weighted sum of the four resource shares, clamped to [0, 1].
 
     The clamp matters: weights that sum to 1 within tolerance can still sum
-    to slightly more than 1 in floating point.
+    to slightly more than 1 in floating point.  It is ``_clamp01``'s, inline.
     """
-    return _clamp01(
+    u = (
         weights[0] * shares[0]
         + weights[1] * shares[1]
         + weights[2] * shares[2]
         + weights[3] * shares[3]
     )
+    return 0.0 if u < 0.0 else 1.0 if u > 1.0 else u
 
 
 def rescale_rv(

@@ -41,7 +41,13 @@ class ClusterView(Protocol):
 
     ``machine_rv`` and ``vm_rv_on`` return the same value until the engine
     arbitrates a new tick or changes that machine's hosted or inbound set;
-    the engine memoizes ``machine_rv`` on that basis.
+    the engine memoizes ``machine_rv`` on that basis.  The identity of a
+    ``machine_rv`` result is a hint for caching only: a policy may reuse what
+    it derived from a tuple while the view returns that same object, but a
+    new object, equal or not, must be treated as a new value.
+
+    ``running_machines`` returns a fresh list of the running machines in id
+    order; the caller may change the list.
     """
 
     @property

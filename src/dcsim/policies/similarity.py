@@ -54,16 +54,14 @@ class SimilarityMethod(Enum):
     FREE_FIT = "free-fit"
 
 
-def cosine_of(a: Shares, b: Shares) -> float:
-    """Cosine of the angle between two share tuples, in [0, 1].
+def _norm_of(a: Shares) -> float:
+    """Euclidean length of a share tuple."""
+    return math.sqrt(a[0] * a[0] + a[1] * a[1] + a[2] * a[2] + a[3] * a[3])
 
-    Shares are componentwise non-negative, so the cosine is never negative.
-    If either tuple has zero length the similarity is defined as 0 (nothing
-    aligns with an absent shape).
-    """
-    denom = math.sqrt(a[0] * a[0] + a[1] * a[1] + a[2] * a[2] + a[3] * a[3]) * math.sqrt(
-        b[0] * b[0] + b[1] * b[1] + b[2] * b[2] + b[3] * b[3]
-    )
+
+def _cosine_normed(a: Shares, norm_a: float, b: Shares, norm_b: float) -> float:
+    """:func:`cosine_of` given each tuple's ``_norm_of``, so callers may reuse norms."""
+    denom = norm_a * norm_b
     if denom == 0.0:
         return 0.0
     value = (a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + a[3] * b[3]) / denom
@@ -72,6 +70,16 @@ def cosine_of(a: Shares, b: Shares) -> float:
     if value > 1.0:
         return 1.0
     return value
+
+
+def cosine_of(a: Shares, b: Shares) -> float:
+    """Cosine of the angle between two share tuples, in [0, 1].
+
+    Shares are componentwise non-negative, so the cosine is never negative.
+    If either tuple has zero length the similarity is defined as 0 (nothing
+    aligns with an absent shape).
+    """
+    return _cosine_normed(a, _norm_of(a), b, _norm_of(b))
 
 
 def cosine_similarity(a: ResourceVector, b: ResourceVector) -> float:
@@ -149,6 +157,8 @@ class SimilarityPolicy(SchedulerPolicy):
         self.default_rv = self.config.default_rv
         self.utilization_weights = self.config.weights
         self._classes = CapacityClasses()
+        # Machine id -> (used share, the vector scored against, its norm); see ``_pick``.
+        self._terms: dict[int, tuple[Shares, Shares, float]] = {}
 
     @property
     def breach_thresholds(self) -> tuple[float, float]:
@@ -171,29 +181,39 @@ class SimilarityPolicy(SchedulerPolicy):
 
         ``extras`` layers hypothetical, not-yet-executed placements on top
         of the view so multi-VM plans stay internally consistent.  The VM's
-        share is fetched once per capacity class, which the view guarantees
-        is the same on every machine of the class.
+        share and its norm are computed once per capacity class, which the
+        view guarantees gives the same share on every machine of the class.
+        Each machine's side of the cosine (its used or free vector and that
+        vector's norm) is cached against the tuple it was derived from and
+        reused while ``view.machine_rv`` returns that same object; any other
+        tuple, equal or not, and any sum with ``extras``, is scored afresh.
         """
         cfg = self.config
         cap_u = cfg.u_up - cfg.buffer
-        method = cfg.similarity_method
-        dissimilar = method is SimilarityMethod.DISSIMILAR
+        dissimilar = cfg.similarity_method is SimilarityMethod.DISSIMILAR
         threshold = cfg.similarity_threshold
         class_of = self._classes.index
-        vm_shares: dict[int, Shares] = {}
+        terms = self._terms
+        vm_terms: dict[int, tuple[Shares, float]] = {}
         ranked = []
         for pm in view.running_machines():
             pm_id = pm.id
             if pm_id in exclude:
                 continue
             cls = class_of(pm.capacity)
-            vm_share = vm_shares.get(cls)
-            if vm_share is None:
-                vm_share = vm_shares[cls] = view.vm_rv_on(vm_id, pm_id)
+            vm_term = vm_terms.get(cls)
+            if vm_term is None:
+                share = view.vm_rv_on(vm_id, pm_id)
+                vm_term = vm_terms[cls] = (share, _norm_of(share))
+            vm_share, vm_norm = vm_term
             used = view.machine_rv(pm_id)
             if extras is not None and pm_id in extras:
                 used = clamped_sum_of(used, extras[pm_id])
-            score = score_shares(vm_share, used, method)
+            term = terms.get(pm_id)
+            if term is None or term[0] is not used:
+                vector = used if dissimilar else complement_of(used)
+                term = terms[pm_id] = (used, vector, _norm_of(vector))
+            score = _cosine_normed(vm_share, vm_norm, term[1], term[2])
             if dissimilar:
                 if score > threshold:
                     continue

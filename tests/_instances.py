@@ -6,7 +6,9 @@ cross-checking arbitration, demand lookup and energy accounting against
 independent brute-force implementations after every tick.  With
 ``sparse=True`` the generated traces are first thinned by ``thin_workload``,
 so the demand lookup also meets gaps, late first and early last samples, and
-empty traces.
+empty traces.  The engine's kept running list and the used shares that
+arbitration seeds into its ``machine_rv`` memo are checked against
+recomputations as well.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import dataclasses
 import random
 from bisect import bisect_right
 
+from _oracles import fresh_machine_rv
 from dcsim.engine import FleetMachine, Simulation, SimulationConfig
 from dcsim.model import MachineCapacity, MachineState, PowerModel
 from dcsim.policies import build_policy
@@ -173,7 +176,13 @@ def _approx(a, b, tol=1e-9):
 
 
 class CheckedSimulation(Simulation):
-    """Simulation that snapshots arbitration inputs for later cross-checks."""
+    """Simulation that snapshots arbitration inputs and outputs for later cross-checks.
+
+    ``seeded_rv`` maps each machine whose used share arbitration seeded into
+    the ``machine_rv`` memo to ``(seeded, fresh_machine_rv)``, taken right
+    after arbitration; ``inbound_at_arbitration`` holds the running machines
+    that had an inbound VM then.
+    """
 
     def _arbitrate(self, tick):
         self.arbitration_hosts = {
@@ -181,7 +190,14 @@ class CheckedSimulation(Simulation):
             for pm in self.machines
             if pm.state is MachineState.RUNNING
         }
-        return super()._arbitrate(tick)
+        violations = super()._arbitrate(tick)
+        self.seeded_rv = {
+            pm_id: (rv, fresh_machine_rv(self, pm_id)) for pm_id, rv in self._used.items()
+        }
+        self.inbound_at_arbitration = {
+            pm_id for pm_id in self.arbitration_hosts if self.has_inbound(pm_id)
+        }
+        return violations
 
 
 class InvariantViolation(AssertionError):
@@ -223,6 +239,35 @@ def check_tick(sim: CheckedSimulation, seed: int, tick: int) -> None:
     for vm_id, vm in sim.vms.items():
         if vm.host_id is not None and vm_id not in sim.machines[vm.host_id].hosted_vm_ids:
             _fail(seed, tick, f"{vm_id} points at machine {vm.host_id} but is not hosted")
+
+    # --- the kept running list ------------------------------------------------
+    expected_running = [pm for pm in sim.machines if pm.state is MachineState.RUNNING]
+    running = sim.running_machines()
+    if len(running) != len(expected_running) or any(
+        a is not b for a, b in zip(running, expected_running)
+    ):
+        _fail(
+            seed,
+            tick,
+            f"running_machines() {[pm.id for pm in running]} != "
+            f"{[pm.id for pm in expected_running]}",
+        )
+    running.reverse()
+    running.append(sim.machines[0])
+    if [pm.id for pm in sim.running_machines()] != [pm.id for pm in expected_running]:
+        _fail(seed, tick, "changing the list running_machines() returned changed the engine")
+
+    # --- the machine_rv memo as arbitration seeded it --------------------------
+    seeded_ids = set(sim.arbitration_hosts) - sim.inbound_at_arbitration
+    if set(sim.seeded_rv) != seeded_ids:
+        _fail(
+            seed,
+            tick,
+            f"arbitration seeded {sorted(sim.seeded_rv)}, expected {sorted(seeded_ids)}",
+        )
+    for pm_id, (seeded, fresh) in sim.seeded_rv.items():
+        if seeded != fresh:
+            _fail(seed, tick, f"machine {pm_id} seeded used share {seeded} != fresh {fresh}")
 
     # --- conservation: exactly the resident VMs exist ----------------------
     expected_live = set()

@@ -14,6 +14,8 @@ reference for the engine's memoized one.  ``reference_generate_workload`` is
 the per-(VM, tick, resource) generator loop that the straight-line
 ``generate_workload`` must reproduce sample for sample.  The reference policies wrap the
 view's share tuples in ``ResourceVector`` as they read them.
+``reference_record_usage`` is ``VirtualMachine.record_usage`` as first
+written, which the production method must match sum for sum.
 """
 
 from __future__ import annotations
@@ -334,6 +336,22 @@ def fresh_machine_rv(sim, machine_id):
     for vm_id in sorted(sim._inbound.get(machine_id, ())):
         used = clamped_sum_of(used, _fresh_vm_rv_on(sim, vm_id, machine_id))
     return used
+
+
+def reference_record_usage(vm, sample):
+    """``VirtualMachine.record_usage`` as first written, on the VM's own fields.
+
+    Evicts by ``deque.maxlen``, subtracts the evicted sample into the sums,
+    then adds the new one.
+    """
+    window = vm.usage_window
+    s0, s1, s2, s3 = vm._window_sums
+    if len(window) == window.maxlen:
+        o0, o1, o2, o3 = window[0]
+        s0, s1, s2, s3 = s0 - o0, s1 - o1, s2 - o2, s3 - o3
+    window.append(sample)
+    c, m, d, b = sample
+    vm._window_sums = (s0 + c, s1 + m, s2 + d, s3 + b)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 import _oracles as oracle
 from dcsim.model import (
     DEFAULT_RV,
+    _clamp01,
     MachineCapacity,
     MachineState,
     NoHistoryError,
@@ -181,6 +182,23 @@ class TestVirtualMachine:
         expected = tuple(sum(s[i] for s in tail) / 5 for i in range(4))
         assert vm.window_mean() == pytest.approx(expected, rel=1e-9)
 
+    @pytest.mark.parametrize("window_ticks", [1, 2, 3, 4, 5, 6])
+    def test_record_usage_matches_the_reference_sum_for_sum(self, window_ticks):
+        rng = random.Random(window_ticks)
+        got = VirtualMachine("vm-0", MachineCapacity(1, 1, 1, 1), 0, window_ticks=window_ticks)
+        ref = VirtualMachine("vm-0", MachineCapacity(1, 1, 1, 1), 0, window_ticks=window_ticks)
+        for _ in range(300):
+            # Magnitudes spread over nine decades, so the sums round.
+            sample = tuple(
+                0.0 if rng.random() < 0.05 else rng.uniform(0.0, 10.0 ** rng.uniform(-3.0, 6.0))
+                for _ in range(4)
+            )
+            got.record_usage(sample)
+            oracle.reference_record_usage(ref, sample)
+            assert [x.hex() for x in got._window_sums] == [x.hex() for x in ref._window_sums]
+            assert list(got.usage_window) == list(ref.usage_window)
+        assert len(got.usage_window) == window_ticks
+
     def test_departure_must_follow_arrival(self):
         with pytest.raises(ValueError):
             VirtualMachine("vm-0", MachineCapacity(1, 1, 1, 1), 5, departure_tick=5)
@@ -224,6 +242,57 @@ class TestPhysicalMachine:
         vm1.record_usage((80, 0, 0, 0))
         vm2.record_usage((80, 0, 0, 0))
         assert used_shares_of(pm, [vm1, vm2])[0] == 1.0
+
+
+# ---------------------------------------------------------------------------
+# The inline clamps of shares_of and utilization_of
+# ---------------------------------------------------------------------------
+
+_EDGES = [
+    0.0,
+    -0.0,
+    1.0,
+    0.5,
+    math.nan,
+    math.inf,
+    -math.inf,
+    math.nextafter(0.0, -1.0),
+    math.nextafter(0.0, 1.0),
+    math.nextafter(1.0, 2.0),
+    math.nextafter(1.0, 0.0),
+]
+
+
+def _bits(values):
+    return [float(x).hex() for x in values]
+
+
+class TestInlineClamps:
+    """``shares_of`` and ``utilization_of`` clamp inline exactly as ``_clamp01`` does."""
+
+    def test_shares_of_equals_the_clamp01_composition(self):
+        capacities = [(1.0, 1.0, 1.0, 1.0), (2.0, 0.5, 3.0, 7.0)]
+        for x in _EDGES:
+            for y in _EDGES:
+                amounts = (x, y, -x, y * 2.0)
+                for cap in capacities:
+                    expected = [_clamp01(a / c) for a, c in zip(amounts, cap)]
+                    assert _bits(shares_of(amounts, cap)) == _bits(expected), (amounts, cap)
+
+    def test_utilization_of_equals_the_clamp01_composition(self):
+        weights_list = [(1.0, 0.0, 0.0, 0.0), (0.25, 0.25, 0.25, 0.25), (0.1, 0.2, 0.3, 0.4)]
+        for x in _EDGES:
+            for y in _EDGES:
+                for shares in [(x, x, x, x), (x, y, 0.0, -0.0), (-0.0, -0.0, -0.0, x)]:
+                    for w in weights_list:
+                        expected = _clamp01(
+                            w[0] * shares[0] + w[1] * shares[1] + w[2] * shares[2] + w[3] * shares[3]
+                        )
+                        assert _bits([utilization_of(shares, w)]) == _bits([expected]), (shares, w)
+
+    def test_edges_reach_every_branch(self):
+        results = {_clamp01(x).hex() for x in _EDGES}
+        assert {"0x0.0p+0", "-0x0.0p+0", "0x1.0000000000000p+0", "nan"} <= results
 
 
 # ---------------------------------------------------------------------------

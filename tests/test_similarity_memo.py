@@ -1,13 +1,18 @@
 """The similarity policy's per-class scoring and the engine's memoized view.
 
-``_pick`` fetches a VM's share once per capacity class and scores on plain
-tuples; the engine memoizes each machine's used share.  These tests hold both
-to the direct reference in ``_oracles`` decision for decision, check every
-memoized answer against a fresh recomputation, and bound the work per pick and
-per tick so that per-candidate recomputation cannot return unnoticed.
+``_pick`` fetches a VM's share once per capacity class, caches each machine's
+side of the cosine against the tuple ``machine_rv`` returned, and scores on
+plain tuples; the engine memoizes each machine's used share.  These tests hold
+both to the direct reference in ``_oracles`` decision for decision, check
+every memoized answer against a fresh recomputation, check that the cache is
+right when the view's tuples are fresh each call or the policy outlives a
+simulation, and bound the work per pick and per tick so that per-candidate
+recomputation cannot return unnoticed.
 """
 
 from __future__ import annotations
+
+import math
 
 from _instances import make_instance
 from _oracles import ReferenceSimilarity, fresh_machine_rv
@@ -20,7 +25,8 @@ from dcsim.policies.base import (
     RebalanceAction,
     SchedulerPolicy,
 )
-from dcsim.policies.similarity import SimilarityPolicy
+from dcsim.policies import similarity
+from dcsim.policies.similarity import SimilarityPolicy, cosine_of
 from dcsim.workload import DemandSample, VmRequest, WorkloadProfile, WorkloadSpec, generate_workload
 
 DIFFERENTIAL_INSTANCES = 300
@@ -119,6 +125,118 @@ def test_matches_reference_on_random_instances():
         covered["wake"] += got_report.wake_count > 0
         covered["blocked scale-down"] += got.stats.get("scale_down_blocked", 0) > 0
     assert all(covered.values()), covered
+
+
+class FreshTupleSimulation(Simulation):
+    """A simulation whose ``machine_rv`` returns a new, equal tuple on every call."""
+
+    def machine_rv(self, machine_id):
+        return tuple(list(super().machine_rv(machine_id)))
+
+
+def _cosine_as_first_written(a, b):
+    """``cosine_of`` before norms could be reused: both norms taken in place."""
+    denom = math.sqrt(a[0] * a[0] + a[1] * a[1] + a[2] * a[2] + a[3] * a[3]) * math.sqrt(
+        b[0] * b[0] + b[1] * b[1] + b[2] * b[2] + b[3] * b[3]
+    )
+    if denom == 0.0:
+        return 0.0
+    value = (a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + a[3] * b[3]) / denom
+    if value < 0.0:
+        return 0.0
+    if value > 1.0:
+        return 1.0
+    return value
+
+
+def _scoring_spy(monkeypatch):
+    """Count the scores and norms ``similarity`` computes, checking each score.
+
+    Every score must equal ``cosine_of`` of the same two tuples bit for bit,
+    as ``cosine_of`` was first written, and every norm handed in must be that
+    tuple's own norm.
+    """
+    counts = {"scores": 0, "norms": 0}
+    norm_of = similarity._norm_of
+    cosine_normed = similarity._cosine_normed
+
+    def counted_norm(a):
+        counts["norms"] += 1
+        return norm_of(a)
+
+    def checked_cosine(a, norm_a, b, norm_b):
+        counts["scores"] += 1
+        assert norm_a.hex() == norm_of(a).hex() and norm_b.hex() == norm_of(b).hex()
+        score = cosine_normed(a, norm_a, b, norm_b)
+        assert score.hex() == _cosine_as_first_written(a, b).hex(), (a, b)
+        return score
+
+    monkeypatch.setattr(similarity, "_norm_of", counted_norm)
+    monkeypatch.setattr(similarity, "_cosine_normed", checked_cosine)
+    return counts
+
+
+def test_cached_machine_terms_match_reference_when_every_tuple_is_fresh(monkeypatch):
+    methods = set()
+    extras_seen = 0
+    scores = 0
+    for seed in range(100):
+        config, workload, spec = make_instance(seed, "similarity")
+        _, ref, ref_report = _run(FreshSimulation, ReferenceSimilarity, config, workload, spec)
+        with monkeypatch.context() as patch:
+            counts = _scoring_spy(patch)
+            _, got, got_report = _run(FreshTupleSimulation, SimilarityPolicy, config, workload, spec)
+        assert got.log == ref.log, f"seed {seed}: decisions differ"
+        assert got.stats == ref.stats, f"seed {seed}: policy_stats differ"
+        assert got_report == ref_report, f"seed {seed}: reports differ"
+        methods.add(spec["similarity_method"])
+        extras_seen += got.picked_with_extras
+        scores += counts["scores"]
+    assert methods == {"dissimilar", "free-fit"} and extras_seen > 0 and scores > 0
+
+
+def test_one_policy_reused_across_two_simulations_decides_like_a_new_one():
+    small = MachineCapacity(2000.0, 4096.0, 500.0, 500.0)
+    mixed = MachineCapacity(4000.0, 4096.0, 2000.0, 500.0)
+    checked = 0
+    for seed in range(40):
+        config_b, workload_b, spec = make_instance(seed, "similarity")
+        config_a, workload_a, _ = make_instance(seed + 1000, "similarity")
+        # Fleet A differs from fleet B in size and in every capacity.
+        fleet_a = tuple(
+            FleetMachine(small if i % 2 else mixed, 200.0)
+            for i in range(len(config_b.fleet) + 2)
+        )
+        config_a = SimulationConfig(
+            fleet=fleet_a,
+            duration_ticks=config_a.duration_ticks,
+            initial_running_count=len(fleet_a),
+            migration_cost_ticks=config_a.migration_cost_ticks,
+        )
+        reused = _recording(SimilarityPolicy)(build_policy(spec).config)
+        CheckedSimulation(config_a, workload_a, reused).run()
+        first_run = len(reused.log)
+        reused.stats.clear()
+        got_report = CheckedSimulation(config_b, workload_b, reused).run()
+        _, ref, ref_report = _run(FreshSimulation, ReferenceSimilarity, config_b, workload_b, spec)
+        assert reused.log[first_run:] == ref.log, f"seed {seed}: decisions differ"
+        assert got_report == ref_report, f"seed {seed}: reports differ"
+        checked += first_run > 0 and bool(ref.log)
+    assert checked > 20
+
+
+def test_machine_terms_are_reused_within_a_tick(monkeypatch):
+    counts = _scoring_spy(monkeypatch)
+    spec = {"id": "similarity", "u_down": 0.3, "similarity_method": "dissimilar"}
+    config, workload = _bounded_instance()
+    policy = build_policy(spec)
+    Simulation(config, workload, policy).run()
+    # Without reuse every score would compute its machine's norm, so the
+    # norms would outnumber the scores.
+    assert counts["scores"] > 1000
+    assert counts["norms"] < counts["scores"] / 2
+    # The cache holds at most one entry per machine.
+    assert set(policy._terms) <= set(range(len(config.fleet)))
 
 
 class _MigrateThenLook(SchedulerPolicy):
@@ -243,7 +361,8 @@ class _CountingSimulation(Simulation):
         return violations
 
 
-def test_work_per_pick_and_per_tick_is_bounded():
+def _bounded_instance():
+    """A 12-machine, three-class fleet and a spiky 30-VM workload over 60 ticks."""
     capacities = [
         MachineCapacity(2000.0, 4096.0, 500.0, 500.0),
         MachineCapacity(4000.0, 8192.0, 1000.0, 1000.0),
@@ -267,6 +386,11 @@ def test_work_per_pick_and_per_tick_is_bounded():
             lifetime_ticks=40,
         )
     )
+    return config, workload
+
+
+def test_work_per_pick_and_per_tick_is_bounded():
+    config, workload = _bounded_instance()
     spec = {"id": "similarity", "u_down": 0.3, "similarity_method": "dissimilar"}
     policy = _CountedSimilarity(build_policy(spec).config)
     sim = _CountingSimulation(config, workload, policy)
