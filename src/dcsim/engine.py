@@ -590,7 +590,12 @@ class Simulation:
                         demands.append(rows[i if i < last else last][1:])
                 cap = capacities[pm_id]
                 totals = _column_sums(demands)
-                if totals[0] > cap[0] or totals[1] > cap[1] or totals[2] > cap[2] or totals[3] > cap[3]:
+                if (
+                    totals[0] > cap[0]
+                    or totals[1] > cap[1]
+                    or totals[2] > cap[2]
+                    or totals[3] > cap[3]
+                ):
                     demands, shorted = proportional_delivery(demands, cap)
                     violations += len(shorted)
                     totals = _column_sums(demands)

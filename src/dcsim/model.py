@@ -283,7 +283,8 @@ def utilization_of(shares: Shares, weights: tuple[float, float, float, float]) -
     """Weighted sum of the four resource shares, clamped to [0, 1].
 
     The clamp matters: weights that sum to 1 within tolerance can still sum
-    to slightly more than 1 in floating point.  It is ``_clamp01``'s, inline.
+    to slightly more than 1 in floating point.  The clamp is ``_clamp01``'s,
+    written inline.
     """
     u = (
         weights[0] * shares[0]

@@ -286,7 +286,10 @@ class TestInlineClamps:
                 for shares in [(x, x, x, x), (x, y, 0.0, -0.0), (-0.0, -0.0, -0.0, x)]:
                     for w in weights_list:
                         expected = _clamp01(
-                            w[0] * shares[0] + w[1] * shares[1] + w[2] * shares[2] + w[3] * shares[3]
+                            w[0] * shares[0]
+                            + w[1] * shares[1]
+                            + w[2] * shares[2]
+                            + w[3] * shares[3]
                         )
                         assert _bits([utilization_of(shares, w)]) == _bits([expected]), (shares, w)
 

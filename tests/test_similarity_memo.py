@@ -150,13 +150,13 @@ def _cosine_as_first_written(a, b):
 
 
 def _scoring_spy(monkeypatch):
-    """Count the scores and norms ``similarity`` computes, checking each score.
+    """Count the scores and norms ``similarity`` computes, and keep each score.
 
-    Every score must equal ``cosine_of`` of the same two tuples bit for bit,
-    as ``cosine_of`` was first written, and every norm handed in must be that
-    tuple's own norm.
+    Every norm handed in must be that tuple's own norm.  Each score is kept
+    with its two tuples in ``scored`` for checking once the spy is gone.
     """
     counts = {"scores": 0, "norms": 0}
+    scored = []
     norm_of = similarity._norm_of
     cosine_normed = similarity._cosine_normed
 
@@ -164,35 +164,39 @@ def _scoring_spy(monkeypatch):
         counts["norms"] += 1
         return norm_of(a)
 
-    def checked_cosine(a, norm_a, b, norm_b):
+    def kept_cosine(a, norm_a, b, norm_b):
         counts["scores"] += 1
         assert norm_a.hex() == norm_of(a).hex() and norm_b.hex() == norm_of(b).hex()
         score = cosine_normed(a, norm_a, b, norm_b)
-        assert score.hex() == _cosine_as_first_written(a, b).hex(), (a, b)
+        scored.append((a, b, score))
         return score
 
     monkeypatch.setattr(similarity, "_norm_of", counted_norm)
-    monkeypatch.setattr(similarity, "_cosine_normed", checked_cosine)
-    return counts
+    monkeypatch.setattr(similarity, "_cosine_normed", kept_cosine)
+    return counts, scored
 
 
 def test_cached_machine_terms_match_reference_when_every_tuple_is_fresh(monkeypatch):
     methods = set()
     extras_seen = 0
-    scores = 0
+    scored = []
     for seed in range(100):
         config, workload, spec = make_instance(seed, "similarity")
         _, ref, ref_report = _run(FreshSimulation, ReferenceSimilarity, config, workload, spec)
         with monkeypatch.context() as patch:
-            counts = _scoring_spy(patch)
-            _, got, got_report = _run(FreshTupleSimulation, SimilarityPolicy, config, workload, spec)
+            _, scored_here = _scoring_spy(patch)
+            _, got, got_report = _run(
+                FreshTupleSimulation, SimilarityPolicy, config, workload, spec
+            )
         assert got.log == ref.log, f"seed {seed}: decisions differ"
         assert got.stats == ref.stats, f"seed {seed}: policy_stats differ"
         assert got_report == ref_report, f"seed {seed}: reports differ"
         methods.add(spec["similarity_method"])
         extras_seen += got.picked_with_extras
-        scores += counts["scores"]
-    assert methods == {"dissimilar", "free-fit"} and extras_seen > 0 and scores > 0
+        scored += scored_here
+    assert methods == {"dissimilar", "free-fit"} and extras_seen > 0 and scored
+    for a, b, score in scored:
+        assert score.hex() == cosine_of(a, b).hex() == _cosine_as_first_written(a, b).hex()
 
 
 def test_one_policy_reused_across_two_simulations_decides_like_a_new_one():
@@ -226,10 +230,25 @@ def test_one_policy_reused_across_two_simulations_decides_like_a_new_one():
 
 
 def test_machine_terms_are_reused_within_a_tick(monkeypatch):
-    counts = _scoring_spy(monkeypatch)
-    spec = {"id": "similarity", "u_down": 0.3, "similarity_method": "dissimilar"}
-    config, workload = _bounded_instance()
-    policy = build_policy(spec)
+    counts, scored = _scoring_spy(monkeypatch)
+    capacity = MachineCapacity(4000.0, 8192.0, 1000.0, 1000.0)
+    config = SimulationConfig(
+        fleet=tuple(FleetMachine(capacity, 200.0) for _ in range(12)),
+        duration_ticks=60,
+        initial_running_count=6,
+        migration_cost_ticks=1,
+    )
+    workload = generate_workload(
+        WorkloadSpec(
+            seed=5,
+            vm_count=30,
+            duration_ticks=60,
+            profile=WorkloadProfile.SPIKY,
+            arrival_spread_ticks=20,
+            lifetime_ticks=40,
+        )
+    )
+    policy = build_policy({"id": "similarity", "u_down": 0.3, "similarity_method": "dissimilar"})
     Simulation(config, workload, policy).run()
     # Without reuse every score would compute its machine's norm, so the
     # norms would outnumber the scores.
@@ -237,6 +256,9 @@ def test_machine_terms_are_reused_within_a_tick(monkeypatch):
     assert counts["norms"] < counts["scores"] / 2
     # The cache holds at most one entry per machine.
     assert set(policy._terms) <= set(range(len(config.fleet)))
+    monkeypatch.undo()
+    for a, b, score in scored:
+        assert score.hex() == cosine_of(a, b).hex()
 
 
 class _MigrateThenLook(SchedulerPolicy):
@@ -361,8 +383,7 @@ class _CountingSimulation(Simulation):
         return violations
 
 
-def _bounded_instance():
-    """A 12-machine, three-class fleet and a spiky 30-VM workload over 60 ticks."""
+def test_work_per_pick_and_per_tick_is_bounded():
     capacities = [
         MachineCapacity(2000.0, 4096.0, 500.0, 500.0),
         MachineCapacity(4000.0, 8192.0, 1000.0, 1000.0),
@@ -386,11 +407,6 @@ def _bounded_instance():
             lifetime_ticks=40,
         )
     )
-    return config, workload
-
-
-def test_work_per_pick_and_per_tick_is_bounded():
-    config, workload = _bounded_instance()
     spec = {"id": "similarity", "u_down": 0.3, "similarity_method": "dissimilar"}
     policy = _CountedSimilarity(build_policy(spec).config)
     sim = _CountingSimulation(config, workload, policy)
