@@ -223,6 +223,9 @@ def build_experiment(raw: dict, base_dir: str = ".") -> Experiment:
     if sweep is not None:
         sweep = _expect_mapping(sweep, "sweep")
         _require(sweep, "parameter", "sweep")
+        values = sweep.get("values")
+        if values is not None and (not isinstance(values, list) or not values):
+            raise ConfigError(f"sweep.values: expected a non-empty list, got {values!r}")
     compare = raw.get("compare")
     if compare is not None:
         compare = _expect_mapping(compare, "compare")

@@ -226,6 +226,8 @@ class Simulation:
         if len(set(ids)) != len(ids):
             raise EngineError("workload contains duplicate vm ids")
 
+        # Machines of equal capacity share one ``MachineCapacity`` object.
+        shared: dict[MachineCapacity, MachineCapacity] = {}
         self.machines: list[PhysicalMachine] = []
         for index, spec in enumerate(config.fleet):
             state = (
@@ -236,7 +238,7 @@ class Simulation:
             self.machines.append(
                 PhysicalMachine(
                     id=index,
-                    capacity=spec.capacity,
+                    capacity=shared.setdefault(spec.capacity, spec.capacity),
                     peak_power_watts=spec.peak_power_watts,
                     state=state,
                     last_used_tick=0 if state is MachineState.RUNNING else -1,
@@ -447,6 +449,15 @@ class Simulation:
             self._inbound[target_id].discard(vm_id)
         self._used.pop(target_id, None)
 
+    def _named_machine(self, machine_id: int) -> PhysicalMachine:
+        """The machine a policy decision or action names; it must be in the fleet."""
+        if not 0 <= machine_id < len(self.machines):
+            raise EngineError(
+                f"policy {self.policy.name!r} named machine {machine_id}, "
+                f"outside the fleet of {len(self.machines)}"
+            )
+        return self.machines[machine_id]
+
     def _move(self, vm: VirtualMachine, target: PhysicalMachine) -> None:
         source = self.machines[vm.host_id]
         self._set_host(vm, target)
@@ -546,7 +557,7 @@ class Simulation:
                 self.rejected_requests += 1
                 self._pending.append(vm_id)
                 continue
-            target = self.machines[decision.machine_id]
+            target = self._named_machine(decision.machine_id)
             if decision.kind is DecisionKind.WAKE_AND_PLACE:
                 self._wake(target)
             elif target.state is not MachineState.RUNNING:
@@ -651,7 +662,7 @@ class Simulation:
 
     def _execute_action(self, action: RebalanceAction, tick: int) -> None:
         if action.kind is ActionKind.STANDBY_MACHINE:
-            pm = self.machines[action.target_id]
+            pm = self._named_machine(action.target_id)
             if pm.state is not MachineState.RUNNING:
                 self.dropped_actions += 1
                 return
@@ -660,7 +671,7 @@ class Simulation:
             return
 
         vm = self.vms.get(action.vm_id)
-        target = self.machines[action.target_id]
+        target = self._named_machine(action.target_id)
         if (
             vm is None
             or vm.host_id != action.source_id

@@ -36,8 +36,12 @@ class ClusterView(Protocol):
     them in ``ResourceVector``.
 
     ``vm_rv_on`` and ``vm_nominal_rv_on`` depend on the machine only through
-    its capacity: machines of equal ``MachineCapacity`` get the same share,
-    so a policy may compute a VM's share once per capacity class.
+    its capacity, and the engine gives all machines of equal capacity one
+    shared ``MachineCapacity`` object, so a policy may key per-capacity work,
+    such as a VM's share, by ``id(pm.capacity)`` within one call.  The
+    sharing is an efficiency contract only: a view whose equal capacities are
+    separate objects costs such a policy extra lookups, never a different
+    decision.
 
     ``machine_rv`` and ``vm_rv_on`` return the same value until the engine
     arbitrates a new tick or changes that machine's hosted or inbound set;
@@ -69,34 +73,6 @@ class ClusterView(Protocol):
     def machine_rv(self, machine_id: int) -> Shares: ...
     def nominal_free(self, machine_id: int) -> tuple[float, float, float, float]: ...
     def cpu_used_abs(self, machine_id: int) -> float: ...
-
-
-class CapacityClasses:
-    """Small-int indices of distinct machine capacities, numbered in order of first sight.
-
-    Lookups go by object identity first, so machines sharing one
-    ``MachineCapacity`` object cost no hash of its four floats; equal
-    capacities held in separate objects still share one index.
-    """
-
-    __slots__ = ("capacities", "_by_id")
-
-    def __init__(self) -> None:
-        self.capacities: list[MachineCapacity] = []
-        # id -> (capacity, index); holding the object keeps its id from being reused.
-        self._by_id: dict[int, tuple[MachineCapacity, int]] = {}
-
-    def index(self, capacity: MachineCapacity) -> int:
-        hit = self._by_id.get(id(capacity))
-        if hit is not None:
-            return hit[1]
-        try:
-            cls = self.capacities.index(capacity)
-        except ValueError:
-            cls = len(self.capacities)
-            self.capacities.append(capacity)
-        self._by_id[id(capacity)] = (capacity, cls)
-        return cls
 
 
 class DecisionKind(Enum):

@@ -18,7 +18,6 @@ from ..model import (
     utilization_of,
 )
 from .base import (
-    CapacityClasses,
     ClusterView,
     PlacementDecision,
     RebalanceAction,
@@ -213,14 +212,14 @@ class SingleThresholdPolicy(SchedulerPolicy):
         order, each machine's ``(id, cpu capacity, slope, wake cost, class)``:
         the slope is the watts one unit of unified utilization adds, the wake
         cost what leaving standby adds, and the class an index into
-        ``representatives``, the id of the first machine of each distinct
-        capacity.
+        ``representatives``, the id of the first machine of each capacity
+        object.
         """
-        classes = CapacityClasses()
+        classes: dict[int, int] = {}  # id(capacity) -> class
         representatives: list[int] = []
         terms = []
         for pm in machines:
-            cls = classes.index(pm.capacity)
+            cls = classes.setdefault(id(pm.capacity), len(representatives))
             if cls == len(representatives):
                 representatives.append(pm.id)
             peak = pm.peak_power_watts

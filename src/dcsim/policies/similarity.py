@@ -36,7 +36,6 @@ from ..model import (
     utilization_of,
 )
 from .base import (
-    CapacityClasses,
     ClusterView,
     DecisionKind,
     PlacementDecision,
@@ -45,6 +44,10 @@ from .base import (
 )
 
 _ZERO_SHARES: Shares = (0.0, 0.0, 0.0, 0.0)
+
+#: Smallest allowed ``u_up - u_down``; narrower bands thrash machines
+#: between scale-up and scale-down.
+MIN_THRESHOLD_GAP = 0.2
 
 
 class SimilarityMethod(Enum):
@@ -107,9 +110,8 @@ class PolicyConfig:
     ``u_up``/``u_down`` bound the band of acceptable machine utilization,
     ``buffer`` is the safety margin kept below ``u_up`` at placement time
     and ``consistency_ticks`` is how long a breach must persist before the
-    policy reacts.  ``min_threshold_gap`` documents the smallest allowed
-    distance between the two thresholds; narrower gaps thrash machines
-    between scale-up and scale-down.
+    policy reacts.  The two thresholds must be at least
+    ``MIN_THRESHOLD_GAP`` apart.
     """
 
     u_up: float = 0.75
@@ -121,17 +123,16 @@ class PolicyConfig:
     weights: UtilizationWeights = field(default_factory=UtilizationWeights)
     default_rv: ResourceVector = DEFAULT_RV
     delta_window_seconds: float = 300.0
-    min_threshold_gap: float = 0.2
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.u_down < self.u_up <= 1.0:
             raise ValueError(
                 f"need 0 <= u_down < u_up <= 1, got u_down={self.u_down!r} u_up={self.u_up!r}"
             )
-        if self.u_up - self.u_down < self.min_threshold_gap - 1e-12:
+        if self.u_up - self.u_down < MIN_THRESHOLD_GAP - 1e-12:
             raise ValueError(
                 f"u_up - u_down = {self.u_up - self.u_down:.4f} is below the "
-                f"minimum gap {self.min_threshold_gap}"
+                f"minimum gap {MIN_THRESHOLD_GAP}"
             )
         if not 0.0 <= self.buffer < self.u_up:
             raise ValueError(f"need 0 <= buffer < u_up, got buffer={self.buffer!r}")
@@ -141,8 +142,6 @@ class PolicyConfig:
             raise ValueError("consistency_ticks must be >= 1")
         if not math.isfinite(self.delta_window_seconds) or self.delta_window_seconds <= 0:
             raise ValueError("delta_window_seconds must be > 0")
-        if not 0.0 <= self.min_threshold_gap <= 1.0:
-            raise ValueError("min_threshold_gap must be in [0, 1]")
 
 
 class SimilarityPolicy(SchedulerPolicy):
@@ -156,7 +155,6 @@ class SimilarityPolicy(SchedulerPolicy):
         self.usage_window_seconds = self.config.delta_window_seconds
         self.default_rv = self.config.default_rv
         self.utilization_weights = self.config.weights
-        self._classes = CapacityClasses()
         # Machine id -> (used share, the vector scored against, its norm); see ``_pick``.
         self._terms: dict[int, tuple[Shares, Shares, float]] = {}
 
@@ -177,34 +175,39 @@ class SimilarityPolicy(SchedulerPolicy):
         extras: Optional[dict[int, Shares]],
         allow_wake: bool,
     ) -> PlacementDecision:
-        """Rank eligible running machines and take the first that fits.
+        """The eligible running machine with the best score that fits.
+
+        Candidates rank by ``(score, machine id)``, the score negated for
+        ``free-fit``.  Machine ids are unique, so the order is strict and the
+        best candidate that fits is the first fit of the sorted candidates.
+        Only a candidate that beats the best so far is tested against the cap.
 
         ``extras`` layers hypothetical, not-yet-executed placements on top
         of the view so multi-VM plans stay internally consistent.  The VM's
-        share and its norm are computed once per capacity class, which the
-        view guarantees gives the same share on every machine of the class.
-        Each machine's side of the cosine (its used or free vector and that
-        vector's norm) is cached against the tuple it was derived from and
-        reused while ``view.machine_rv`` returns that same object; any other
-        tuple, equal or not, and any sum with ``extras``, is scored afresh.
+        share and its norm are computed once per capacity object, keyed by
+        ``id(pm.capacity)`` within this call; the view gives the same share
+        on every machine of equal capacity.  Each machine's side of the
+        cosine (its used or free vector and that vector's norm) is cached
+        against the tuple it was derived from and reused while
+        ``view.machine_rv`` returns that same object; any other tuple, equal
+        or not, and any sum with ``extras``, is scored afresh.
         """
         cfg = self.config
         cap_u = cfg.u_up - cfg.buffer
+        weights = cfg.weights.as_tuple()
         dissimilar = cfg.similarity_method is SimilarityMethod.DISSIMILAR
         threshold = cfg.similarity_threshold
-        class_of = self._classes.index
         terms = self._terms
         vm_terms: dict[int, tuple[Shares, float]] = {}
-        ranked = []
+        best = None  # the rank of the best candidate that fits so far
         for pm in view.running_machines():
             pm_id = pm.id
             if pm_id in exclude:
                 continue
-            cls = class_of(pm.capacity)
-            vm_term = vm_terms.get(cls)
+            vm_term = vm_terms.get(id(pm.capacity))
             if vm_term is None:
                 share = view.vm_rv_on(vm_id, pm_id)
-                vm_term = vm_terms[cls] = (share, _norm_of(share))
+                vm_term = vm_terms[id(pm.capacity)] = (share, _norm_of(share))
             vm_share, vm_norm = vm_term
             used = view.machine_rv(pm_id)
             if extras is not None and pm_id in extras:
@@ -217,18 +220,17 @@ class SimilarityPolicy(SchedulerPolicy):
             if dissimilar:
                 if score > threshold:
                     continue
-                ranked.append((score, pm_id, vm_share, used))
+                rank = (score, pm_id)
             else:
                 if score < threshold:
                     continue
-                ranked.append((-score, pm_id, vm_share, used))
-        # Machine ids are unique, so the sort never compares past them.
-        ranked.sort()
-
-        weights = cfg.weights.as_tuple()
-        for _, pm_id, vm_share, used in ranked:
-            if utilization_of(clamped_sum_of(used, vm_share), weights) < cap_u:
-                return PlacementDecision.place(pm_id)
+                rank = (-score, pm_id)
+            if (best is None or rank < best) and utilization_of(
+                clamped_sum_of(used, vm_share), weights
+            ) < cap_u:
+                best = rank
+        if best is not None:
+            return PlacementDecision.place(best[1])
 
         if allow_wake:
             standby = view.standby_machines()
@@ -240,8 +242,7 @@ class SimilarityPolicy(SchedulerPolicy):
     # -- rebalancing -------------------------------------------------------
 
     def rebalance(self, view: ClusterView, tick: int) -> Iterator[RebalanceAction]:
-        for pm_id in [pm.id for pm in view.running_machines()]:
-            pm = view.machine(pm_id)
+        for pm in view.running_machines():
             if not pm.is_running:
                 continue
             action = self.scale_up_check(pm, tick, view)

@@ -186,6 +186,11 @@ class TestBuildExperiment:
         with pytest.raises(ConfigError, match="parameter"):
             build_experiment(base_config(sweep={}))
 
+    @pytest.mark.parametrize("values", ["0.5", 0.5, [], {"a": 1}], ids=repr)
+    def test_sweep_values_must_be_a_non_empty_list(self, values):
+        with pytest.raises(ConfigError, match="sweep.values"):
+            build_experiment(base_config(sweep={"parameter": "u_up", "values": values}))
+
     def test_compare_requires_two_policies(self):
         with pytest.raises(ConfigError, match="at least two"):
             build_experiment(base_config(compare={"policies": ["greedy"]}))
@@ -314,6 +319,12 @@ class TestCliRun:
         assert code == EXIT_ENGINE
         assert "engine error" in capsys.readouterr().err
 
+    def test_placement_outside_the_fleet_is_engine_error(self, config_file, tmp_path, capsys):
+        cfg = config_file(policy={"id": "standby_placer", "machine": 3})
+        code = main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == EXIT_ENGINE
+        assert "outside the fleet" in capsys.readouterr().err
+
     def test_unknown_policy_is_config_error(self, config_file, tmp_path, capsys):
         code = main(
             [
@@ -346,6 +357,18 @@ class TestCliSweep:
         cfg = config_file(sweep={"parameter": "u_up", "values": [0.25, 0.7]})
         assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_OK
         assert "skipped" in capsys.readouterr().out
+
+    def test_sweep_values_as_a_string_is_config_error(self, config_file, tmp_path, capsys):
+        cfg = config_file(sweep={"parameter": "u_up", "values": "0.5"})
+        code = main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        assert "sweep.values" in capsys.readouterr().err
+
+    def test_sweep_values_set_to_a_number_is_config_error(self, config_file, tmp_path, capsys):
+        cfg = config_file(sweep={"parameter": "u_up", "values": [0.5, 0.7]})
+        argv = ["sweep", "--config", cfg, "--set", "sweep.values=0.5", "--out", str(tmp_path / "o")]
+        assert main(argv) == EXIT_CONFIG
+        assert "sweep.values" in capsys.readouterr().err
 
     def test_sweep_without_section_is_config_error(self, config_file, tmp_path, capsys):
         code = main(["sweep", "--config", config_file(), "--out", str(tmp_path / "o")])

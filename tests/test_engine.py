@@ -1,5 +1,6 @@
 """Unit tests for the simulation engine: tick pipeline, arbitration, energy."""
 
+import importlib.util
 import math
 from pathlib import Path
 
@@ -131,6 +132,21 @@ class TestConfigValidation:
         ]
         assert [pm.last_used_tick for pm in sim.all_machines()] == [0, 0, -1, -1]
 
+    def test_equal_capacities_share_one_object(self):
+        small = (2000.0, 4096.0, 500.0, 500.0)
+        large = (8000.0, 16384.0, 2000.0, 2000.0)
+        specs = (small, large, small, small, large)
+        cfg = SimulationConfig(
+            fleet=tuple(FleetMachine(MachineCapacity(*spec), 200.0) for spec in specs),
+            duration_ticks=1,
+        )
+        capacities = [pm.capacity for pm in Simulation(cfg, [], GreedyPolicy()).all_machines()]
+        assert [c.as_tuple() for c in capacities] == list(specs)
+        assert len({id(c) for c in capacities}) == 2
+        assert capacities[0] is capacities[2] is capacities[3]
+        assert capacities[1] is capacities[4]
+        assert capacities[0] is not capacities[1]
+
 
 # ---------------------------------------------------------------------------
 # Fair-share arbitration
@@ -258,6 +274,14 @@ class TestArrivalsAndDepartures:
         sim = Simulation(config(2, running=1), reqs, BadPolicy())
         with pytest.raises(EngineError, match="standby"):
             sim._step()
+
+    @pytest.mark.parametrize("machine", [-1, 3])
+    def test_placement_outside_the_fleet_is_an_error(self, machine):
+        reqs = [flat_request("vm-0", 100.0), flat_request("vm-1", 100.0)]
+        sim = Simulation(config(3), reqs, fakes.StandbyPlacer(machine))
+        with pytest.raises(EngineError, match=f"named machine {machine}, outside the fleet of 3"):
+            sim._step()
+        assert all(not pm.hosted_vm_ids for pm in sim.all_machines())
 
     def test_departure_frees_host_and_notifies_policy(self):
         reqs = [flat_request("vm-0", 100.0, departure=3)]
@@ -484,6 +508,18 @@ class TestActionExecution:
         sim = Simulation(config(2, running=1), [], policy)
         sim._step()
         assert sim.dropped_actions == 1
+
+    @pytest.mark.parametrize("target", [-1, 2])
+    def test_migration_outside_the_fleet_is_an_error(self, target):
+        reqs = [flat_request("vm-0", 100.0)]
+        policy = ScriptedPolicy(
+            {"vm-0": 0}, actions={1: [RebalanceAction.migrate("vm-0", 0, target)]}
+        )
+        sim = Simulation(config(2), reqs, policy)
+        sim._step()
+        with pytest.raises(EngineError, match=f"named machine {target}, outside the fleet of 2"):
+            sim._step()
+        assert sim.vm_host("vm-0") == 0
 
     def test_migrating_a_missing_vm_is_dropped(self):
         policy = ScriptedPolicy({}, actions={0: [RebalanceAction.migrate("ghost", 0, 1)]})
@@ -742,6 +778,21 @@ class TestViewSemantics:
     def test_simulation_and_fake_view_provide_every_cluster_view_member(self):
         assert isinstance(Simulation(config(1), [], GreedyPolicy()), ClusterView)
         assert isinstance(fakes.FakeView([fakes.make_machine(0)]), ClusterView)
+
+    def test_perfbench_view_forwards_every_cluster_view_member(self):
+        # perfbench's traced view forwards only the members its lists name,
+        # so a view member missing there would fail only the traced benchmark.
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        members = {k: v for k, v in vars(ClusterView).items() if not k.startswith("_")}
+        properties = {k for k, v in members.items() if isinstance(v, property)}
+        methods = {k for k, v in members.items() if callable(v)}
+        assert methods and properties and methods | properties == set(members)
+        assert methods <= set(tracing.VIEW_METHODS)
+        assert properties <= set(tracing.VIEW_PROPERTIES)
+        assert [n for n in tracing.VIEW_METHODS if not hasattr(Simulation, n)] == []
 
     def test_window_size_follows_policy_request(self):
         class ShortWindow(GreedyPolicy):

@@ -1,6 +1,6 @@
 """The similarity policy's per-class scoring and the engine's memoized view.
 
-``_pick`` fetches a VM's share once per capacity class, caches each machine's
+``_pick`` fetches a VM's share once per capacity object, caches each machine's
 side of the cosine against the tuple ``machine_rv`` returned, and scores on
 plain tuples; the engine memoizes each machine's used share.  These tests hold
 both to the direct reference in ``_oracles`` decision for decision, check
@@ -19,12 +19,7 @@ from _oracles import ReferenceSimilarity, fresh_machine_rv
 from dcsim.engine import FleetMachine, Simulation, SimulationConfig
 from dcsim.model import MachineCapacity, MachineState, PowerModel
 from dcsim.policies import build_policy
-from dcsim.policies.base import (
-    CapacityClasses,
-    PlacementDecision,
-    RebalanceAction,
-    SchedulerPolicy,
-)
+from dcsim.policies.base import PlacementDecision, RebalanceAction, SchedulerPolicy
 from dcsim.policies import similarity
 from dcsim.policies.similarity import SimilarityPolicy, cosine_of
 from dcsim.workload import DemandSample, VmRequest, WorkloadProfile, WorkloadSpec, generate_workload
@@ -301,15 +296,6 @@ def test_departure_in_flight_drops_the_target_share_before_the_next_pick():
     assert sim.departed_in_flight
 
 
-def test_capacity_classes_number_distinct_capacities_in_order_of_first_sight():
-    small = MachineCapacity(2000.0, 4096.0, 500.0, 500.0)
-    large = MachineCapacity(8000.0, 16384.0, 2000.0, 2000.0)
-    small_again = MachineCapacity(*small.as_tuple())
-    classes = CapacityClasses()
-    assert [classes.index(c) for c in (large, small, large, small_again, small)] == [0, 1, 0, 1, 1]
-    assert classes.capacities == [large, small]
-
-
 # ---------------------------------------------------------------------------
 # Bounds on the work
 # ---------------------------------------------------------------------------
@@ -383,13 +369,23 @@ class _CountingSimulation(Simulation):
         return violations
 
 
-def test_work_per_pick_and_per_tick_is_bounded():
+def _check_work_is_bounded(separate):
+    """Run a mixed fleet and bound the share lookups per pick and the
+    used-share computations per tick.
+
+    With ``separate`` every machine gets its own, equal capacity object; the
+    engine must share them again for the per-class bound to hold.
+    """
     capacities = [
         MachineCapacity(2000.0, 4096.0, 500.0, 500.0),
         MachineCapacity(4000.0, 8192.0, 1000.0, 1000.0),
         MachineCapacity(8000.0, 16384.0, 2000.0, 2000.0),
     ]
-    fleet = tuple(FleetMachine(cap, 200.0) for cap in capacities for _ in range(4))
+    fleet = tuple(
+        FleetMachine(MachineCapacity(*cap.as_tuple()) if separate else cap, 200.0)
+        for cap in capacities
+        for _ in range(4)
+    )
     config = SimulationConfig(
         fleet=fleet,
         duration_ticks=60,
@@ -422,3 +418,11 @@ def test_work_per_pick_and_per_tick_is_bounded():
     assert sum(computed for computed, _ in windows) > 0
     for computed, bound in windows:
         assert computed <= bound
+
+
+def test_work_per_pick_and_per_tick_is_bounded():
+    _check_work_is_bounded(separate=False)
+
+
+def test_work_is_bounded_when_equal_capacities_are_separate_objects():
+    _check_work_is_bounded(separate=True)

@@ -159,14 +159,21 @@ class _CountedSingleThreshold(SingleThresholdPolicy):
             self.epochs.append((counting.share_calls, placed))
 
 
-def test_replan_looks_up_shares_once_per_vm_and_capacity_class():
+def _check_replan_lookups(separate):
+    """Bound an epoch replan's share lookups by VMs times capacity classes.
+
+    With ``separate`` every machine gets its own, equal capacity object; the
+    engine must share them again for the bound to hold.
+    """
     classes = [
         MachineCapacity(2000.0, 4096.0, 500.0, 500.0),
         MachineCapacity(4000.0, 8192.0, 1000.0, 1000.0),
         MachineCapacity(8000.0, 16384.0, 2000.0, 2000.0),
     ]
     fleet = tuple(
-        FleetMachine(cap, peak_power_watts=peak)
+        FleetMachine(
+            MachineCapacity(*cap.as_tuple()) if separate else cap, peak_power_watts=peak
+        )
         for cap in classes
         for peak in (120.0, 200.0, 360.0, 450.0)
     )
@@ -187,3 +194,11 @@ def test_replan_looks_up_shares_once_per_vm_and_capacity_class():
     assert max(placed for _, placed in policy.epochs) > 0
     for calls, placed in policy.epochs:
         assert calls <= placed * len(classes)
+
+
+def test_replan_looks_up_shares_once_per_vm_and_capacity_class():
+    _check_replan_lookups(separate=False)
+
+
+def test_replan_lookups_stay_bounded_when_equal_capacities_are_separate_objects():
+    _check_replan_lookups(separate=True)
