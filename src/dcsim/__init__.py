@@ -41,7 +41,6 @@ from .policies import (
     SimilarityPolicy,
     build_policy,
     cosine_similarity,
-    score_shares,
 )
 from .workload import (
     DemandSample,
@@ -89,7 +88,6 @@ __all__ = [
     "rescale_rv",
     "run_simulation",
     "save_trace_files",
-    "score_shares",
     "unified_utilization",
     "used_shares_of",
     "__version__",

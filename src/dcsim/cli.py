@@ -128,6 +128,11 @@ def cmd_sweep(args) -> int:
         values=values,
         jobs=args.jobs,
     )
+    if not result.points:
+        raise ConfigError(
+            "sweep: every point was skipped: "
+            + "; ".join(f"{parameter}={value}: {reason}" for value, reason in result.skipped)
+        )
     write_csv(result, os.path.join(out_dir, f"sweep_{parameter}.csv"))
     write_plot_data(result, os.path.join(out_dir, f"plot_{parameter}"))
     _write_summary(

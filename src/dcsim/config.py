@@ -222,7 +222,9 @@ def build_experiment(raw: dict, base_dir: str = ".") -> Experiment:
     sweep = raw.get("sweep")
     if sweep is not None:
         sweep = _expect_mapping(sweep, "sweep")
-        _require(sweep, "parameter", "sweep")
+        parameter = _require(sweep, "parameter", "sweep")
+        if not isinstance(parameter, str) or not parameter:
+            raise ConfigError(f"sweep.parameter: expected a non-empty string, got {parameter!r}")
         values = sweep.get("values")
         if values is not None and (not isinstance(values, list) or not values):
             raise ConfigError(f"sweep.values: expected a non-empty list, got {values!r}")

@@ -30,6 +30,12 @@ per-tick phases that concern running machines only (arbitration,
 measurement, the last-used clocks) walk it instead of the whole fleet.
 Energy walks the whole fleet, standby machines included, in id order.
 
+A delayed migration is one entry of ``_inflight``, added when it starts and
+removed when it lands or its VM departs.  Every flight takes
+``migration_cost_ticks``, so the flights due at a tick are the ones that
+started together, and they land in the order they started: when two land on
+one machine, the first to start is checked against the machine first.
+
 Each machine's used share (``machine_rv``) is memoized.  ``_arbitrate``
 clears the memo, since it is the only phase that records usage, and seeds it
 with the share it has just computed for every running machine with no
@@ -268,7 +274,6 @@ class Simulation:
         # In-flight migrations (only with migration_cost_ticks > 0).
         self._inflight: dict[str, tuple[int, int]] = {}  # vm -> (target, land tick)
         self._inbound: dict[int, set[str]] = {}
-        self._landings: dict[int, list[str]] = {}
         self._deferred_standby: list[int] = []
 
         # Each running machine's delivered usage as shares of its capacity.
@@ -490,18 +495,15 @@ class Simulation:
     # -- step 1: migration landings -------------------------------------
 
     def _land_migrations(self, tick: int) -> None:
-        for vm_id in self._landings.pop(tick, ()):
-            flight = self._inflight.get(vm_id)
-            if flight is None:
-                continue
-            target_id, land_tick = flight
-            if land_tick != tick:
-                continue
+        due = [
+            (vm_id, target_id)
+            for vm_id, (target_id, land_tick) in self._inflight.items()
+            if land_tick == tick
+        ]
+        for vm_id, target_id in due:
             del self._inflight[vm_id]
             self._set_inbound(vm_id, target_id, False)
-            vm = self.vms.get(vm_id)
-            if vm is None or vm.host_id is None:
-                continue  # departed mid-flight
+            vm = self.vms[vm_id]
             target = self.machines[target_id]
             if target.state is not MachineState.RUNNING or not self.policy.migration_landing_ok(
                 vm_id, target_id, self
@@ -514,9 +516,7 @@ class Simulation:
 
     def _process_departures(self, tick: int) -> None:
         for vm_id in self._departures.pop(tick, ()):
-            vm = self.vms.get(vm_id)
-            if vm is None:
-                continue
+            vm = self.vms[vm_id]
             if vm_id in self._inflight:
                 target_id, _ = self._inflight.pop(vm_id)
                 self._set_inbound(vm_id, target_id, False)
@@ -650,8 +650,6 @@ class Simulation:
             still_waiting = []
             for pm_id in self._deferred_standby:
                 pm = self.machines[pm_id]
-                if pm.state is not MachineState.RUNNING:
-                    continue
                 if not pm.hosted_vm_ids and not self.has_inbound(pm_id):
                     self._standby(pm)
                 elif all(vm_id in self._inflight for vm_id in pm.hosted_vm_ids):
@@ -692,10 +690,8 @@ class Simulation:
         if cost == 0:
             self._move(vm, target)
             return
-        land_tick = tick + cost
-        self._inflight[vm.id] = (target.id, land_tick)
+        self._inflight[vm.id] = (target.id, tick + cost)
         self._set_inbound(vm.id, target.id, True)
-        self._landings.setdefault(land_tick, []).append(vm.id)
         self.machines[vm.host_id].clear_breach()
 
     # -- step 7: energy -------------------------------------------------------

@@ -25,7 +25,6 @@ from .similarity import (
     SimilarityMethod,
     SimilarityPolicy,
     cosine_similarity,
-    score_shares,
 )
 
 #: Tuned similarity configuration used by the ``recommended`` preset.
@@ -113,5 +112,4 @@ __all__ = [
     "SingleThresholdPolicy",
     "build_policy",
     "cosine_similarity",
-    "score_shares",
 ]

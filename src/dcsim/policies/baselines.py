@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Iterator, Optional
 
 from ..model import (
-    MachineCapacity,
     PhysicalMachine,
     PowerModel,
     UtilizationWeights,
@@ -25,16 +24,26 @@ from .base import (
 )
 
 
-def _fits_nominal(free: tuple[float, float, float, float], nominal: MachineCapacity) -> bool:
-    return (
-        nominal.cpu <= free[0]
-        and nominal.mem <= free[1]
-        and nominal.disk <= free[2]
-        and nominal.bw <= free[3]
-    )
+def _first_fit(
+    vm_id: str, view: ClusterView, machines: list[PhysicalMachine]
+) -> Optional[PhysicalMachine]:
+    """The first of ``machines`` with nominal room for the VM, or None."""
+    nominal = view.vm_nominal(vm_id)
+    for pm in machines:
+        free = view.nominal_free(pm.id)
+        if (
+            nominal.cpu <= free[0]
+            and nominal.mem <= free[1]
+            and nominal.disk <= free[2]
+            and nominal.bw <= free[3]
+        ):
+            return pm
+    return None
 
 
-def _admit(pm: PhysicalMachine) -> PlacementDecision:
+def _admit(pm: Optional[PhysicalMachine]) -> PlacementDecision:
+    if pm is None:
+        return PlacementDecision.reject()
     if pm.is_running:
         return PlacementDecision.place(pm.id)
     return PlacementDecision.wake_and_place(pm.id)
@@ -50,15 +59,20 @@ class RoundRobinPolicy(SchedulerPolicy):
         self._cursor = 0
 
     def allocate(self, vm_id: str, view: ClusterView) -> PlacementDecision:
-        machines = view.all_machines()
-        nominal = view.vm_nominal(vm_id)
+        return _admit(self._rotate(vm_id, view, view.all_machines()))
+
+    def _rotate(
+        self, vm_id: str, view: ClusterView, machines: list[PhysicalMachine]
+    ) -> Optional[PhysicalMachine]:
+        """First fit over ``machines`` from the cursor round; the cursor moves past the pick."""
         n = len(machines)
-        for step in range(n):
-            pm = machines[(self._cursor + step) % n]
-            if _fits_nominal(view.nominal_free(pm.id), nominal):
-                self._cursor = (self._cursor + step + 1) % n
-                return _admit(pm)
-        return PlacementDecision.reject()
+        if not n:
+            return None
+        start = self._cursor % n
+        pm = _first_fit(vm_id, view, machines[start:] + machines[:start])
+        if pm is not None:
+            self._cursor = (machines.index(pm) + 1) % n
+        return pm
 
 
 class GreedyPolicy(SchedulerPolicy):
@@ -67,11 +81,7 @@ class GreedyPolicy(SchedulerPolicy):
     name = "greedy"
 
     def allocate(self, vm_id: str, view: ClusterView) -> PlacementDecision:
-        nominal = view.vm_nominal(vm_id)
-        for pm in view.all_machines():
-            if _fits_nominal(view.nominal_free(pm.id), nominal):
-                return _admit(pm)
-        return PlacementDecision.reject()
+        return _admit(_first_fit(vm_id, view, view.all_machines()))
 
 
 class PowerSavePolicy(SchedulerPolicy):
@@ -80,14 +90,8 @@ class PowerSavePolicy(SchedulerPolicy):
     name = "power_save"
 
     def allocate(self, vm_id: str, view: ClusterView) -> PlacementDecision:
-        nominal = view.vm_nominal(vm_id)
-        for pm in view.running_machines():
-            if _fits_nominal(view.nominal_free(pm.id), nominal):
-                return PlacementDecision.place(pm.id)
-        for pm in view.standby_machines():
-            if _fits_nominal(view.nominal_free(pm.id), nominal):
-                return PlacementDecision.wake_and_place(pm.id)
-        return PlacementDecision.reject()
+        machines = view.running_machines() + view.standby_machines()
+        return _admit(_first_fit(vm_id, view, machines))
 
     def rebalance(self, view: ClusterView, tick: int) -> Iterator[RebalanceAction]:
         for pm in view.running_machines():
@@ -95,7 +99,7 @@ class PowerSavePolicy(SchedulerPolicy):
                 yield RebalanceAction.standby_machine(pm.id, reason="idle")
 
 
-class DynamicRoundRobinPolicy(SchedulerPolicy):
+class DynamicRoundRobinPolicy(RoundRobinPolicy):
     """Round robin plus machine retirement.
 
     A machine that loses a VM while still hosting others stops accepting
@@ -111,21 +115,13 @@ class DynamicRoundRobinPolicy(SchedulerPolicy):
         if retirement_threshold < 1:
             raise ValueError("retirement_threshold must be >= 1")
         self.retirement_threshold = retirement_threshold
-        self._cursor = 0
         self._retiring: dict[int, int] = {}
 
+    def _accepting(self, view: ClusterView) -> list[PhysicalMachine]:
+        return [pm for pm in view.all_machines() if pm.id not in self._retiring]
+
     def allocate(self, vm_id: str, view: ClusterView) -> PlacementDecision:
-        machines = [pm for pm in view.all_machines() if pm.id not in self._retiring]
-        if not machines:
-            return PlacementDecision.reject()
-        nominal = view.vm_nominal(vm_id)
-        n = len(machines)
-        for step in range(n):
-            pm = machines[(self._cursor + step) % n]
-            if _fits_nominal(view.nominal_free(pm.id), nominal):
-                self._cursor = (self._cursor + step + 1) % n
-                return _admit(pm)
-        return PlacementDecision.reject()
+        return _admit(self._rotate(vm_id, view, self._accepting(view)))
 
     def notify_departure(self, vm_id: str, machine_id: int, view: ClusterView, tick: int) -> None:
         pm = view.machine(machine_id)
@@ -139,7 +135,7 @@ class DynamicRoundRobinPolicy(SchedulerPolicy):
                 for vm_id in list(pm.hosted_vm_ids):
                     if view.vm_in_flight(vm_id):
                         continue
-                    target = self._find_target(vm_id, view)
+                    target = _first_fit(vm_id, view, self._accepting(view))
                     if target is None:
                         self._count("retirement_stuck")
                         continue
@@ -152,15 +148,6 @@ class DynamicRoundRobinPolicy(SchedulerPolicy):
             if not pm.hosted_vm_ids and not view.has_inbound(pm_id):
                 yield RebalanceAction.standby_machine(pm_id, reason="retirement")
                 del self._retiring[pm_id]
-
-    def _find_target(self, vm_id: str, view: ClusterView) -> Optional[PhysicalMachine]:
-        nominal = view.vm_nominal(vm_id)
-        for pm in view.all_machines():
-            if pm.id in self._retiring:
-                continue
-            if _fits_nominal(view.nominal_free(pm.id), nominal):
-                return pm
-        return None
 
 
 class SingleThresholdPolicy(SchedulerPolicy):
@@ -296,18 +283,14 @@ class SingleThresholdPolicy(SchedulerPolicy):
         plan_on = {pm.id: pm.is_running for pm in machines}
         by_id = {pm.id: pm for pm in machines}
 
+        # An in-flight VM stays charged to the machine it is leaving.
         placed: list[tuple[str, int]] = []
-        skipped: list[str] = []
         for pm in machines:
             for vm_id in pm.hosted_vm_ids:
                 if view.vm_in_flight(vm_id):
-                    skipped.append(vm_id)
+                    plan_cpu[pm.id] += self._vm_cpu_abs(vm_id, view)
                 else:
                     placed.append((vm_id, pm.id))
-        for vm_id in skipped:
-            host = view.vm_host(vm_id)
-            if host is not None:
-                plan_cpu[host] += self._vm_cpu_abs(vm_id, view)
 
         vm_cpu = {vm_id: self._vm_cpu_abs(vm_id, view) for vm_id, _ in placed}
         order = sorted(placed, key=lambda item: (-vm_cpu[item[0]], item[0]))

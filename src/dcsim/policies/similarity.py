@@ -90,19 +90,6 @@ def cosine_similarity(a: ResourceVector, b: ResourceVector) -> float:
     return cosine_of(a.as_tuple(), b.as_tuple())
 
 
-def score_shares(vm_share: Shares, machine_used: Shares, method: SimilarityMethod) -> float:
-    """Similarity score of one candidate machine for one VM, on share tuples.
-
-    ``dissimilar`` compares against the machine's used share (lower is
-    better); ``free-fit`` compares against its free share (higher is
-    better).  Ranking and eligibility live in the policy; this is just the
-    raw score.
-    """
-    if method is SimilarityMethod.DISSIMILAR:
-        return cosine_of(vm_share, machine_used)
-    return cosine_of(vm_share, complement_of(machine_used))
-
-
 @dataclass(frozen=True, slots=True)
 class PolicyConfig:
     """Tunables of the similarity consolidation policy.
@@ -243,8 +230,6 @@ class SimilarityPolicy(SchedulerPolicy):
 
     def rebalance(self, view: ClusterView, tick: int) -> Iterator[RebalanceAction]:
         for pm in view.running_machines():
-            if not pm.is_running:
-                continue
             action = self.scale_up_check(pm, tick, view)
             if action is not None:
                 yield action

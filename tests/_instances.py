@@ -38,19 +38,21 @@ _PROFILES = [
 ]
 
 
+#: The policy kinds ``make_instance`` draws from; similarity is drawn twice as often.
+POLICY_KINDS = [
+    "similarity",
+    "similarity",
+    "recommended",
+    "round_robin",
+    "greedy",
+    "power_save",
+    "dynamic_round_robin",
+    "single_threshold",
+]
+
+
 def _random_policy_spec(rng: random.Random, policy_id: str | None = None) -> dict:
-    kind = policy_id or rng.choice(
-        [
-            "similarity",
-            "similarity",
-            "recommended",
-            "round_robin",
-            "greedy",
-            "power_save",
-            "dynamic_round_robin",
-            "single_threshold",
-        ]
-    )
+    kind = policy_id or rng.choice(POLICY_KINDS)
     if kind == "similarity":
         u_up = round(rng.uniform(0.35, 0.95), 2)
         u_down = round(rng.uniform(0.0, u_up - 0.2), 2)

@@ -8,7 +8,11 @@ is the mathematically exact result for the same binary inputs.
 
 Two reference policies keep the direct per-(VM, machine) scoring that the
 production policies' per-capacity-class scoring must reproduce decision for
-decision: ``ReferenceSingleThreshold`` and ``ReferenceSimilarity``.
+decision: ``ReferenceSingleThreshold`` and ``ReferenceSimilarity``.  Four
+more keep the nominal-size baselines' own loops, one per policy, which the
+shared first fit and rotation must reproduce: ``ReferenceRoundRobin``,
+``ReferenceGreedy``, ``ReferencePowerSave`` and
+``ReferenceDynamicRoundRobin``.
 ``fresh_machine_rv`` recomputes a machine's used share from scratch, as the
 reference for the engine's memoized one.  ``reference_generate_workload`` is
 the per-(VM, tick, resource) generator loop that the straight-line
@@ -38,7 +42,13 @@ from dcsim.model import (
     used_shares_of,
 )
 from dcsim.policies.base import DecisionKind, PlacementDecision, RebalanceAction
-from dcsim.policies.baselines import SingleThresholdPolicy
+from dcsim.policies.baselines import (
+    DynamicRoundRobinPolicy,
+    GreedyPolicy,
+    PowerSavePolicy,
+    RoundRobinPolicy,
+    SingleThresholdPolicy,
+)
 from dcsim.policies.similarity import SimilarityMethod, SimilarityPolicy, cosine_similarity
 from dcsim.workload import DemandSample, VmRequest, WorkloadProfile, WorkloadSpec, _derived_rng
 
@@ -148,6 +158,108 @@ def random_weights_tuple(rng: random.Random) -> Tuple4:
 # ---------------------------------------------------------------------------
 # Reference policies
 # ---------------------------------------------------------------------------
+
+
+def _ref_fits(free, nominal):
+    return (
+        nominal.cpu <= free[0]
+        and nominal.mem <= free[1]
+        and nominal.disk <= free[2]
+        and nominal.bw <= free[3]
+    )
+
+
+def _ref_admit(pm):
+    if pm.is_running:
+        return PlacementDecision.place(pm.id)
+    return PlacementDecision.wake_and_place(pm.id)
+
+
+class ReferenceRoundRobin(RoundRobinPolicy):
+    """``round_robin`` with its own cursor loop."""
+
+    def allocate(self, vm_id, view):
+        machines = view.all_machines()
+        nominal = view.vm_nominal(vm_id)
+        n = len(machines)
+        for step in range(n):
+            pm = machines[(self._cursor + step) % n]
+            if _ref_fits(view.nominal_free(pm.id), nominal):
+                self._cursor = (self._cursor + step + 1) % n
+                return _ref_admit(pm)
+        return PlacementDecision.reject()
+
+
+class ReferenceGreedy(GreedyPolicy):
+    """``greedy`` with its own first-fit loop."""
+
+    def allocate(self, vm_id, view):
+        nominal = view.vm_nominal(vm_id)
+        for pm in view.all_machines():
+            if _ref_fits(view.nominal_free(pm.id), nominal):
+                return _ref_admit(pm)
+        return PlacementDecision.reject()
+
+
+class ReferencePowerSave(PowerSavePolicy):
+    """``power_save`` placing with one loop over running, then one over standby machines."""
+
+    def allocate(self, vm_id, view):
+        nominal = view.vm_nominal(vm_id)
+        for pm in view.running_machines():
+            if _ref_fits(view.nominal_free(pm.id), nominal):
+                return PlacementDecision.place(pm.id)
+        for pm in view.standby_machines():
+            if _ref_fits(view.nominal_free(pm.id), nominal):
+                return PlacementDecision.wake_and_place(pm.id)
+        return PlacementDecision.reject()
+
+
+class ReferenceDynamicRoundRobin(DynamicRoundRobinPolicy):
+    """``dynamic_round_robin`` with its own cursor loop and its own forced-migration scan."""
+
+    def allocate(self, vm_id, view):
+        machines = [pm for pm in view.all_machines() if pm.id not in self._retiring]
+        if not machines:
+            return PlacementDecision.reject()
+        nominal = view.vm_nominal(vm_id)
+        n = len(machines)
+        for step in range(n):
+            pm = machines[(self._cursor + step) % n]
+            if _ref_fits(view.nominal_free(pm.id), nominal):
+                self._cursor = (self._cursor + step + 1) % n
+                return _ref_admit(pm)
+        return PlacementDecision.reject()
+
+    def rebalance(self, view, tick):
+        for pm_id in sorted(self._retiring):
+            pm = view.machine(pm_id)
+            if pm.hosted_vm_ids and tick - self._retiring[pm_id] >= self.retirement_threshold:
+                for vm_id in list(pm.hosted_vm_ids):
+                    if view.vm_in_flight(vm_id):
+                        continue
+                    target = self._ref_target(vm_id, view)
+                    if target is None:
+                        self._count("retirement_stuck")
+                        continue
+                    if target.is_running:
+                        yield RebalanceAction.migrate(vm_id, pm_id, target.id, reason="retirement")
+                    else:
+                        yield RebalanceAction.wake_and_migrate(
+                            vm_id, pm_id, target.id, reason="retirement"
+                        )
+            if not pm.hosted_vm_ids and not view.has_inbound(pm_id):
+                yield RebalanceAction.standby_machine(pm_id, reason="retirement")
+                del self._retiring[pm_id]
+
+    def _ref_target(self, vm_id, view):
+        nominal = view.vm_nominal(vm_id)
+        for pm in view.all_machines():
+            if pm.id in self._retiring:
+                continue
+            if _ref_fits(view.nominal_free(pm.id), nominal):
+                return pm
+        return None
 
 
 class ReferenceSingleThreshold(SingleThresholdPolicy):

@@ -186,6 +186,11 @@ class TestBuildExperiment:
         with pytest.raises(ConfigError, match="parameter"):
             build_experiment(base_config(sweep={}))
 
+    @pytest.mark.parametrize("parameter", [5, "", None, ["u_up"]], ids=repr)
+    def test_sweep_parameter_must_be_a_non_empty_string(self, parameter):
+        with pytest.raises(ConfigError, match="sweep.parameter"):
+            build_experiment(base_config(sweep={"parameter": parameter, "values": [0.5]}))
+
     @pytest.mark.parametrize("values", ["0.5", 0.5, [], {"a": 1}], ids=repr)
     def test_sweep_values_must_be_a_non_empty_list(self, values):
         with pytest.raises(ConfigError, match="sweep.values"):
@@ -369,6 +374,23 @@ class TestCliSweep:
         argv = ["sweep", "--config", cfg, "--set", "sweep.values=0.5", "--out", str(tmp_path / "o")]
         assert main(argv) == EXIT_CONFIG
         assert "sweep.values" in capsys.readouterr().err
+
+    def test_sweep_parameter_as_a_number_is_config_error(self, config_file, tmp_path, capsys):
+        out = tmp_path / "o"
+        cfg = config_file(sweep={"parameter": 5, "values": [0.5]})
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert "sweep.parameter" in capsys.readouterr().err
+        assert not (out / "sweep_5.csv").exists()
+
+    def test_sweep_with_every_point_skipped_is_config_error(self, config_file, tmp_path, capsys):
+        # recommended's u_down is 0.25, so neither u_up lies above it.
+        out = tmp_path / "o"
+        cfg = config_file(sweep={"parameter": "u_up", "values": [0.2, 0.25]})
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "u_up=0.2: " in err and "u_up=0.25: " in err
+        assert err.count("need 0 <= u_down < u_up") == 2
+        assert not (out / "sweep_u_up.csv").exists()
 
     def test_sweep_without_section_is_config_error(self, config_file, tmp_path, capsys):
         code = main(["sweep", "--config", config_file(), "--out", str(tmp_path / "o")])

@@ -598,6 +598,38 @@ class TestDelayedMigrations:
         assert sim.migration_count == 1
         assert sim.dropped_actions == 1
 
+    def test_flights_due_together_land_in_start_order(self):
+        # Both VMs fly to machine 2 and land at tick 3; only one fits there.
+        # vm-1 starts first, so it lands, and vm-0 is checked after it and dropped.
+        class FitOnLanding(ScriptedPolicy):
+            def migration_landing_ok(self, vm_id, machine_id, view):
+                hosted = view.machine(machine_id).hosted_vm_ids
+                used = sum(view.vm_nominal(other).cpu for other in hosted)
+                return used + view.vm_nominal(vm_id).cpu <= view.machine(machine_id).capacity.cpu
+
+        reqs = [flat_request("vm-0", 600.0), flat_request("vm-1", 600.0)]
+        policy = FitOnLanding(
+            {"vm-0": 0, "vm-1": 1},
+            actions={
+                1: [RebalanceAction.migrate("vm-1", 1, 2), RebalanceAction.migrate("vm-0", 0, 2)]
+            },
+        )
+        cfg = SimulationConfig(
+            fleet=fleet(3),
+            duration_ticks=5,
+            tick_length_seconds=60.0,
+            initial_running_count=3,
+            migration_cost_ticks=2,
+        )
+        sim = Simulation(cfg, reqs, policy)
+        for _ in range(4):
+            sim._step()
+        assert sim.vm_host("vm-1") == 2
+        assert sim.vm_host("vm-0") == 0
+        assert sim.migration_count == 1
+        assert sim.dropped_actions == 1
+        assert not sim.vm_in_flight("vm-0") and not sim.has_inbound(2)
+
     def test_inbound_reserves_capacity_in_views(self):
         sim, _ = self.make_sim({1: [RebalanceAction.migrate("vm-0", 0, 1)]})
         sim._step()

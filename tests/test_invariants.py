@@ -12,12 +12,14 @@ from __future__ import annotations
 import pytest
 
 from _instances import (
+    POLICY_KINDS,
     brute_arbitrate,
     demand_at,
     make_instance,
     run_checked_instance,
     thin_workload,
 )
+from dcsim.policies import POLICY_IDS
 
 UNIT_INSTANCES = 250
 SPARSE_INSTANCES = 150
@@ -51,6 +53,10 @@ def test_sparse_instances_cover_every_trace_shape():
             if ticks[-1] - ticks[0] == len(ticks) - 1:
                 shapes.add("dense")
     assert shapes == {"empty", "late first sample", "early last sample", "gap", "dense"}
+
+
+def test_instance_policy_kinds_cover_every_registered_policy():
+    assert set(POLICY_IDS) <= set(POLICY_KINDS)
 
 
 def test_instances_cover_the_policy_space():

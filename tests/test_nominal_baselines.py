@@ -1,0 +1,123 @@
+"""The nominal-size baselines against their own loops, kept in ``_oracles``.
+
+``round_robin``, ``greedy``, ``power_save`` and ``dynamic_round_robin`` share
+one first fit and one rotation.  These tests hold each policy to a reference
+that keeps the policy's own loops, decision for decision, on random
+instances, and require the instances to reach the paths where the shared
+code could diverge: a rotation that wraps past the end of its list, a
+placement while a machine retires, a forced migration, a forced migration
+that wakes its target, and one with nowhere to go.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from _instances import make_instance
+from _oracles import (
+    ReferenceDynamicRoundRobin,
+    ReferenceGreedy,
+    ReferencePowerSave,
+    ReferenceRoundRobin,
+)
+from dcsim.engine import Simulation
+from dcsim.policies import (
+    DynamicRoundRobinPolicy,
+    GreedyPolicy,
+    PowerSavePolicy,
+    RoundRobinPolicy,
+)
+from dcsim.policies.base import ActionKind, DecisionKind
+
+DIFFERENTIAL_INSTANCES = 400
+
+PAIRS = {
+    "round_robin": (RoundRobinPolicy, ReferenceRoundRobin),
+    "greedy": (GreedyPolicy, ReferenceGreedy),
+    "power_save": (PowerSavePolicy, ReferencePowerSave),
+    "dynamic_round_robin": (DynamicRoundRobinPolicy, ReferenceDynamicRoundRobin),
+}
+
+
+def _recording(policy_cls):
+    """``policy_cls`` extended to log its decisions and actions, and count what it reached."""
+
+    class Recording(policy_cls):
+        def __init__(self, **params):
+            super().__init__(**params)
+            self.log = []
+            self.wraps = 0
+            self.retiring_allocations = 0
+
+        def allocate(self, vm_id, view):
+            retiring = getattr(self, "_retiring", {})
+            self.retiring_allocations += bool(retiring)
+            offered = [pm.id for pm in view.all_machines() if pm.id not in retiring]
+            cursor = getattr(self, "_cursor", None)
+            decision = super().allocate(vm_id, view)
+            if cursor is not None and decision.machine_id is not None:
+                self.wraps += offered.index(decision.machine_id) < cursor % len(offered)
+            self.log.append((view.current_tick, vm_id, decision))
+            return decision
+
+        def rebalance(self, view, tick):
+            for action in super().rebalance(view, tick):
+                self.log.append((tick, action))
+                yield action
+
+    return Recording
+
+
+def _run(policy_cls, config, workload, params):
+    policy = _recording(policy_cls)(**params)
+    report = Simulation(config, workload, policy).run()
+    return policy, report
+
+
+@pytest.mark.parametrize("policy_id", sorted(PAIRS))
+def test_matches_its_own_loops_on_random_instances(policy_id):
+    policy_cls, reference_cls = PAIRS[policy_id]
+    covered = {
+        "placement": 0,
+        "wake": 0,
+        "rejection": 0,
+        "cursor wrap": 0,
+        "allocation while a machine retires": 0,
+        "forced migration": 0,
+        "forced wake-and-migrate": 0,
+        "retirement_stuck": 0,
+    }
+    for seed in range(DIFFERENTIAL_INSTANCES):
+        config, workload, spec = make_instance(seed, policy_id)
+        params = {k: v for k, v in spec.items() if k != "id"}
+        ref, ref_report = _run(reference_cls, config, workload, params)
+        got, got_report = _run(policy_cls, config, workload, params)
+        assert got.log == ref.log, f"seed {seed}: decisions or actions differ"
+        assert got.stats == ref.stats, f"seed {seed}: policy_stats differ"
+        assert got_report == ref_report, f"seed {seed}: reports differ"
+
+        covered["placement"] += sum(
+            len(entry) == 3 and entry[2].kind is DecisionKind.PLACE for entry in ref.log
+        )
+        covered["wake"] += ref_report.wake_count
+        covered["rejection"] += ref_report.rejected_requests
+        covered["cursor wrap"] += ref.wraps
+        covered["allocation while a machine retires"] += ref.retiring_allocations
+        for entry in ref.log:
+            if len(entry) == 2 and entry[1].reason == "retirement":
+                kind = entry[1].kind
+                covered["forced migration"] += kind is ActionKind.MIGRATE
+                covered["forced wake-and-migrate"] += kind is ActionKind.WAKE_AND_MIGRATE
+        covered["retirement_stuck"] += ref.stats.get("retirement_stuck", 0)
+
+    expected = {"placement", "wake", "rejection"}
+    if policy_id in ("round_robin", "dynamic_round_robin"):
+        expected.add("cursor wrap")
+    if policy_id == "dynamic_round_robin":
+        expected |= {
+            "allocation while a machine retires",
+            "forced migration",
+            "forced wake-and-migrate",
+            "retirement_stuck",
+        }
+    assert all(covered[name] for name in expected), covered

@@ -8,34 +8,17 @@ from dcsim.model import (
     MachineState,
     ResourceVector,
     UtilizationWeights,
-    complement_of,
 )
 from dcsim.policies.base import ActionKind, DecisionKind, PlacementDecision, RebalanceAction
 from dcsim.policies.similarity import (
     PolicyConfig,
     SimilarityMethod,
     SimilarityPolicy,
-    cosine_similarity,
-    score_shares,
 )
 
 
 def make_policy(**kw):
     return SimilarityPolicy(PolicyConfig(**kw))
-
-
-class TestScoreCandidate:
-    def test_dissimilar_scores_against_used(self):
-        vm = ResourceVector(0.7, 0.1, 0.05, 0.05)
-        used = ResourceVector(0.1, 0.7, 0.05, 0.05)
-        score = score_shares(vm.as_tuple(), used.as_tuple(), SimilarityMethod.DISSIMILAR)
-        assert score == cosine_similarity(vm, used)
-
-    def test_free_fit_scores_against_complement(self):
-        vm = ResourceVector(0.7, 0.1, 0.05, 0.05)
-        used = ResourceVector(0.1, 0.7, 0.05, 0.05)
-        score = score_shares(vm.as_tuple(), used.as_tuple(), SimilarityMethod.FREE_FIT)
-        assert score == cosine_similarity(vm, ResourceVector(*complement_of(used.as_tuple())))
 
 
 class TestPolicyConfig:
