@@ -8,6 +8,8 @@ the power-save and retirement variants — never put back to standby.
 
 from __future__ import annotations
 
+from bisect import insort
+from operator import itemgetter
 from typing import Iterator, Optional
 
 from ..model import (
@@ -22,6 +24,9 @@ from .base import (
     RebalanceAction,
     SchedulerPolicy,
 )
+
+# A machine kind (see ``SingleThresholdPolicy._fleet``).
+_Kind = tuple[float, float, float, int, list[int], list[int]]
 
 
 def _first_fit(
@@ -161,6 +166,9 @@ class SingleThresholdPolicy(SchedulerPolicy):
     The replan moves VMs freely, with no migration cost in its objective
     (22,124 moves per simulated day on the ``compare_single_threshold``
     preset).
+
+    A machine *kind* is the machines that share one capacity object and one
+    peak power; they add equal power for a VM, which is scored once per kind.
     """
 
     name = "single_threshold"
@@ -192,28 +200,33 @@ class SingleThresholdPolicy(SchedulerPolicy):
     @staticmethod
     def _fleet(
         machines: list[PhysicalMachine], model: PowerModel
-    ) -> tuple[list[tuple[int, float, float, float, int]], list[int]]:
-        """Scoring terms per machine, and one machine standing for each capacity class.
+    ) -> tuple[list[_Kind], list[int]]:
+        """The fleet's kinds, and one machine standing for each capacity class.
 
-        Returns ``(terms, representatives)``.  ``terms`` holds, in fleet
-        order, each machine's ``(id, cpu capacity, slope, wake cost, class)``:
-        the slope is the watts one unit of unified utilization adds, the wake
+        Returns ``(kinds, representatives)``.  A kind is the tuple
+        ``(cpu capacity, slope, wake cost, class, on ids, off ids)``: the
+        slope is the watts one unit of unified utilization adds, the wake
         cost what leaving standby adds, and the class an index into
         ``representatives``, the id of the first machine of each capacity
-        object.
+        object.  The two lists hold the kind's running and standby machines
+        in id order (``machines`` comes in id order); the replan moves a
+        machine it wakes from the one to the other.
         """
         classes: dict[int, int] = {}  # id(capacity) -> class
         representatives: list[int] = []
-        terms = []
+        kinds: dict[tuple[int, float], _Kind] = {}
         for pm in machines:
             cls = classes.setdefault(id(pm.capacity), len(representatives))
             if cls == len(representatives):
                 representatives.append(pm.id)
             peak = pm.peak_power_watts
-            slope = peak * (1.0 - model.idle_fraction)
-            wake = peak * model.idle_fraction - model.standby_watts
-            terms.append((pm.id, pm.capacity.cpu, slope, wake, cls))
-        return terms, representatives
+            kind = kinds.get((cls, peak))
+            if kind is None:
+                slope = peak * (1.0 - model.idle_fraction)
+                wake = peak * model.idle_fraction - model.standby_watts
+                kind = kinds[cls, peak] = (pm.capacity.cpu, slope, wake, cls, [], [])
+            kind[4 if pm.is_running else 5].append(pm.id)
+        return list(kinds.values()), representatives
 
     def _footprints(self, vm_id: str, view: ClusterView, representatives: list[int]) -> list[float]:
         """The VM's unified footprint on each capacity class.
@@ -233,38 +246,50 @@ class SingleThresholdPolicy(SchedulerPolicy):
         vm_cpu: float,
         footprints: list[float],
         plan_cpu: dict[int, float],
-        plan_on: dict[int, bool],
-        terms: list[tuple[int, float, float, float, int]],
+        kinds: list[_Kind],
     ) -> Optional[tuple[float, int]]:
         """The least ``(power increase, machine id)`` for a VM, or None.
 
         Only machines whose planned CPU utilization stays strictly below the
         threshold with the VM added qualify.  A machine planned off also
         pays its wake cost.
+
+        Every machine of one kind's on list, or of its off list, adds the
+        same increase bit for bit, so the least id that qualifies in a list
+        is its first machine that does.  The lists are visited in increasing
+        order of increase, and the visit stops at the first list whose
+        increase exceeds the best found: no later list can beat it.  Lists
+        whose increase equals the best are still visited, so the least id
+        wins a tie across kinds, as in a scan of every machine.
         """
         threshold = self.threshold
-        best = None
-        for pm_id, cpu_capacity, slope, wake, cls in terms:
-            if (plan_cpu[pm_id] + vm_cpu) / cpu_capacity >= threshold:
-                continue
+        lists = []
+        for cpu_capacity, slope, wake, cls, on, off in kinds:
             increase = slope * footprints[cls]
-            if not plan_on[pm_id]:
-                increase += wake
-            if best is None or (increase, pm_id) < best:
-                best = (increase, pm_id)
+            lists.append((increase, on, cpu_capacity))
+            lists.append((increase + wake, off, cpu_capacity))
+        lists.sort(key=itemgetter(0))
+        best = None
+        for increase, ids, cpu_capacity in lists:
+            if best is not None and increase > best[0]:
+                break
+            for pm_id in ids:
+                if (plan_cpu[pm_id] + vm_cpu) / cpu_capacity < threshold:
+                    if best is None or pm_id < best[1]:
+                        best = (increase, pm_id)
+                    break
         return best
 
     # -- placement ---------------------------------------------------------
 
     def allocate(self, vm_id: str, view: ClusterView) -> PlacementDecision:
         machines = view.all_machines()
-        terms, representatives = self._fleet(machines, view.power_model)
+        kinds, representatives = self._fleet(machines, view.power_model)
         best = self._cheapest(
             self._vm_cpu_abs(vm_id, view),
             self._footprints(vm_id, view, representatives),
             {pm.id: view.cpu_used_abs(pm.id) for pm in machines},
-            {pm.id: pm.is_running for pm in machines},
-            terms,
+            kinds,
         )
         if best is None:
             return PlacementDecision.reject()
@@ -276,9 +301,9 @@ class SingleThresholdPolicy(SchedulerPolicy):
         if tick % self.epoch_ticks != 0:
             return
         # The whole plan is made before the first action is yielded, so the
-        # view cannot change under the per-pass terms and footprints.
+        # view cannot change under the per-pass kinds and footprints.
         machines = view.all_machines()
-        terms, representatives = self._fleet(machines, view.power_model)
+        kinds, representatives = self._fleet(machines, view.power_model)
         plan_cpu = {pm.id: 0.0 for pm in machines}
         plan_on = {pm.id: pm.is_running for pm in machines}
         by_id = {pm.id: pm for pm in machines}
@@ -298,13 +323,17 @@ class SingleThresholdPolicy(SchedulerPolicy):
         for vm_id, current_host in order:
             cpu = vm_cpu[vm_id]
             footprints = self._footprints(vm_id, view, representatives)
-            best = self._cheapest(cpu, footprints, plan_cpu, plan_on, terms)
+            best = self._cheapest(cpu, footprints, plan_cpu, kinds)
             target = best[1] if best is not None else current_host
             if best is None:
                 self._count("replan_stuck")
             plan_cpu[target] += cpu
             needs_wake = not plan_on[target]
-            plan_on[target] = True
+            if needs_wake:
+                plan_on[target] = True
+                kind = next(kind for kind in kinds if target in kind[5])
+                kind[5].remove(target)
+                insort(kind[4], target)
             if target != current_host:
                 moves.append((vm_id, current_host, target, needs_wake))
 

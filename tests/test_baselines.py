@@ -243,24 +243,24 @@ class TestSingleThreshold:
                 assert action.kind is not ActionKind.STANDBY_MACHINE
 
     def test_power_increase_includes_idle_jump_for_off_machines(self):
-        view = fakes.FakeView(
-            [fakes.make_machine(0, state=MachineState.STANDBY)],
-            power_model=PowerModel(idle_fraction=0.5, standby_watts=10.0),
-        )
-        view.nominals["vm-a"] = MachineCapacity(400, 819.2, 100, 100)
         policy = SingleThresholdPolicy()
-        terms, representatives = policy._fleet(view.all_machines(), view.power_model)
-        footprints = policy._footprints("vm-a", view, representatives)
 
-        def increase(plan_on):
-            best = policy._cheapest(0.0, footprints, {0: 0.0}, {0: plan_on}, terms)
+        def increase(state):
+            view = fakes.FakeView(
+                [fakes.make_machine(0, state=state)],
+                power_model=PowerModel(idle_fraction=0.5, standby_watts=10.0),
+            )
+            view.nominals["vm-a"] = MachineCapacity(400, 819.2, 100, 100)
+            kinds, representatives = policy._fleet(view.all_machines(), view.power_model)
+            footprints = policy._footprints("vm-a", view, representatives)
+            best = policy._cheapest(0.0, footprints, {0: 0.0}, kinds)
             assert best is not None and best[1] == 0
             return best[0]
 
         # Footprint is 0.1 of every resource -> unified 0.1; slope 100 W.
         # Waking adds idle draw 100 W minus the 10 W standby it replaces.
-        assert increase(plan_on=False) == pytest.approx(100.0 * 0.1 + 100.0 - 10.0)
-        assert increase(plan_on=True) == pytest.approx(10.0)
+        assert increase(MachineState.STANDBY) == pytest.approx(100.0 * 0.1 + 100.0 - 10.0)
+        assert increase(MachineState.RUNNING) == pytest.approx(10.0)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):

@@ -1,0 +1,81 @@
+"""Metamorphic relations: properties of a run that need no oracle.
+
+Each test runs a random instance twice, once as generated and once changed
+in a way that must not alter what the simulation reports, and compares the
+two reports.
+
+- *Causality.*  A run with a shorter horizon is an exact prefix of the
+  longer one: nothing a tick reports may depend on a later tick.
+- *Scale invariance.*  Every decision depends on resource amounts only
+  through their ratios to capacities, so multiplying every capacity,
+  nominal size and demand sample by a power of two (exact in binary
+  floating point) leaves the report unchanged.  This also pins down that
+  grouping machines by capacity depends on which capacities are equal, not
+  on their absolute sizes.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+
+import pytest
+
+from _instances import make_instance
+from dcsim.engine import FleetMachine, Simulation
+from dcsim.model import MachineCapacity
+from dcsim.policies import POLICY_IDS, build_policy
+from dcsim.workload import DemandSample
+
+CAUSALITY_INSTANCES = 400
+SCALE_INSTANCES = 300
+SHORTER_BY = 7
+
+
+def _run(config, workload, spec):
+    return Simulation(config, workload, build_policy(spec)).run()
+
+
+def test_a_shorter_horizon_gives_a_prefix_of_the_series():
+    for seed in range(CAUSALITY_INSTANCES):
+        config, workload, spec = make_instance(seed)
+        full = _run(config, workload, spec)
+        n = config.duration_ticks - SHORTER_BY
+        short = _run(dataclasses.replace(config, duration_ticks=n), workload, spec)
+        assert len(short.running_machines) == n, f"seed {seed}"
+        assert short.running_machines == full.running_machines[:n], f"seed {seed}"
+        assert short.total_power_watts == full.total_power_watts[:n], f"seed {seed}"
+        assert short.violations_per_tick == full.violations_per_tick[:n], f"seed {seed}"
+
+
+def _scaled_capacity(cap, factor):
+    return MachineCapacity(*(x * factor for x in cap.as_tuple()))
+
+
+def _scaled(config, workload, factor):
+    fleet = tuple(
+        FleetMachine(_scaled_capacity(fm.capacity, factor), fm.peak_power_watts)
+        for fm in config.fleet
+    )
+    scaled_workload = [
+        dataclasses.replace(
+            request,
+            nominal=_scaled_capacity(request.nominal, factor),
+            trace=tuple(
+                DemandSample(s.tick, s.cpu * factor, s.mem * factor, s.disk * factor, s.bw * factor)
+                for s in request.trace
+            ),
+        )
+        for request in workload
+    ]
+    return dataclasses.replace(config, fleet=fleet), scaled_workload
+
+
+@pytest.mark.parametrize("factor", [2.0, 0.5])
+def test_scaling_every_resource_amount_leaves_the_report_unchanged(factor):
+    policies = set()
+    for seed in range(SCALE_INSTANCES):
+        config, workload, spec = make_instance(seed)
+        report = _run(config, workload, spec)
+        assert _run(*_scaled(config, workload, factor), spec) == report, f"seed {seed}"
+        policies.add(spec["id"])
+    assert policies == set(POLICY_IDS)

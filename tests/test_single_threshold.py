@@ -1,9 +1,11 @@
 """``single_threshold`` against its direct per-(VM, machine) reference.
 
-The policy scores a VM once per capacity class and then compares machines by
-arithmetic alone.  These tests hold it to the reference policy in
-``_oracles`` decision for decision, and bound how many per-VM share lookups
-an epoch replan may make, so the per-machine cost cannot return unnoticed.
+The policy looks a VM's share up once per capacity class, scores it once per
+machine kind and scans each kind's machines only for CPU room.  These tests
+hold it to the reference policy in ``_oracles`` decision for decision, on
+the small random instances and on larger fleets where machines fill up and
+two kinds tie, and bound how many per-VM share lookups an epoch replan may
+make, so the per-machine cost cannot return unnoticed.
 """
 
 from __future__ import annotations
@@ -202,3 +204,74 @@ def test_replan_looks_up_shares_once_per_vm_and_capacity_class():
 
 def test_replan_lookups_stay_bounded_when_equal_capacities_are_separate_objects():
     _check_replan_lookups(separate=True)
+
+
+# Two kinds whose on-increases tie bit for bit: twice the capacity at twice
+# the peak halves every share and doubles the slope.  The other two kinds add
+# a second peak on the small capacity and a large machine.
+_SMALL = MachineCapacity(2000.0, 4096.0, 500.0, 500.0)
+_MEDIUM = MachineCapacity(4000.0, 8192.0, 1000.0, 1000.0)
+_LARGE = MachineCapacity(8000.0, 16384.0, 2000.0, 2000.0)
+_KINDS = [(_SMALL, 100.0), (_MEDIUM, 200.0), (_SMALL, 120.0), (_LARGE, 360.0)]
+LARGE_FLEET_INSTANCES = 12
+
+
+class _TieCountingSingleThreshold(SingleThresholdPolicy):
+    """Counts scans that skip a full machine and choices tied across kinds."""
+
+    def __init__(self, **params):
+        super().__init__(**params)
+        self.skips = 0
+        self.ties = 0
+
+    def _cheapest(self, vm_cpu, footprints, plan_cpu, kinds):
+        best = super()._cheapest(vm_cpu, footprints, plan_cpu, kinds)
+        tied = set()
+        for cpu_capacity, slope, wake, cls, on, off in kinds:
+            on_increase = slope * footprints[cls]
+            for ids, increase in ((on, on_increase), (off, on_increase + wake)):
+                fits = [(plan_cpu[i] + vm_cpu) / cpu_capacity < self.threshold for i in ids]
+                self.skips += any(fits) and not fits[0]
+                if best is not None and increase == best[0] and any(fits):
+                    tied.add((cls, slope))
+        self.ties += len(tied) > 1
+        return best
+
+
+def _large_fleet_instance(seed):
+    rng = random.Random(seed)
+    fleet = tuple(FleetMachine(*rng.choice(_KINDS)) for _ in range(rng.randint(20, 60)))
+    duration = rng.randint(30, 60)
+    config = SimulationConfig(
+        fleet=fleet,
+        duration_ticks=duration,
+        initial_running_count=rng.randint(1, 4),
+        power_model=PowerModel(idle_fraction=0.5, standby_watts=rng.choice([0.0, 5.0])),
+        migration_cost_ticks=rng.choice([0, 1, 2]),
+    )
+    workload = generate_workload(
+        WorkloadSpec(
+            seed=seed,
+            vm_count=rng.randint(2, 4) * len(fleet),
+            duration_ticks=duration,
+            profile=rng.choice(list(WorkloadProfile)),
+            nominal_fraction=round(rng.uniform(0.05, 0.2), 2),
+            arrival_spread_ticks=rng.randint(0, duration // 2),
+        )
+    )
+    params = {"threshold": round(rng.uniform(0.5, 0.95), 2), "epoch_ticks": rng.randint(1, 5)}
+    return config, workload, params
+
+
+def test_matches_reference_on_larger_fleets_with_tied_kinds():
+    skips = ties = 0
+    for seed in range(LARGE_FLEET_INSTANCES):
+        config, workload, params = _large_fleet_instance(seed)
+        ref, ref_report = _run(ReferenceSingleThreshold, config, workload, params)
+        got, got_report = _run(_TieCountingSingleThreshold, config, workload, params)
+        assert got.log == ref.log, f"seed {seed}: decisions differ"
+        assert got.stats == ref.stats, f"seed {seed}: policy_stats differ"
+        assert got_report == ref_report, f"seed {seed}: reports differ"
+        skips += got.skips
+        ties += got.ties
+    assert skips > 0 and ties > 0, (skips, ties)
