@@ -13,8 +13,7 @@ Each tick runs a fixed pipeline:
    episodes;
 6. run the policy's rebalance pass, executing each emitted action as it is
    produced;
-7. integrate energy from the power model;
-8. advance last-used clocks.
+7. integrate energy from the power model.
 
 The engine draws no random numbers and iterates every collection in a fixed
 order, so a run is a pure function of (config, workload, policy).
@@ -26,23 +25,26 @@ generated trace has a sample every tick and is read as it is.
 
 The running machines are kept as a list in id order.  Only ``_wake`` and
 ``_standby`` change a machine's state, and they update the list, so the
-per-tick phases that concern running machines only (arbitration,
-measurement, the last-used clocks) walk it instead of the whole fleet.
-Energy walks the whole fleet, standby machines included, in id order.
+per-tick phases that concern running machines only (arbitration and
+measurement) walk it instead of the whole fleet.  Energy walks the whole
+fleet, standby machines included, in id order.
 
-A delayed migration is one entry of ``_inflight``, added when it starts and
-removed when it lands or its VM departs.  Every flight takes
-``migration_cost_ticks``, so the flights due at a tick are the ones that
-started together, and they land in the order they started: when two land on
-one machine, the first to start is checked against the machine first.
+A delayed migration is one entry of ``_inflight`` (vm -> target, land
+tick), kept in start order; nothing else records it, and only ``_set_flight``
+adds or removes an entry.  Every flight takes ``migration_cost_ticks``, so
+the flights due at a tick are the ones that started together, and they land
+in the order they started: when two land on one machine, the first to start
+is checked against the machine first.  A machine's inbound VMs are derived
+from the table in id order (``_inbound_ids``), so no sum over them depends
+on ``PYTHONHASHSEED``.
 
 Each machine's used share (``machine_rv``) is memoized.  ``_arbitrate``
 clears the memo, since it is the only phase that records usage, and seeds it
-with the share it has just computed for every running machine with no
-inbound VM: that share sums the same delivered usage in the same hosted
-order as ``_used_share`` would.  A machine's entry is dropped whenever its
-hosted list or inbound set changes; every such change goes through
-``_set_host`` or ``_set_inbound``, which drop it.
+with the share it has just computed for every running machine no flight
+targets: that share sums the same delivered usage in the same hosted order
+as ``_used_share`` would.  A machine's entry is dropped whenever its hosted
+list changes or a flight to it starts or ends; every such change goes
+through ``_set_host`` or ``_set_flight``, which drop it.
 """
 
 from __future__ import annotations
@@ -247,7 +249,6 @@ class Simulation:
                     capacity=shared.setdefault(spec.capacity, spec.capacity),
                     peak_power_watts=spec.peak_power_watts,
                     state=state,
-                    last_used_tick=0 if state is MachineState.RUNNING else -1,
                 )
             )
         # The running machines in id order; only ``_wake`` and ``_standby`` change it.
@@ -271,9 +272,8 @@ class Simulation:
         self._pending: list[str] = []
         self._departures: dict[int, list[str]] = {}
 
-        # In-flight migrations (only with migration_cost_ticks > 0).
+        # Delayed migrations in start order; only ``_set_flight`` changes it.
         self._inflight: dict[str, tuple[int, int]] = {}  # vm -> (target, land tick)
-        self._inbound: dict[int, set[str]] = {}
         self._deferred_standby: list[int] = []
 
         # Each running machine's delivered usage as shares of its capacity.
@@ -326,7 +326,7 @@ class Simulation:
         return vm_id in self._inflight
 
     def has_inbound(self, machine_id: int) -> bool:
-        return bool(self._inbound.get(machine_id))
+        return bool(self._inbound_ids(machine_id))
 
     def vm_nominal(self, vm_id: str) -> MachineCapacity:
         return self._requests[vm_id].nominal
@@ -373,7 +373,7 @@ class Simulation:
         for vm in hosted:
             if not vm.usage_window:
                 used = clamped_sum_of(used, self._default_share)
-        for vm_id in sorted(self._inbound.get(machine_id, ())):
+        for vm_id in self._inbound_ids(machine_id):
             used = clamped_sum_of(used, self.vm_rv_on(vm_id, machine_id))
         return used
 
@@ -385,9 +385,7 @@ class Simulation:
         """Capacity minus nominal sizes of hosted plus inbound VMs."""
         pm = self.machines[machine_id]
         free = list(pm.capacity.as_tuple())
-        vm_ids = list(pm.hosted_vm_ids)
-        vm_ids.extend(self._inbound.get(machine_id, ()))
-        for vm_id in vm_ids:
+        for vm_id in pm.hosted_vm_ids + self._inbound_ids(machine_id):
             nom = self._requests[vm_id].nominal.as_tuple()
             for r in range(4):
                 free[r] -= nom[r]
@@ -397,9 +395,7 @@ class Simulation:
         """Absolute CPU demand attributed to a machine (usage, else nominal)."""
         pm = self.machines[machine_id]
         total = 0.0
-        vm_ids = list(pm.hosted_vm_ids)
-        vm_ids.extend(self._inbound.get(machine_id, ()))
-        for vm_id in vm_ids:
+        for vm_id in pm.hosted_vm_ids + self._inbound_ids(machine_id):
             mean = self.vm_window_mean(vm_id)
             total += mean[0] if mean is not None else self._requests[vm_id].nominal.cpu
         return total
@@ -413,13 +409,10 @@ class Simulation:
             raise EngineError(f"machine {pm.id} is not standby; cannot wake")
         pm.state = MachineState.RUNNING
         insort(self._running, pm, key=_machine_id)
-        pm.last_used_tick = self.tick
-        pm.current_utilization = 0.0
         self.wake_count += 1
 
     def _standby(self, pm: PhysicalMachine) -> None:
-        if pm.hosted_vm_ids or self.has_inbound(pm.id):
-            raise EngineError(f"machine {pm.id} is not empty; cannot standby")
+        """Park an empty machine; the caller has checked that it is empty."""
         pm.state = MachineState.STANDBY
         del self._running[bisect_left(self._running, pm.id, key=_machine_id)]
         pm.last_used_tick = self.tick
@@ -442,17 +435,23 @@ class Simulation:
             vm.host_id = target.id
             self._used.pop(target.id, None)
 
-    def _set_inbound(self, vm_id: str, target_id: int, inbound: bool) -> None:
-        """Add ``vm_id`` to, or remove it from, the machine's inbound set.
+    def _set_flight(self, vm_id: str, flight: Optional[tuple[int, int]]) -> None:
+        """Start ``vm_id``'s flight, ``(target, land tick)``, or end it if None.
 
-        The only place inbound sets change; it drops the machine's memoized
+        The only place ``_inflight`` changes; it drops the target's memoized
         used share.
         """
-        if inbound:
-            self._inbound.setdefault(target_id, set()).add(vm_id)
+        if flight is None:
+            flight = self._inflight.pop(vm_id)
         else:
-            self._inbound[target_id].discard(vm_id)
-        self._used.pop(target_id, None)
+            self._inflight[vm_id] = flight
+        self._used.pop(flight[0], None)
+
+    def _inbound_ids(self, machine_id: int) -> list[str]:
+        """The VMs flying to a machine, in id order."""
+        if not self._inflight:
+            return []
+        return sorted(vm for vm, (target, _) in self._inflight.items() if target == machine_id)
 
     def _named_machine(self, machine_id: int) -> PhysicalMachine:
         """The machine a policy decision or action names; it must be in the fleet."""
@@ -467,7 +466,6 @@ class Simulation:
         source = self.machines[vm.host_id]
         self._set_host(vm, target)
         source.clear_breach()
-        target.last_used_tick = self.tick
         self.migration_count += 1
 
     # ------------------------------------------------------------------
@@ -488,8 +486,6 @@ class Simulation:
         self._measure(tick)
         self._rebalance(tick)
         self._integrate_energy(tick, violations)
-        for pm in self._running:
-            pm.last_used_tick = tick
         self.tick = tick + 1
 
     # -- step 1: migration landings -------------------------------------
@@ -501,8 +497,7 @@ class Simulation:
             if land_tick == tick
         ]
         for vm_id, target_id in due:
-            del self._inflight[vm_id]
-            self._set_inbound(vm_id, target_id, False)
+            self._set_flight(vm_id, None)
             vm = self.vms[vm_id]
             target = self.machines[target_id]
             if target.state is not MachineState.RUNNING or not self.policy.migration_landing_ok(
@@ -518,8 +513,7 @@ class Simulation:
         for vm_id in self._departures.pop(tick, ()):
             vm = self.vms[vm_id]
             if vm_id in self._inflight:
-                target_id, _ = self._inflight.pop(vm_id)
-                self._set_inbound(vm_id, target_id, False)
+                self._set_flight(vm_id, None)
             host_id = vm.host_id
             self._set_host(vm, None)
             del self.vms[vm_id]
@@ -565,7 +559,6 @@ class Simulation:
                     f"policy {self.policy.name!r} placed {vm_id} on standby machine {target.id}"
                 )
             self._set_host(vm, target)
-            target.last_used_tick = tick
 
     # -- step 4: demand + arbitration --------------------------------------
 
@@ -575,13 +568,13 @@ class Simulation:
         A machine whose totals fit its capacity delivers every demand as
         asked; only an over-committed one goes through
         ``proportional_delivery``.  Each machine's share also seeds the
-        ``machine_rv`` memo unless the machine has an inbound VM.
+        ``machine_rv`` memo unless a flight targets the machine.
         """
         violations = 0
         shares = self._shares = {}
         used = self._used
         used.clear()
-        inbound = self._inbound
+        targets = {target_id for target_id, _ in self._inflight.values()}
         capacities = self._capacities
         vms = self.vms
         all_rows = self._rows
@@ -614,7 +607,7 @@ class Simulation:
                     vms[vm_id].record_usage(usage)
                 share = shares_of(totals, cap)
             shares[pm_id] = share
-            if not inbound.get(pm_id):
+            if pm_id not in targets:
                 used[pm_id] = share
         self.sla_violation_count += violations
         return violations
@@ -690,8 +683,7 @@ class Simulation:
         if cost == 0:
             self._move(vm, target)
             return
-        self._inflight[vm.id] = (target.id, tick + cost)
-        self._set_inbound(vm.id, target.id, True)
+        self._set_flight(vm.id, (target.id, tick + cost))
         self.machines[vm.host_id].clear_breach()
 
     # -- step 7: energy -------------------------------------------------------

@@ -57,12 +57,6 @@ class SweepResult:
     def values(self) -> list[Union[float, str]]:
         return [p.value for p in self.points]
 
-    def energies(self) -> list[float]:
-        return [p.energy_kwh for p in self.points]
-
-    def violations(self) -> list[int]:
-        return [p.sla_violations for p in self.points]
-
 
 @dataclass(frozen=True, slots=True)
 class ComparisonRow:

@@ -135,7 +135,7 @@ class PhysicalMachine:
     peak_power_watts: float
     state: MachineState = MachineState.RUNNING
     hosted_vm_ids: list[str] = field(default_factory=list)
-    last_used_tick: int = -1
+    last_used_tick: int = -1  # the last tick it ran before going to standby; -1 until then
     breach_side: Optional[BreachSide] = None
     threshold_breach_since: Optional[int] = None
     current_utilization: float = 0.0

@@ -44,8 +44,8 @@ class ClusterView(Protocol):
     decision.
 
     ``machine_rv`` and ``vm_rv_on`` return the same value until the engine
-    arbitrates a new tick or changes that machine's hosted or inbound set;
-    the engine memoizes ``machine_rv`` on that basis.  The identity of a
+    arbitrates a new tick or changes the VMs that machine hosts or that fly
+    to it; the engine memoizes ``machine_rv`` on that basis.  The identity of a
     ``machine_rv`` result is a hint for caching only: a policy may reuse what
     it derived from a tuple while the view returns that same object, but a
     new object, equal or not, must be treated as a new value.

@@ -27,6 +27,8 @@ from .base import (
 
 # A machine kind (see ``SingleThresholdPolicy._fleet``).
 _Kind = tuple[float, float, float, int, list[int], list[int]]
+# A VM's ``view.vm_window_mean``; single_threshold reads it once per VM it scores.
+_Mean = Optional[tuple[float, float, float, float]]
 
 
 def _first_fit(
@@ -191,10 +193,10 @@ class SingleThresholdPolicy(SchedulerPolicy):
 
     # -- helpers -----------------------------------------------------------
 
-    def _vm_cpu_abs(self, vm_id: str, view: ClusterView) -> float:
-        usage = view.vm_window_mean(vm_id)
-        if usage is not None:
-            return usage[0]
+    @staticmethod
+    def _vm_cpu_abs(vm_id: str, mean: _Mean, view: ClusterView) -> float:
+        if mean is not None:
+            return mean[0]
         return view.vm_nominal(vm_id).cpu
 
     @staticmethod
@@ -228,13 +230,15 @@ class SingleThresholdPolicy(SchedulerPolicy):
             kind[4 if pm.is_running else 5].append(pm.id)
         return list(kinds.values()), representatives
 
-    def _footprints(self, vm_id: str, view: ClusterView, representatives: list[int]) -> list[float]:
+    def _footprints(
+        self, vm_id: str, mean: _Mean, view: ClusterView, representatives: list[int]
+    ) -> list[float]:
         """The VM's unified footprint on each capacity class.
 
         One machine stands for its class because the view's share of a VM
         on a machine depends on the machine only through its capacity.
         """
-        if view.vm_window_mean(vm_id) is not None:
+        if mean is not None:
             rv_on = view.vm_rv_on
         else:
             rv_on = view.vm_nominal_rv_on
@@ -285,9 +289,10 @@ class SingleThresholdPolicy(SchedulerPolicy):
     def allocate(self, vm_id: str, view: ClusterView) -> PlacementDecision:
         machines = view.all_machines()
         kinds, representatives = self._fleet(machines, view.power_model)
+        mean = view.vm_window_mean(vm_id)
         best = self._cheapest(
-            self._vm_cpu_abs(vm_id, view),
-            self._footprints(vm_id, view, representatives),
+            self._vm_cpu_abs(vm_id, mean, view),
+            self._footprints(vm_id, mean, view, representatives),
             {pm.id: view.cpu_used_abs(pm.id) for pm in machines},
             kinds,
         )
@@ -309,20 +314,21 @@ class SingleThresholdPolicy(SchedulerPolicy):
         by_id = {pm.id: pm for pm in machines}
 
         # An in-flight VM stays charged to the machine it is leaving.
-        placed: list[tuple[str, int]] = []
+        placed: list[tuple[str, int, _Mean]] = []
         for pm in machines:
             for vm_id in pm.hosted_vm_ids:
+                mean = view.vm_window_mean(vm_id)
                 if view.vm_in_flight(vm_id):
-                    plan_cpu[pm.id] += self._vm_cpu_abs(vm_id, view)
+                    plan_cpu[pm.id] += self._vm_cpu_abs(vm_id, mean, view)
                 else:
-                    placed.append((vm_id, pm.id))
+                    placed.append((vm_id, pm.id, mean))
 
-        vm_cpu = {vm_id: self._vm_cpu_abs(vm_id, view) for vm_id, _ in placed}
+        vm_cpu = {vm_id: self._vm_cpu_abs(vm_id, mean, view) for vm_id, _, mean in placed}
         order = sorted(placed, key=lambda item: (-vm_cpu[item[0]], item[0]))
         moves = []
-        for vm_id, current_host in order:
+        for vm_id, current_host, mean in order:
             cpu = vm_cpu[vm_id]
-            footprints = self._footprints(vm_id, view, representatives)
+            footprints = self._footprints(vm_id, mean, view, representatives)
             best = self._cheapest(cpu, footprints, plan_cpu, kinds)
             target = best[1] if best is not None else current_host
             if best is None:

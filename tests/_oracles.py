@@ -445,7 +445,10 @@ def fresh_machine_rv(sim, machine_id):
     for vm in hosted:
         if not vm.usage_window:
             used = clamped_sum_of(used, sim.policy.default_rv.as_tuple())
-    for vm_id in sorted(sim._inbound.get(machine_id, ())):
+    inbound = sorted(
+        vm_id for vm_id, (target_id, _) in sim._inflight.items() if target_id == machine_id
+    )
+    for vm_id in inbound:
         used = clamped_sum_of(used, _fresh_vm_rv_on(sim, vm_id, machine_id))
     return used
 

@@ -252,7 +252,8 @@ class TestSingleThreshold:
             )
             view.nominals["vm-a"] = MachineCapacity(400, 819.2, 100, 100)
             kinds, representatives = policy._fleet(view.all_machines(), view.power_model)
-            footprints = policy._footprints("vm-a", view, representatives)
+            mean = view.vm_window_mean("vm-a")
+            footprints = policy._footprints("vm-a", mean, view, representatives)
             best = policy._cheapest(0.0, footprints, {0: 0.0}, kinds)
             assert best is not None and best[1] == 0
             return best[0]

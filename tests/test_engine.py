@@ -130,7 +130,8 @@ class TestConfigValidation:
             MachineState.STANDBY,
             MachineState.STANDBY,
         ]
-        assert [pm.last_used_tick for pm in sim.all_machines()] == [0, 0, -1, -1]
+        # No machine has gone to standby yet, running or not.
+        assert [pm.last_used_tick for pm in sim.all_machines()] == [-1, -1, -1, -1]
 
     def test_equal_capacities_share_one_object(self):
         small = (2000.0, 4096.0, 500.0, 500.0)
@@ -853,11 +854,19 @@ class TestViewSemantics:
         sim._step()
         assert sim.machine_rv(0) == pytest.approx((0.1, 0.1, 0.1, 0.1))
 
-    def test_last_used_tick_advances_for_running_machines(self):
-        sim = Simulation(config(2, duration=4), [], GreedyPolicy())
-        sim._step()
-        sim._step()
-        assert all(pm.last_used_tick == 1 for pm in sim.all_machines())
+    def test_last_used_tick_is_the_tick_the_machine_went_to_standby(self):
+        # Machine 1 parks at tick 2 and wakes for vm-0 at tick 4; machine 0 never parks.
+        reqs = [flat_request("vm-0", 10.0, arrival=4)]
+        policy = ScriptedPolicy({"vm-0": 1}, actions={2: [RebalanceAction.standby_machine(1)]})
+        sim = Simulation(config(2, duration=6), reqs, policy)
+        for _ in range(3):
+            sim._step()
+        assert sim.machine(1).state is MachineState.STANDBY
+        assert [pm.last_used_tick for pm in sim.all_machines()] == [-1, 2]
+        for _ in range(3):
+            sim._step()
+        assert sim.machine(1).state is MachineState.RUNNING
+        assert [pm.last_used_tick for pm in sim.all_machines()] == [-1, 2]
 
     @pytest.mark.parametrize(
         "preset, policy_spec",

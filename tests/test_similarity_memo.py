@@ -336,7 +336,7 @@ class _CountingSimulation(Simulation):
     Each window runs from one arbitration to the next: a tick's rebalance
     plus the next tick's landings, departures and arrivals.  Its bound is
     the machines running when it opens, plus the machines woken and the
-    hosted-list or inbound-set changes made inside it.
+    hosted-list changes and flight starts and ends made inside it.
     """
 
     def __init__(self, *args):
@@ -353,9 +353,9 @@ class _CountingSimulation(Simulation):
         self._bound += (vm.host_id is not None) + (target is not None)
         super()._set_host(vm, target)
 
-    def _set_inbound(self, vm_id, target_id, inbound):
+    def _set_flight(self, vm_id, flight):
         self._bound += 1
-        super()._set_inbound(vm_id, target_id, inbound)
+        super()._set_flight(vm_id, flight)
 
     def _wake(self, pm):
         self._bound += 1
