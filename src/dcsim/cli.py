@@ -13,7 +13,6 @@ Exit codes: 0 on success, 2 for configuration errors, 3 for I/O errors,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import Optional
@@ -23,14 +22,20 @@ from .config import (
     Experiment,
     apply_overrides,
     build_experiment,
-    build_workload_spec,
     effective_config_json,
     load_raw_config,
 )
 from .engine import EngineError, run_simulation
-from .metrics import compare_policies, run_sweep, write_csv, write_plot_data
+from .metrics import (
+    compare_policies,
+    console_lines,
+    run_sweep,
+    write_csv,
+    write_plot_data,
+    write_summary,
+)
 from .policies import build_policy
-from .workload import generate_workload, save_trace_files
+from .workload import save_trace_files
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -83,10 +88,10 @@ def _prepare(args) -> tuple[Experiment, str]:
     return experiment, out_dir
 
 
-def _write_summary(out_dir: str, summary: dict) -> None:
-    with open(os.path.join(out_dir, "summary.json"), "w") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+def _summarize(result, out_dir: str) -> None:
+    write_summary(result, os.path.join(out_dir, "summary.json"))
+    for line in console_lines(result):
+        print(line)
 
 
 def cmd_run(args) -> int:
@@ -95,21 +100,8 @@ def cmd_run(args) -> int:
     policy = build_policy(experiment.policy_spec)
     report = run_simulation(experiment.sim_config, workload, policy)
     write_csv(report, os.path.join(out_dir, "report.csv"))
-    summary = {
-        "energy_kwh": report.total_energy_kwh,
-        "sla_violations": report.sla_violation_count,
-        "migrations": report.migration_count,
-        "wakes": report.wake_count,
-        "standbys": report.standby_count,
-        "rejected_requests": report.rejected_requests,
-        "dropped_actions": report.dropped_actions,
-        "mean_running_machines": report.mean_running_machines,
-        "peak_running_machines": report.peak_running_machines,
-    }
-    _write_summary(out_dir, summary)
     print(f"policy={policy.name}")
-    for key in sorted(summary):
-        print(f"{key}={summary[key]}")
+    _summarize(report, out_dir)
     return EXIT_OK
 
 
@@ -135,30 +127,7 @@ def cmd_sweep(args) -> int:
         )
     write_csv(result, os.path.join(out_dir, f"sweep_{parameter}.csv"))
     write_plot_data(result, os.path.join(out_dir, f"plot_{parameter}"))
-    _write_summary(
-        out_dir,
-        {
-            "parameter": parameter,
-            "points": [
-                {
-                    "value": p.value,
-                    "energy_kwh": p.energy_kwh,
-                    "sla_violations": p.sla_violations,
-                    "mean_running_machines": p.mean_running_machines,
-                    "migrations": p.migrations,
-                }
-                for p in result.points
-            ],
-            "skipped": [[value, reason] for value, reason in result.skipped],
-        },
-    )
-    for p in result.points:
-        print(
-            f"{parameter}={p.value} energy_kwh={p.energy_kwh:.6f} "
-            f"sla_violations={p.sla_violations} mean_running={p.mean_running_machines:.3f}"
-        )
-    for value, _ in result.skipped:
-        print(f"{parameter}={value} skipped")
+    _summarize(result, out_dir)
     return EXIT_OK
 
 
@@ -176,40 +145,15 @@ def cmd_compare(args) -> int:
     )
     write_csv(result, os.path.join(out_dir, "comparison.csv"))
     write_plot_data(result, os.path.join(out_dir, "plot_compare"))
-    _write_summary(
-        out_dir,
-        {
-            "baseline": result.baseline,
-            "rows": [
-                {
-                    "policy": row.policy,
-                    "energy_kwh": row.energy_kwh,
-                    "sla_violations": row.sla_violations,
-                    "migrations": row.migrations,
-                    "energy_savings_pct": row.energy_savings_pct,
-                    "violation_reduction_pct": row.violation_reduction_pct,
-                }
-                for row in result.rows
-            ],
-        },
-    )
-    for row in result.rows:
-        savings = "-" if row.energy_savings_pct is None else f"{row.energy_savings_pct:.2f}%"
-        fewer = "-" if row.violation_reduction_pct is None else f"{row.violation_reduction_pct:.2f}%"
-        print(
-            f"{row.policy}: energy_kwh={row.energy_kwh:.6f} sla_violations={row.sla_violations} "
-            f"energy_savings={savings} violation_reduction={fewer}"
-        )
+    _summarize(result, out_dir)
     return EXIT_OK
 
 
 def cmd_gen_workload(args) -> int:
     experiment, out_dir = _prepare(args)
-    section = experiment.workload_section
-    if "spec" not in section:
+    if "spec" not in experiment.workload_section:
         raise ConfigError("gen-workload requires a workload.spec section")
-    spec = build_workload_spec(section["spec"], args.seed)
-    workload = generate_workload(spec)
+    workload = experiment.materialize_workload(args.seed)
     trace_path = os.path.join(out_dir, "trace.csv")
     meta_path = os.path.join(out_dir, "meta.csv")
     save_trace_files(workload, trace_path, meta_path)
@@ -233,9 +177,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except EngineError as exc:
         print(f"engine error: {exc}", file=sys.stderr)
         return EXIT_ENGINE

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 from .engine import EngineError, FleetMachine, SimulationConfig
@@ -177,7 +177,6 @@ def build_workload_spec(raw_spec: dict, seed_override: Optional[int] = None) -> 
 class Experiment:
     """A fully validated experiment: engine config plus policy and workload."""
 
-    raw: dict
     sim_config: SimulationConfig
     policy_spec: Any
     workload_section: dict
@@ -185,32 +184,20 @@ class Experiment:
     sweep: Optional[dict] = None
     compare: Optional[dict] = None
     output_dir: Optional[str] = None
-    _workload_cache: dict[Optional[int], list[VmRequest]] = field(
-        default_factory=dict, repr=False
-    )
 
     def materialize_workload(self, seed_override: Optional[int] = None) -> list[VmRequest]:
-        """The experiment's workload, built once per ``seed_override``."""
-        cached = self._workload_cache.get(seed_override)
-        if cached is not None:
-            return cached
+        """The experiment's workload: generated from its spec, or loaded from its traces."""
         section = self.workload_section
         if "spec" in section:
-            spec = build_workload_spec(section["spec"], seed_override)
-            workload = generate_workload(spec)
-        elif "trace" in section and "meta" in section:
+            return generate_workload(build_workload_spec(section["spec"], seed_override))
+        if "trace" in section and "meta" in section:
             trace = os.path.join(self.base_dir, section["trace"])
             meta = os.path.join(self.base_dir, section["meta"])
             try:
-                workload = load_trace_files(trace, meta)
+                return load_trace_files(trace, meta)
             except WorkloadError as exc:
                 raise ConfigError(str(exc)) from None
-        else:
-            raise ConfigError(
-                "workload: needs either a 'spec' mapping or 'trace'+'meta' file paths"
-            )
-        self._workload_cache[seed_override] = workload
-        return workload
+        raise ConfigError("workload: needs either a 'spec' mapping or 'trace'+'meta' file paths")
 
 
 def build_experiment(raw: dict, base_dir: str = ".") -> Experiment:
@@ -236,7 +223,6 @@ def build_experiment(raw: dict, base_dir: str = ".") -> Experiment:
             raise ConfigError("compare.policies: expected a list of at least two policies")
     output_dir = raw.get("output_dir")
     return Experiment(
-        raw=raw,
         sim_config=sim_config,
         policy_spec=policy_spec,
         workload_section=workload_section,

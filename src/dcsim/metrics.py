@@ -4,17 +4,24 @@ Every sweep point runs one full simulation against the *same* workload, so
 curves reflect only the swept parameter.  With ``jobs`` > 1 the points run
 in a process pool of at most one worker per point; the simulation config
 and the workload reach each worker once, when it starts, and workers treat
-both as read-only.  CSV output carries a versioned schema comment and uses
-round-trip float formatting; writing, reading and re-writing a file
-reproduces it byte for byte.
+both as read-only.
+
+This module owns every artifact format: CSV, plot series, ``summary.json``
+and the CLI's console lines.  The sweep and comparison columns are the
+fields of :class:`SweepPoint` and :class:`ComparisonRow`, in order.  CSV
+output carries a versioned schema comment and uses round-trip float
+formatting; writing, reading and re-writing a file reproduces it byte for
+byte.
 """
 
 from __future__ import annotations
 
+import json
 import logging
+import re
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from typing import Any, Optional, Union
+from dataclasses import asdict, dataclass, field, fields
+from typing import Any, Optional, Union, get_type_hints
 
 from .engine import SimulationConfig, SimulationReport, run_simulation
 from .policies import build_policy
@@ -37,7 +44,7 @@ RUN_SCHEMA = "dcsim run v1"
 
 @dataclass(frozen=True, slots=True)
 class SweepPoint:
-    """Aggregates of one simulation at one parameter value."""
+    """Aggregates of one simulation at one parameter value; the fields are the CSV columns."""
 
     value: Union[float, str]
     energy_kwh: float
@@ -60,7 +67,7 @@ class SweepResult:
 
 @dataclass(frozen=True, slots=True)
 class ComparisonRow:
-    """One policy's aggregates plus savings relative to the baseline row."""
+    """One policy's aggregates and savings against the baseline; the fields are the CSV columns."""
 
     policy: str
     energy_kwh: float
@@ -69,6 +76,10 @@ class ComparisonRow:
     mean_running_machines: float
     energy_savings_pct: Optional[float]
     violation_reduction_pct: Optional[float]
+
+
+SWEEP_COLUMNS = tuple(f.name for f in fields(SweepPoint))
+COMPARISON_COLUMNS = tuple(f.name for f in fields(ComparisonRow))
 
 
 @dataclass(slots=True)
@@ -183,15 +194,7 @@ def run_sweep(
         kept.append(v)
         specs.append(spec)
     for v, report in zip(kept, _run_points(sim_config, workload, specs, jobs)):
-        result.points.append(
-            SweepPoint(
-                value=v,
-                energy_kwh=report.total_energy_kwh,
-                sla_violations=report.sla_violation_count,
-                mean_running_machines=report.mean_running_machines,
-                migrations=report.migration_count,
-            )
-        )
+        result.points.append(SweepPoint(value=v, **_row_stats(report)))
     return result
 
 
@@ -208,6 +211,8 @@ def compare_policies(
     against itself reports 0.  When the baseline count is zero the
     percentage is undefined and reported as ``None``.  An error raised by
     any simulation, such as an ``EngineError``, propagates to the caller.
+    A label with a comma or whitespace is a ``ValueError``: the CSV and the
+    plot file could not tell its cells apart.
     """
     names = []
     specs = []
@@ -219,6 +224,8 @@ def compare_policies(
             label = spec
         if label in names:
             raise ValueError(f"duplicate policy label {label!r}; add distinct 'label' keys")
+        if re.search(r"[,\s]", str(label)):
+            raise ValueError(f"policy label {label!r} contains a comma or whitespace")
         names.append(label)
         specs.append(spec)
     if baseline is None:
@@ -235,10 +242,7 @@ def compare_policies(
         result.rows.append(
             ComparisonRow(
                 policy=name,
-                energy_kwh=report.total_energy_kwh,
-                sla_violations=report.sla_violation_count,
-                migrations=report.migration_count,
-                mean_running_machines=report.mean_running_machines,
+                **_row_stats(report),
                 energy_savings_pct=_savings(base.total_energy_kwh, report.total_energy_kwh),
                 violation_reduction_pct=_savings(
                     float(base.sla_violation_count), float(report.sla_violation_count)
@@ -246,6 +250,16 @@ def compare_policies(
             )
         )
     return result
+
+
+def _row_stats(report: SimulationReport) -> dict[str, Any]:
+    """The four statistics of a run that a sweep point or comparison row carries."""
+    return {
+        "energy_kwh": report.total_energy_kwh,
+        "sla_violations": report.sla_violation_count,
+        "mean_running_machines": report.mean_running_machines,
+        "migrations": report.migration_count,
+    }
 
 
 def _savings(baseline: float, ours: float) -> Optional[float]:
@@ -267,30 +281,27 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _cells(row, columns: tuple[str, ...], sep: str) -> str:
+    return sep.join(_fmt(getattr(row, column)) for column in columns)
+
+
+def _write_lines(path: str, lines: list[str]) -> None:
+    with open(path, "w", newline="") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def write_csv(result, path: str) -> None:
     """Write a sweep, comparison or run report as versioned CSV."""
     if isinstance(result, SweepResult):
         lines = [f"# {SWEEP_SCHEMA}", f"# parameter: {result.parameter}"]
         for value, reason in result.skipped:
             lines.append(f"# skipped: {_fmt(value)}: {reason}")
-        lines.append("value,energy_kwh,sla_violations,mean_running_machines,migrations")
-        for p in result.points:
-            lines.append(
-                f"{_fmt(p.value)},{_fmt(p.energy_kwh)},{p.sla_violations},"
-                f"{_fmt(p.mean_running_machines)},{p.migrations}"
-            )
+        lines.append(",".join(SWEEP_COLUMNS))
+        lines += [_cells(p, SWEEP_COLUMNS, ",") for p in result.points]
     elif isinstance(result, ComparisonResult):
         lines = [f"# {COMPARISON_SCHEMA}", f"# baseline: {result.baseline}"]
-        lines.append(
-            "policy,energy_kwh,sla_violations,migrations,mean_running_machines,"
-            "energy_savings_pct,violation_reduction_pct"
-        )
-        for row in result.rows:
-            lines.append(
-                f"{row.policy},{_fmt(row.energy_kwh)},{row.sla_violations},"
-                f"{row.migrations},{_fmt(row.mean_running_machines)},"
-                f"{_fmt(row.energy_savings_pct)},{_fmt(row.violation_reduction_pct)}"
-            )
+        lines.append(",".join(COMPARISON_COLUMNS))
+        lines += [_cells(row, COMPARISON_COLUMNS, ",") for row in result.rows]
     elif isinstance(result, SimulationReport):
         lines = [f"# {RUN_SCHEMA}"]
         lines.append("tick,running_machines,total_power_watts,sla_violations")
@@ -301,8 +312,7 @@ def write_csv(result, path: str) -> None:
             )
     else:
         raise TypeError(f"cannot serialize {type(result).__name__} to CSV")
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def read_sweep_csv(path: str) -> SweepResult:
@@ -323,22 +333,16 @@ def read_sweep_csv(path: str) -> SweepResult:
         value_raw, _, reason = payload.partition(": ")
         result.skipped.append((_parse_value(value_raw), reason))
     header = lines[body_start] if body_start < len(lines) else ""
-    if header != "value,energy_kwh,sla_violations,mean_running_machines,migrations":
+    if header != ",".join(SWEEP_COLUMNS):
         raise ValueError(f"{path}: unexpected header {header!r}")
     for line in lines[body_start + 1 :]:
         if not line:
             continue
         parts = line.split(",")
-        if len(parts) != 5:
+        if len(parts) != len(SWEEP_COLUMNS):
             raise ValueError(f"{path}: malformed row {line!r}")
         result.points.append(
-            SweepPoint(
-                value=_parse_value(parts[0]),
-                energy_kwh=float(parts[1]),
-                sla_violations=int(parts[2]),
-                mean_running_machines=float(parts[3]),
-                migrations=int(parts[4]),
-            )
+            SweepPoint(*(parse(part) for parse, part in zip(_SWEEP_PARSERS, parts)))
         )
     return result
 
@@ -350,35 +354,93 @@ def _parse_value(raw: str) -> Union[float, str]:
         return raw
 
 
+# Each sweep column's parser: its field's type when that is int or float.
+_SWEEP_PARSERS = tuple(
+    t if t in (int, float) else _parse_value
+    for t in map(get_type_hints(SweepPoint).get, SWEEP_COLUMNS)
+)
+
+# The sweep plot series: (file suffix, column).
+_SWEEP_SERIES = (
+    ("energy", "energy_kwh"),
+    ("violations", "sla_violations"),
+    ("machines", "mean_running_machines"),
+)
+_COMPARISON_PLOT_COLUMNS = ("policy", "energy_kwh", "sla_violations")
+
+
 def write_plot_data(result, path_prefix: str) -> list[str]:
     """Write gnuplot-style ``x y`` series files; returns the paths written."""
-    paths = []
     if isinstance(result, SweepResult):
-        series = [
-            ("energy", [(p.value, p.energy_kwh) for p in result.points], "energy_kwh"),
-            ("violations", [(p.value, p.sla_violations) for p in result.points], "sla_violations"),
-            (
-                "machines",
-                [(p.value, p.mean_running_machines) for p in result.points],
-                "mean_running_machines",
-            ),
-        ]
-        for suffix, rows, ylabel in series:
+        paths = []
+        for suffix, column in _SWEEP_SERIES:
             path = f"{path_prefix}_{suffix}.dat"
-            lines = [f"# x: {result.parameter}", f"# y: {ylabel}"]
-            for x, y in rows:
-                lines.append(f"{_fmt(x)} {_fmt(y)}")
-            with open(path, "w", newline="") as fh:
-                fh.write("\n".join(lines) + "\n")
+            lines = [f"# x: {result.parameter}", f"# y: {column}"]
+            lines += [_cells(p, ("value", column), " ") for p in result.points]
+            _write_lines(path, lines)
             paths.append(path)
-    elif isinstance(result, ComparisonResult):
+        return paths
+    if isinstance(result, ComparisonResult):
         path = f"{path_prefix}_policies.dat"
-        lines = ["# columns: policy energy_kwh sla_violations"]
-        for row in result.rows:
-            lines.append(f"{row.policy} {_fmt(row.energy_kwh)} {row.sla_violations}")
-        with open(path, "w", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
-        paths.append(path)
-    else:
-        raise TypeError(f"cannot write plot data for {type(result).__name__}")
-    return paths
+        lines = ["# columns: " + " ".join(_COMPARISON_PLOT_COLUMNS)]
+        lines += [_cells(row, _COMPARISON_PLOT_COLUMNS, " ") for row in result.rows]
+        _write_lines(path, lines)
+        return [path]
+    raise TypeError(f"cannot write plot data for {type(result).__name__}")
+
+
+def _summary(result) -> dict[str, Any]:
+    """The ``summary.json`` document of a run report, sweep or comparison."""
+    if isinstance(result, SimulationReport):
+        return {
+            **_row_stats(result),
+            "wakes": result.wake_count,
+            "standbys": result.standby_count,
+            "rejected_requests": result.rejected_requests,
+            "dropped_actions": result.dropped_actions,
+            "peak_running_machines": result.peak_running_machines,
+        }
+    if isinstance(result, SweepResult):
+        return {
+            "parameter": result.parameter,
+            "points": [asdict(p) for p in result.points],
+            "skipped": [[value, reason] for value, reason in result.skipped],
+        }
+    if isinstance(result, ComparisonResult):
+        rows = [asdict(row) for row in result.rows]
+        for row in rows:
+            del row["mean_running_machines"]
+        return {"baseline": result.baseline, "rows": rows}
+    raise TypeError(f"cannot summarize {type(result).__name__}")
+
+
+def write_summary(result, path: str) -> None:
+    """Write ``result``'s ``summary.json``; comparison rows omit ``mean_running_machines``."""
+    with open(path, "w") as fh:
+        json.dump(_summary(result), fh, sort_keys=True, indent=2)
+        fh.write("\n")
+
+
+def _pct(value: Optional[float]) -> str:
+    return "-" if value is None else f"{value:.2f}%"
+
+
+def console_lines(result) -> list[str]:
+    """The lines the CLI prints for a run report, sweep or comparison."""
+    if isinstance(result, SimulationReport):
+        return [f"{key}={value}" for key, value in sorted(_summary(result).items())]
+    if isinstance(result, SweepResult):
+        lines = [
+            f"{result.parameter}={p.value} energy_kwh={p.energy_kwh:.6f} "
+            f"sla_violations={p.sla_violations} mean_running={p.mean_running_machines:.3f}"
+            for p in result.points
+        ]
+        return lines + [f"{result.parameter}={value} skipped" for value, _ in result.skipped]
+    if isinstance(result, ComparisonResult):
+        return [
+            f"{row.policy}: energy_kwh={row.energy_kwh:.6f} sla_violations={row.sla_violations} "
+            f"energy_savings={_pct(row.energy_savings_pct)} "
+            f"violation_reduction={_pct(row.violation_reduction_pct)}"
+            for row in result.rows
+        ]
+    raise TypeError(f"cannot describe {type(result).__name__}")

@@ -8,8 +8,8 @@ the power-save and retirement variants — never put back to standby.
 
 from __future__ import annotations
 
-from bisect import insort
-from operator import itemgetter
+from bisect import bisect_left, insort
+from operator import attrgetter, itemgetter
 from typing import Iterator, Optional
 
 from ..model import (
@@ -29,6 +29,7 @@ from .base import (
 _Kind = tuple[float, float, float, int, list[int], list[int]]
 # A VM's ``view.vm_window_mean``; single_threshold reads it once per VM it scores.
 _Mean = Optional[tuple[float, float, float, float]]
+_machine_id = attrgetter("id")
 
 
 def _first_fit(
@@ -71,14 +72,15 @@ class RoundRobinPolicy(SchedulerPolicy):
     def _rotate(
         self, vm_id: str, view: ClusterView, machines: list[PhysicalMachine]
     ) -> Optional[PhysicalMachine]:
-        """First fit over ``machines`` from the cursor round; the cursor moves past the pick."""
-        n = len(machines)
-        if not n:
-            return None
-        start = self._cursor % n
+        """First fit over ``machines`` (in id order) from the cursor round.
+
+        The cursor is the id after the last pick, not a position in
+        ``machines``, so a machine leaving the list does not shift it.
+        """
+        start = bisect_left(machines, self._cursor, key=_machine_id)
         pm = _first_fit(vm_id, view, machines[start:] + machines[:start])
         if pm is not None:
-            self._cursor = (machines.index(pm) + 1) % n
+            self._cursor = pm.id + 1
         return pm
 
 
@@ -251,12 +253,13 @@ class SingleThresholdPolicy(SchedulerPolicy):
         footprints: list[float],
         plan_cpu: dict[int, float],
         kinds: list[_Kind],
-    ) -> Optional[tuple[float, int]]:
-        """The least ``(power increase, machine id)`` for a VM, or None.
+    ) -> Optional[tuple[float, int, Optional[_Kind]]]:
+        """The least ``(power increase, machine id, woken kind)`` for a VM, or None.
 
         Only machines whose planned CPU utilization stays strictly below the
         threshold with the VM added qualify.  A machine planned off also
-        pays its wake cost.
+        pays its wake cost; the third item is its kind when the machine came
+        from its kind's off list, and None when it came from an on list.
 
         Every machine of one kind's on list, or of its off list, adds the
         same increase bit for bit, so the least id that qualifies in a list
@@ -268,19 +271,20 @@ class SingleThresholdPolicy(SchedulerPolicy):
         """
         threshold = self.threshold
         lists = []
-        for cpu_capacity, slope, wake, cls, on, off in kinds:
+        for kind in kinds:
+            cpu_capacity, slope, wake, cls, on, off = kind
             increase = slope * footprints[cls]
-            lists.append((increase, on, cpu_capacity))
-            lists.append((increase + wake, off, cpu_capacity))
+            lists.append((increase, on, cpu_capacity, None))
+            lists.append((increase + wake, off, cpu_capacity, kind))
         lists.sort(key=itemgetter(0))
         best = None
-        for increase, ids, cpu_capacity in lists:
+        for increase, ids, cpu_capacity, woken in lists:
             if best is not None and increase > best[0]:
                 break
             for pm_id in ids:
                 if (plan_cpu[pm_id] + vm_cpu) / cpu_capacity < threshold:
                     if best is None or pm_id < best[1]:
-                        best = (increase, pm_id)
+                        best = (increase, pm_id, woken)
                     break
         return best
 
@@ -310,8 +314,6 @@ class SingleThresholdPolicy(SchedulerPolicy):
         machines = view.all_machines()
         kinds, representatives = self._fleet(machines, view.power_model)
         plan_cpu = {pm.id: 0.0 for pm in machines}
-        plan_on = {pm.id: pm.is_running for pm in machines}
-        by_id = {pm.id: pm for pm in machines}
 
         # An in-flight VM stays charged to the machine it is leaving.
         placed: list[tuple[str, int, _Mean]] = []
@@ -330,21 +332,22 @@ class SingleThresholdPolicy(SchedulerPolicy):
             cpu = vm_cpu[vm_id]
             footprints = self._footprints(vm_id, mean, view, representatives)
             best = self._cheapest(cpu, footprints, plan_cpu, kinds)
-            target = best[1] if best is not None else current_host
             if best is None:
                 self._count("replan_stuck")
+                target, woken = current_host, None
+            else:
+                _, target, woken = best
             plan_cpu[target] += cpu
-            needs_wake = not plan_on[target]
-            if needs_wake:
-                plan_on[target] = True
-                kind = next(kind for kind in kinds if target in kind[5])
-                kind[5].remove(target)
-                insort(kind[4], target)
+            if woken is not None:
+                # The plan turns the machine on: it moves to its kind's on list.
+                woken[5].remove(target)
+                insort(woken[4], target)
             if target != current_host:
-                moves.append((vm_id, current_host, target, needs_wake))
+                moves.append((vm_id, current_host, target, woken is not None))
 
+        # Each machine the plan wakes gets one wake, with the first move to it.
         for vm_id, source, target, needs_wake in moves:
-            if needs_wake and not by_id[target].is_running:
+            if needs_wake:
                 yield RebalanceAction.wake_and_migrate(vm_id, source, target, reason="replan")
             else:
                 yield RebalanceAction.migrate(vm_id, source, target, reason="replan")

@@ -224,10 +224,11 @@ class ReferenceDynamicRoundRobin(DynamicRoundRobinPolicy):
             return PlacementDecision.reject()
         nominal = view.vm_nominal(vm_id)
         n = len(machines)
+        start = sum(pm.id < self._cursor for pm in machines)  # the cursor is a machine id
         for step in range(n):
-            pm = machines[(self._cursor + step) % n]
+            pm = machines[(start + step) % n]
             if _ref_fits(view.nominal_free(pm.id), nominal):
-                self._cursor = (self._cursor + step + 1) % n
+                self._cursor = pm.id + 1
                 return _ref_admit(pm)
         return PlacementDecision.reject()
 

@@ -154,6 +154,14 @@ class TestDynamicRoundRobin:
         with pytest.raises(ValueError):
             DynamicRoundRobinPolicy(retirement_threshold=0)
 
+    def test_rotation_resumes_after_the_last_pick_when_a_machine_retires(self):
+        view = fakes.FakeView([fakes.make_machine(i) for i in range(4)])
+        policy = DynamicRoundRobinPolicy()
+        assert [policy.allocate(v, view).machine_id for v in ("vm-a", "vm-b")] == [0, 1]
+        view.machines[1].add_vm("vm-b")
+        policy.notify_departure("vm-c", 1, view, tick=3)  # machine 1 starts retiring
+        assert [policy.allocate(v, view).machine_id for v in ("vm-d", "vm-e", "vm-f")] == [2, 3, 0]
+
 
 class TestSingleThreshold:
     def test_threshold_excludes_hot_machines(self):
@@ -256,6 +264,8 @@ class TestSingleThreshold:
             footprints = policy._footprints("vm-a", mean, view, representatives)
             best = policy._cheapest(0.0, footprints, {0: 0.0}, kinds)
             assert best is not None and best[1] == 0
+            # The third item is the kind when the machine came from an off list.
+            assert (best[2] is not None) == (state is MachineState.STANDBY)
             return best[0]
 
         # Footprint is 0.1 of every resource -> unified 0.1; slope 100 W.

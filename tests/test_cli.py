@@ -1,5 +1,6 @@
 """Tests for experiment config parsing and the command-line interface."""
 
+import hashlib
 import json
 
 import pytest
@@ -205,18 +206,13 @@ class TestBuildExperiment:
         with pytest.raises(ConfigError, match="spec"):
             exp.materialize_workload()
 
-    def test_workload_cache_returns_same_object(self):
-        exp = build_experiment(base_config())
-        assert exp.materialize_workload() is exp.materialize_workload()
-
     def test_workload_cache_is_keyed_on_the_seed(self):
         exp = build_experiment(base_config())
         first = exp.materialize_workload(1)
         second = exp.materialize_workload(2)
-        assert second is not first
-        assert second == build_experiment(base_config()).materialize_workload(2)
         assert second != first
-        assert exp.materialize_workload(1) is first
+        assert first == build_experiment(base_config()).materialize_workload(1)
+        assert second == build_experiment(base_config()).materialize_workload(2)
 
     def test_effective_json_is_stable(self):
         a = effective_config_json(base_config())
@@ -409,6 +405,13 @@ class TestCliCompare:
         assert "recommended" in stdout
         assert "single_threshold" in stdout
 
+    def test_label_with_a_comma_is_config_error(self, config_file, tmp_path, capsys):
+        out = tmp_path / "o"
+        cfg = config_file(compare={"policies": ["greedy", {"id": "recommended", "label": "a,b"}]})
+        assert main(["compare", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert "'a,b'" in capsys.readouterr().err
+        assert not (out / "comparison.csv").exists()
+
     def test_compare_without_section_is_config_error(self, config_file, tmp_path):
         assert (
             main(["compare", "--config", config_file(), "--out", str(tmp_path / "o")])
@@ -447,3 +450,71 @@ class TestCliGenWorkload:
         code = main(["gen-workload", "--config", cfg, "--out", str(tmp_path / "o")])
         assert code == EXIT_CONFIG
         assert "spec" in capsys.readouterr().err
+
+
+class TestArtifactBytes:
+    """Every file the commands write, pinned byte for byte on ``base_config``."""
+
+    FILES = {
+        "run": {
+            "effective_config.json": "15e02e5a60aa551ce83d050a7837107303945ad0914d58d8de0732d8fbfe250b",
+            "report.csv": "174e5cddf68302aa87fdda82804f2a96ff4f0a5dec26d0e0cc5ac09027ac4932",
+            "summary.json": "1e718b9a4940887bc981f43823cecbb1fd83db07de835afa449f958f4f4535dc",
+        },
+        "sweep": {
+            "effective_config.json": "15e02e5a60aa551ce83d050a7837107303945ad0914d58d8de0732d8fbfe250b",
+            "plot_u_up_energy.dat": "a8ff17cecc3b6edb552cf97228bdb3b958dd2dc94b6bf3dddf1387c774ba1ee7",
+            "plot_u_up_machines.dat": "99717c72545abafefd8a2f6565afcaac81eae0761d0ac5b32a5b92bf765c5f09",
+            "plot_u_up_violations.dat": "9c1a5f5923cb6eafb6d9acc1702213d4a2ed772dd3acf347d5a622e9dadbb699",
+            "summary.json": "8a6f44244734cb67da8e2ceac78fa54f484a5704d0453c2d912e95b36c7883e2",
+            "sweep_u_up.csv": "d73aa1db3d1ff365a2184c057fb5172ed353b7a8f0e519b2fe5c68edad36f372",
+        },
+        "compare": {
+            "comparison.csv": "50fabc3e013a47fc26a7d2abb185778b9bac845748d65c360b9bf452d2307986",
+            "effective_config.json": "15e02e5a60aa551ce83d050a7837107303945ad0914d58d8de0732d8fbfe250b",
+            "plot_compare_policies.dat": "da778df25b54c3de9c5e679be81e98741aaf3b3b8a54e2a58d82971a3eddbfbb",
+            "summary.json": "f5c4347a7eb2fd02f587e927d94235019430461ab9a6831b4d9a51235dce0213",
+        },
+        "gen-workload": {
+            "effective_config.json": "15e02e5a60aa551ce83d050a7837107303945ad0914d58d8de0732d8fbfe250b",
+            "meta.csv": "9327a40d3c5cce0f39efc784e1ff811a08ee8ea79484b29823325ccc0ee5d8aa",
+            "trace.csv": "7a26b36076933ec2e1b99adb153883e8047e036aafb4b968f653b495d56f6fd9",
+        },
+    }
+    STDOUT = {
+        "run": (
+            "policy=similarity\ndropped_actions=1\nenergy_kwh=0.08922159171049628\n"
+            "mean_running_machines=1.4\nmigrations=2\npeak_running_machines=2\n"
+            "rejected_requests=0\nsla_violations=0\nstandbys=3\nwakes=1\n"
+        ),
+        "sweep": (
+            "u_up=0.5 energy_kwh=0.109439 sla_violations=0 mean_running=1.867\n"
+            "u_up=0.7 energy_kwh=0.089222 sla_violations=0 mean_running=1.400\n"
+            "u_up=0.25 skipped\n"
+        ),
+        "compare": (
+            "single_threshold: energy_kwh=0.119222 sla_violations=0 "
+            "energy_savings=0.00% violation_reduction=0.00%\n"
+            "tuned: energy_kwh=0.089222 sla_violations=0 "
+            "energy_savings=25.16% violation_reduction=0.00%\n"
+            "greedy: energy_kwh=0.119222 sla_violations=0 "
+            "energy_savings=0.00% violation_reduction=0.00%\n"
+        ),
+    }
+
+    @pytest.mark.parametrize("command", sorted(FILES))
+    def test_files_and_output_are_pinned(self, config_file, tmp_path, capsys, command):
+        # u_up=0.25 is skipped: recommended's u_down is 0.25.
+        cfg = config_file(
+            sweep={"parameter": "u_up", "values": [0.7, 0.25, 0.5]},
+            compare={
+                "policies": ["single_threshold", {"id": "recommended", "label": "tuned"}, "greedy"],
+                "baseline": "single_threshold",
+            },
+        )
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_OK
+        written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+        assert written == self.FILES[command]
+        if command in self.STDOUT:
+            assert capsys.readouterr().out == self.STDOUT[command]

@@ -2,6 +2,7 @@
 
 import functools
 import multiprocessing
+import re
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
@@ -218,6 +219,12 @@ class TestComparePolicies:
     def test_duplicate_labels_rejected(self, sim_config, workload):
         with pytest.raises(ValueError, match="duplicate"):
             compare_policies(sim_config, workload, ["greedy", "greedy"])
+
+    @pytest.mark.parametrize("label", ["a,b", "round robin", "line\nbreak", "tab\there"])
+    def test_labels_the_writers_cannot_represent_are_rejected(self, sim_config, workload, label):
+        specs = ["greedy", {"id": "round_robin", "label": label}]
+        with pytest.raises(ValueError, match=re.escape(repr(label))):
+            compare_policies(sim_config, workload, specs)
 
     def test_dict_specs_take_custom_labels(self, sim_config, workload):
         result = compare_policies(

@@ -52,11 +52,12 @@ def _recording(policy_cls):
         def allocate(self, vm_id, view):
             retiring = getattr(self, "_retiring", {})
             self.retiring_allocations += bool(retiring)
-            offered = [pm.id for pm in view.all_machines() if pm.id not in retiring]
             cursor = getattr(self, "_cursor", None)
             decision = super().allocate(vm_id, view)
             if cursor is not None and decision.machine_id is not None:
-                self.wraps += offered.index(decision.machine_id) < cursor % len(offered)
+                # Machine ids equal positions in the fleet, so this reads both
+                # an index cursor and a machine-id cursor.
+                self.wraps += decision.machine_id < cursor
             self.log.append((view.current_tick, vm_id, decision))
             return decision
 
