@@ -33,7 +33,6 @@ from .model import (
     used_shares_of,
 )
 from .policies import (
-    PlacementDecision,
     PolicyConfig,
     RebalanceAction,
     SchedulerPolicy,
@@ -63,7 +62,6 @@ __all__ = [
     "MachineState",
     "NoHistoryError",
     "PhysicalMachine",
-    "PlacementDecision",
     "PolicyConfig",
     "PowerModel",
     "RebalanceAction",

@@ -4,15 +4,16 @@ Each tick runs a fixed pipeline:
 
 1. land migrations whose transfer delay has elapsed;
 2. process VM departures;
-3. offer new arrivals (and earlier rejections) to the policy;
+3. offer new arrivals (and earlier rejections) to the policy, waking the
+   standby machine it names, if it names one;
 4. read each hosted VM's demand and arbitrate each machine's resources —
    when a machine is over-committed every contender receives its
    proportional share and each shorted (vm, resource) pair produces one SLA
    violation;
-5. measure per-machine unified utilization and track threshold-breach
-   episodes;
+5. if the policy has breach thresholds, measure each running machine's
+   unified utilization and track threshold-breach episodes;
 6. run the policy's rebalance pass, executing each emitted action as it is
-   produced;
+   produced; a migration that passes its checks wakes a standby target;
 7. integrate energy from the power model.
 
 The engine draws no random numbers and iterates every collection in a fixed
@@ -71,7 +72,7 @@ from .model import (
     used_shares_of,
     utilization_of,
 )
-from .policies.base import ActionKind, DecisionKind, RebalanceAction, SchedulerPolicy
+from .policies.base import ActionKind, RebalanceAction, SchedulerPolicy
 from .workload import DemandSample, VmRequest
 
 _USAGE_ZERO = (0.0, 0.0, 0.0, 0.0)
@@ -405,8 +406,7 @@ class Simulation:
     # ------------------------------------------------------------------
 
     def _wake(self, pm: PhysicalMachine) -> None:
-        if pm.state is not MachineState.STANDBY:
-            raise EngineError(f"machine {pm.id} is not standby; cannot wake")
+        """Bring a standby machine up; the caller has checked that it is on standby."""
         pm.state = MachineState.RUNNING
         insort(self._running, pm, key=_machine_id)
         self.wake_count += 1
@@ -416,7 +416,6 @@ class Simulation:
         pm.state = MachineState.STANDBY
         del self._running[bisect_left(self._running, pm.id, key=_machine_id)]
         pm.last_used_tick = self.tick
-        pm.current_utilization = 0.0
         pm.clear_breach()
         self.standby_count += 1
 
@@ -498,14 +497,10 @@ class Simulation:
         ]
         for vm_id, target_id in due:
             self._set_flight(vm_id, None)
-            vm = self.vms[vm_id]
-            target = self.machines[target_id]
-            if target.state is not MachineState.RUNNING or not self.policy.migration_landing_ok(
-                vm_id, target_id, self
-            ):
+            if not self.policy.migration_landing_ok(vm_id, target_id, self):
                 self.dropped_actions += 1
                 continue
-            self._move(vm, target)
+            self._move(self.vms[vm_id], self.machines[target_id])
 
     # -- step 2: departures ----------------------------------------------
 
@@ -546,18 +541,14 @@ class Simulation:
                 self._rows[vm_id] = _trace_rows(req.trace, self.config.duration_ticks)
                 if req.departure_tick is not None and req.departure_tick < self.config.duration_ticks:
                     self._departures.setdefault(req.departure_tick, []).append(vm_id)
-            decision = self.policy.allocate(vm_id, self)
-            if decision.kind is DecisionKind.REJECT:
+            machine_id = self.policy.allocate(vm_id, self)
+            if machine_id is None:
                 self.rejected_requests += 1
                 self._pending.append(vm_id)
                 continue
-            target = self._named_machine(decision.machine_id)
-            if decision.kind is DecisionKind.WAKE_AND_PLACE:
+            target = self._named_machine(machine_id)
+            if target.state is MachineState.STANDBY:
                 self._wake(target)
-            elif target.state is not MachineState.RUNNING:
-                raise EngineError(
-                    f"policy {self.policy.name!r} placed {vm_id} on standby machine {target.id}"
-                )
             self._set_host(vm, target)
 
     # -- step 4: demand + arbitration --------------------------------------
@@ -616,14 +607,13 @@ class Simulation:
 
     def _measure(self, tick: int) -> None:
         thresholds = self.policy.breach_thresholds
+        if thresholds is None:
+            return
+        u_up, u_down = thresholds
         weights = self.policy.utilization_weights.as_tuple()
         shares = self._shares
         for pm in self._running:
             u = utilization_of(shares[pm.id], weights)
-            pm.current_utilization = u
-            if thresholds is None:
-                continue
-            u_up, u_down = thresholds
             if u > u_up:
                 side = BreachSide.OVER
             elif u < u_down:
@@ -670,14 +660,8 @@ class Simulation:
         ):
             self.dropped_actions += 1
             return
-        if action.kind is ActionKind.WAKE_AND_MIGRATE:
-            if target.state is not MachineState.STANDBY:
-                self.dropped_actions += 1
-                return
+        if target.state is MachineState.STANDBY:
             self._wake(target)
-        elif target.state is not MachineState.RUNNING:
-            self.dropped_actions += 1
-            return
 
         cost = self.config.migration_cost_ticks
         if cost == 0:

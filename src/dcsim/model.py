@@ -138,7 +138,6 @@ class PhysicalMachine:
     last_used_tick: int = -1  # the last tick it ran before going to standby; -1 until then
     breach_side: Optional[BreachSide] = None
     threshold_breach_since: Optional[int] = None
-    current_utilization: float = 0.0
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.peak_power_watts) or self.peak_power_watts <= 0.0:

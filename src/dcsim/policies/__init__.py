@@ -5,14 +5,7 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from ..model import ResourceVector, UtilizationWeights, parse_components
-from .base import (
-    ActionKind,
-    ClusterView,
-    DecisionKind,
-    PlacementDecision,
-    RebalanceAction,
-    SchedulerPolicy,
-)
+from .base import ActionKind, ClusterView, RebalanceAction, SchedulerPolicy
 from .baselines import (
     DynamicRoundRobinPolicy,
     GreedyPolicy,
@@ -96,11 +89,9 @@ def build_policy(spec: dict[str, Any] | str) -> SchedulerPolicy:
 __all__ = [
     "ActionKind",
     "ClusterView",
-    "DecisionKind",
     "DynamicRoundRobinPolicy",
     "GreedyPolicy",
     "POLICY_IDS",
-    "PlacementDecision",
     "PolicyConfig",
     "PowerSavePolicy",
     "RECOMMENDED_POLICY_PARAMS",

@@ -1,10 +1,12 @@
-"""Scheduler policy interface and the decision/action types policies emit.
+"""Scheduler policy interface and the rebalance actions policies emit.
 
-Policies are pure deciders: they inspect a cluster view and return decisions
-or actions; the simulation engine owns all state changes.  ``rebalance`` may
-be a generator — the engine executes each yielded action before resuming it,
-so a policy always plans against the cluster state its earlier actions
-produced.
+Policies are pure deciders: they inspect a cluster view and name machines;
+the simulation engine owns all state changes.  ``allocate`` returns a
+machine id, or None to reject.  A policy never wakes a machine itself: the
+engine wakes a standby machine that a placement or a migration names.
+``rebalance`` may be a generator — the engine executes each yielded action
+before resuming it, so a policy always plans against the cluster state its
+earlier actions produced.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ class ClusterView(Protocol):
     """What a policy may read of the cluster; the engine's ``Simulation`` is one.
 
     Policies treat every member as read-only and change state only through
-    the decisions and actions they return.
+    the machine ids and actions they return.
 
     Shares of a machine's capacity come as plain ``Shares`` tuples in
     ``RESOURCES`` order, each component in [0, 1]; the view does not wrap
@@ -75,42 +77,8 @@ class ClusterView(Protocol):
     def cpu_used_abs(self, machine_id: int) -> float: ...
 
 
-class DecisionKind(Enum):
-    PLACE = "place"
-    WAKE_AND_PLACE = "wake-and-place"
-    REJECT = "reject"
-
-
-@dataclass(frozen=True, slots=True)
-class PlacementDecision:
-    """Outcome of an allocation request for one VM."""
-
-    kind: DecisionKind
-    machine_id: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.kind is DecisionKind.REJECT:
-            if self.machine_id is not None:
-                raise ValueError("a rejection names no machine")
-        elif self.machine_id is None:
-            raise ValueError(f"{self.kind.value} requires a machine id")
-
-    @classmethod
-    def place(cls, machine_id: int) -> "PlacementDecision":
-        return cls(DecisionKind.PLACE, machine_id)
-
-    @classmethod
-    def wake_and_place(cls, machine_id: int) -> "PlacementDecision":
-        return cls(DecisionKind.WAKE_AND_PLACE, machine_id)
-
-    @classmethod
-    def reject(cls) -> "PlacementDecision":
-        return cls(DecisionKind.REJECT)
-
-
 class ActionKind(Enum):
     MIGRATE = "migrate"
-    WAKE_AND_MIGRATE = "wake-and-migrate"
     STANDBY_MACHINE = "standby-machine"
 
 
@@ -139,12 +107,6 @@ class RebalanceAction:
         return cls(ActionKind.MIGRATE, vm_id, source_id, target_id, reason)
 
     @classmethod
-    def wake_and_migrate(
-        cls, vm_id: str, source_id: int, target_id: int, reason: str = ""
-    ) -> "RebalanceAction":
-        return cls(ActionKind.WAKE_AND_MIGRATE, vm_id, source_id, target_id, reason)
-
-    @classmethod
     def standby_machine(cls, machine_id: int, reason: str = "") -> "RebalanceAction":
         return cls(ActionKind.STANDBY_MACHINE, target_id=machine_id, reason=reason)
 
@@ -165,7 +127,7 @@ class SchedulerPolicy:
     #: Assumed share for VMs without usage history; the engine reads it once.
     default_rv: ResourceVector = DEFAULT_RV
 
-    #: Weights used for the utilization the engine measures per machine.
+    #: Weights of the utilization the engine measures against ``breach_thresholds``.
     utilization_weights: UtilizationWeights = UtilizationWeights()
 
     def __init__(self) -> None:
@@ -176,7 +138,8 @@ class SchedulerPolicy:
         """``(u_up, u_down)`` if the policy reacts to utilization breaches."""
         return None
 
-    def allocate(self, vm_id: str, view: ClusterView) -> PlacementDecision:
+    def allocate(self, vm_id: str, view: ClusterView) -> Optional[int]:
+        """The machine to host ``vm_id``, standby or running, or None to reject it."""
         raise NotImplementedError
 
     def rebalance(self, view: ClusterView, tick: int) -> Iterable[RebalanceAction]:

@@ -18,12 +18,7 @@ from ..model import (
     UtilizationWeights,
     utilization_of,
 )
-from .base import (
-    ClusterView,
-    PlacementDecision,
-    RebalanceAction,
-    SchedulerPolicy,
-)
+from .base import ClusterView, RebalanceAction, SchedulerPolicy
 
 # A machine kind (see ``SingleThresholdPolicy._fleet``).
 _Kind = tuple[float, float, float, int, list[int], list[int]]
@@ -32,10 +27,8 @@ _Mean = Optional[tuple[float, float, float, float]]
 _machine_id = attrgetter("id")
 
 
-def _first_fit(
-    vm_id: str, view: ClusterView, machines: list[PhysicalMachine]
-) -> Optional[PhysicalMachine]:
-    """The first of ``machines`` with nominal room for the VM, or None."""
+def _first_fit(vm_id: str, view: ClusterView, machines: list[PhysicalMachine]) -> Optional[int]:
+    """The id of the first of ``machines`` with nominal room for the VM, or None."""
     nominal = view.vm_nominal(vm_id)
     for pm in machines:
         free = view.nominal_free(pm.id)
@@ -45,16 +38,8 @@ def _first_fit(
             and nominal.disk <= free[2]
             and nominal.bw <= free[3]
         ):
-            return pm
+            return pm.id
     return None
-
-
-def _admit(pm: Optional[PhysicalMachine]) -> PlacementDecision:
-    if pm is None:
-        return PlacementDecision.reject()
-    if pm.is_running:
-        return PlacementDecision.place(pm.id)
-    return PlacementDecision.wake_and_place(pm.id)
 
 
 class RoundRobinPolicy(SchedulerPolicy):
@@ -66,22 +51,22 @@ class RoundRobinPolicy(SchedulerPolicy):
         super().__init__()
         self._cursor = 0
 
-    def allocate(self, vm_id: str, view: ClusterView) -> PlacementDecision:
-        return _admit(self._rotate(vm_id, view, view.all_machines()))
+    def allocate(self, vm_id: str, view: ClusterView) -> Optional[int]:
+        return self._rotate(vm_id, view, view.all_machines())
 
     def _rotate(
         self, vm_id: str, view: ClusterView, machines: list[PhysicalMachine]
-    ) -> Optional[PhysicalMachine]:
+    ) -> Optional[int]:
         """First fit over ``machines`` (in id order) from the cursor round.
 
         The cursor is the id after the last pick, not a position in
         ``machines``, so a machine leaving the list does not shift it.
         """
         start = bisect_left(machines, self._cursor, key=_machine_id)
-        pm = _first_fit(vm_id, view, machines[start:] + machines[:start])
-        if pm is not None:
-            self._cursor = pm.id + 1
-        return pm
+        machine_id = _first_fit(vm_id, view, machines[start:] + machines[:start])
+        if machine_id is not None:
+            self._cursor = machine_id + 1
+        return machine_id
 
 
 class GreedyPolicy(SchedulerPolicy):
@@ -89,8 +74,8 @@ class GreedyPolicy(SchedulerPolicy):
 
     name = "greedy"
 
-    def allocate(self, vm_id: str, view: ClusterView) -> PlacementDecision:
-        return _admit(_first_fit(vm_id, view, view.all_machines()))
+    def allocate(self, vm_id: str, view: ClusterView) -> Optional[int]:
+        return _first_fit(vm_id, view, view.all_machines())
 
 
 class PowerSavePolicy(SchedulerPolicy):
@@ -98,9 +83,8 @@ class PowerSavePolicy(SchedulerPolicy):
 
     name = "power_save"
 
-    def allocate(self, vm_id: str, view: ClusterView) -> PlacementDecision:
-        machines = view.running_machines() + view.standby_machines()
-        return _admit(_first_fit(vm_id, view, machines))
+    def allocate(self, vm_id: str, view: ClusterView) -> Optional[int]:
+        return _first_fit(vm_id, view, view.running_machines() + view.standby_machines())
 
     def rebalance(self, view: ClusterView, tick: int) -> Iterator[RebalanceAction]:
         for pm in view.running_machines():
@@ -129,8 +113,8 @@ class DynamicRoundRobinPolicy(RoundRobinPolicy):
     def _accepting(self, view: ClusterView) -> list[PhysicalMachine]:
         return [pm for pm in view.all_machines() if pm.id not in self._retiring]
 
-    def allocate(self, vm_id: str, view: ClusterView) -> PlacementDecision:
-        return _admit(self._rotate(vm_id, view, self._accepting(view)))
+    def allocate(self, vm_id: str, view: ClusterView) -> Optional[int]:
+        return self._rotate(vm_id, view, self._accepting(view))
 
     def notify_departure(self, vm_id: str, machine_id: int, view: ClusterView, tick: int) -> None:
         pm = view.machine(machine_id)
@@ -148,12 +132,7 @@ class DynamicRoundRobinPolicy(RoundRobinPolicy):
                     if target is None:
                         self._count("retirement_stuck")
                         continue
-                    if target.is_running:
-                        yield RebalanceAction.migrate(vm_id, pm_id, target.id, reason="retirement")
-                    else:
-                        yield RebalanceAction.wake_and_migrate(
-                            vm_id, pm_id, target.id, reason="retirement"
-                        )
+                    yield RebalanceAction.migrate(vm_id, pm_id, target, reason="retirement")
             if not pm.hosted_vm_ids and not view.has_inbound(pm_id):
                 yield RebalanceAction.standby_machine(pm_id, reason="retirement")
                 del self._retiring[pm_id]
@@ -191,7 +170,6 @@ class SingleThresholdPolicy(SchedulerPolicy):
         self.threshold = threshold
         self.epoch_ticks = epoch_ticks
         self.weights = weights or UtilizationWeights()
-        self.utilization_weights = self.weights
 
     # -- helpers -----------------------------------------------------------
 
@@ -290,7 +268,7 @@ class SingleThresholdPolicy(SchedulerPolicy):
 
     # -- placement ---------------------------------------------------------
 
-    def allocate(self, vm_id: str, view: ClusterView) -> PlacementDecision:
+    def allocate(self, vm_id: str, view: ClusterView) -> Optional[int]:
         machines = view.all_machines()
         kinds, representatives = self._fleet(machines, view.power_model)
         mean = view.vm_window_mean(vm_id)
@@ -300,17 +278,15 @@ class SingleThresholdPolicy(SchedulerPolicy):
             {pm.id: view.cpu_used_abs(pm.id) for pm in machines},
             kinds,
         )
-        if best is None:
-            return PlacementDecision.reject()
-        return _admit(view.machine(best[1]))
+        return None if best is None else best[1]
 
     # -- epoch replanning ----------------------------------------------------
 
-    def rebalance(self, view: ClusterView, tick: int) -> Iterator[RebalanceAction]:
+    def rebalance(self, view: ClusterView, tick: int) -> list[RebalanceAction]:
         if tick % self.epoch_ticks != 0:
-            return
-        # The whole plan is made before the first action is yielded, so the
-        # view cannot change under the per-pass kinds and footprints.
+            return []
+        # The whole plan is made before the engine executes its first move, so
+        # the view cannot change under the per-pass kinds and footprints.
         machines = view.all_machines()
         kinds, representatives = self._fleet(machines, view.power_model)
         plan_cpu = {pm.id: 0.0 for pm in machines}
@@ -343,11 +319,7 @@ class SingleThresholdPolicy(SchedulerPolicy):
                 woken[5].remove(target)
                 insort(woken[4], target)
             if target != current_host:
-                moves.append((vm_id, current_host, target, woken is not None))
+                moves.append(RebalanceAction.migrate(vm_id, current_host, target, reason="replan"))
 
-        # Each machine the plan wakes gets one wake, with the first move to it.
-        for vm_id, source, target, needs_wake in moves:
-            if needs_wake:
-                yield RebalanceAction.wake_and_migrate(vm_id, source, target, reason="replan")
-            else:
-                yield RebalanceAction.migrate(vm_id, source, target, reason="replan")
+        # The engine wakes a machine the plan turns on with the first move to it.
+        return moves

@@ -35,13 +35,7 @@ from ..model import (
     complement_of,
     utilization_of,
 )
-from .base import (
-    ClusterView,
-    DecisionKind,
-    PlacementDecision,
-    RebalanceAction,
-    SchedulerPolicy,
-)
+from .base import ClusterView, RebalanceAction, SchedulerPolicy
 
 _ZERO_SHARES: Shares = (0.0, 0.0, 0.0, 0.0)
 
@@ -151,7 +145,7 @@ class SimilarityPolicy(SchedulerPolicy):
 
     # -- placement ---------------------------------------------------------
 
-    def allocate(self, vm_id: str, view: ClusterView) -> PlacementDecision:
+    def allocate(self, vm_id: str, view: ClusterView) -> Optional[int]:
         return self._pick(vm_id, view, exclude=frozenset(), extras=None, allow_wake=True)
 
     def _pick(
@@ -161,8 +155,11 @@ class SimilarityPolicy(SchedulerPolicy):
         exclude: frozenset[int],
         extras: Optional[dict[int, Shares]],
         allow_wake: bool,
-    ) -> PlacementDecision:
+    ) -> Optional[int]:
         """The eligible running machine with the best score that fits.
+
+        Failing that, the least recently used standby machine if
+        ``allow_wake``, else None.
 
         Candidates rank by ``(score, machine id)``, the score negated for
         ``free-fit``.  Machine ids are unique, so the order is strict and the
@@ -217,14 +214,12 @@ class SimilarityPolicy(SchedulerPolicy):
             ) < cap_u:
                 best = rank
         if best is not None:
-            return PlacementDecision.place(best[1])
-
+            return best[1]
         if allow_wake:
             standby = view.standby_machines()
             if standby:
-                chosen = min(standby, key=lambda pm: (pm.last_used_tick, pm.id))
-                return PlacementDecision.wake_and_place(chosen.id)
-        return PlacementDecision.reject()
+                return min(standby, key=lambda pm: (pm.last_used_tick, pm.id)).id
+        return None
 
     # -- rebalancing -------------------------------------------------------
 
@@ -267,17 +262,11 @@ class SimilarityPolicy(SchedulerPolicy):
         if hottest is None:
             return None
         vm_id = hottest[1]
-        decision = self._pick(
-            vm_id, view, exclude=frozenset((pm.id,)), extras=None, allow_wake=True
-        )
-        if decision.kind is DecisionKind.PLACE:
-            return RebalanceAction.migrate(vm_id, pm.id, decision.machine_id, reason="scale-up")
-        if decision.kind is DecisionKind.WAKE_AND_PLACE:
-            return RebalanceAction.wake_and_migrate(
-                vm_id, pm.id, decision.machine_id, reason="scale-up"
-            )
-        self._count("scale_up_exhausted")
-        return None
+        target = self._pick(vm_id, view, exclude=frozenset((pm.id,)), extras=None, allow_wake=True)
+        if target is None:
+            self._count("scale_up_exhausted")
+            return None
+        return RebalanceAction.migrate(vm_id, pm.id, target, reason="scale-up")
 
     def scale_down_check(
         self, pm: PhysicalMachine, tick: int, view: ClusterView
@@ -296,13 +285,12 @@ class SimilarityPolicy(SchedulerPolicy):
         extras: dict[int, Shares] = {}
         plan = []
         for vm_id in list(pm.hosted_vm_ids):
-            decision = self._pick(
+            target = self._pick(
                 vm_id, view, exclude=frozenset((pm.id,)), extras=extras, allow_wake=False
             )
-            if decision.kind is not DecisionKind.PLACE:
+            if target is None:
                 self._count("scale_down_blocked")
                 return None
-            target = decision.machine_id
             vm_share = view.vm_rv_on(vm_id, target)
             extras[target] = clamped_sum_of(extras.get(target, _ZERO_SHARES), vm_share)
             plan.append(RebalanceAction.migrate(vm_id, pm.id, target, reason="scale-down"))
@@ -312,10 +300,7 @@ class SimilarityPolicy(SchedulerPolicy):
     # -- delayed-migration validation ---------------------------------------
 
     def migration_landing_ok(self, vm_id: str, machine_id: int, view: ClusterView) -> bool:
-        """A landing must still leave the target below the packing cap."""
-        pm = view.machine(machine_id)
-        if not pm.is_running:
-            return False
+        """A landing must still leave the running target below the packing cap."""
         used = clamped_sum_of(view.machine_rv(machine_id), view.vm_rv_on(vm_id, machine_id))
         estimated = utilization_of(used, self.config.weights.as_tuple())
         return estimated < self.config.u_up - self.config.buffer

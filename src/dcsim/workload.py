@@ -141,6 +141,24 @@ def _derived_rng(seed: int, vm_index: int, stream: int) -> random.Random:
     return random.Random(seed * 1_000_003 + vm_index * 1_009 + stream)
 
 
+def _add_spikes(
+    levels: list[float], ticks: range, rng: random.Random, spec: WorkloadSpec
+) -> None:
+    """Multiply ``levels`` by the spike magnitude on the spike ticks among ``ticks``.
+
+    Each tick outside a spike draws once from ``rng`` and starts a spike of
+    ``spike_duration_ticks`` if the draw falls below ``spike_probability``.
+    """
+    draw = rng.random
+    left = 0
+    for tick in ticks:
+        if left == 0 and draw() < spec.spike_probability:
+            left = spec.spike_duration_ticks
+        if left > 0:
+            levels[tick] *= spec.spike_magnitude
+            left -= 1
+
+
 def generate_workload(spec: WorkloadSpec) -> list[VmRequest]:
     """Materialize a spec into VM requests with dense per-tick demand traces.
 
@@ -178,14 +196,7 @@ def generate_workload(spec: WorkloadSpec) -> list[VmRequest]:
     # its own stream (vm_index 0 / stream 3 cannot collide with any per-VM
     # stream), makes every VM surge on the same ticks.
     if spikes_enabled and spec.spike_synchronized:
-        sync_rng = _derived_rng(spec.seed, 0, 3)
-        left = 0
-        for tick in range(duration):
-            if left == 0 and sync_rng.random() < spec.spike_probability:
-                left = spec.spike_duration_ticks
-            if left > 0:
-                levels[tick] *= magnitude
-                left -= 1
+        _add_spikes(levels, range(duration), _derived_rng(spec.seed, 0, 3), spec)
 
     # ``random.uniform(a, b)`` is documented as ``a + (b - a) * random()``;
     # calling ``random`` directly draws the same numbers.
@@ -230,15 +241,9 @@ def generate_workload(spec: WorkloadSpec) -> list[VmRequest]:
         if private_spikes:
             # The spike stream is separate from the demand stream, so its
             # draws can all be made before the samples.
-            spike_random = _derived_rng(spec.seed, index, 2).random
             vm_levels = levels[:]
-            spike_left = 0
-            for tick in range(arrival, trace_end):
-                if spike_left == 0 and spike_random() < spec.spike_probability:
-                    spike_left = spec.spike_duration_ticks
-                if spike_left > 0:
-                    vm_levels[tick] *= magnitude
-                    spike_left -= 1
+            spike_rng = _derived_rng(spec.seed, index, 2)
+            _add_spikes(vm_levels, range(arrival, trace_end), spike_rng, spec)
 
         # Each value is min(max(x, 0.0), ceiling) written as comparisons that
         # return the same operand as min and max, ties included.

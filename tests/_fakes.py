@@ -14,7 +14,7 @@ from dcsim.model import (
     ResourceVector,
     shares_of,
 )
-from dcsim.policies.base import PlacementDecision, SchedulerPolicy
+from dcsim.policies.base import SchedulerPolicy
 
 CAP = MachineCapacity(4000.0, 8192.0, 1000.0, 1000.0)
 
@@ -112,23 +112,30 @@ def make_machine(machine_id, *, state=MachineState.RUNNING, last_used=0, cap=CAP
     )
 
 
+def allocation(policy, vm_id, view):
+    """``(machine id, that machine's state)`` for ``policy.allocate``, or None for a rejection."""
+    machine_id = policy.allocate(vm_id, view)
+    if machine_id is None:
+        return None
+    return machine_id, view.machine(machine_id).state
 
-class StandbyPlacer(SchedulerPolicy):
-    """Places every VM on one fixed machine whether or not it is running.
 
-    Pointed at a standby machine it is a faulty policy: the engine raises
-    ``EngineError`` on its first placement.  Importing this module registers
-    it as ``standby_placer``.
+class FixedPlacer(SchedulerPolicy):
+    """Places every VM on one fixed machine id.
+
+    Pointed at an id outside the fleet it is a faulty policy: the engine
+    raises ``EngineError`` on its first placement.  Importing this module
+    registers it as ``fixed_placer``.
     """
 
-    name = "standby_placer"
+    name = "fixed_placer"
 
     def __init__(self, machine=0):
         super().__init__()
         self.machine = machine
 
     def allocate(self, vm_id, view):
-        return PlacementDecision.place(self.machine)
+        return self.machine
 
 
 class _FakePolicyId(str):
@@ -141,12 +148,12 @@ class _FakePolicyId(str):
     """
 
 
-def standby_placer_spec(machine):
-    """A policy spec for ``StandbyPlacer`` that any pool worker can build."""
-    return {"id": _FakePolicyId(StandbyPlacer.name), "machine": machine}
+def fixed_placer_spec(machine):
+    """A policy spec for ``FixedPlacer`` that any pool worker can build."""
+    return {"id": _FakePolicyId(FixedPlacer.name), "machine": machine}
 
 
-policies._REGISTRY.setdefault(StandbyPlacer.name, lambda params: StandbyPlacer(**params))
+policies._REGISTRY.setdefault(FixedPlacer.name, lambda params: FixedPlacer(**params))
 
 
 class PickleCountingList(list):

@@ -41,7 +41,7 @@ from dcsim.model import (
     unified_utilization,
     used_shares_of,
 )
-from dcsim.policies.base import DecisionKind, PlacementDecision, RebalanceAction
+from dcsim.policies.base import RebalanceAction
 from dcsim.policies.baselines import (
     DynamicRoundRobinPolicy,
     GreedyPolicy,
@@ -169,12 +169,6 @@ def _ref_fits(free, nominal):
     )
 
 
-def _ref_admit(pm):
-    if pm.is_running:
-        return PlacementDecision.place(pm.id)
-    return PlacementDecision.wake_and_place(pm.id)
-
-
 class ReferenceRoundRobin(RoundRobinPolicy):
     """``round_robin`` with its own cursor loop."""
 
@@ -186,8 +180,8 @@ class ReferenceRoundRobin(RoundRobinPolicy):
             pm = machines[(self._cursor + step) % n]
             if _ref_fits(view.nominal_free(pm.id), nominal):
                 self._cursor = (self._cursor + step + 1) % n
-                return _ref_admit(pm)
-        return PlacementDecision.reject()
+                return pm.id
+        return None
 
 
 class ReferenceGreedy(GreedyPolicy):
@@ -197,8 +191,8 @@ class ReferenceGreedy(GreedyPolicy):
         nominal = view.vm_nominal(vm_id)
         for pm in view.all_machines():
             if _ref_fits(view.nominal_free(pm.id), nominal):
-                return _ref_admit(pm)
-        return PlacementDecision.reject()
+                return pm.id
+        return None
 
 
 class ReferencePowerSave(PowerSavePolicy):
@@ -208,11 +202,11 @@ class ReferencePowerSave(PowerSavePolicy):
         nominal = view.vm_nominal(vm_id)
         for pm in view.running_machines():
             if _ref_fits(view.nominal_free(pm.id), nominal):
-                return PlacementDecision.place(pm.id)
+                return pm.id
         for pm in view.standby_machines():
             if _ref_fits(view.nominal_free(pm.id), nominal):
-                return PlacementDecision.wake_and_place(pm.id)
-        return PlacementDecision.reject()
+                return pm.id
+        return None
 
 
 class ReferenceDynamicRoundRobin(DynamicRoundRobinPolicy):
@@ -221,7 +215,7 @@ class ReferenceDynamicRoundRobin(DynamicRoundRobinPolicy):
     def allocate(self, vm_id, view):
         machines = [pm for pm in view.all_machines() if pm.id not in self._retiring]
         if not machines:
-            return PlacementDecision.reject()
+            return None
         nominal = view.vm_nominal(vm_id)
         n = len(machines)
         start = sum(pm.id < self._cursor for pm in machines)  # the cursor is a machine id
@@ -229,8 +223,8 @@ class ReferenceDynamicRoundRobin(DynamicRoundRobinPolicy):
             pm = machines[(start + step) % n]
             if _ref_fits(view.nominal_free(pm.id), nominal):
                 self._cursor = pm.id + 1
-                return _ref_admit(pm)
-        return PlacementDecision.reject()
+                return pm.id
+        return None
 
     def rebalance(self, view, tick):
         for pm_id in sorted(self._retiring):
@@ -243,12 +237,7 @@ class ReferenceDynamicRoundRobin(DynamicRoundRobinPolicy):
                     if target is None:
                         self._count("retirement_stuck")
                         continue
-                    if target.is_running:
-                        yield RebalanceAction.migrate(vm_id, pm_id, target.id, reason="retirement")
-                    else:
-                        yield RebalanceAction.wake_and_migrate(
-                            vm_id, pm_id, target.id, reason="retirement"
-                        )
+                    yield RebalanceAction.migrate(vm_id, pm_id, target.id, reason="retirement")
             if not pm.hosted_vm_ids and not view.has_inbound(pm_id):
                 yield RebalanceAction.standby_machine(pm_id, reason="retirement")
                 del self._retiring[pm_id]
@@ -299,12 +288,10 @@ class ReferenceSingleThreshold(SingleThresholdPolicy):
                 continue
             increase = self._ref_increase(vm_id, pm, view, pm.is_running)
             if best is None or (increase, pm.id) < (best[0], best[1]):
-                best = (increase, pm.id, pm)
+                best = (increase, pm.id)
         if best is None:
-            return PlacementDecision.reject()
-        if best[2].is_running:
-            return PlacementDecision.place(best[1])
-        return PlacementDecision.wake_and_place(best[1])
+            return None
+        return best[1]
 
     def rebalance(self, view, tick):
         if tick % self.epoch_ticks != 0:
@@ -312,7 +299,6 @@ class ReferenceSingleThreshold(SingleThresholdPolicy):
         machines = view.all_machines()
         plan_cpu = {pm.id: 0.0 for pm in machines}
         plan_on = {pm.id: pm.is_running for pm in machines}
-        by_id = {pm.id: pm for pm in machines}
 
         placed = []
         skipped = []
@@ -342,16 +328,12 @@ class ReferenceSingleThreshold(SingleThresholdPolicy):
             if best is None:
                 self._count("replan_stuck")
             plan_cpu[target] += vm_cpu
-            needs_wake = not plan_on[target]
             plan_on[target] = True
             if target != current_host:
-                moves.append((vm_id, current_host, target, needs_wake))
+                moves.append((vm_id, current_host, target))
 
-        for vm_id, source, target, needs_wake in moves:
-            if needs_wake and not by_id[target].is_running:
-                yield RebalanceAction.wake_and_migrate(vm_id, source, target, reason="replan")
-            else:
-                yield RebalanceAction.migrate(vm_id, source, target, reason="replan")
+        for vm_id, source, target in moves:
+            yield RebalanceAction.migrate(vm_id, source, target, reason="replan")
 
 
 _ZERO_RV = ResourceVector(0.0, 0.0, 0.0, 0.0)
@@ -395,14 +377,14 @@ class ReferenceSimilarity(SimilarityPolicy):
 
         for _, pm_id, vm_rv, used in ranked:
             if unified_utilization(_add_clamped(used, vm_rv), cfg.weights) < cap_u:
-                return PlacementDecision.place(pm_id)
+                return pm_id
 
         if allow_wake:
             standby = view.standby_machines()
             if standby:
                 chosen = min(standby, key=lambda pm: (pm.last_used_tick, pm.id))
-                return PlacementDecision.wake_and_place(chosen.id)
-        return PlacementDecision.reject()
+                return chosen.id
+        return None
 
     def scale_down_check(self, pm, tick, view):
         if not self._breach_mature(pm, BreachSide.UNDER, tick):
@@ -412,13 +394,12 @@ class ReferenceSimilarity(SimilarityPolicy):
         extras = {}
         plan = []
         for vm_id in list(pm.hosted_vm_ids):
-            decision = self._pick(
+            target = self._pick(
                 vm_id, view, exclude=frozenset((pm.id,)), extras=extras, allow_wake=False
             )
-            if decision.kind is not DecisionKind.PLACE:
+            if target is None:
                 self._count("scale_down_blocked")
                 return None
-            target = decision.machine_id
             vm_rv = ResourceVector(*view.vm_rv_on(vm_id, target))
             extras[target] = _add_clamped(extras.get(target, _ZERO_RV), vm_rv)
             plan.append(RebalanceAction.migrate(vm_id, pm.id, target, reason="scale-down"))

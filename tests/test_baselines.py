@@ -4,7 +4,7 @@ import pytest
 
 import _fakes as fakes
 from dcsim.model import MachineCapacity, MachineState, PowerModel, ResourceVector
-from dcsim.policies.base import ActionKind, PlacementDecision
+from dcsim.policies.base import ActionKind
 from dcsim.policies.baselines import (
     DynamicRoundRobinPolicy,
     GreedyPolicy,
@@ -31,28 +31,28 @@ class TestRoundRobin:
     def test_cycles_through_machines(self):
         view = three_machine_view()
         policy = RoundRobinPolicy()
-        targets = [policy.allocate(v, view).machine_id for v in ("vm-a", "vm-b", "vm-c", "vm-d")]
+        targets = [policy.allocate(v, view) for v in ("vm-a", "vm-b", "vm-c", "vm-d")]
         assert targets == [0, 1, 2, 0]
 
     def test_wakes_standby_in_rotation(self):
         view = three_machine_view()
         view.machines[1].state = MachineState.STANDBY
         policy = RoundRobinPolicy()
-        assert policy.allocate("vm-a", view) == PlacementDecision.place(0)
-        assert policy.allocate("vm-b", view) == PlacementDecision.wake_and_place(1)
+        assert fakes.allocation(policy, "vm-a", view) == (0, MachineState.RUNNING)
+        assert fakes.allocation(policy, "vm-b", view) == (1, MachineState.STANDBY)
 
     def test_skips_machines_without_nominal_room(self):
         view = three_machine_view()
         view.free_overrides[0] = (5, 100, 100, 100)  # too little CPU
         policy = RoundRobinPolicy()
-        assert policy.allocate("vm-a", view) == PlacementDecision.place(1)
+        assert fakes.allocation(policy, "vm-a", view) == (1, MachineState.RUNNING)
 
     def test_rejects_when_nothing_fits(self):
         view = three_machine_view()
         for mid in view.machines:
             view.free_overrides[mid] = (5, 5, 5, 5)
         policy = RoundRobinPolicy()
-        assert policy.allocate("vm-a", view) == PlacementDecision.reject()
+        assert policy.allocate("vm-a", view) is None
 
     def test_never_rebalances(self):
         view = three_machine_view()
@@ -63,14 +63,14 @@ class TestGreedy:
     def test_first_fit_by_id(self):
         view = three_machine_view()
         policy = GreedyPolicy()
-        assert policy.allocate("vm-a", view) == PlacementDecision.place(0)
-        assert policy.allocate("vm-b", view) == PlacementDecision.place(0)
+        assert fakes.allocation(policy, "vm-a", view) == (0, MachineState.RUNNING)
+        assert fakes.allocation(policy, "vm-b", view) == (0, MachineState.RUNNING)
 
     def test_moves_on_when_first_is_full(self):
         view = three_machine_view()
         view.free_overrides[0] = (0.5, 0.5, 0.5, 0.5)
         policy = GreedyPolicy()
-        assert policy.allocate("vm-a", view) == PlacementDecision.place(1)
+        assert fakes.allocation(policy, "vm-a", view) == (1, MachineState.RUNNING)
 
 
 class TestPowerSave:
@@ -78,7 +78,7 @@ class TestPowerSave:
         view = three_machine_view()
         view.machines[0].state = MachineState.STANDBY
         policy = PowerSavePolicy()
-        assert policy.allocate("vm-a", view) == PlacementDecision.place(1)
+        assert fakes.allocation(policy, "vm-a", view) == (1, MachineState.RUNNING)
 
     def test_wakes_only_when_no_running_machine_fits(self):
         view = three_machine_view()
@@ -86,7 +86,7 @@ class TestPowerSave:
         view.free_overrides[1] = (1, 1, 1, 1)
         view.free_overrides[2] = (1, 1, 1, 1)
         policy = PowerSavePolicy()
-        assert policy.allocate("vm-a", view) == PlacementDecision.wake_and_place(0)
+        assert fakes.allocation(policy, "vm-a", view) == (0, MachineState.STANDBY)
 
     def test_parks_empty_machines(self):
         view = three_machine_view()
@@ -111,13 +111,13 @@ class TestDynamicRoundRobin:
         view.machines[0].add_vm("vm-b")
         policy = DynamicRoundRobinPolicy(retirement_threshold=4)
         policy.notify_departure("vm-a", 0, view, tick=7)
-        assert policy.allocate("vm-c", view).machine_id == 1  # 0 is retiring
+        assert policy.allocate("vm-c", view) == 1  # 0 is retiring
 
     def test_departure_from_emptied_machine_does_not_retire(self):
         view = three_machine_view()
         policy = DynamicRoundRobinPolicy()
         policy.notify_departure("vm-a", 0, view, tick=7)
-        assert policy.allocate("vm-c", view).machine_id == 0
+        assert policy.allocate("vm-c", view) == 0
 
     def test_force_migrates_after_threshold(self):
         view = three_machine_view()
@@ -139,7 +139,7 @@ class TestDynamicRoundRobin:
         actions = list(policy.rebalance(view, 20))
         assert [(a.kind, a.target_id) for a in actions] == [(ActionKind.STANDBY_MACHINE, 0)]
         # Machine 0 accepts placements again after unretiring.
-        assert policy.allocate("vm-c", view).machine_id in (0, 1, 2)
+        assert policy.allocate("vm-c", view) in (0, 1, 2)
         assert list(policy.rebalance(view, 21)) == []
 
     def test_skips_in_flight_vms_during_forced_migration(self):
@@ -157,10 +157,10 @@ class TestDynamicRoundRobin:
     def test_rotation_resumes_after_the_last_pick_when_a_machine_retires(self):
         view = fakes.FakeView([fakes.make_machine(i) for i in range(4)])
         policy = DynamicRoundRobinPolicy()
-        assert [policy.allocate(v, view).machine_id for v in ("vm-a", "vm-b")] == [0, 1]
+        assert [policy.allocate(v, view) for v in ("vm-a", "vm-b")] == [0, 1]
         view.machines[1].add_vm("vm-b")
         policy.notify_departure("vm-c", 1, view, tick=3)  # machine 1 starts retiring
-        assert [policy.allocate(v, view).machine_id for v in ("vm-d", "vm-e", "vm-f")] == [2, 3, 0]
+        assert [policy.allocate(v, view) for v in ("vm-d", "vm-e", "vm-f")] == [2, 3, 0]
 
 
 class TestSingleThreshold:
@@ -169,8 +169,7 @@ class TestSingleThreshold:
         view.cpu_abs[0] = 3500.0  # 3500/4000 + vm would cross 0.75
         view.nominals["vm-a"] = MachineCapacity(400, 10, 10, 10)
         policy = SingleThresholdPolicy(threshold=0.75)
-        decision = policy.allocate("vm-a", view)
-        assert decision.machine_id != 0
+        assert policy.allocate("vm-a", view) not in (0, None)
 
     def test_prefers_running_machine_over_waking(self):
         # Waking costs the idle jump, so a running machine wins even when a
@@ -183,7 +182,7 @@ class TestSingleThreshold:
         )
         view.nominals["vm-a"] = MachineCapacity(100, 100, 10, 10)
         policy = SingleThresholdPolicy()
-        assert policy.allocate("vm-a", view) == PlacementDecision.place(1)
+        assert fakes.allocation(policy, "vm-a", view) == (1, MachineState.RUNNING)
 
     def test_wakes_cheapest_machine_when_nothing_runs(self):
         view = fakes.FakeView(
@@ -194,7 +193,7 @@ class TestSingleThreshold:
         )
         view.nominals["vm-a"] = MachineCapacity(100, 100, 10, 10)
         policy = SingleThresholdPolicy()
-        assert policy.allocate("vm-a", view) == PlacementDecision.wake_and_place(1)
+        assert fakes.allocation(policy, "vm-a", view) == (1, MachineState.STANDBY)
 
     def test_uses_window_mean_cpu_when_available(self):
         view = three_machine_view()
@@ -203,14 +202,14 @@ class TestSingleThreshold:
         view.nominals["vm-a"] = MachineCapacity(10, 10, 10, 10)  # would fit nominally
         policy = SingleThresholdPolicy(threshold=0.75)
         # 2600 + 500 = 3100 > 3000 = 0.75 * 4000, so machine 0 is out.
-        assert policy.allocate("vm-a", view).machine_id != 0
+        assert policy.allocate("vm-a", view) != 0
 
     def test_rejects_when_all_machines_hot(self):
         view = three_machine_view()
         for mid in view.machines:
             view.cpu_abs[mid] = 3900.0
         policy = SingleThresholdPolicy(threshold=0.75)
-        assert policy.allocate("vm-a", view) == PlacementDecision.reject()
+        assert policy.allocate("vm-a", view) is None
 
     def test_replans_only_on_epoch_boundaries(self):
         view = three_machine_view()

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-import _fakes  # noqa: F401  (registers the standby_placer policy)
+import _fakes  # noqa: F401  (registers the fixed_placer policy)
 from dcsim.cli import EXIT_CONFIG, EXIT_ENGINE, EXIT_IO, EXIT_OK, main
 from dcsim.config import (
     ConfigError,
@@ -310,18 +310,18 @@ class TestCliRun:
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
     def test_policy_fault_is_engine_error(self, config_file, tmp_path, capsys, command):
-        # Machine 2 of the three is on standby; placing there is a fault.
+        # The fleet has three machines; naming machine 3 is a fault.
         # Importing _fakes registered the policy.
         cfg = config_file(
-            policy={"id": "standby_placer", "machine": 2},
-            sweep={"parameter": "machine", "values": [0, 2]},
+            policy={"id": "fixed_placer", "machine": 3},
+            sweep={"parameter": "machine", "values": [0, 3]},
         )
         code = main([command, "--config", cfg, "--out", str(tmp_path / "o")])
         assert code == EXIT_ENGINE
         assert "engine error" in capsys.readouterr().err
 
     def test_placement_outside_the_fleet_is_engine_error(self, config_file, tmp_path, capsys):
-        cfg = config_file(policy={"id": "standby_placer", "machine": 3})
+        cfg = config_file(policy={"id": "fixed_placer", "machine": 3})
         code = main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
         assert code == EXIT_ENGINE
         assert "outside the fleet" in capsys.readouterr().err

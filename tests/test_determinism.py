@@ -20,7 +20,7 @@ from pathlib import Path
 
 from dcsim.engine import FleetMachine, Simulation, SimulationConfig
 from dcsim.model import MachineCapacity
-from dcsim.policies.base import PlacementDecision, RebalanceAction, SchedulerPolicy
+from dcsim.policies.base import RebalanceAction, SchedulerPolicy
 from dcsim.workload import DemandSample, VmRequest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -54,7 +54,7 @@ class RecordingPolicy(SchedulerPolicy):
 
     def allocate(self, vm_id, view):
         self._record(view, "allocate " + vm_id)
-        return PlacementDecision.place(VMS[vm_id][0] if vm_id in VMS else 0)
+        return VMS[vm_id][0] if vm_id in VMS else 0
 
     def rebalance(self, view, tick):
         self._record(view, "rebalance")

@@ -27,7 +27,7 @@ from dcsim.model import (
     shares_of,
 )
 from dcsim.policies import build_policy
-from dcsim.policies.base import ClusterView, PlacementDecision, RebalanceAction, SchedulerPolicy
+from dcsim.policies.base import ClusterView, RebalanceAction, SchedulerPolicy
 from dcsim.policies.baselines import GreedyPolicy
 from dcsim.policies.similarity import PolicyConfig, SimilarityPolicy
 from dcsim.workload import DemandSample, VmRequest
@@ -79,11 +79,8 @@ class ScriptedPolicy(SchedulerPolicy):
 
     def allocate(self, vm_id, view):
         if view.current_tick < self.reject_until_tick:
-            return PlacementDecision.reject()
-        target = self.targets[vm_id]
-        if view.machine(target).is_running:
-            return PlacementDecision.place(target)
-        return PlacementDecision.wake_and_place(target)
+            return None
+        return self.targets[vm_id]
 
     def rebalance(self, view, tick):
         return list(self.actions.get(tick, ()))
@@ -264,22 +261,22 @@ class TestArrivalsAndDepartures:
         assert sim.machine(1).state is MachineState.RUNNING
         assert sim.wake_count == 1
 
-    def test_place_on_standby_machine_is_an_error(self):
-        class BadPolicy(SchedulerPolicy):
-            name = "bad"
-
-            def allocate(self, vm_id, view):
-                return PlacementDecision.place(1)
-
-        reqs = [flat_request("vm-0", 100.0)]
-        sim = Simulation(config(2, running=1), reqs, BadPolicy())
-        with pytest.raises(EngineError, match="standby"):
-            sim._step()
+    def test_allocate_naming_a_standby_machine_wakes_it_once(self):
+        # Both VMs name standby machine 1; the first placement wakes it and
+        # the second finds it running.  The woken machine serves both VMs'
+        # demand in the tick it wakes.
+        reqs = [flat_request("vm-0", 100.0), flat_request("vm-1", 200.0)]
+        sim = Simulation(config(2, running=1), reqs, fakes.FixedPlacer(1))
+        sim._step()
+        assert sim.machine(1).state is MachineState.RUNNING
+        assert sim.machine(1).hosted_vm_ids == ["vm-0", "vm-1"]
+        assert sim.wake_count == 1
+        assert sim.machine_rv(1) == pytest.approx((0.3, 0.3, 0.3, 0.3))
 
     @pytest.mark.parametrize("machine", [-1, 3])
     def test_placement_outside_the_fleet_is_an_error(self, machine):
         reqs = [flat_request("vm-0", 100.0), flat_request("vm-1", 100.0)]
-        sim = Simulation(config(3), reqs, fakes.StandbyPlacer(machine))
+        sim = Simulation(config(3), reqs, fakes.FixedPlacer(machine))
         with pytest.raises(EngineError, match=f"named machine {machine}, outside the fleet of 3"):
             sim._step()
         assert all(not pm.hosted_vm_ids for pm in sim.all_machines())
@@ -427,13 +424,16 @@ class TestBreachTracking:
         assert sim.machine(0).breach_side is None
 
     def test_measured_utilization_uses_policy_weights(self):
+        # CPU-only weights measure u = 0.8 where equal weights would measure
+        # 0.225: over a u_up of 0.79, and inside a band of (0.6, 0.81).
         weights = UtilizationWeights(1.0, 0.0, 0.0, 0.0)
-        policy = SimilarityPolicy(PolicyConfig(weights=weights))
         trace = (DemandSample(0, 800.0, 100.0, 0.0, 0.0),)
         req = VmRequest("vm-0", MachineCapacity(800, 100, 1, 1), 0, None, trace)
-        sim = Simulation(config(1, duration=2), [req], policy)
-        sim._step()
-        assert sim.machine(0).current_utilization == pytest.approx(0.8)
+        for u_up, u_down, side in [(0.79, 0.15, BreachSide.OVER), (0.81, 0.6, None)]:
+            policy = SimilarityPolicy(PolicyConfig(u_up=u_up, u_down=u_down, weights=weights))
+            sim = Simulation(config(1, duration=2), [req], policy)
+            sim._step()
+            assert sim.machine(0).breach_side is side
 
 
 # ---------------------------------------------------------------------------
@@ -467,24 +467,14 @@ class TestActionExecution:
     def test_wake_and_migrate_wakes_target(self):
         reqs = [flat_request("vm-0", 100.0)]
         policy = ScriptedPolicy(
-            {"vm-0": 0}, actions={1: [RebalanceAction.wake_and_migrate("vm-0", 0, 1)]}
+            {"vm-0": 0}, actions={1: [RebalanceAction.migrate("vm-0", 0, 1)]}
         )
         sim = Simulation(config(2, running=1), reqs, policy)
         sim._step()
         sim._step()
         assert sim.machine(1).state is MachineState.RUNNING
         assert sim.vm_host("vm-0") == 1
-
-    def test_wake_and_migrate_to_running_machine_is_dropped(self):
-        reqs = [flat_request("vm-0", 100.0)]
-        policy = ScriptedPolicy(
-            {"vm-0": 0}, actions={1: [RebalanceAction.wake_and_migrate("vm-0", 0, 1)]}
-        )
-        sim = Simulation(config(2), reqs, policy)
-        sim._step()
-        sim._step()
-        assert sim.dropped_actions == 1
-        assert sim.vm_host("vm-0") == 0
+        assert sim.wake_count == 1
 
     def test_standby_of_empty_machine_parks_it(self):
         policy = ScriptedPolicy({}, actions={0: [RebalanceAction.standby_machine(1)]})
@@ -535,7 +525,7 @@ class TestActionExecution:
 
 
 class TestDelayedMigrations:
-    def make_sim(self, actions, duration=8, landing_ok=True, n=2, reqs=None):
+    def make_sim(self, actions, duration=8, landing_ok=True, n=2, reqs=None, running=None):
         class LandingPolicy(ScriptedPolicy):
             def migration_landing_ok(self, vm_id, machine_id, view):
                 return landing_ok
@@ -546,7 +536,7 @@ class TestDelayedMigrations:
             fleet=fleet(n),
             duration_ticks=duration,
             tick_length_seconds=60.0,
-            initial_running_count=n,
+            initial_running_count=n if running is None else running,
             migration_cost_ticks=2,
         )
         return Simulation(cfg, reqs, policy), policy
@@ -640,6 +630,62 @@ class TestDelayedMigrations:
         free = sim.nominal_free(1)
         assert free[0] == pytest.approx(1000.0 - 100.0)
         assert sim.cpu_used_abs(1) > 0.0
+
+    def test_migrate_to_standby_target_wakes_it_and_lands_after_the_cost(self):
+        sim, _ = self.make_sim({1: [RebalanceAction.migrate("vm-0", 0, 1)]}, running=1)
+        sim._step()  # tick 0: placed on 0; machine 1 on standby
+        assert sim.machine(1).state is MachineState.STANDBY
+        sim._step()  # tick 1: machine 1 wakes and the flight starts, landing at 3
+        assert sim.machine(1).state is MachineState.RUNNING
+        assert sim.wake_count == 1
+        assert sim.vm_host("vm-0") == 0 and sim.has_inbound(1)
+        sim._step()  # tick 2: still flying
+        assert sim.vm_host("vm-0") == 0
+        sim._step()  # tick 3: lands
+        assert sim.vm_host("vm-0") == 1
+        assert sim.migration_count == 1
+
+    def test_dropped_migrate_to_standby_target_wakes_nothing(self):
+        # The second move is dropped because vm-0 is already flying to 1;
+        # the engine checks the VM before it wakes machine 2.
+        sim, _ = self.make_sim(
+            {
+                1: [
+                    RebalanceAction.migrate("vm-0", 0, 1),
+                    RebalanceAction.migrate("vm-0", 0, 2),
+                ]
+            },
+            n=3,
+            running=2,
+        )
+        sim._step()
+        sim._step()
+        assert sim.dropped_actions == 1
+        assert sim.machine(2).state is MachineState.STANDBY
+        assert sim.wake_count == 0
+        assert sim._inflight == {"vm-0": (1, 3)}
+
+    def test_machine_with_an_inbound_flight_is_not_parked(self):
+        # The standby request for empty machine 1 waits while vm-0 flies to
+        # it and is dropped once vm-0 lands, so every landing finds its
+        # target running.
+        sim, _ = self.make_sim(
+            {
+                1: [
+                    RebalanceAction.migrate("vm-0", 0, 1),
+                    RebalanceAction.standby_machine(1),
+                ]
+            }
+        )
+        for _ in range(3):
+            sim._step()
+        assert sim.machine(1).state is MachineState.RUNNING and sim.has_inbound(1)
+        assert sim.dropped_actions == 0
+        sim._step()  # tick 3: lands
+        assert sim.vm_host("vm-0") == 1
+        assert sim.machine(1).state is MachineState.RUNNING
+        assert sim.dropped_actions == 1
+        assert sim.standby_count == 0
 
     def test_deferred_standby_waits_for_outbound_flight(self):
         # Machine 0 hosts only an in-flight VM; the standby request parks it
@@ -736,7 +782,7 @@ class TestEnergy:
         # it has no delivered usage yet and bills one idle tick.
         reqs = [flat_request("vm-0", 400.0)]
         policy = ScriptedPolicy(
-            {"vm-0": 0}, actions={1: [RebalanceAction.wake_and_migrate("vm-0", 0, 1)]}
+            {"vm-0": 0}, actions={1: [RebalanceAction.migrate("vm-0", 0, 1)]}
         )
         sim = Simulation(config(2, running=1, duration=4), reqs, policy)
         report = sim.run()

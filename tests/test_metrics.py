@@ -129,19 +129,19 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_engine_error_in_a_run_propagates(self, sim_config, workload, jobs):
-        # Machine 3 is on standby, so placing there is a policy fault, not a
-        # configuration the sweep may skip.
-        spec = fakes.standby_placer_spec(0)
-        with pytest.raises(EngineError, match="standby machine 3"):
-            run_sweep(sim_config, workload, spec, "machine", values=[0, 3], jobs=jobs)
+        # The fleet has four machines, so naming machine 4 is a policy fault,
+        # not a configuration the sweep may skip.
+        spec = fakes.fixed_placer_spec(0)
+        with pytest.raises(EngineError, match="named machine 4, outside the fleet"):
+            run_sweep(sim_config, workload, spec, "machine", values=[0, 4], jobs=jobs)
 
     def test_engine_error_propagates_from_spawned_workers(
         self, sim_config, workload, monkeypatch
     ):
         _spawn_pools(monkeypatch)
-        spec = fakes.standby_placer_spec(0)
-        with pytest.raises(EngineError, match="standby machine 3"):
-            run_sweep(sim_config, workload, spec, "machine", values=[0, 3], jobs=2)
+        spec = fakes.fixed_placer_spec(0)
+        with pytest.raises(EngineError, match="named machine 4, outside the fleet"):
+            run_sweep(sim_config, workload, spec, "machine", values=[0, 4], jobs=2)
 
     def test_unknown_parameter_without_values_is_an_error(self, sim_config, workload):
         with pytest.raises(ValueError, match="no default grid"):
@@ -239,8 +239,8 @@ class TestComparePolicies:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_engine_error_in_a_run_propagates(self, sim_config, workload, jobs):
-        specs = ["greedy", fakes.standby_placer_spec(3)]
-        with pytest.raises(EngineError, match="standby machine 3"):
+        specs = ["greedy", fakes.fixed_placer_spec(4)]
+        with pytest.raises(EngineError, match="named machine 4, outside the fleet"):
             compare_policies(sim_config, workload, specs, jobs=jobs)
 
     def test_unknown_baseline_rejected(self, sim_config, workload):

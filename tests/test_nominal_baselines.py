@@ -27,7 +27,7 @@ from dcsim.policies import (
     PowerSavePolicy,
     RoundRobinPolicy,
 )
-from dcsim.policies.base import ActionKind, DecisionKind
+from dcsim.policies.base import ActionKind
 
 DIFFERENTIAL_INSTANCES = 400
 
@@ -40,7 +40,11 @@ PAIRS = {
 
 
 def _recording(policy_cls):
-    """``policy_cls`` extended to log its decisions and actions, and count what it reached."""
+    """``policy_cls`` extended to log its decisions and actions, and count what it reached.
+
+    A placement or a migration "wakes" when its target is on standby as the
+    policy names it; the engine then wakes the target.
+    """
 
     class Recording(policy_cls):
         def __init__(self, **params):
@@ -48,21 +52,27 @@ def _recording(policy_cls):
             self.log = []
             self.wraps = 0
             self.retiring_allocations = 0
+            self.running_placements = 0
+            self.forced = {"running": 0, "standby": 0}  # retirement moves by target state
 
         def allocate(self, vm_id, view):
             retiring = getattr(self, "_retiring", {})
             self.retiring_allocations += bool(retiring)
             cursor = getattr(self, "_cursor", None)
-            decision = super().allocate(vm_id, view)
-            if cursor is not None and decision.machine_id is not None:
+            machine_id = super().allocate(vm_id, view)
+            if cursor is not None and machine_id is not None:
                 # Machine ids equal positions in the fleet, so this reads both
                 # an index cursor and a machine-id cursor.
-                self.wraps += decision.machine_id < cursor
-            self.log.append((view.current_tick, vm_id, decision))
-            return decision
+                self.wraps += machine_id < cursor
+            if machine_id is not None:
+                self.running_placements += view.machine(machine_id).is_running
+            self.log.append((view.current_tick, vm_id, machine_id))
+            return machine_id
 
         def rebalance(self, view, tick):
             for action in super().rebalance(view, tick):
+                if action.kind is ActionKind.MIGRATE and action.reason == "retirement":
+                    self.forced[view.machine(action.target_id).state.value] += 1
                 self.log.append((tick, action))
                 yield action
 
@@ -97,18 +107,13 @@ def test_matches_its_own_loops_on_random_instances(policy_id):
         assert got.stats == ref.stats, f"seed {seed}: policy_stats differ"
         assert got_report == ref_report, f"seed {seed}: reports differ"
 
-        covered["placement"] += sum(
-            len(entry) == 3 and entry[2].kind is DecisionKind.PLACE for entry in ref.log
-        )
+        covered["placement"] += ref.running_placements
         covered["wake"] += ref_report.wake_count
         covered["rejection"] += ref_report.rejected_requests
         covered["cursor wrap"] += ref.wraps
         covered["allocation while a machine retires"] += ref.retiring_allocations
-        for entry in ref.log:
-            if len(entry) == 2 and entry[1].reason == "retirement":
-                kind = entry[1].kind
-                covered["forced migration"] += kind is ActionKind.MIGRATE
-                covered["forced wake-and-migrate"] += kind is ActionKind.WAKE_AND_MIGRATE
+        covered["forced migration"] += ref.forced["running"]
+        covered["forced wake-and-migrate"] += ref.forced["standby"]
         covered["retirement_stuck"] += ref.stats.get("retirement_stuck", 0)
 
     expected = {"placement", "wake", "rejection"}

@@ -9,7 +9,7 @@ from dcsim.model import (
     ResourceVector,
     UtilizationWeights,
 )
-from dcsim.policies.base import ActionKind, DecisionKind, PlacementDecision, RebalanceAction
+from dcsim.policies.base import ActionKind, RebalanceAction
 from dcsim.policies.similarity import (
     PolicyConfig,
     SimilarityMethod,
@@ -60,7 +60,7 @@ class TestAllocateRanking:
         view.machine_rvs[1] = ResourceVector(0.05, 0.4, 0.0, 0.0)
         policy = make_policy(similarity_method=SimilarityMethod.DISSIMILAR,
                              similarity_threshold=1.0)
-        assert policy.allocate("vm-a", view) == PlacementDecision.place(1)
+        assert fakes.allocation(policy, "vm-a", view) == (1, MachineState.RUNNING)
 
     def test_free_fit_prefers_most_aligned_free_share(self):
         # Machine 0's leftover capacity is CPU-shaped, matching the VM;
@@ -71,13 +71,13 @@ class TestAllocateRanking:
         view.machine_rvs[1] = ResourceVector(0.6, 0.1, 0.3, 0.3)
         policy = make_policy(similarity_method=SimilarityMethod.FREE_FIT,
                              similarity_threshold=0.0)
-        assert policy.allocate("vm-a", view) == PlacementDecision.place(0)
+        assert fakes.allocation(policy, "vm-a", view) == (0, MachineState.RUNNING)
 
     def test_tie_breaks_by_lowest_machine_id(self):
         view = fakes.FakeView([fakes.make_machine(2), fakes.make_machine(0), fakes.make_machine(1)])
         view.vm_rvs["vm-a"] = ResourceVector(0.1, 0.1, 0.1, 0.1)
         policy = make_policy()
-        assert policy.allocate("vm-a", view) == PlacementDecision.place(0)
+        assert fakes.allocation(policy, "vm-a", view) == (0, MachineState.RUNNING)
 
     def test_dissimilar_threshold_excludes_lookalikes(self):
         # The only running machine is loaded exactly like the VM (score 1),
@@ -89,7 +89,7 @@ class TestAllocateRanking:
         view.machine_rvs[0] = ResourceVector(0.4, 0.04, 0.0, 0.0)
         policy = make_policy(similarity_method=SimilarityMethod.DISSIMILAR,
                              similarity_threshold=0.6)
-        assert policy.allocate("vm-a", view) == PlacementDecision.wake_and_place(1)
+        assert fakes.allocation(policy, "vm-a", view) == (1, MachineState.STANDBY)
 
     def test_free_fit_threshold_excludes_poor_fits(self):
         # Free share is memory-shaped while the VM is CPU-shaped: similarity
@@ -101,7 +101,7 @@ class TestAllocateRanking:
         view.machine_rvs[0] = ResourceVector(0.05, 0.95, 0.95, 0.95)
         policy = make_policy(similarity_method=SimilarityMethod.FREE_FIT,
                              similarity_threshold=0.9)
-        assert policy.allocate("vm-a", view) == PlacementDecision.wake_and_place(1)
+        assert fakes.allocation(policy, "vm-a", view) == (1, MachineState.STANDBY)
 
     def test_buffer_check_skips_to_next_candidate(self):
         # Machine 0 ranks first but adding the VM would cross u_up - buffer.
@@ -110,7 +110,7 @@ class TestAllocateRanking:
         view.machine_rvs[0] = ResourceVector(0.5, 0.5, 0.5, 0.5)
         view.machine_rvs[1] = ResourceVector(0.1, 0.1, 0.1, 0.1)
         policy = make_policy(u_up=0.75, buffer=0.15, similarity_threshold=0.0)
-        assert policy.allocate("vm-a", view) == PlacementDecision.place(1)
+        assert fakes.allocation(policy, "vm-a", view) == (1, MachineState.RUNNING)
 
     def test_wakes_least_recently_used_standby(self):
         view = fakes.FakeView(
@@ -123,7 +123,7 @@ class TestAllocateRanking:
         view.vm_rvs["vm-a"] = ResourceVector(0.3, 0.3, 0.3, 0.3)
         view.machine_rvs[0] = ResourceVector(0.6, 0.6, 0.6, 0.6)
         policy = make_policy()
-        assert policy.allocate("vm-a", view) == PlacementDecision.wake_and_place(2)
+        assert fakes.allocation(policy, "vm-a", view) == (2, MachineState.STANDBY)
 
     def test_never_used_standby_wins_lru(self):
         view = fakes.FakeView(
@@ -136,14 +136,14 @@ class TestAllocateRanking:
         view.vm_rvs["vm-a"] = ResourceVector(0.4, 0.4, 0.4, 0.4)
         view.machine_rvs[0] = ResourceVector(0.5, 0.5, 0.5, 0.5)
         policy = make_policy()
-        assert policy.allocate("vm-a", view) == PlacementDecision.wake_and_place(2)
+        assert fakes.allocation(policy, "vm-a", view) == (2, MachineState.STANDBY)
 
     def test_rejects_when_everything_is_full(self):
         view = fakes.FakeView([fakes.make_machine(0)])
         view.vm_rvs["vm-a"] = ResourceVector(0.4, 0.4, 0.4, 0.4)
         view.machine_rvs[0] = ResourceVector(0.5, 0.5, 0.5, 0.5)
         policy = make_policy()
-        assert policy.allocate("vm-a", view) == PlacementDecision.reject()
+        assert policy.allocate("vm-a", view) is None
 
     def test_exact_cap_boundary_is_excluded(self):
         # Estimated utilization landing exactly on u_up - buffer must not fit
@@ -152,7 +152,7 @@ class TestAllocateRanking:
         view.vm_rvs["vm-a"] = ResourceVector(0.3, 0.3, 0.3, 0.3)
         view.machine_rvs[0] = ResourceVector(0.3, 0.3, 0.3, 0.3)
         policy = make_policy(u_up=0.75, buffer=0.15)  # cap = 0.6 == estimate
-        assert policy.allocate("vm-a", view) == PlacementDecision.reject()
+        assert policy.allocate("vm-a", view) is None
 
 
 def set_breach(pm, side, since):
@@ -202,8 +202,8 @@ class TestScaleUp:
         policy = make_policy()
         set_breach(source, BreachSide.OVER, since=0)
         action = policy.scale_up_check(source, 10, view)
-        assert action.kind is ActionKind.WAKE_AND_MIGRATE
-        assert action.target_id == 1
+        assert action == RebalanceAction.migrate("vm-hot", 0, 1, reason="scale-up")
+        assert view.machine(1).state is MachineState.STANDBY
 
     def test_exhausted_fleet_counts_and_stays(self):
         source, peer, view = self.make_overloaded_view()
@@ -326,12 +326,6 @@ class TestRebalanceGenerator:
 
 
 class TestMigrationLanding:
-    def test_rejects_standby_target(self):
-        target = fakes.make_machine(1, state=MachineState.STANDBY)
-        view = fakes.FakeView([fakes.make_machine(0), target])
-        policy = make_policy()
-        assert not policy.migration_landing_ok("vm-a", 1, view)
-
     def test_rejects_target_that_filled_up(self):
         target = fakes.make_machine(1)
         view = fakes.FakeView([fakes.make_machine(0), target])
@@ -360,7 +354,5 @@ class TestPolicyWiring:
         assert policy.utilization_weights == weights
         assert policy.usage_window_seconds == 120.0
 
-    def test_decision_kind_strings(self):
-        assert DecisionKind.PLACE.value == "place"
-        assert DecisionKind.WAKE_AND_PLACE.value == "wake-and-place"
-        assert DecisionKind.REJECT.value == "reject"
+    def test_action_kind_strings(self):
+        assert [kind.value for kind in ActionKind] == ["migrate", "standby-machine"]

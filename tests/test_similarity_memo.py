@@ -19,7 +19,7 @@ from _oracles import ReferenceSimilarity, fresh_machine_rv
 from dcsim.engine import FleetMachine, Simulation, SimulationConfig
 from dcsim.model import MachineCapacity, MachineState, PowerModel
 from dcsim.policies import build_policy
-from dcsim.policies.base import PlacementDecision, RebalanceAction, SchedulerPolicy
+from dcsim.policies.base import RebalanceAction, SchedulerPolicy
 from dcsim.policies import similarity
 from dcsim.policies.similarity import SimilarityPolicy, cosine_of
 from dcsim.workload import DemandSample, VmRequest, WorkloadProfile, WorkloadSpec, generate_workload
@@ -266,7 +266,7 @@ class _MigrateThenLook(SchedulerPolicy):
 
     def allocate(self, vm_id, view):
         view.machine_rv(1)
-        return PlacementDecision.place(0)
+        return 0
 
     def rebalance(self, view, tick):
         if tick == 1:
