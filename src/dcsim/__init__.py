@@ -43,6 +43,7 @@ from .policies import (
 )
 from .workload import (
     DemandSample,
+    DemandTrace,
     VmRequest,
     WorkloadProfile,
     WorkloadSpec,
@@ -57,6 +58,7 @@ __all__ = [
     "BreachSide",
     "DEFAULT_RV",
     "DemandSample",
+    "DemandTrace",
     "FleetMachine",
     "MachineCapacity",
     "MachineState",

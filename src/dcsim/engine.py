@@ -21,8 +21,9 @@ order, so a run is a pure function of (config, workload, policy).
 
 A VM's demand at a tick is a step function of its trace: zero before the
 first sample, each sample held until the next, the last held after the end.
-The engine reads it as ``rows[tick - first]`` (see ``_trace_rows``); a
-generated trace has a sample every tick and is read as it is.
+The engine reads resource ``r`` as ``columns[r][tick - first]`` (see
+``_trace_columns``); a generated trace has a sample every tick, and its own
+``DemandTrace`` columns are read in place.
 
 The running machines are kept as a list in id order.  Only ``_wake`` and
 ``_standby`` change a machine's state, and they update the list, so the
@@ -51,10 +52,11 @@ through ``_set_host`` or ``_set_flight``, which drop it.
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Optional, Sequence
+from typing import Optional
 
 from .model import (
     MachineCapacity,
@@ -67,13 +69,13 @@ from .model import (
     VirtualMachine,
     clamped_sum_of,
     complement_of,
-    power_draw,
+    running_power,
     shares_of,
     used_shares_of,
     utilization_of,
 )
 from .policies.base import ActionKind, RebalanceAction, SchedulerPolicy
-from .workload import DemandSample, VmRequest
+from .workload import DemandTrace, VmRequest
 
 _USAGE_ZERO = (0.0, 0.0, 0.0, 0.0)
 _machine_id = attrgetter("id")
@@ -132,30 +134,32 @@ def _column_sums(
     return (t0, t1, t2, t3)
 
 
-def _trace_rows(
-    trace: tuple[DemandSample, ...], duration_ticks: int
-) -> tuple[int, int, Sequence[DemandSample]]:
-    """``(first, last, rows)`` such that ``rows[tick - first]`` is the sample in force.
+def _trace_columns(
+    trace: DemandTrace, duration_ticks: int
+) -> tuple[int, int, array, array, array, array]:
+    """``(first, last, cpu, mem, disk, bw)``; each column's ``[tick - first]`` is in force.
 
-    ``last`` is the index of the final row, which holds for every later
-    tick.  A trace with a sample every tick is returned as it is.  A gapped
-    one (only a loaded file has gaps) is expanded, each missing tick holding
-    the previous sample, up to ``duration_ticks``.  An empty trace gets
-    ``first = duration_ticks``, which no tick reaches.
+    ``last`` is the index of the final entry, which holds for every later
+    tick.  A trace with a sample every tick gives its own columns.  A gapped
+    one (only a loaded file has gaps) gives new columns, each missing tick
+    holding the previous sample, up to ``duration_ticks``.  An empty trace
+    gets ``first = duration_ticks``, which no tick reaches.
     """
+    columns = (trace.cpu, trace.mem, trace.disk, trace.bw)
     if not trace:
-        return duration_ticks, -1, trace
-    first = trace[0].tick
-    if trace[-1].tick - first == len(trace) - 1:
-        return first, len(trace) - 1, trace
-    rows: list[DemandSample] = []
-    for sample in trace:
-        if sample.tick >= duration_ticks:
+        return (duration_ticks, -1, *columns)
+    ticks = trace.ticks
+    first = ticks[0]
+    if ticks[-1] - first == len(ticks) - 1:
+        return (first, len(ticks) - 1, *columns)
+    held: list[int] = []  # the index of the sample in force at each tick
+    for index, tick in enumerate(ticks):
+        if tick >= duration_ticks:
             break
-        if rows:
-            rows.extend([rows[-1]] * (sample.tick - first - len(rows)))
-        rows.append(sample)
-    return first, len(rows) - 1, rows
+        if held:
+            held.extend([held[-1]] * (tick - first - len(held)))
+        held.append(index)
+    return (first, len(held) - 1, *(array("d", map(col.__getitem__, held)) for col in columns))
 
 
 def proportional_delivery(
@@ -268,8 +272,8 @@ class Simulation:
                 self._arrivals.setdefault(req.arrival_tick, []).append(req.vm_id)
 
         self.vms: dict[str, VirtualMachine] = {}
-        # Each created VM's ``_trace_rows``.
-        self._rows: dict[str, tuple[int, int, Sequence[DemandSample]]] = {}
+        # Each created VM with its ``_trace_columns``.
+        self._demand: dict[str, tuple[VirtualMachine, int, int, array, array, array, array]] = {}
         self._pending: list[str] = []
         self._departures: dict[int, list[str]] = {}
 
@@ -512,7 +516,7 @@ class Simulation:
             host_id = vm.host_id
             self._set_host(vm, None)
             del self.vms[vm_id]
-            del self._rows[vm_id]
+            del self._demand[vm_id]
             if host_id is not None:
                 self.policy.notify_departure(vm_id, host_id, self, tick)
             elif vm_id in self._pending:
@@ -538,7 +542,8 @@ class Simulation:
                     window_ticks=self._window_ticks,
                 )
                 self.vms[vm_id] = vm
-                self._rows[vm_id] = _trace_rows(req.trace, self.config.duration_ticks)
+                columns = _trace_columns(req.trace, self.config.duration_ticks)
+                self._demand[vm_id] = (vm, *columns)
                 if req.departure_tick is not None and req.departure_tick < self.config.duration_ticks:
                     self._departures.setdefault(req.departure_tick, []).append(vm_id)
             machine_id = self.policy.allocate(vm_id, self)
@@ -556,10 +561,11 @@ class Simulation:
     def _arbitrate(self, tick: int) -> int:
         """Deliver each hosted VM's demand; return the tick's SLA violations.
 
-        A machine whose totals fit its capacity delivers every demand as
-        asked; only an over-committed one goes through
-        ``proportional_delivery``.  Each machine's share also seeds the
-        ``machine_rv`` memo unless a flight targets the machine.
+        Each machine's totals are summed in hosted order as the demands are
+        read, as ``_column_sums`` sums them.  A machine whose totals fit its
+        capacity delivers every demand as asked; only an over-committed one
+        goes through ``proportional_delivery``.  Each machine's share also
+        seeds the ``machine_rv`` memo unless a flight targets the machine.
         """
         violations = 0
         shares = self._shares = {}
@@ -567,35 +573,44 @@ class Simulation:
         used.clear()
         targets = {target_id for target_id, _ in self._inflight.values()}
         capacities = self._capacities
-        vms = self.vms
-        all_rows = self._rows
+        demand = self._demand
         for pm in self._running:
             pm_id = pm.id
             hosted = pm.hosted_vm_ids
             if not hosted:
                 share = _USAGE_ZERO
             else:
+                vms = []
                 demands = []
+                # Skipping a zero row changes no sum: adding +0.0 leaves every
+                # float but -0.0 as it is, and a sum from +0.0 is never -0.0.
+                t0 = t1 = t2 = t3 = 0.0
                 for vm_id in hosted:
-                    first, last, rows = all_rows[vm_id]
+                    vm, first, last, cpu, mem, disk, bw = demand[vm_id]
+                    vms.append(vm)
                     i = tick - first
                     if i < 0:
                         demands.append(_USAGE_ZERO)
-                    else:
-                        demands.append(rows[i if i < last else last][1:])
+                        continue
+                    if i > last:
+                        i = last
+                    c = cpu[i]
+                    m = mem[i]
+                    d = disk[i]
+                    b = bw[i]
+                    t0 += c
+                    t1 += m
+                    t2 += d
+                    t3 += b
+                    demands.append((c, m, d, b))
+                totals = (t0, t1, t2, t3)
                 cap = capacities[pm_id]
-                totals = _column_sums(demands)
-                if (
-                    totals[0] > cap[0]
-                    or totals[1] > cap[1]
-                    or totals[2] > cap[2]
-                    or totals[3] > cap[3]
-                ):
+                if t0 > cap[0] or t1 > cap[1] or t2 > cap[2] or t3 > cap[3]:
                     demands, shorted = proportional_delivery(demands, cap)
                     violations += len(shorted)
                     totals = _column_sums(demands)
-                for vm_id, usage in zip(hosted, demands):
-                    vms[vm_id].record_usage(usage)
+                for vm, usage in zip(vms, demands):
+                    vm.record_usage(usage)
                 share = shares_of(totals, cap)
             shares[pm_id] = share
             if pm_id not in targets:
@@ -674,18 +689,21 @@ class Simulation:
 
     def _integrate_energy(self, tick: int, violations: int) -> None:
         model = self.config.power_model
+        standby_watts = model.standby_watts
         weights = self.config.energy_weights.as_tuple()
         dt = self.config.tick_length_seconds
+        shares = self._shares
+        machine_ws = self._machine_ws
         total = 0.0
         running = 0
         for pm in self.machines:
             if pm.state is MachineState.RUNNING:
                 running += 1
-                u = utilization_of(self._shares.get(pm.id, _USAGE_ZERO), weights)
-                watts = power_draw(pm, u, model)
+                u = utilization_of(shares.get(pm.id, _USAGE_ZERO), weights)
+                watts = running_power(pm.peak_power_watts, u, model)
             else:
-                watts = model.standby_watts
-            self._machine_ws[pm.id] += watts * dt
+                watts = standby_watts
+            machine_ws[pm.id] += watts * dt
             total += watts
         self._series_running.append(running)
         self._series_power.append(total)

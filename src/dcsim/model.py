@@ -335,10 +335,15 @@ def unified_utilization(rv: ResourceVector, weights: UtilizationWeights) -> floa
     return utilization_of(rv.as_tuple(), weights.as_tuple())
 
 
+def running_power(peak_power_watts: float, u: float, model: PowerModel) -> float:
+    """Watts drawn by a running machine at a unified utilization ``u`` already in [0, 1]."""
+    return peak_power_watts * (model.idle_fraction + (1.0 - model.idle_fraction) * u)
+
+
 def power_draw(pm: PhysicalMachine, u: float, model: PowerModel) -> float:
     """Instantaneous power in watts for a machine at unified utilization ``u``."""
     if pm.state is MachineState.STANDBY:
         return model.standby_watts
     if not math.isfinite(u) or not 0.0 <= u <= 1.0:
         raise ValueError(f"utilization must be in [0, 1], got {u!r}")
-    return pm.peak_power_watts * (model.idle_fraction + (1.0 - model.idle_fraction) * u)
+    return running_power(pm.peak_power_watts, u, model)

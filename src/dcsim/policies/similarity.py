@@ -225,6 +225,8 @@ class SimilarityPolicy(SchedulerPolicy):
 
     def rebalance(self, view: ClusterView, tick: int) -> Iterator[RebalanceAction]:
         for pm in view.running_machines():
+            if pm.breach_side is None:  # neither check acts without a breach
+                continue
             action = self.scale_up_check(pm, tick, view)
             if action is not None:
                 yield action

@@ -11,6 +11,10 @@ The traces depend on the fixed order of the draws within each stream and on
 ``random.uniform(a, b)`` being ``a + (b - a) * random()``, the formula the
 Python documentation gives for it: the generator calls ``random()`` and
 applies that formula itself.
+
+A VM's trace is a ``DemandTrace``: five columns (ticks, cpu, mem, disk, bw)
+held in ``array`` objects, which a generator or loader fills value by value
+and the engine indexes directly.  It reads as a sequence of ``DemandSample``.
 """
 
 from __future__ import annotations
@@ -18,9 +22,11 @@ from __future__ import annotations
 import csv
 import math
 import random
-from dataclasses import dataclass, field, fields
+from array import array
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Union
 
 from .model import MachineCapacity
 
@@ -39,17 +45,95 @@ class DemandSample(NamedTuple):
     bw: float
 
 
+class DemandTrace(Sequence):
+    """A VM's demand samples as five columns, read as a sequence of ``DemandSample``.
+
+    ``ticks`` is an ``array('q')``; ``cpu``, ``mem``, ``disk`` and ``bw`` are
+    ``array('d')``, so a sample takes 40 bytes.  An int index gives a
+    ``DemandSample``, a slice a ``DemandTrace``.  The arrays are held as
+    given, not copied, and nothing in the program writes to them.  Equal
+    traces have equal ticks, so the hash covers the ticks only.
+    """
+
+    __slots__ = ("ticks", "cpu", "mem", "disk", "bw")
+
+    def __init__(self, ticks: array, cpu: array, mem: array, disk: array, bw: array) -> None:
+        if not (isinstance(ticks, array) and ticks.typecode == "q") or any(
+            not isinstance(col, array) or col.typecode != "d" or len(col) != len(ticks)
+            for col in (cpu, mem, disk, bw)
+        ):
+            raise WorkloadError(
+                "a demand trace needs an array('q') of ticks and four array('d') "
+                "columns of the same length"
+            )
+        self.ticks = ticks
+        self.cpu = cpu
+        self.mem = mem
+        self.disk = disk
+        self.bw = bw
+
+    @classmethod
+    def from_samples(cls, samples: Iterable[DemandSample]) -> DemandTrace:
+        """The columns of ``samples``, in order."""
+        ticks, *values = tuple(zip(*samples, strict=True)) or ((),) * 5
+        return cls(array("q", ticks), *(array("d", column) for column in values))
+
+    def __len__(self) -> int:
+        return len(self.ticks)
+
+    def __getitem__(self, index: Union[int, slice]) -> Union[DemandSample, DemandTrace]:
+        columns = (
+            self.ticks[index], self.cpu[index], self.mem[index], self.disk[index], self.bw[index]
+        )
+        if isinstance(index, slice):
+            return DemandTrace(*columns)
+        return DemandSample(*columns)
+
+    def __iter__(self):
+        return map(DemandSample, self.ticks, self.cpu, self.mem, self.disk, self.bw)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DemandTrace):
+            return NotImplemented
+        return (
+            self.ticks == other.ticks
+            and self.cpu == other.cpu
+            and self.mem == other.mem
+            and self.disk == other.disk
+            and self.bw == other.bw
+        )
+
+    def __hash__(self) -> int:
+        return hash(self.ticks.tobytes())
+
+    def __repr__(self) -> str:
+        # An array's repr holds each float's repr, so -0.0 stays apart from 0.0.
+        return (
+            f"DemandTrace(ticks={self.ticks!r}, cpu={self.cpu!r}, mem={self.mem!r}, "
+            f"disk={self.disk!r}, bw={self.bw!r})"
+        )
+
+    def __reduce__(self):
+        return (DemandTrace, (self.ticks, self.cpu, self.mem, self.disk, self.bw))
+
+
 @dataclass(frozen=True, slots=True)
 class VmRequest:
-    """One VM's request: identity, size, lifetime and its demand trace."""
+    """One VM's request: identity, size, lifetime and its demand trace.
+
+    ``trace`` may be given as any sequence of ``DemandSample``, a tuple for
+    instance; it is stored as a ``DemandTrace``.
+    """
 
     vm_id: str
     nominal: MachineCapacity
     arrival_tick: int
     departure_tick: Optional[int]
-    trace: tuple[DemandSample, ...]
+    trace: DemandTrace
 
     def __post_init__(self) -> None:
+        if not isinstance(self.trace, DemandTrace):
+            object.__setattr__(self, "trace", DemandTrace.from_samples(self.trace))
         if self.arrival_tick < 0:
             raise WorkloadError(f"{self.vm_id}: arrival tick must be >= 0")
         if self.departure_tick is not None and self.departure_tick <= self.arrival_tick:
@@ -58,13 +142,13 @@ class VmRequest:
                 f"arrival {self.arrival_tick}"
             )
         last = -1
-        for sample in self.trace:
-            if sample.tick <= last:
+        for tick in self.trace.ticks:
+            if tick <= last:
                 raise WorkloadError(
                     f"{self.vm_id}: trace ticks must be strictly increasing "
-                    f"(saw {sample.tick} after {last})"
+                    f"(saw {tick} after {last})"
                 )
-            last = sample.tick
+            last = tick
 
 
 class WorkloadProfile(Enum):
@@ -202,8 +286,6 @@ def generate_workload(spec: WorkloadSpec) -> list[VmRequest]:
     # calling ``random`` directly draws the same numbers.
     lo = -spec.jitter
     span = spec.jitter - lo
-    # Builds a DemandSample without the namedtuple's Python-level __new__.
-    new_sample = tuple.__new__
 
     requests = []
     for index in range(spec.vm_count):
@@ -248,8 +330,8 @@ def generate_workload(spec: WorkloadSpec) -> list[VmRequest]:
         # Each value is min(max(x, 0.0), ceiling) written as comparisons that
         # return the same operand as min and max, ties included.
         draw = base_rng.random
-        samples = []
-        append = samples.append
+        cpu, mem, disk, bw = array("d"), array("d"), array("d"), array("d")
+        add0, add1, add2, add3 = cpu.append, mem.append, disk.append, bw.append
         for tick in range(arrival, trace_end):
             level = vm_levels[tick]
             x = m0 * (1.0 + (lo + span * draw())) * level
@@ -268,7 +350,10 @@ def generate_workload(spec: WorkloadSpec) -> list[VmRequest]:
             v3 = 0.0 if x < 0.0 else x
             if c3 < v3:
                 v3 = c3
-            append(new_sample(DemandSample, (tick, v0, v1, v2, v3)))
+            add0(v0)
+            add1(v1)
+            add2(v2)
+            add3(v3)
 
         requests.append(
             VmRequest(
@@ -276,7 +361,7 @@ def generate_workload(spec: WorkloadSpec) -> list[VmRequest]:
                 nominal=nominal,
                 arrival_tick=arrival,
                 departure_tick=departure,
-                trace=tuple(samples),
+                trace=DemandTrace(array("q", range(arrival, trace_end)), cpu, mem, disk, bw),
             )
         )
     return requests
@@ -300,8 +385,9 @@ def save_trace_files(requests: list[VmRequest], trace_path: str, meta_path: str)
         writer = csv.writer(fh)
         writer.writerow(_TRACE_HEADER)
         for req in requests:
-            for s in req.trace:
-                writer.writerow([req.vm_id, s.tick, repr(s.cpu), repr(s.mem), repr(s.disk), repr(s.bw)])
+            tr = req.trace
+            for tick, cpu, mem, disk, bw in zip(tr.ticks, tr.cpu, tr.mem, tr.disk, tr.bw):
+                writer.writerow([req.vm_id, tick, repr(cpu), repr(mem), repr(disk), repr(bw)])
     with open(meta_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_META_HEADER)
@@ -365,7 +451,7 @@ def load_trace_files(trace_path: str, meta_path: str) -> list[VmRequest]:
             )
             meta[vm_id] = (nominal, arrival, departure)
 
-    traces: dict[str, list[DemandSample]] = {vm_id: [] for vm_id in meta}
+    traces = {vm_id: (array("q"), array("d"), array("d"), array("d"), array("d")) for vm_id in meta}
     with open(trace_path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -379,19 +465,24 @@ def load_trace_files(trace_path: str, meta_path: str) -> list[VmRequest]:
             vm_id = row[0]
             if vm_id not in meta:
                 raise WorkloadError(f"{trace_path}:{line_no}: unknown vm_id {vm_id!r}")
-            sample = DemandSample(
-                _parse_int(trace_path, line_no, "tick", row[1]),
-                _parse_float(trace_path, line_no, "cpu", row[2]),
-                _parse_float(trace_path, line_no, "mem", row[3]),
-                _parse_float(trace_path, line_no, "disk", row[4]),
-                _parse_float(trace_path, line_no, "bw", row[5]),
-            )
-            prior = traces[vm_id]
-            if prior and sample.tick <= prior[-1].tick:
+            tick = _parse_int(trace_path, line_no, "tick", row[1])
+            values = [
+                _parse_float(trace_path, line_no, name, raw)
+                for name, raw in zip(_TRACE_HEADER[2:], row[2:])
+            ]
+            ticks, *columns = traces[vm_id]
+            if ticks and tick <= ticks[-1]:
                 raise WorkloadError(
                     f"{trace_path}:{line_no}: ticks for {vm_id!r} must be strictly increasing"
                 )
-            prior.append(sample)
+            try:
+                ticks.append(tick)
+            except OverflowError:
+                raise WorkloadError(
+                    f"{trace_path}:{line_no}: field 'tick' is out of range: {row[1]!r}"
+                ) from None
+            for column, value in zip(columns, values):
+                column.append(value)
 
     requests = []
     for vm_id in sorted(meta):
@@ -402,7 +493,7 @@ def load_trace_files(trace_path: str, meta_path: str) -> list[VmRequest]:
                 nominal=nominal,
                 arrival_tick=arrival,
                 departure_tick=departure,
-                trace=tuple(traces[vm_id]),
+                trace=DemandTrace(*traces[vm_id]),
             )
         )
     return requests

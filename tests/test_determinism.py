@@ -8,12 +8,18 @@ hash seeds and compares a digest of every ``nominal_free`` and
 fly to one machine together, and two more VMs are placed there while the
 flights are under way, so the views sum hosted plus several inbound VMs.
 
+The pickled bytes of a generated workload must not depend on it either:
+``spawn`` pool workers receive those bytes, and the benchmark's input check
+hashes them.
+
 Run directly (``python tests/test_determinism.py``), the module prints the
-digest of the scenario.
+digest of the scenario; with the argument ``workload``, the digest of the
+pickled workload.
 """
 
 import hashlib
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -21,7 +27,13 @@ from pathlib import Path
 from dcsim.engine import FleetMachine, Simulation, SimulationConfig
 from dcsim.model import MachineCapacity
 from dcsim.policies.base import RebalanceAction, SchedulerPolicy
-from dcsim.workload import DemandSample, VmRequest
+from dcsim.workload import (
+    DemandSample,
+    VmRequest,
+    WorkloadProfile,
+    WorkloadSpec,
+    generate_workload,
+)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 HASH_SEEDS = ("1", "2")
@@ -89,12 +101,27 @@ def digest():
     return hashlib.sha256(repr((policy.records, report)).encode()).hexdigest()
 
 
-def test_views_and_report_do_not_depend_on_pythonhashseed():
+def workload_digest():
+    """The hex digest of a generated workload's pickled bytes."""
+    spec = WorkloadSpec(
+        seed=11,
+        vm_count=12,
+        duration_ticks=90,
+        profile=WorkloadProfile.MIXED_INTENSIVE,
+        spike_probability=0.1,
+        nominal_fraction_spread=0.3,
+        arrival_spread_ticks=30,
+        lifetime_ticks=40,
+    )
+    return hashlib.sha256(pickle.dumps(generate_workload(spec))).hexdigest()
+
+
+def _digests_under_hash_seeds(*args):
     digests = []
     for seed in HASH_SEEDS:
         env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(SRC))
         out = subprocess.run(
-            [sys.executable, __file__],
+            [sys.executable, __file__, *args],
             env=env,
             capture_output=True,
             text=True,
@@ -102,8 +129,19 @@ def test_views_and_report_do_not_depend_on_pythonhashseed():
             timeout=120,
         )
         digests.append(out.stdout.strip())
+    return digests
+
+
+def test_views_and_report_do_not_depend_on_pythonhashseed():
+    digests = _digests_under_hash_seeds()
     assert digests[0] == digests[1], dict(zip(HASH_SEEDS, digests))
 
 
+def test_pickled_workload_does_not_depend_on_pythonhashseed():
+    digests = _digests_under_hash_seeds("workload")
+    assert digests[0] == digests[1], dict(zip(HASH_SEEDS, digests))
+    assert digests[0] == workload_digest()
+
+
 if __name__ == "__main__":
-    print(digest())
+    print(workload_digest() if sys.argv[1:] == ["workload"] else digest())

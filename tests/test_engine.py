@@ -356,9 +356,12 @@ class TestArrivalsAndDepartures:
         req = flat_request("vm-0", 100.0, arrival=2)
         sim = Simulation(config(1, duration=5), [req], ScriptedPolicy({"vm-0": 0}))
         sim.run()
-        first, _, rows = sim._rows["vm-0"]
+        vm, first, _, *columns = sim._demand["vm-0"]
+        assert vm is sim.vms["vm-0"]
         assert first == 2
-        assert rows is req.trace
+        trace = req.trace
+        own = (trace.cpu, trace.mem, trace.disk, trace.bw)
+        assert all(a is b for a, b in zip(columns, own, strict=True))
 
     def test_gapped_trace_expansion_stops_at_the_horizon(self):
         trace = (
@@ -373,7 +376,8 @@ class TestArrivalsAndDepartures:
             sim._step()
             seen.append(sim.vms["vm-0"].usage_window[-1][0])
         assert seen == [0.0, 100.0, 100.0, 200.0, 200.0, 200.0]
-        assert len(sim._rows["vm-0"][2]) == 3  # ticks 1, 2 and 3
+        columns = sim._demand["vm-0"][3:]
+        assert [len(col) for col in columns] == [3, 3, 3, 3]  # ticks 1, 2 and 3
 
 
 # ---------------------------------------------------------------------------

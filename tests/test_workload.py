@@ -1,6 +1,8 @@
 """Unit tests for workload generation and trace file round-trips."""
 
 import math
+import pickle
+import sys
 
 import pytest
 
@@ -8,6 +10,7 @@ from _oracles import reference_generate_workload
 from dcsim.model import MachineCapacity
 from dcsim.workload import (
     DemandSample,
+    DemandTrace,
     VmRequest,
     WorkloadError,
     WorkloadProfile,
@@ -393,3 +396,103 @@ class TestTraceFiles:
         )
         with pytest.raises(WorkloadError, match="strictly increasing"):
             load_trace_files(trace, meta)
+
+    def test_tick_out_of_range_rejected(self, tmp_path):
+        meta = self._write(
+            tmp_path / "meta.csv",
+            "vm_id,arrival_tick,departure_tick,cpu,mem,disk,bw\n"
+            "vm-0,0,,100,100,100,100\n",
+        )
+        trace = self._write(
+            tmp_path / "trace.csv",
+            f"vm_id,tick,cpu,mem,disk,bw\nvm-0,{2**63},1,1,1,1\n",
+        )
+        with pytest.raises(WorkloadError, match=r"trace\.csv:2.*'tick'"):
+            load_trace_files(trace, meta)
+
+
+class TestDemandTrace:
+    """A trace is five columns that read as a sequence of ``DemandSample``."""
+
+    SAMPLES = (
+        DemandSample(2, 1.0, 2.0, 3.0, 4.0),
+        DemandSample(3, -0.0, 0.5, 0.25, 0.125),
+        DemandSample(5, 7.0, 0.0, 1.5, 2.5),
+    )
+
+    def trace(self):
+        return DemandTrace.from_samples(self.SAMPLES)
+
+    def test_indexing(self):
+        trace = self.trace()
+        assert len(trace) == 3
+        assert trace[0] == self.SAMPLES[0]
+        assert trace[-1] == self.SAMPLES[-1]
+        assert type(trace[-2]) is DemandSample
+        with pytest.raises(IndexError):
+            trace[3]
+
+    def test_slices_are_traces(self):
+        trace = self.trace()
+        for index in (slice(1, None), slice(None, -1), slice(None, None, 2), slice(3, 3)):
+            part = trace[index]
+            assert type(part) is DemandTrace
+            assert tuple(part) == self.SAMPLES[index]
+
+    def test_iteration_yields_samples(self):
+        trace = self.trace()
+        assert tuple(trace) == self.SAMPLES
+        assert all(type(s) is DemandSample for s in trace)
+        assert [s.tick for s in trace] == [2, 3, 5]
+
+    def test_equality(self):
+        trace = self.trace()
+        assert trace == self.trace()
+        assert hash(trace) == hash(self.trace())
+        assert trace != trace[:2]
+        other = DemandTrace.from_samples(self.SAMPLES[:2] + (DemandSample(5, 7.0, 0.0, 1.5, 9.0),))
+        assert trace != other
+        assert trace != self.SAMPLES  # like a tuple and a list, only traces compare equal
+
+    def test_repr_tells_negative_zero(self):
+        trace = self.trace()
+        positive = DemandTrace.from_samples(
+            (self.SAMPLES[0], self.SAMPLES[1]._replace(cpu=0.0), self.SAMPLES[2])
+        )
+        assert trace == positive
+        assert "-0.0" in repr(trace)
+        assert repr(trace) != repr(positive)
+
+    def test_pickle_round_trip(self):
+        trace = self.trace()
+        again = pickle.loads(pickle.dumps(trace))
+        assert type(again) is DemandTrace
+        assert again == trace
+        assert repr(again) == repr(trace)
+
+    def test_columns_must_match(self):
+        trace = self.trace()
+        with pytest.raises(WorkloadError):
+            DemandTrace(trace.ticks, trace.cpu, trace.mem, trace.disk, trace.bw[:2])
+        with pytest.raises(WorkloadError):
+            DemandTrace(trace.cpu, trace.cpu, trace.mem, trace.disk, trace.bw)
+
+    def test_request_from_a_tuple_equals_the_generated_one(self):
+        spec = make_spec(profile=WorkloadProfile.SPIKY, spike_probability=0.1, lifetime_ticks=20)
+        for req in generate_workload(spec):
+            rebuilt = VmRequest(
+                req.vm_id, req.nominal, req.arrival_tick, req.departure_tick, tuple(req.trace)
+            )
+            assert type(rebuilt.trace) is DemandTrace
+            assert rebuilt == req
+            assert hash(rebuilt) == hash(req)
+            assert repr(rebuilt) == repr(req)
+        empty = VmRequest("vm-0", MachineCapacity(1, 1, 1, 1), 0, None, ())
+        assert len(empty.trace) == 0
+        assert empty.trace == DemandTrace.from_samples([])
+
+    def test_generated_columns_take_under_48_bytes_per_sample(self):
+        trace = generate_workload(make_spec(vm_count=1, duration_ticks=1440))[0].trace
+        assert len(trace) == 1440
+        columns = (trace.ticks, trace.cpu, trace.mem, trace.disk, trace.bw)
+        assert sum(map(sys.getsizeof, columns)) / len(trace) < 48
