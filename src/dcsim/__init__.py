@@ -21,7 +21,6 @@ from .model import (
     BreachSide,
     MachineCapacity,
     MachineState,
-    NoHistoryError,
     PhysicalMachine,
     PowerModel,
     ResourceVector,
@@ -62,7 +61,6 @@ __all__ = [
     "FleetMachine",
     "MachineCapacity",
     "MachineState",
-    "NoHistoryError",
     "PhysicalMachine",
     "PolicyConfig",
     "PowerModel",

@@ -85,6 +85,13 @@ def apply_overrides(raw: dict, overrides: list[str]) -> dict:
     return raw
 
 
+def _integer(value: Any, context: str) -> int:
+    """``value``, which must be an integer: a fractional count or tick is not truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{context}: expected an integer, got {value!r}")
+    return value
+
+
 def _parse_capacity(raw: Any, context: str) -> MachineCapacity:
     raw = _expect_mapping(raw, context)
     try:
@@ -107,7 +114,7 @@ def build_simulation_config(raw: dict) -> SimulationConfig:
     for index, group in enumerate(fleet_raw):
         context = f"simulation.fleet[{index}]"
         group = _expect_mapping(group, context)
-        count = int(group.get("count", 1))
+        count = _integer(group.get("count", 1), f"{context}.count")
         if count < 1:
             raise ConfigError(f"{context}: count must be >= 1")
         capacity = _parse_capacity(_require(group, "capacity", context), f"{context}.capacity")
@@ -137,14 +144,19 @@ def build_simulation_config(raw: dict) -> SimulationConfig:
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"simulation.energy_weights: {exc}") from None
 
+    duration = _integer(
+        _require(section, "duration_ticks", "simulation"), "simulation.duration_ticks"
+    )
+    initial = _integer(section.get("initial_running_count", 1), "simulation.initial_running_count")
+    cost = _integer(section.get("migration_cost_ticks", 0), "simulation.migration_cost_ticks")
     try:
         return SimulationConfig(
             fleet=tuple(fleet),
-            duration_ticks=int(_require(section, "duration_ticks", "simulation")),
+            duration_ticks=duration,
             tick_length_seconds=float(section.get("tick_length_seconds", 60.0)),
-            initial_running_count=int(section.get("initial_running_count", 1)),
+            initial_running_count=initial,
             power_model=power,
-            migration_cost_ticks=int(section.get("migration_cost_ticks", 0)),
+            migration_cost_ticks=cost,
             energy_weights=energy_weights,
         )
     except (EngineError, TypeError, ValueError) as exc:

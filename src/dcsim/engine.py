@@ -67,6 +67,7 @@ from .model import (
     Shares,
     UtilizationWeights,
     VirtualMachine,
+    _column_sums,
     clamped_sum_of,
     complement_of,
     running_power,
@@ -119,19 +120,6 @@ class SimulationConfig:
             )
         if self.migration_cost_ticks < 0:
             raise EngineError("migration_cost_ticks must be >= 0")
-
-
-def _column_sums(
-    rows: list[tuple[float, float, float, float]],
-) -> tuple[float, float, float, float]:
-    """Per-resource totals of four-component rows, summed in row order."""
-    t0 = t1 = t2 = t3 = 0.0
-    for a, b, c, d in rows:
-        t0 += a
-        t1 += b
-        t2 += c
-        t3 += d
-    return (t0, t1, t2, t3)
 
 
 def _trace_columns(
@@ -233,7 +221,7 @@ class Simulation:
     ) -> None:
         self.config = config
         self.policy = policy
-        self.tick = 0
+        self.current_tick = 0
 
         ids = [req.vm_id for req in workload]
         if len(set(ids)) != len(ids):
@@ -304,10 +292,6 @@ class Simulation:
     # ------------------------------------------------------------------
 
     @property
-    def current_tick(self) -> int:
-        return self.tick
-
-    @property
     def power_model(self) -> PowerModel:
         return self.config.power_model
 
@@ -338,9 +322,7 @@ class Simulation:
 
     def vm_window_mean(self, vm_id: str) -> Optional[tuple[float, float, float, float]]:
         vm = self.vms.get(vm_id)
-        if vm is None or not vm.has_history:
-            return None
-        return vm.window_mean()
+        return vm.window_mean() if vm is not None else None
 
     def vm_rv_on(self, vm_id: str, machine_id: int) -> Shares:
         """The VM's usage share relative to one machine's capacity.
@@ -419,7 +401,7 @@ class Simulation:
         """Park an empty machine; the caller has checked that it is empty."""
         pm.state = MachineState.STANDBY
         del self._running[bisect_left(self._running, pm.id, key=_machine_id)]
-        pm.last_used_tick = self.tick
+        pm.last_used_tick = self.current_tick
         pm.clear_breach()
         self.standby_count += 1
 
@@ -481,7 +463,7 @@ class Simulation:
         return self._report()
 
     def _step(self) -> None:
-        tick = self.tick
+        tick = self.current_tick
         self._land_migrations(tick)
         self._process_departures(tick)
         self._process_arrivals(tick)
@@ -489,7 +471,7 @@ class Simulation:
         self._measure(tick)
         self._rebalance(tick)
         self._integrate_energy(tick, violations)
-        self.tick = tick + 1
+        self.current_tick = tick + 1
 
     # -- step 1: migration landings -------------------------------------
 
@@ -534,13 +516,7 @@ class Simulation:
             vm = self.vms.get(vm_id)
             if vm is None:
                 req = self._requests[vm_id]
-                vm = VirtualMachine(
-                    id=vm_id,
-                    nominal=req.nominal,
-                    arrival_tick=req.arrival_tick,
-                    departure_tick=req.departure_tick,
-                    window_ticks=self._window_ticks,
-                )
+                vm = VirtualMachine(vm_id, window_ticks=self._window_ticks)
                 self.vms[vm_id] = vm
                 columns = _trace_columns(req.trace, self.config.duration_ticks)
                 self._demand[vm_id] = (vm, *columns)

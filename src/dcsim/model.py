@@ -23,10 +23,6 @@ RESOURCES = ("cpu", "mem", "disk", "bw")
 Shares = tuple[float, float, float, float]
 
 
-class NoHistoryError(RuntimeError):
-    """Raised when a usage-based quantity is requested for a VM without samples."""
-
-
 def _check_fraction(name: str, value: float) -> None:
     if not math.isfinite(value) or not 0.0 <= value <= 1.0:
         raise ValueError(f"{name} must be a finite fraction in [0, 1], got {value!r}")
@@ -163,18 +159,16 @@ class PhysicalMachine:
 
 @dataclass(slots=True)
 class VirtualMachine:
-    """Mutable state of one VM: identity, request size and observed usage.
+    """Run state of one VM: identity, observed usage and host.
 
     ``usage_window`` holds the last few ticks of *delivered* absolute usage
     (post-arbitration), one ``(cpu, mem, disk, bw)`` tuple per tick.  The
     window length is fixed at construction time and covers the observation
-    period used to build the VM's resource vector.
+    period used to build the VM's resource vector.  The request (size and
+    lifetime) is the workload's ``VmRequest``.
     """
 
     id: str
-    nominal: MachineCapacity
-    arrival_tick: int
-    departure_tick: Optional[int] = None
     window_ticks: int = 5
     host_id: Optional[int] = None
     usage_window: deque = field(init=False)
@@ -183,17 +177,8 @@ class VirtualMachine:
     def __post_init__(self) -> None:
         if self.window_ticks < 1:
             raise ValueError("window_ticks must be >= 1")
-        if self.departure_tick is not None and self.departure_tick <= self.arrival_tick:
-            raise ValueError(
-                f"VM {self.id}: departure {self.departure_tick} must be after "
-                f"arrival {self.arrival_tick}"
-            )
         self.usage_window = deque(maxlen=self.window_ticks)
         self._window_sums = (0.0, 0.0, 0.0, 0.0)
-
-    @property
-    def has_history(self) -> bool:
-        return len(self.usage_window) > 0
 
     def record_usage(self, sample: tuple[float, float, float, float]) -> None:
         """Append one tick of delivered usage, evicting the oldest if full."""
@@ -207,11 +192,11 @@ class VirtualMachine:
             self._window_sums = (s0 + c, s1 + m, s2 + d, s3 + b)
         window.append(sample)
 
-    def window_mean(self) -> tuple[float, float, float, float]:
-        """Mean absolute usage over the window.  Raises if there is no history."""
+    def window_mean(self) -> Optional[tuple[float, float, float, float]]:
+        """Mean absolute usage over the window, or None if there are no samples."""
         n = len(self.usage_window)
         if n == 0:
-            raise NoHistoryError(f"VM {self.id} has no usage samples")
+            return None
         s = self._window_sums
         return (s[0] / n, s[1] / n, s[2] / n, s[3] / n)
 
@@ -236,21 +221,23 @@ def parse_components(cls: type, raw: object):
 # ---------------------------------------------------------------------------
 
 
-def _clamp01(x: float) -> float:
-    if x < 0.0:
-        return 0.0
-    if x > 1.0:
-        return 1.0
-    return x
+def _column_sums(
+    rows: list[tuple[float, float, float, float]],
+) -> tuple[float, float, float, float]:
+    """Per-resource totals of four-component rows, summed in row order."""
+    t0 = t1 = t2 = t3 = 0.0
+    for a, b, c, d in rows:
+        t0 += a
+        t1 += b
+        t2 += c
+        t3 += d
+    return (t0, t1, t2, t3)
 
 
 def shares_of(
     amounts: tuple[float, float, float, float], capacity: tuple[float, float, float, float]
 ) -> Shares:
-    """Each absolute amount as a share of the matching capacity, clamped to [0, 1].
-
-    Each component is clamped as ``_clamp01`` clamps, written inline.
-    """
+    """Each absolute amount as a share of the matching capacity, clamped to [0, 1]."""
     c = amounts[0] / capacity[0]
     m = amounts[1] / capacity[1]
     d = amounts[2] / capacity[2]
@@ -282,8 +269,7 @@ def utilization_of(shares: Shares, weights: tuple[float, float, float, float]) -
     """Weighted sum of the four resource shares, clamped to [0, 1].
 
     The clamp matters: weights that sum to 1 within tolerance can still sum
-    to slightly more than 1 in floating point.  The clamp is ``_clamp01``'s,
-    written inline.
+    to slightly more than 1 in floating point.
     """
     u = (
         weights[0] * shares[0]
@@ -300,17 +286,13 @@ def rescale_rv(
     """Re-express a capacity-relative vector against a different machine.
 
     A share of a big machine is a larger share of a small one:  each
-    component is multiplied by ``from/to`` capacity and clamped to [0, 1].
+    component is multiplied by ``from`` capacity, then divided by ``to``
+    capacity and clamped to [0, 1], as ``shares_of`` divides and clamps.
     """
     f = from_capacity.as_tuple()
-    t = to_capacity.as_tuple()
     v = rv.as_tuple()
-    return ResourceVector(
-        _clamp01(v[0] * f[0] / t[0]),
-        _clamp01(v[1] * f[1] / t[1]),
-        _clamp01(v[2] * f[2] / t[2]),
-        _clamp01(v[3] * f[3] / t[3]),
-    )
+    amounts = (v[0] * f[0], v[1] * f[1], v[2] * f[2], v[3] * f[3])
+    return ResourceVector(*shares_of(amounts, to_capacity.as_tuple()))
 
 
 def used_shares_of(pm: PhysicalMachine, vms: Iterable[VirtualMachine]) -> Shares:
@@ -319,15 +301,8 @@ def used_shares_of(pm: PhysicalMachine, vms: Iterable[VirtualMachine]) -> Shares
     VMs without any usage sample yet contribute nothing here; placement
     logic layers its own assumed footprint on top for those.
     """
-    cpu = mem = disk = bw = 0.0
-    for vm in vms:
-        if vm.usage_window:
-            last = vm.usage_window[-1]
-            cpu += last[0]
-            mem += last[1]
-            disk += last[2]
-            bw += last[3]
-    return shares_of((cpu, mem, disk, bw), pm.capacity.as_tuple())
+    latest = [vm.usage_window[-1] for vm in vms if vm.usage_window]
+    return shares_of(_column_sums(latest), pm.capacity.as_tuple())
 
 
 def unified_utilization(rv: ResourceVector, weights: UtilizationWeights) -> float:

@@ -158,6 +158,19 @@ class WorkloadProfile(Enum):
     MIXED_INTENSIVE = "mixed-intensive"
 
 
+_INTEGER_FIELDS = (
+    "seed",
+    "vm_count",
+    "duration_ticks",
+    "spike_duration_ticks",
+    "diurnal_period_ticks",
+    "arrival_spread_ticks",
+    "lifetime_ticks",
+)
+#: The integer fields that may be None.
+_OPTIONAL_FIELDS = ("diurnal_period_ticks", "lifetime_ticks")
+
+
 @dataclass(frozen=True, slots=True)
 class WorkloadSpec:
     """Parameters of a synthetic workload.
@@ -189,6 +202,12 @@ class WorkloadSpec:
     lifetime_ticks: Optional[int] = None
 
     def __post_init__(self) -> None:
+        for name in _INTEGER_FIELDS:
+            value = getattr(self, name)
+            if value is None and name in _OPTIONAL_FIELDS:
+                continue
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise WorkloadError(f"{name} must be an integer, got {value!r}")
         if self.vm_count < 1:
             raise WorkloadError("vm_count must be >= 1")
         if self.duration_ticks < 1:
@@ -205,8 +224,10 @@ class WorkloadSpec:
             raise WorkloadError(f"jitter must be in [0, 1), got {self.jitter!r}")
         if not 0.0 <= self.spike_probability <= 1.0:
             raise WorkloadError("spike_probability must be in [0, 1]")
-        if self.spike_magnitude < 1.0:
-            raise WorkloadError("spike_magnitude must be >= 1")
+        if not math.isfinite(self.spike_magnitude) or self.spike_magnitude < 1.0:
+            raise WorkloadError(
+                f"spike_magnitude must be finite and >= 1, got {self.spike_magnitude!r}"
+            )
         if self.spike_duration_ticks < 1:
             raise WorkloadError("spike_duration_ticks must be >= 1")
         if not 0.0 <= self.diurnal_amplitude <= 1.0:

@@ -128,6 +128,25 @@ class TestBuildSimulationConfig:
         with pytest.raises(ConfigError, match="count"):
             build_simulation_config(raw)
 
+    @pytest.mark.parametrize(
+        "path, value, key",
+        [
+            (("duration_ticks",), 59.9, "simulation.duration_ticks"),
+            (("fleet", 0, "count"), 2.7, r"simulation.fleet\[0\].count"),
+            (("migration_cost_ticks",), 1.5, "simulation.migration_cost_ticks"),
+            (("migration_cost_ticks",), 1.0, "simulation.migration_cost_ticks"),
+        ],
+        ids=["duration", "count", "cost", "cost-integral-float"],
+    )
+    def test_integer_keys_are_not_truncated(self, path, value, key):
+        raw = base_config()
+        node = raw["simulation"]
+        for part in path[:-1]:
+            node = node[part]
+        node[path[-1]] = value
+        with pytest.raises(ConfigError, match=f"^{key}: expected an integer"):
+            build_simulation_config(raw)
+
     def test_energy_weights_mapping_builds(self):
         raw = base_config()
         raw["simulation"]["energy_weights"] = {"cpu": 0.7, "mem": 0.1, "disk": 0.1, "bw": 0.1}
@@ -325,6 +344,23 @@ class TestCliRun:
         code = main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
         assert code == EXIT_ENGINE
         assert "outside the fleet" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("vm_count", "2.5"),
+            ("spike_duration_ticks", "1.5"),
+            ("diurnal_period_ticks", "2.5"),
+            ("spike_magnitude", "NaN"),
+            ("spike_magnitude", "Infinity"),
+        ],
+    )
+    def test_bad_workload_number_is_config_error(self, config_file, tmp_path, capsys, name, value):
+        override = f"workload.spec.{name}={value}"
+        code = main(["run", "--config", config_file(), "--out", str(tmp_path / "o"), "--set", override])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and name in err
 
     def test_unknown_policy_is_config_error(self, config_file, tmp_path, capsys):
         code = main(

@@ -13,7 +13,6 @@ from dcsim.engine import (
     FleetMachine,
     Simulation,
     SimulationConfig,
-    _column_sums,
     proportional_delivery,
     run_simulation,
 )
@@ -24,6 +23,7 @@ from dcsim.model import (
     PowerModel,
     ResourceVector,
     UtilizationWeights,
+    _column_sums,
     shares_of,
 )
 from dcsim.policies import build_policy

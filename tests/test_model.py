@@ -8,10 +8,8 @@ import pytest
 import _oracles as oracle
 from dcsim.model import (
     DEFAULT_RV,
-    _clamp01,
     MachineCapacity,
     MachineState,
-    NoHistoryError,
     PhysicalMachine,
     PowerModel,
     ResourceVector,
@@ -111,7 +109,7 @@ class TestFrozenValues:
 
     def test_vm_vector_from_window_mean(self):
         cap = MachineCapacity(2000, 500, 100, 100)
-        vm = VirtualMachine("vm-1", MachineCapacity(1, 1, 1, 1), 0, window_ticks=4)
+        vm = VirtualMachine("vm-1", window_ticks=4)
         vm.record_usage((400, 200, 5, 5))
         vm.record_usage((600, 300, 15, 15))
         shares = shares_of(vm.window_mean(), cap.as_tuple())
@@ -157,14 +155,11 @@ class TestFrozenValues:
 
 
 class TestVirtualMachine:
-    def test_no_history_raises(self):
-        vm = VirtualMachine("vm-0", MachineCapacity(1, 1, 1, 1), 0)
-        assert not vm.has_history
-        with pytest.raises(NoHistoryError):
-            vm.window_mean()
+    def test_window_mean_is_none_without_samples(self):
+        assert VirtualMachine("vm-0").window_mean() is None
 
     def test_window_evicts_oldest(self):
-        vm = VirtualMachine("vm-0", MachineCapacity(1, 1, 1, 1), 0, window_ticks=2)
+        vm = VirtualMachine("vm-0", window_ticks=2)
         vm.record_usage((10, 0, 0, 0))
         vm.record_usage((20, 0, 0, 0))
         vm.record_usage((40, 0, 0, 0))  # evicts the 10
@@ -172,7 +167,7 @@ class TestVirtualMachine:
 
     def test_window_sums_stay_consistent_after_many_appends(self):
         rng = random.Random(3)
-        vm = VirtualMachine("vm-0", MachineCapacity(1, 1, 1, 1), 0, window_ticks=5)
+        vm = VirtualMachine("vm-0", window_ticks=5)
         samples = []
         for _ in range(200):
             s = tuple(rng.uniform(0, 100) for _ in range(4))
@@ -185,8 +180,8 @@ class TestVirtualMachine:
     @pytest.mark.parametrize("window_ticks", [1, 2, 3, 4, 5, 6])
     def test_record_usage_matches_the_reference_sum_for_sum(self, window_ticks):
         rng = random.Random(window_ticks)
-        got = VirtualMachine("vm-0", MachineCapacity(1, 1, 1, 1), 0, window_ticks=window_ticks)
-        ref = VirtualMachine("vm-0", MachineCapacity(1, 1, 1, 1), 0, window_ticks=window_ticks)
+        got = VirtualMachine("vm-0", window_ticks=window_ticks)
+        ref = VirtualMachine("vm-0", window_ticks=window_ticks)
         for _ in range(300):
             # Magnitudes spread over nine decades, so the sums round.
             sample = tuple(
@@ -198,10 +193,6 @@ class TestVirtualMachine:
             assert [x.hex() for x in got._window_sums] == [x.hex() for x in ref._window_sums]
             assert list(got.usage_window) == list(ref.usage_window)
         assert len(got.usage_window) == window_ticks
-
-    def test_departure_must_follow_arrival(self):
-        with pytest.raises(ValueError):
-            VirtualMachine("vm-0", MachineCapacity(1, 1, 1, 1), 5, departure_tick=5)
 
 
 class TestPhysicalMachine:
@@ -221,8 +212,8 @@ class TestPhysicalMachine:
 
     def test_machine_rv_sums_latest_samples(self):
         pm = PhysicalMachine(0, MachineCapacity(1000, 1000, 1000, 1000), 100.0)
-        vm1 = VirtualMachine("vm-1", MachineCapacity(1, 1, 1, 1), 0)
-        vm2 = VirtualMachine("vm-2", MachineCapacity(1, 1, 1, 1), 0)
+        vm1 = VirtualMachine("vm-1")
+        vm2 = VirtualMachine("vm-2")
         vm1.record_usage((100, 0, 0, 0))
         vm1.record_usage((200, 0, 0, 0))  # only this latest sample counts
         vm2.record_usage((300, 500, 0, 0))
@@ -232,16 +223,104 @@ class TestPhysicalMachine:
 
     def test_machine_rv_ignores_vms_without_history(self):
         pm = PhysicalMachine(0, MachineCapacity(1000, 1000, 1000, 1000), 100.0)
-        vm = VirtualMachine("vm-1", MachineCapacity(1, 1, 1, 1), 0)
+        vm = VirtualMachine("vm-1")
         assert used_shares_of(pm, [vm]) == (0.0, 0.0, 0.0, 0.0)
 
     def test_machine_rv_clamps_overcommit(self):
         pm = PhysicalMachine(0, MachineCapacity(100, 100, 100, 100), 100.0)
-        vm1 = VirtualMachine("vm-1", MachineCapacity(1, 1, 1, 1), 0)
-        vm2 = VirtualMachine("vm-2", MachineCapacity(1, 1, 1, 1), 0)
+        vm1 = VirtualMachine("vm-1")
+        vm2 = VirtualMachine("vm-2")
         vm1.record_usage((80, 0, 0, 0))
         vm2.record_usage((80, 0, 0, 0))
         assert used_shares_of(pm, [vm1, vm2])[0] == 1.0
+
+
+# ---------------------------------------------------------------------------
+# The clamp, the rescale and the used-share sum as first written
+# ---------------------------------------------------------------------------
+
+
+def _bits(values):
+    return [float(x).hex() for x in values]
+
+
+def _clamp01(x):
+    """The clamp that ``shares_of`` and ``utilization_of`` write inline."""
+    if x < 0.0:
+        return 0.0
+    if x > 1.0:
+        return 1.0
+    return x
+
+
+def _rescale_rv_as_first_written(rv, from_capacity, to_capacity):
+    """``rescale_rv`` before it ran ``shares_of``: its own multiply, divide and clamp."""
+    f = from_capacity.as_tuple()
+    t = to_capacity.as_tuple()
+    v = rv.as_tuple()
+    return ResourceVector(
+        _clamp01(v[0] * f[0] / t[0]),
+        _clamp01(v[1] * f[1] / t[1]),
+        _clamp01(v[2] * f[2] / t[2]),
+        _clamp01(v[3] * f[3] / t[3]),
+    )
+
+
+def _used_shares_of_as_first_written(pm, vms):
+    """``used_shares_of`` before it summed through ``_column_sums``."""
+    cpu = mem = disk = bw = 0.0
+    for vm in vms:
+        if vm.usage_window:
+            last = vm.usage_window[-1]
+            cpu += last[0]
+            mem += last[1]
+            disk += last[2]
+            bw += last[3]
+    return shares_of((cpu, mem, disk, bw), pm.capacity.as_tuple())
+
+
+REROUTED_INPUTS = 10_000
+
+
+def _usage(rng):
+    """One resource's delivered usage, spread over nine decades, sometimes a signed zero."""
+    if rng.random() < 0.1:
+        return rng.choice((0.0, -0.0))
+    return rng.uniform(0.0, 10.0 ** rng.uniform(-3.0, 6.0))
+
+
+class TestReroutedMath:
+    """``rescale_rv`` and ``used_shares_of`` give their first-written results bit for bit."""
+
+    def test_rescale_rv_equals_the_first_written(self):
+        rng = random.Random(107)
+        seen = set()
+        for _ in range(REROUTED_INPUTS):
+            rv = ResourceVector(*oracle.random_rv_tuple(rng))
+            src = MachineCapacity(*oracle.random_capacity_tuple(rng))
+            dst = MachineCapacity(*oracle.random_capacity_tuple(rng))
+            if rng.random() < 0.1:
+                dst = src  # a full share lands exactly on the clamp
+            got = rescale_rv(rv, src, dst).as_tuple()
+            assert _bits(got) == _bits(_rescale_rv_as_first_written(rv, src, dst).as_tuple())
+            seen.update("clamped" if x == 1.0 else "zero" if x == 0.0 else "inside" for x in got)
+        assert seen == {"clamped", "zero", "inside"}
+
+    def test_used_shares_of_equals_the_first_written(self):
+        rng = random.Random(108)
+        seen = set()
+        for _ in range(REROUTED_INPUTS):
+            pm = PhysicalMachine(0, MachineCapacity(*oracle.random_capacity_tuple(rng)), 100.0)
+            vms = []
+            for index in range(rng.randint(0, 6)):
+                vm = VirtualMachine(f"vm-{index}", window_ticks=rng.randint(1, 3))
+                for _ in range(rng.randint(0, 4)):  # no sample at all for some VMs
+                    vm.record_usage(tuple(_usage(rng) for _ in range(4)))
+                vms.append(vm)
+            got = used_shares_of(pm, vms)
+            assert _bits(got) == _bits(_used_shares_of_as_first_written(pm, vms))
+            seen.update("clamped" if x == 1.0 else "zero" if x == 0.0 else "inside" for x in got)
+        assert seen == {"clamped", "zero", "inside"}
 
 
 # ---------------------------------------------------------------------------
@@ -261,10 +340,6 @@ _EDGES = [
     math.nextafter(1.0, 2.0),
     math.nextafter(1.0, 0.0),
 ]
-
-
-def _bits(values):
-    return [float(x).hex() for x in values]
 
 
 class TestInlineClamps:
@@ -354,7 +429,7 @@ class TestRandomizedAgainstOracle:
             samples = [
                 tuple(rng.uniform(0, cap[i] * 1.5) for i in range(4)) for _ in range(n)
             ]
-            vm = VirtualMachine("vm-0", MachineCapacity(1, 1, 1, 1), 0, window_ticks=5)
+            vm = VirtualMachine("vm-0", window_ticks=5)
             for s in samples:
                 vm.record_usage(s)
             got = shares_of(vm.window_mean(), cap)

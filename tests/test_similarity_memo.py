@@ -44,7 +44,7 @@ class CheckedSimulation(Simulation):
 
     def machine_rv(self, machine_id):
         got = super().machine_rv(machine_id)
-        assert got == fresh_machine_rv(self, machine_id), (self.tick, machine_id)
+        assert got == fresh_machine_rv(self, machine_id), (self.current_tick, machine_id)
         return got
 
     def _process_departures(self, tick):

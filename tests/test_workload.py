@@ -46,6 +46,34 @@ class TestSpecValidation:
         with pytest.raises(WorkloadError):
             make_spec(arrival_spread_ticks=50)
 
+    @pytest.mark.parametrize("magnitude", [math.nan, math.inf])
+    def test_rejects_non_finite_spike_magnitude(self, magnitude):
+        with pytest.raises(WorkloadError, match="spike_magnitude"):
+            make_spec(spike_magnitude=magnitude)
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "seed",
+            "vm_count",
+            "duration_ticks",
+            "spike_duration_ticks",
+            "diurnal_period_ticks",
+            "arrival_spread_ticks",
+            "lifetime_ticks",
+        ],
+    )
+    @pytest.mark.parametrize("value", [2.5, 3.0, True])
+    def test_integer_fields_reject_non_integers(self, name, value):
+        with pytest.raises(WorkloadError, match=name):
+            make_spec(**{name: value})
+
+    def test_departure_must_follow_arrival(self):
+        nominal = MachineCapacity(1, 1, 1, 1)
+        for departure in (5, 4):
+            with pytest.raises(WorkloadError, match="departure"):
+                VmRequest("vm-0", nominal, 5, departure, ())
+
     def test_request_validates_trace_order(self):
         nominal = MachineCapacity(1, 1, 1, 1)
         with pytest.raises(WorkloadError):
