@@ -6,10 +6,10 @@ Each tick runs a fixed pipeline:
 2. process VM departures;
 3. offer new arrivals (and earlier rejections) to the policy, waking the
    standby machine it names, if it names one;
-4. read each hosted VM's demand and arbitrate each machine's resources —
+4. sum each running machine's hosted demand and arbitrate its resources —
    when a machine is over-committed every contender receives its
-   proportional share and each shorted (vm, resource) pair produces one SLA
-   violation;
+   proportional share, which is kept as the VM's delivered usage at that
+   tick, and each shorted (vm, resource) pair produces one SLA violation;
 5. if the policy has breach thresholds, measure each running machine's
    unified utilization and track threshold-breach episodes;
 6. run the policy's rebalance pass, executing each emitted action as it is
@@ -24,6 +24,18 @@ first sample, each sample held until the next, the last held after the end.
 The engine reads resource ``r`` as ``columns[r][tick - first]`` (see
 ``_trace_columns``); a generated trace has a sample every tick, and its own
 ``DemandTrace`` columns are read in place.
+
+A hosted VM's delivered usage is its demand, except at a tick its machine
+was over-committed: the VM keeps what ``proportional_delivery`` gave it then
+as an override for that tick.  A VM is hosted, on a running machine, at every
+tick from its placement to its departure, so its usage window is the
+delivered usage of the last ``W`` of those ticks up to the last arbitrated
+one.  Arbitration records nothing per VM.  ``vm_window_mean`` replays the
+ticks since the VM's cursor into its window sums when it is read, with the
+recurrence an eagerly kept window runs: add while fewer than ``W`` samples
+are held, then ``(sum - evicted) + new``.  An override is dropped once it has
+left the window, and before a VM takes a new one its sums are brought up to
+the tick before, so it holds at most ``W + 1``.
 
 The running machines are kept as a list in id order.  Only ``_wake`` and
 ``_standby`` change a machine's state, and they update the list, so the
@@ -41,12 +53,12 @@ from the table in id order (``_inbound_ids``), so no sum over them depends
 on ``PYTHONHASHSEED``.
 
 Each machine's used share (``machine_rv``) is memoized.  ``_arbitrate``
-clears the memo, since it is the only phase that records usage, and seeds it
-with the share it has just computed for every running machine no flight
-targets: that share sums the same delivered usage in the same hosted order
-as ``_used_share`` would.  A machine's entry is dropped whenever its hosted
-list changes or a flight to it starts or ends; every such change goes
-through ``_set_host`` or ``_set_flight``, which drop it.
+clears the memo, since it moves every VM's latest delivered usage to a new
+tick, and seeds it with the share it has just computed for every running
+machine no flight targets: that share sums the same delivered usage in the
+same hosted order as ``_used_share`` would.  A machine's entry is dropped
+whenever its hosted list changes or a flight to it starts or ends; every
+such change goes through ``_set_host`` or ``_set_flight``, which drop it.
 """
 
 from __future__ import annotations
@@ -79,6 +91,8 @@ from .policies.base import ActionKind, RebalanceAction, SchedulerPolicy
 from .workload import DemandTrace, VmRequest
 
 _USAGE_ZERO = (0.0, 0.0, 0.0, 0.0)
+#: A created VM with its ``_trace_columns``: ``(vm, first, last, cpu, mem, disk, bw)``.
+_Entry = tuple[VirtualMachine, int, int, array, array, array, array]
 _machine_id = attrgetter("id")
 
 
@@ -148,6 +162,40 @@ def _trace_columns(
             held.extend([held[-1]] * (tick - first - len(held)))
         held.append(index)
     return (first, len(held) - 1, *(array("d", map(col.__getitem__, held)) for col in columns))
+
+
+def _delivered_at(entry: _Entry, tick: int) -> tuple[float, float, float, float]:
+    """A hosted VM's delivered usage at ``tick``: its override there, else its demand."""
+    vm, first, last, cpu, mem, disk, bw = entry
+    usage = vm.overrides.get(tick)
+    if usage is not None:
+        return usage
+    i = tick - first
+    if i < 0:
+        return _USAGE_ZERO
+    if i > last:
+        i = last
+    return (cpu[i], mem[i], disk[i], bw[i])
+
+
+def _fold_each(
+    entry: _Entry,
+    window: int,
+    start: int,
+    stop: int,
+    sums: tuple[float, float, float, float],
+) -> tuple[float, float, float, float]:
+    """``sums`` with ticks ``start`` .. ``stop - 1`` folded in, each read by ``_delivered_at``."""
+    placed = entry[0].placed_tick
+    s0, s1, s2, s3 = sums
+    for t in range(start, stop):
+        c, m, d, b = _delivered_at(entry, t)
+        if t - placed >= window:
+            o0, o1, o2, o3 = _delivered_at(entry, t - window)
+            s0, s1, s2, s3 = (s0 - o0) + c, (s1 - o1) + m, (s2 - o2) + d, (s3 - o3) + b
+        else:
+            s0, s1, s2, s3 = s0 + c, s1 + m, s2 + d, s3 + b
+    return (s0, s1, s2, s3)
 
 
 def proportional_delivery(
@@ -260,8 +308,9 @@ class Simulation:
                 self._arrivals.setdefault(req.arrival_tick, []).append(req.vm_id)
 
         self.vms: dict[str, VirtualMachine] = {}
-        # Each created VM with its ``_trace_columns``.
-        self._demand: dict[str, tuple[VirtualMachine, int, int, array, array, array, array]] = {}
+        self._demand: dict[str, _Entry] = {}
+        # The last tick arbitrated: every window and latest usage ends there.
+        self._arbitrated = -1
         self._pending: list[str] = []
         self._departures: dict[int, list[str]] = {}
 
@@ -321,8 +370,35 @@ class Simulation:
         return self._requests[vm_id].nominal
 
     def vm_window_mean(self, vm_id: str) -> Optional[tuple[float, float, float, float]]:
-        vm = self.vms.get(vm_id)
-        return vm.window_mean() if vm is not None else None
+        """Mean delivered usage over the VM's window, or None before its first sample."""
+        entry = self._demand.get(vm_id)
+        if entry is None:
+            return None
+        vm = entry[0]
+        placed = vm.placed_tick
+        through = self._arbitrated
+        if placed is None or through < placed:
+            return None
+        if vm.cursor <= through:
+            self._replay(entry, through)
+        n = through - placed + 1
+        if n > self._window_ticks:
+            n = self._window_ticks
+        s0, s1, s2, s3 = vm.sums
+        return (s0 / n, s1 / n, s2 / n, s3 / n)
+
+    def vm_delivered(self, vm_id: str) -> Optional[tuple[float, float, float, float]]:
+        """The VM's delivered usage at the last arbitrated tick, or None if it had none.
+
+        Not a ``ClusterView`` member; ``machine_rv`` and the invariant checks read it.
+        """
+        entry = self._demand.get(vm_id)
+        if entry is None:
+            return None
+        placed = entry[0].placed_tick
+        if placed is None or self._arbitrated < placed:
+            return None
+        return _delivered_at(entry, self._arbitrated)
 
     def vm_rv_on(self, vm_id: str, machine_id: int) -> Shares:
         """The VM's usage share relative to one machine's capacity.
@@ -355,10 +431,10 @@ class Simulation:
     def _used_share(self, machine_id: int) -> Shares:
         """``machine_rv`` computed afresh, without the memo."""
         pm = self.machines[machine_id]
-        hosted = [self.vms[vm_id] for vm_id in pm.hosted_vm_ids]
-        used = used_shares_of(pm, hosted)
-        for vm in hosted:
-            if not vm.usage_window:
+        latest = [self.vm_delivered(vm_id) for vm_id in pm.hosted_vm_ids]
+        used = used_shares_of(pm, latest)
+        for usage in latest:
+            if usage is None:
                 used = clamped_sum_of(used, self._default_share)
         for vm_id in self._inbound_ids(machine_id):
             used = clamped_sum_of(used, self.vm_rv_on(vm_id, machine_id))
@@ -516,7 +592,7 @@ class Simulation:
             vm = self.vms.get(vm_id)
             if vm is None:
                 req = self._requests[vm_id]
-                vm = VirtualMachine(vm_id, window_ticks=self._window_ticks)
+                vm = VirtualMachine(vm_id)
                 self.vms[vm_id] = vm
                 columns = _trace_columns(req.trace, self.config.duration_ticks)
                 self._demand[vm_id] = (vm, *columns)
@@ -531,22 +607,25 @@ class Simulation:
             if target.state is MachineState.STANDBY:
                 self._wake(target)
             self._set_host(vm, target)
+            vm.placed_tick = vm.cursor = tick
 
     # -- step 4: demand + arbitration --------------------------------------
 
     def _arbitrate(self, tick: int) -> int:
         """Deliver each hosted VM's demand; return the tick's SLA violations.
 
-        Each machine's totals are summed in hosted order as the demands are
-        read, as ``_column_sums`` sums them.  A machine whose totals fit its
-        capacity delivers every demand as asked; only an over-committed one
-        goes through ``proportional_delivery``.  Each machine's share also
-        seeds the ``machine_rv`` memo unless a flight targets the machine.
+        Each machine's totals are summed in hosted order from the trace
+        columns, as ``_column_sums`` sums them.  A machine whose totals fit
+        its capacity delivers every demand as asked, and nothing is recorded
+        per VM; only an over-committed one goes through ``_over_committed``.
+        Each machine's share also seeds the ``machine_rv`` memo unless a
+        flight targets the machine.
         """
         violations = 0
         shares = self._shares = {}
         used = self._used
         used.clear()
+        self._arbitrated = tick
         targets = {target_id for target_id, _ in self._inflight.values()}
         capacities = self._capacities
         demand = self._demand
@@ -556,43 +635,111 @@ class Simulation:
             if not hosted:
                 share = _USAGE_ZERO
             else:
-                vms = []
-                demands = []
                 # Skipping a zero row changes no sum: adding +0.0 leaves every
                 # float but -0.0 as it is, and a sum from +0.0 is never -0.0.
                 t0 = t1 = t2 = t3 = 0.0
                 for vm_id in hosted:
-                    vm, first, last, cpu, mem, disk, bw = demand[vm_id]
-                    vms.append(vm)
+                    _, first, last, cpu, mem, disk, bw = demand[vm_id]
                     i = tick - first
                     if i < 0:
-                        demands.append(_USAGE_ZERO)
                         continue
                     if i > last:
                         i = last
-                    c = cpu[i]
-                    m = mem[i]
-                    d = disk[i]
-                    b = bw[i]
-                    t0 += c
-                    t1 += m
-                    t2 += d
-                    t3 += b
-                    demands.append((c, m, d, b))
-                totals = (t0, t1, t2, t3)
+                    t0 += cpu[i]
+                    t1 += mem[i]
+                    t2 += disk[i]
+                    t3 += bw[i]
                 cap = capacities[pm_id]
                 if t0 > cap[0] or t1 > cap[1] or t2 > cap[2] or t3 > cap[3]:
-                    demands, shorted = proportional_delivery(demands, cap)
-                    violations += len(shorted)
-                    totals = _column_sums(demands)
-                for vm, usage in zip(vms, demands):
-                    vm.record_usage(usage)
-                share = shares_of(totals, cap)
+                    (t0, t1, t2, t3), shorted = self._over_committed(hosted, tick, cap)
+                    violations += shorted
+                share = shares_of((t0, t1, t2, t3), cap)
             shares[pm_id] = share
             if pm_id not in targets:
                 used[pm_id] = share
         self.sla_violation_count += violations
         return violations
+
+    def _over_committed(
+        self, hosted: list[str], tick: int, cap: tuple[float, float, float, float]
+    ) -> tuple[tuple[float, float, float, float], int]:
+        """Arbitrate an over-committed machine; return its delivered totals and shorted count.
+
+        Each VM's delivered usage becomes its override at ``tick``, once its
+        window sums are brought up to the tick before.
+        """
+        entries = [self._demand[vm_id] for vm_id in hosted]
+        delivered, shorted = proportional_delivery(
+            [_delivered_at(entry, tick) for entry in entries], cap
+        )
+        for entry, usage in zip(entries, delivered):
+            vm = entry[0]
+            if vm.cursor < tick:
+                self._replay(entry, tick - 1)
+            vm.overrides[tick] = usage
+        return _column_sums(delivered), len(shorted)
+
+    def _replay(self, entry: _Entry, through: int) -> None:
+        """Fold the VM's delivered usage at ticks ``cursor`` .. ``through`` into its sums.
+
+        Each tick adds its sample while fewer than ``W`` are held, and from
+        then on subtracts the sample ``W`` ticks back and adds the new one.
+        Ticks whose window is full and whose new and evicted samples are both
+        column entries run in one tight loop over list copies of the columns;
+        the rest (the VM's first ``W`` ticks, ticks near or past the trace's
+        ends, and every tick of a VM that holds overrides) read each sample
+        through ``_delivered_at``.  Overrides that have left the window go.
+        """
+        vm, first, last, cpu, mem, disk, bw = entry
+        window = self._window_ticks
+        start = vm.cursor
+        stop = through + 1
+        overrides = vm.overrides
+        if overrides:
+            fast_start = fast_stop = stop
+        else:
+            # The tight loop's span, [fast_start, fast_stop) within [start, stop):
+            # a full window, and both samples inside the trace.  Comparisons,
+            # not min() and max(): this runs on every read.
+            fast_start = vm.placed_tick + window
+            if fast_start < first + window:
+                fast_start = first + window
+            if fast_start < start:
+                fast_start = start
+            elif fast_start > stop:
+                fast_start = stop
+            fast_stop = first + last + 1
+            if fast_stop > stop:
+                fast_stop = stop
+            elif fast_stop < fast_start:
+                fast_stop = fast_start
+        sums = vm.sums
+        if start < fast_start:
+            sums = _fold_each(entry, window, start, fast_start, sums)
+        if fast_start < fast_stop:
+            # Each column from the first evicted entry to the last new one, as
+            # a list: a list item reads faster than an array item.
+            lo = fast_start - first - window
+            hi = fast_stop - first
+            c = cpu[lo:hi].tolist()
+            m = mem[lo:hi].tolist()
+            d = disk[lo:hi].tolist()
+            b = bw[lo:hi].tolist()
+            s0, s1, s2, s3 = sums
+            for k in range(fast_stop - fast_start):
+                j = k + window
+                s0 = (s0 - c[k]) + c[j]
+                s1 = (s1 - m[k]) + m[j]
+                s2 = (s2 - d[k]) + d[j]
+                s3 = (s3 - b[k]) + b[j]
+            sums = (s0, s1, s2, s3)
+        if fast_stop < stop:
+            sums = _fold_each(entry, window, fast_stop, stop, sums)
+        vm.sums = sums
+        vm.cursor = stop
+        if overrides:
+            for old in [t for t in overrides if t <= through - window]:
+                del overrides[old]
 
     # -- step 5: measurement + breach episodes ------------------------------
 

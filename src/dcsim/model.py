@@ -10,7 +10,6 @@ consistent across a fleet (e.g. MHz / MB / MB/s / Mbit/s).
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Optional
@@ -159,46 +158,24 @@ class PhysicalMachine:
 
 @dataclass(slots=True)
 class VirtualMachine:
-    """Run state of one VM: identity, observed usage and host.
+    """Run state of one VM: identity, host and its usage window's replay state.
 
-    ``usage_window`` holds the last few ticks of *delivered* absolute usage
-    (post-arbitration), one ``(cpu, mem, disk, bw)`` tuple per tick.  The
-    window length is fixed at construction time and covers the observation
-    period used to build the VM's resource vector.  The request (size and
-    lifetime) is the workload's ``VmRequest``.
+    A hosted VM's delivered usage is its demand trace, except on a tick its
+    machine was over-committed; ``overrides`` maps such a tick to the
+    ``(cpu, mem, disk, bw)`` delivered then, for as long as the window may
+    still need it.  ``placed_tick`` is the tick the VM was first hosted
+    (None before), and ``sums`` are the window's per-resource sums over the
+    ticks before ``cursor``.  The engine folds later ticks into ``sums`` when
+    the window is read (``Simulation.vm_window_mean``).  The request (size
+    and lifetime) is the workload's ``VmRequest``.
     """
 
     id: str
-    window_ticks: int = 5
     host_id: Optional[int] = None
-    usage_window: deque = field(init=False)
-    _window_sums: tuple[float, float, float, float] = field(init=False)
-
-    def __post_init__(self) -> None:
-        if self.window_ticks < 1:
-            raise ValueError("window_ticks must be >= 1")
-        self.usage_window = deque(maxlen=self.window_ticks)
-        self._window_sums = (0.0, 0.0, 0.0, 0.0)
-
-    def record_usage(self, sample: tuple[float, float, float, float]) -> None:
-        """Append one tick of delivered usage, evicting the oldest if full."""
-        window = self.usage_window
-        s0, s1, s2, s3 = self._window_sums
-        c, m, d, b = sample
-        if len(window) == self.window_ticks:
-            o0, o1, o2, o3 = window[0]
-            self._window_sums = ((s0 - o0) + c, (s1 - o1) + m, (s2 - o2) + d, (s3 - o3) + b)
-        else:
-            self._window_sums = (s0 + c, s1 + m, s2 + d, s3 + b)
-        window.append(sample)
-
-    def window_mean(self) -> Optional[tuple[float, float, float, float]]:
-        """Mean absolute usage over the window, or None if there are no samples."""
-        n = len(self.usage_window)
-        if n == 0:
-            return None
-        s = self._window_sums
-        return (s[0] / n, s[1] / n, s[2] / n, s[3] / n)
+    placed_tick: Optional[int] = None
+    cursor: int = 0
+    sums: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0)
+    overrides: dict[int, tuple[float, float, float, float]] = field(default_factory=dict)
 
 
 def parse_components(cls: type, raw: object):
@@ -295,13 +272,16 @@ def rescale_rv(
     return ResourceVector(*shares_of(amounts, to_capacity.as_tuple()))
 
 
-def used_shares_of(pm: PhysicalMachine, vms: Iterable[VirtualMachine]) -> Shares:
-    """Used share of a machine: sum of hosted VMs' latest delivered usage.
+def used_shares_of(
+    pm: PhysicalMachine, usages: Iterable[Optional[tuple[float, float, float, float]]]
+) -> Shares:
+    """Used share of a machine: the sum of its hosted VMs' latest delivered usage.
 
-    VMs without any usage sample yet contribute nothing here; placement
-    logic layers its own assumed footprint on top for those.
+    ``usages`` gives each hosted VM's latest delivered usage in hosted
+    order, or None for a VM without any yet; those contribute nothing here,
+    and placement logic layers its own assumed footprint on top for them.
     """
-    latest = [vm.usage_window[-1] for vm in vms if vm.usage_window]
+    latest = [usage for usage in usages if usage is not None]
     return shares_of(_column_sums(latest), pm.capacity.as_tuple())
 
 

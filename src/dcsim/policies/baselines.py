@@ -13,6 +13,7 @@ from operator import attrgetter, itemgetter
 from typing import Iterator, Optional
 
 from ..model import (
+    MachineState,
     PhysicalMachine,
     PowerModel,
     UtilizationWeights,
@@ -170,6 +171,9 @@ class SingleThresholdPolicy(SchedulerPolicy):
         self.threshold = threshold
         self.epoch_ticks = epoch_ticks
         self.weights = weights or UtilizationWeights()
+        # (machines, power model, kinds without their on and off lists,
+        # representatives) as ``_fleet`` last built them.
+        self._static: Optional[tuple] = None
 
     # -- helpers -----------------------------------------------------------
 
@@ -179,9 +183,8 @@ class SingleThresholdPolicy(SchedulerPolicy):
             return mean[0]
         return view.vm_nominal(vm_id).cpu
 
-    @staticmethod
     def _fleet(
-        machines: list[PhysicalMachine], model: PowerModel
+        self, machines: list[PhysicalMachine], model: PowerModel
     ) -> tuple[list[_Kind], list[int]]:
         """The fleet's kinds, and one machine standing for each capacity class.
 
@@ -193,22 +196,38 @@ class SingleThresholdPolicy(SchedulerPolicy):
         object.  The two lists hold the kind's running and standby machines
         in id order (``machines`` comes in id order); the replan moves a
         machine it wakes from the one to the other.
+
+        Only the two lists are made per call.  The rest depends on the
+        machines' capacities and peak powers alone, and is built once for
+        each ``machines`` list and power model: the engine's
+        ``all_machines`` returns one list for a whole run.
         """
-        classes: dict[int, int] = {}  # id(capacity) -> class
-        representatives: list[int] = []
-        kinds: dict[tuple[int, float], _Kind] = {}
-        for pm in machines:
-            cls = classes.setdefault(id(pm.capacity), len(representatives))
-            if cls == len(representatives):
-                representatives.append(pm.id)
-            peak = pm.peak_power_watts
-            kind = kinds.get((cls, peak))
-            if kind is None:
-                slope = peak * (1.0 - model.idle_fraction)
-                wake = peak * model.idle_fraction - model.standby_watts
-                kind = kinds[cls, peak] = (pm.capacity.cpu, slope, wake, cls, [], [])
-            kind[4 if pm.is_running else 5].append(pm.id)
-        return list(kinds.values()), representatives
+        static = self._static
+        if static is None or static[0] is not machines or static[1] is not model:
+            classes: dict[int, int] = {}  # id(capacity) -> class
+            representatives: list[int] = []
+            members: dict[tuple[int, float], tuple] = {}
+            for pm in machines:
+                cls = classes.setdefault(id(pm.capacity), len(representatives))
+                if cls == len(representatives):
+                    representatives.append(pm.id)
+                peak = pm.peak_power_watts
+                kind = members.get((cls, peak))
+                if kind is None:
+                    slope = peak * (1.0 - model.idle_fraction)
+                    wake = peak * model.idle_fraction - model.standby_watts
+                    kind = members[cls, peak] = (pm.capacity.cpu, slope, wake, cls, [])
+                kind[4].append(pm)
+            static = self._static = (machines, model, list(members.values()), representatives)
+        _, _, static_kinds, representatives = static
+        kinds = []
+        for cpu_capacity, slope, wake, cls, kind_machines in static_kinds:
+            on: list[int] = []
+            off: list[int] = []
+            for pm in kind_machines:
+                (on if pm.state is MachineState.RUNNING else off).append(pm.id)
+            kinds.append((cpu_capacity, slope, wake, cls, on, off))
+        return kinds, representatives
 
     def _footprints(
         self, vm_id: str, mean: _Mean, view: ClusterView, representatives: list[int]

@@ -117,6 +117,11 @@ class DemandTrace(Sequence):
         return (DemandTrace, (self.ticks, self.cpu, self.mem, self.disk, self.bw))
 
 
+def _not_integer(value: object) -> bool:
+    """Whether ``value`` is not an ``int``; a ``bool`` is not one here."""
+    return isinstance(value, bool) or not isinstance(value, int)
+
+
 @dataclass(frozen=True, slots=True)
 class VmRequest:
     """One VM's request: identity, size, lifetime and its demand trace.
@@ -134,6 +139,12 @@ class VmRequest:
     def __post_init__(self) -> None:
         if not isinstance(self.trace, DemandTrace):
             object.__setattr__(self, "trace", DemandTrace.from_samples(self.trace))
+        for name in ("arrival_tick", "departure_tick"):
+            value = getattr(self, name)
+            if value is None and name == "departure_tick":
+                continue
+            if _not_integer(value):
+                raise WorkloadError(f"{self.vm_id}: {name} must be an integer, got {value!r}")
         if self.arrival_tick < 0:
             raise WorkloadError(f"{self.vm_id}: arrival tick must be >= 0")
         if self.departure_tick is not None and self.departure_tick <= self.arrival_tick:
@@ -206,7 +217,7 @@ class WorkloadSpec:
             value = getattr(self, name)
             if value is None and name in _OPTIONAL_FIELDS:
                 continue
-            if isinstance(value, bool) or not isinstance(value, int):
+            if _not_integer(value):
                 raise WorkloadError(f"{name} must be an integer, got {value!r}")
         if self.vm_count < 1:
             raise WorkloadError("vm_count must be >= 1")

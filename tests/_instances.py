@@ -159,11 +159,17 @@ def demand_at(request, tick):
 
 
 def brute_arbitrate(demands, capacity):
-    """Proportional fair share, written resource-major instead of VM-major."""
+    """Proportional fair share, written resource-major instead of VM-major.
+
+    Each total is a left-to-right sum in list order, as the engine sums a
+    machine's demands; ``sum`` may compensate its rounding.
+    """
     delivered = [list(d) for d in demands]
     shorted = 0
     for r in range(4):
-        total = sum(d[r] for d in demands)
+        total = 0.0
+        for d in demands:
+            total += d[r]
         if total > capacity[r]:
             scale = capacity[r] / total
             for i, d in enumerate(demands):
@@ -305,7 +311,7 @@ def check_tick(sim: CheckedSimulation, seed: int, tick: int) -> None:
             vm = sim.vms.get(vm_id)
             if vm is None:
                 continue  # departed after arbitration is impossible; guard anyway
-            got = vm.usage_window[-1]
+            got = sim.vm_delivered(vm_id)
             for r in range(4):
                 if not _approx(got[r], delivered[i][r], 1e-12):
                     _fail(

@@ -18,14 +18,16 @@ reference for the engine's memoized one.  ``reference_generate_workload`` is
 the per-(VM, tick, resource) generator loop that the straight-line
 ``generate_workload`` must reproduce sample for sample.  The reference policies wrap the
 view's share tuples in ``ResourceVector`` as they read them.
-``reference_record_usage`` is ``VirtualMachine.record_usage`` as first
-written, which the production method must match sum for sum.
+``reference_record_usage`` is the usage window's update as first written,
+on an eagerly kept ``EagerWindow``; the engine's replay of a window on read
+must match it sum for sum.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections import deque
 from fractions import Fraction
 from typing import Optional
 
@@ -418,14 +420,14 @@ def _fresh_vm_rv_on(sim, vm_id, machine_id):
 def fresh_machine_rv(sim, machine_id):
     """A machine's used share, recomputed from scratch.
 
-    Latest usage of the hosted VMs, the default share for those without
-    samples, then the shares of VMs inbound through a delayed migration.
+    Latest delivered usage of the hosted VMs, the default share for those
+    without any, then the shares of VMs inbound through a delayed migration.
     """
     pm = sim.machines[machine_id]
-    hosted = [sim.vms[vm_id] for vm_id in pm.hosted_vm_ids]
-    used = used_shares_of(pm, hosted)
-    for vm in hosted:
-        if not vm.usage_window:
+    latest = [sim.vm_delivered(vm_id) for vm_id in pm.hosted_vm_ids]
+    used = used_shares_of(pm, latest)
+    for usage in latest:
+        if usage is None:
             used = clamped_sum_of(used, sim.policy.default_rv.as_tuple())
     inbound = sorted(
         vm_id for vm_id, (target_id, _) in sim._inflight.items() if target_id == machine_id
@@ -435,20 +437,41 @@ def fresh_machine_rv(sim, machine_id):
     return used
 
 
-def reference_record_usage(vm, sample):
-    """``VirtualMachine.record_usage`` as first written, on the VM's own fields.
+class EagerWindow:
+    """A VM's usage window kept eagerly, one delivered sample per tick.
+
+    ``usage_window`` holds the last ``window_ticks`` samples and
+    ``_window_sums`` their running sums, as ``reference_record_usage`` keeps
+    them.
+    """
+
+    def __init__(self, window_ticks: int) -> None:
+        self.usage_window = deque(maxlen=window_ticks)
+        self._window_sums = (0.0, 0.0, 0.0, 0.0)
+
+    def mean(self) -> Optional[Tuple4]:
+        """The mean over the window, or None without samples."""
+        n = len(self.usage_window)
+        if n == 0:
+            return None
+        s = self._window_sums
+        return (s[0] / n, s[1] / n, s[2] / n, s[3] / n)
+
+
+def reference_record_usage(window, sample):
+    """The usage window's update as first written, on an ``EagerWindow``.
 
     Evicts by ``deque.maxlen``, subtracts the evicted sample into the sums,
     then adds the new one.
     """
-    window = vm.usage_window
-    s0, s1, s2, s3 = vm._window_sums
-    if len(window) == window.maxlen:
-        o0, o1, o2, o3 = window[0]
+    samples = window.usage_window
+    s0, s1, s2, s3 = window._window_sums
+    if len(samples) == samples.maxlen:
+        o0, o1, o2, o3 = samples[0]
         s0, s1, s2, s3 = s0 - o0, s1 - o1, s2 - o2, s3 - o3
-    window.append(sample)
+    samples.append(sample)
     c, m, d, b = sample
-    vm._window_sums = (s0 + c, s1 + m, s2 + d, s3 + b)
+    window._window_sums = (s0 + c, s1 + m, s2 + d, s3 + b)
 
 
 # ---------------------------------------------------------------------------

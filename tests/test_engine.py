@@ -202,7 +202,7 @@ class TestArbitrationBoundary:
         ]
         sim = Simulation(config(1, duration=1), reqs, ScriptedPolicy({r.vm_id: 0 for r in reqs}))
         sim._step()
-        delivered = [sim.vms[r.vm_id].usage_window[-1] for r in reqs]
+        delivered = [sim.vm_delivered(r.vm_id) for r in reqs]
         return sim, delivered
 
     def test_totals_equal_to_capacity_are_delivered_in_full(self):
@@ -244,7 +244,7 @@ class TestArrivalsAndDepartures:
         sim = Simulation(config(1), reqs, ScriptedPolicy({"vm-0": 0}))
         sim._step()
         assert sim.vm_host("vm-0") == 0
-        assert sim.vms["vm-0"].usage_window[-1] == (100.0, 100.0, 100.0, 100.0)
+        assert sim.vm_delivered("vm-0") == (100.0, 100.0, 100.0, 100.0)
 
     def test_rejected_arrivals_retry_each_tick(self):
         reqs = [flat_request("vm-0", 100.0)]
@@ -315,7 +315,7 @@ class TestArrivalsAndDepartures:
         seen = []
         for _ in range(5):
             sim._step()
-            seen.append(sim.vms["vm-0"].usage_window[-1][0])
+            seen.append(sim.vm_delivered("vm-0")[0])
         assert seen == [100.0, 100.0, 100.0, 400.0, 400.0]
 
     def test_demand_is_zero_until_a_late_first_sample(self):
@@ -325,7 +325,7 @@ class TestArrivalsAndDepartures:
         seen = []
         for _ in range(6):
             sim._step()
-            seen.append(sim.vms["vm-0"].usage_window[-1])
+            seen.append(sim.vm_delivered("vm-0"))
         zero = (0.0, 0.0, 0.0, 0.0)
         late = [(200.0, 1.0, 2.0, 3.0), (300.0, 1.0, 2.0, 3.0), (300.0, 1.0, 2.0, 3.0)]
         assert seen == [zero, zero, zero] + late
@@ -339,18 +339,21 @@ class TestArrivalsAndDepartures:
         for _ in range(4):
             sim._step()
         assert sim.rejected_requests == 4
-        assert not sim.vms["vm-0"].usage_window
+        assert sim.vm_delivered("vm-0") is None
+        assert sim.vm_window_mean("vm-0") is None
         seen = []
         for _ in range(5):
             sim._step()
-            seen.append(sim.vms["vm-0"].usage_window[-1][0])
+            seen.append(sim.vm_delivered("vm-0")[0])
         assert seen == [10.0 * (t - t % every) for t in range(4, 9)]
 
     def test_empty_trace_demands_nothing(self):
         req = VmRequest("vm-0", MachineCapacity(100, 1, 1, 1), 0, None, ())
         sim = Simulation(config(1, duration=3), [req], ScriptedPolicy({"vm-0": 0}))
-        sim.run()
-        assert list(sim.vms["vm-0"].usage_window) == [(0.0, 0.0, 0.0, 0.0)] * 3
+        for _ in range(3):
+            sim._step()
+            assert sim.vm_delivered("vm-0") == (0.0, 0.0, 0.0, 0.0)
+        assert sim.vm_window_mean("vm-0") == (0.0, 0.0, 0.0, 0.0)
 
     def test_dense_trace_is_read_in_place(self):
         req = flat_request("vm-0", 100.0, arrival=2)
@@ -374,7 +377,7 @@ class TestArrivalsAndDepartures:
         seen = []
         for _ in range(6):
             sim._step()
-            seen.append(sim.vms["vm-0"].usage_window[-1][0])
+            seen.append(sim.vm_delivered("vm-0")[0])
         assert seen == [0.0, 100.0, 100.0, 200.0, 200.0, 200.0]
         columns = sim._demand["vm-0"][3:]
         assert [len(col) for col in columns] == [3, 3, 3, 3]  # ticks 1, 2 and 3

@@ -12,11 +12,15 @@ two reports.
   floating point) leaves the report unchanged.  This also pins down that
   grouping machines by capacity depends on which capacities are equal, not
   on their absolute sizes.
+- *Late arrivals.*  A VM whose arrival tick is at or after the horizon is
+  never offered, so adding one to the workload, anywhere in the list,
+  leaves the report unchanged.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import random
 
 import pytest
 
@@ -24,11 +28,12 @@ from _instances import make_instance
 from dcsim.engine import FleetMachine, Simulation
 from dcsim.model import MachineCapacity
 from dcsim.policies import POLICY_IDS, build_policy
-from dcsim.workload import DemandSample
+from dcsim.workload import DemandSample, VmRequest
 
 CAUSALITY_INSTANCES = 400
 SCALE_INSTANCES = 300
 SHORTER_BY = 7
+LATE_INSTANCES = 150  # per policy
 
 
 def _run(config, workload, spec):
@@ -79,3 +84,23 @@ def test_scaling_every_resource_amount_leaves_the_report_unchanged(factor):
         assert _run(*_scaled(config, workload, factor), spec) == report, f"seed {seed}"
         policies.add(spec["id"])
     assert policies == set(POLICY_IDS)
+
+
+@pytest.mark.parametrize("policy_id", POLICY_IDS)
+def test_a_vm_arriving_at_or_after_the_horizon_leaves_the_report_unchanged(policy_id):
+    for seed in range(LATE_INSTANCES):
+        config, workload, spec = make_instance(seed, policy_id)
+        report = _run(config, workload, spec)
+        rng = random.Random(f"late-{seed}")
+        arrival = config.duration_ticks + rng.choice((0, 0, 1, 7))
+        nominal = rng.choice(workload).nominal
+        late = VmRequest(
+            f"vm-late-{seed}",
+            nominal,
+            arrival,
+            rng.choice((None, arrival + 3)),
+            tuple(DemandSample(t, *nominal.as_tuple()) for t in range(arrival, arrival + 3)),
+        )
+        changed = workload[:]
+        changed.insert(rng.randint(0, len(workload)), late)
+        assert _run(config, changed, spec) == report, f"seed {seed}"

@@ -5,7 +5,10 @@ import random
 
 import pytest
 
+import _fakes as fakes
 import _oracles as oracle
+from _instances import brute_arbitrate
+from dcsim.engine import FleetMachine, Simulation, SimulationConfig
 from dcsim.model import (
     DEFAULT_RV,
     MachineCapacity,
@@ -25,6 +28,35 @@ from dcsim.model import (
     utilization_of,
 )
 from dcsim.policies.similarity import cosine_similarity
+from dcsim.workload import DemandSample, VmRequest
+
+#: A machine no test sample over-commits.
+_ROOMY = (1e12, 1e12, 1e12, 1e12)
+
+
+def _window_sim(samples, window_ticks, capacity=_ROOMY):
+    """A one-machine simulation of one VM, ``vm-0``, that demands ``samples[t]`` at tick t.
+
+    Its policy is a ``FixedPlacer`` of machine 0.  Each tick is 60 s, so the
+    VM's usage window holds ``window_ticks`` ticks.
+    """
+    trace = tuple(DemandSample(t, *sample) for t, sample in enumerate(samples))
+    request = VmRequest("vm-0", MachineCapacity(1, 1, 1, 1), 0, None, trace)
+    config = SimulationConfig(
+        fleet=(FleetMachine(MachineCapacity(*capacity), 100.0),),
+        duration_ticks=len(samples),
+    )
+    policy = fakes.FixedPlacer(0)
+    policy.usage_window_seconds = 60.0 * window_ticks
+    return Simulation(config, [request], policy)
+
+
+def _stepped(samples, window_ticks, **kwargs):
+    """``_window_sim`` run to its horizon."""
+    sim = _window_sim(samples, window_ticks, **kwargs)
+    for _ in samples:
+        sim._step()
+    return sim
 
 
 # ---------------------------------------------------------------------------
@@ -109,10 +141,8 @@ class TestFrozenValues:
 
     def test_vm_vector_from_window_mean(self):
         cap = MachineCapacity(2000, 500, 100, 100)
-        vm = VirtualMachine("vm-1", window_ticks=4)
-        vm.record_usage((400, 200, 5, 5))
-        vm.record_usage((600, 300, 15, 15))
-        shares = shares_of(vm.window_mean(), cap.as_tuple())
+        sim = _stepped([(400, 200, 5, 5), (600, 300, 15, 15)], window_ticks=4)
+        shares = shares_of(sim.vm_window_mean("vm-0"), cap.as_tuple())
         assert shares == pytest.approx((0.25, 0.5, 0.1, 0.1), rel=1e-12)
 
     def test_unified_utilization_equal_weights(self):
@@ -155,44 +185,69 @@ class TestFrozenValues:
 
 
 class TestVirtualMachine:
+    """The usage window, as the engine replays it from the trace when it is read."""
+
     def test_window_mean_is_none_without_samples(self):
-        assert VirtualMachine("vm-0").window_mean() is None
+        vm = VirtualMachine("vm-0")
+        assert (vm.placed_tick, vm.sums, vm.overrides) == (None, (0.0, 0.0, 0.0, 0.0), {})
+        sim = _window_sim([(1.0, 1.0, 1.0, 1.0)] * 3, window_ticks=2)
+        sim.policy.machine = None  # rejects the VM at tick 0
+        sim._step()
+        assert "vm-0" in sim.vms  # offered and rejected: never hosted
+        assert sim.vm_window_mean("vm-0") is None
+        assert sim.vm_delivered("vm-0") is None
+        sim.policy.machine = 0
+        sim._step()
+        assert sim.vm_window_mean("vm-0") == (1.0, 1.0, 1.0, 1.0)
 
     def test_window_evicts_oldest(self):
-        vm = VirtualMachine("vm-0", window_ticks=2)
-        vm.record_usage((10, 0, 0, 0))
-        vm.record_usage((20, 0, 0, 0))
-        vm.record_usage((40, 0, 0, 0))  # evicts the 10
-        assert vm.window_mean()[0] == pytest.approx(30.0)
+        sim = _stepped([(10, 0, 0, 0), (20, 0, 0, 0), (40, 0, 0, 0)], window_ticks=2)
+        assert sim.vm_window_mean("vm-0")[0] == pytest.approx(30.0)  # the 10 is evicted
 
     def test_window_sums_stay_consistent_after_many_appends(self):
         rng = random.Random(3)
-        vm = VirtualMachine("vm-0", window_ticks=5)
-        samples = []
-        for _ in range(200):
-            s = tuple(rng.uniform(0, 100) for _ in range(4))
-            samples.append(s)
-            vm.record_usage(s)
+        samples = [tuple(rng.uniform(0, 100) for _ in range(4)) for _ in range(200)]
+        sim = _stepped(samples, window_ticks=5)  # one replay of all 200 ticks
         tail = samples[-5:]
         expected = tuple(sum(s[i] for s in tail) / 5 for i in range(4))
-        assert vm.window_mean() == pytest.approx(expected, rel=1e-9)
+        assert sim.vm_window_mean("vm-0") == pytest.approx(expected, rel=1e-9)
 
     @pytest.mark.parametrize("window_ticks", [1, 2, 3, 4, 5, 6])
     def test_record_usage_matches_the_reference_sum_for_sum(self, window_ticks):
+        """The replayed sums equal ``reference_record_usage``'s eager ones, bit for bit.
+
+        Some ticks over-commit the machine, so the VM's delivered usage there
+        is an override, and the window is read at random ticks, so a replay
+        spans from one tick to many.
+        """
         rng = random.Random(window_ticks)
-        got = VirtualMachine("vm-0", window_ticks=window_ticks)
-        ref = VirtualMachine("vm-0", window_ticks=window_ticks)
-        for _ in range(300):
-            # Magnitudes spread over nine decades, so the sums round.
-            sample = tuple(
+        # Magnitudes spread over nine decades, so the sums round.
+        samples = [
+            tuple(
                 0.0 if rng.random() < 0.05 else rng.uniform(0.0, 10.0 ** rng.uniform(-3.0, 6.0))
                 for _ in range(4)
             )
-            got.record_usage(sample)
-            oracle.reference_record_usage(ref, sample)
-            assert [x.hex() for x in got._window_sums] == [x.hex() for x in ref._window_sums]
-            assert list(got.usage_window) == list(ref.usage_window)
-        assert len(got.usage_window) == window_ticks
+            for _ in range(300)
+        ]
+        cap = (3e5, 3e5, 3e5, 3e5)
+        sim = _window_sim(samples, window_ticks, capacity=cap)
+        vms = sim.vms
+        ref = oracle.EagerWindow(window_ticks)
+        over_committed = reads = 0
+        for demand in samples:
+            sim._step()
+            delivered, shorted = brute_arbitrate([demand], cap)
+            over_committed += shorted > 0
+            oracle.reference_record_usage(ref, delivered[0])
+            assert sim.vm_delivered("vm-0") == delivered[0]
+            if rng.random() < 0.3:
+                reads += 1
+                assert sim.vm_window_mean("vm-0") == ref.mean()
+                sums = vms["vm-0"].sums
+                assert [x.hex() for x in sums] == [x.hex() for x in ref._window_sums]
+            assert len(vms["vm-0"].overrides) <= window_ticks + 1
+        assert sim.vm_window_mean("vm-0") == ref.mean()
+        assert over_committed > 10 and reads > 50
 
 
 class TestPhysicalMachine:
@@ -212,27 +267,18 @@ class TestPhysicalMachine:
 
     def test_machine_rv_sums_latest_samples(self):
         pm = PhysicalMachine(0, MachineCapacity(1000, 1000, 1000, 1000), 100.0)
-        vm1 = VirtualMachine("vm-1")
-        vm2 = VirtualMachine("vm-2")
-        vm1.record_usage((100, 0, 0, 0))
-        vm1.record_usage((200, 0, 0, 0))  # only this latest sample counts
-        vm2.record_usage((300, 500, 0, 0))
-        used = used_shares_of(pm, [vm1, vm2])
+        used = used_shares_of(pm, [(200, 0, 0, 0), (300, 500, 0, 0)])
         assert used == pytest.approx((0.5, 0.5, 0.0, 0.0))
         assert complement_of(used) == pytest.approx((0.5, 0.5, 1.0, 1.0))
 
     def test_machine_rv_ignores_vms_without_history(self):
         pm = PhysicalMachine(0, MachineCapacity(1000, 1000, 1000, 1000), 100.0)
-        vm = VirtualMachine("vm-1")
-        assert used_shares_of(pm, [vm]) == (0.0, 0.0, 0.0, 0.0)
+        assert used_shares_of(pm, [None]) == (0.0, 0.0, 0.0, 0.0)
+        assert used_shares_of(pm, [None, (100, 0, 0, 0)]) == (0.1, 0.0, 0.0, 0.0)
 
     def test_machine_rv_clamps_overcommit(self):
         pm = PhysicalMachine(0, MachineCapacity(100, 100, 100, 100), 100.0)
-        vm1 = VirtualMachine("vm-1")
-        vm2 = VirtualMachine("vm-2")
-        vm1.record_usage((80, 0, 0, 0))
-        vm2.record_usage((80, 0, 0, 0))
-        assert used_shares_of(pm, [vm1, vm2])[0] == 1.0
+        assert used_shares_of(pm, [(80, 0, 0, 0), (80, 0, 0, 0)])[0] == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -266,12 +312,11 @@ def _rescale_rv_as_first_written(rv, from_capacity, to_capacity):
     )
 
 
-def _used_shares_of_as_first_written(pm, vms):
+def _used_shares_of_as_first_written(pm, latest):
     """``used_shares_of`` before it summed through ``_column_sums``."""
     cpu = mem = disk = bw = 0.0
-    for vm in vms:
-        if vm.usage_window:
-            last = vm.usage_window[-1]
+    for last in latest:
+        if last is not None:
             cpu += last[0]
             mem += last[1]
             disk += last[2]
@@ -311,14 +356,12 @@ class TestReroutedMath:
         seen = set()
         for _ in range(REROUTED_INPUTS):
             pm = PhysicalMachine(0, MachineCapacity(*oracle.random_capacity_tuple(rng)), 100.0)
-            vms = []
-            for index in range(rng.randint(0, 6)):
-                vm = VirtualMachine(f"vm-{index}", window_ticks=rng.randint(1, 3))
-                for _ in range(rng.randint(0, 4)):  # no sample at all for some VMs
-                    vm.record_usage(tuple(_usage(rng) for _ in range(4)))
-                vms.append(vm)
-            got = used_shares_of(pm, vms)
-            assert _bits(got) == _bits(_used_shares_of_as_first_written(pm, vms))
+            latest = [
+                None if rng.random() < 0.2 else tuple(_usage(rng) for _ in range(4))
+                for _ in range(rng.randint(0, 6))
+            ]  # None: a VM without a sample yet
+            got = used_shares_of(pm, latest)
+            assert _bits(got) == _bits(_used_shares_of_as_first_written(pm, latest))
             seen.update("clamped" if x == 1.0 else "zero" if x == 0.0 else "inside" for x in got)
         assert seen == {"clamped", "zero", "inside"}
 
@@ -429,10 +472,7 @@ class TestRandomizedAgainstOracle:
             samples = [
                 tuple(rng.uniform(0, cap[i] * 1.5) for i in range(4)) for _ in range(n)
             ]
-            vm = VirtualMachine("vm-0", window_ticks=5)
-            for s in samples:
-                vm.record_usage(s)
-            got = shares_of(vm.window_mean(), cap)
+            got = shares_of(_stepped(samples, window_ticks=5).vm_window_mean("vm-0"), cap)
             expected = oracle.exact_window_rv(samples, cap)
             for g, e in zip(got, expected):
                 assert oracle.rel_error(g, e) <= TOL

@@ -74,6 +74,13 @@ class TestSpecValidation:
             with pytest.raises(WorkloadError, match="departure"):
                 VmRequest("vm-0", nominal, 5, departure, ())
 
+    @pytest.mark.parametrize("name", ["arrival_tick", "departure_tick"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, True])
+    def test_request_ticks_reject_non_integers(self, name, value):
+        ticks = {"arrival_tick": 1, "departure_tick": 9, name: value}
+        with pytest.raises(WorkloadError, match=f"vm-0: {name} must be an integer"):
+            VmRequest("vm-0", MachineCapacity(1, 1, 1, 1), trace=(), **ticks)
+
     def test_request_validates_trace_order(self):
         nominal = MachineCapacity(1, 1, 1, 1)
         with pytest.raises(WorkloadError):
