@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Any, Optional
 
 from .engine import EngineError, FleetMachine, SimulationConfig
-from .model import MachineCapacity, PowerModel, UtilizationWeights, parse_components
+from .model import RESOURCES, MachineCapacity, PowerModel, UtilizationWeights, parse_components
 from .workload import (
     VmRequest,
     WorkloadError,
@@ -92,15 +92,21 @@ def _integer(value: Any, context: str) -> int:
     return value
 
 
+def _number(value: Any, context: str) -> float:
+    """``value`` as a float; it must be a number: ``true`` or ``"2000"`` is not coerced."""
+    if not isinstance(value, bool) and isinstance(value, (int, float)):
+        try:
+            return float(value)
+        except OverflowError:  # an integer too large for a float
+            pass
+    raise ConfigError(f"{context}: expected a number, got {value!r}")
+
+
 def _parse_capacity(raw: Any, context: str) -> MachineCapacity:
     raw = _expect_mapping(raw, context)
+    amounts = [_number(_require(raw, r, context), f"{context}.{r}") for r in RESOURCES]
     try:
-        return MachineCapacity(
-            cpu=float(_require(raw, "cpu", context)),
-            mem=float(_require(raw, "mem", context)),
-            disk=float(_require(raw, "disk", context)),
-            bw=float(_require(raw, "bw", context)),
-        )
+        return MachineCapacity(*amounts)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{context}: {exc}") from None
 
@@ -118,29 +124,24 @@ def build_simulation_config(raw: dict) -> SimulationConfig:
         if count < 1:
             raise ConfigError(f"{context}: count must be >= 1")
         capacity = _parse_capacity(_require(group, "capacity", context), f"{context}.capacity")
-        try:
-            peak = float(_require(group, "peak_power_watts", context))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{context}: {exc}") from None
+        peak = _number(_require(group, "peak_power_watts", context), f"{context}.peak_power_watts")
         fleet.extend(FleetMachine(capacity, peak) for _ in range(count))
 
     power_raw = section.get("power_model", {})
     power_raw = _expect_mapping(power_raw, "simulation.power_model")
+    idle = _number(power_raw.get("idle_fraction", 0.5), "simulation.power_model.idle_fraction")
+    standby = _number(power_raw.get("standby_watts", 0.0), "simulation.power_model.standby_watts")
     try:
-        power = PowerModel(
-            idle_fraction=float(power_raw.get("idle_fraction", 0.5)),
-            standby_watts=float(power_raw.get("standby_watts", 0.0)),
-        )
+        power = PowerModel(idle_fraction=idle, standby_watts=standby)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"simulation.power_model: {exc}") from None
 
     energy_weights = UtilizationWeights()
     if "energy_weights" in section:
         weights_raw = _expect_mapping(section["energy_weights"], "simulation.energy_weights")
+        weights = {k: _number(v, f"simulation.energy_weights.{k}") for k, v in weights_raw.items()}
         try:
-            energy_weights = parse_components(
-                UtilizationWeights, {k: float(v) for k, v in weights_raw.items()}
-            )
+            energy_weights = parse_components(UtilizationWeights, weights)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"simulation.energy_weights: {exc}") from None
 
@@ -149,11 +150,14 @@ def build_simulation_config(raw: dict) -> SimulationConfig:
     )
     initial = _integer(section.get("initial_running_count", 1), "simulation.initial_running_count")
     cost = _integer(section.get("migration_cost_ticks", 0), "simulation.migration_cost_ticks")
+    tick_length = _number(
+        section.get("tick_length_seconds", 60.0), "simulation.tick_length_seconds"
+    )
     try:
         return SimulationConfig(
             fleet=tuple(fleet),
             duration_ticks=duration,
-            tick_length_seconds=float(section.get("tick_length_seconds", 60.0)),
+            tick_length_seconds=tick_length,
             initial_running_count=initial,
             power_model=power,
             migration_cost_ticks=cost,

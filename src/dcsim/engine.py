@@ -21,8 +21,11 @@ order, so a run is a pure function of (config, workload, policy).
 
 A VM's demand at a tick is a step function of its trace: zero before the
 first sample, each sample held until the next, the last held after the end.
-The engine reads resource ``r`` as ``columns[r][tick - first]`` (see
-``_trace_columns``); a generated trace has a sample every tick, and its own
+When a VM is created its demand becomes four columns with an entry for every
+tick it can be hosted, ``[arrival, end)`` with ``end`` the earlier of its
+departure and the horizon, and the engine reads resource ``r`` as
+``columns[r][tick - first]`` with no range check (see ``_trace_columns``).
+A generated trace has a sample on each of those ticks, and its own
 ``DemandTrace`` columns are read in place.
 
 A hosted VM's delivered usage is its demand, except at a tick its machine
@@ -31,11 +34,12 @@ as an override for that tick.  A VM is hosted, on a running machine, at every
 tick from its placement to its departure, so its usage window is the
 delivered usage of the last ``W`` of those ticks up to the last arbitrated
 one.  Arbitration records nothing per VM.  ``vm_window_mean`` replays the
-ticks since the VM's cursor into its window sums when it is read, with the
-recurrence an eagerly kept window runs: add while fewer than ``W`` samples
-are held, then ``(sum - evicted) + new``.  An override is dropped once it has
-left the window, and before a VM takes a new one its sums are brought up to
-the tick before, so it holds at most ``W + 1``.
+ticks since the VM's cursor into its window sums when it is read, in one
+loop over list copies of the columns with the overrides written in, running
+the recurrence an eagerly kept window runs: add while fewer than ``W``
+samples are held, then ``(sum - evicted) + new``.  An override is dropped
+once it has left the window, and before a VM takes a new one its sums are
+brought up to the tick before, so it holds at most ``W + 1``.
 
 The running machines are kept as a list in id order.  Only ``_wake`` and
 ``_standby`` change a machine's state, and they update the list, so the
@@ -65,7 +69,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Optional
@@ -91,8 +95,8 @@ from .policies.base import ActionKind, RebalanceAction, SchedulerPolicy
 from .workload import DemandTrace, VmRequest
 
 _USAGE_ZERO = (0.0, 0.0, 0.0, 0.0)
-#: A created VM with its ``_trace_columns``: ``(vm, first, last, cpu, mem, disk, bw)``.
-_Entry = tuple[VirtualMachine, int, int, array, array, array, array]
+#: A created VM with its ``_trace_columns``: ``(vm, first, cpu, mem, disk, bw)``.
+_Entry = tuple[VirtualMachine, int, array, array, array, array]
 _machine_id = attrgetter("id")
 
 
@@ -137,65 +141,34 @@ class SimulationConfig:
 
 
 def _trace_columns(
-    trace: DemandTrace, duration_ticks: int
-) -> tuple[int, int, array, array, array, array]:
-    """``(first, last, cpu, mem, disk, bw)``; each column's ``[tick - first]`` is in force.
+    trace: DemandTrace, arrival: int, end: int
+) -> tuple[int, array, array, array, array]:
+    """``(first, cpu, mem, disk, bw)``; each column's ``[tick - first]`` is in force.
 
-    ``last`` is the index of the final entry, which holds for every later
-    tick.  A trace with a sample every tick gives its own columns.  A gapped
-    one (only a loaded file has gaps) gives new columns, each missing tick
-    holding the previous sample, up to ``duration_ticks``.  An empty trace
-    gets ``first = duration_ticks``, which no tick reaches.
+    Every tick from ``arrival`` to ``end - 1`` has an entry.  A trace with a
+    sample on every tick from ``arrival`` or before through ``end - 1``
+    (every generated trace) gives its own columns.  Any other gives new
+    columns over ``[arrival, end)``, expanded once: zero before the first
+    sample, each sample held until the next, the last held to ``end``.
     """
-    columns = (trace.cpu, trace.mem, trace.disk, trace.bw)
-    if not trace:
-        return (duration_ticks, -1, *columns)
     ticks = trace.ticks
-    first = ticks[0]
-    if ticks[-1] - first == len(ticks) - 1:
-        return (first, len(ticks) - 1, *columns)
-    held: list[int] = []  # the index of the sample in force at each tick
-    for index, tick in enumerate(ticks):
-        if tick >= duration_ticks:
-            break
-        if held:
-            held.extend([held[-1]] * (tick - first - len(held)))
-        held.append(index)
-    return (first, len(held) - 1, *(array("d", map(col.__getitem__, held)) for col in columns))
+    columns = (trace.cpu, trace.mem, trace.disk, trace.bw)
+    if ticks and ticks[0] <= arrival and ticks[-1] >= end - 1:
+        if ticks[-1] - ticks[0] == len(ticks) - 1:  # a sample every tick
+            return (ticks[0], *columns)
+    # Index ``k`` of ``[0.0, *column]`` is in force once ``k`` samples have started.
+    started = [bisect_right(ticks, tick) for tick in range(arrival, end)]
+    return (arrival, *(array("d", map([0.0, *col].__getitem__, started)) for col in columns))
 
 
 def _delivered_at(entry: _Entry, tick: int) -> tuple[float, float, float, float]:
     """A hosted VM's delivered usage at ``tick``: its override there, else its demand."""
-    vm, first, last, cpu, mem, disk, bw = entry
+    vm, first, cpu, mem, disk, bw = entry
     usage = vm.overrides.get(tick)
     if usage is not None:
         return usage
     i = tick - first
-    if i < 0:
-        return _USAGE_ZERO
-    if i > last:
-        i = last
     return (cpu[i], mem[i], disk[i], bw[i])
-
-
-def _fold_each(
-    entry: _Entry,
-    window: int,
-    start: int,
-    stop: int,
-    sums: tuple[float, float, float, float],
-) -> tuple[float, float, float, float]:
-    """``sums`` with ticks ``start`` .. ``stop - 1`` folded in, each read by ``_delivered_at``."""
-    placed = entry[0].placed_tick
-    s0, s1, s2, s3 = sums
-    for t in range(start, stop):
-        c, m, d, b = _delivered_at(entry, t)
-        if t - placed >= window:
-            o0, o1, o2, o3 = _delivered_at(entry, t - window)
-            s0, s1, s2, s3 = (s0 - o0) + c, (s1 - o1) + m, (s2 - o2) + d, (s3 - o3) + b
-        else:
-            s0, s1, s2, s3 = s0 + c, s1 + m, s2 + d, s3 + b
-    return (s0, s1, s2, s3)
 
 
 def proportional_delivery(
@@ -594,10 +567,11 @@ class Simulation:
                 req = self._requests[vm_id]
                 vm = VirtualMachine(vm_id)
                 self.vms[vm_id] = vm
-                columns = _trace_columns(req.trace, self.config.duration_ticks)
-                self._demand[vm_id] = (vm, *columns)
-                if req.departure_tick is not None and req.departure_tick < self.config.duration_ticks:
-                    self._departures.setdefault(req.departure_tick, []).append(vm_id)
+                end = self.config.duration_ticks
+                if req.departure_tick is not None and req.departure_tick < end:
+                    end = req.departure_tick
+                    self._departures.setdefault(end, []).append(vm_id)
+                self._demand[vm_id] = (vm, *_trace_columns(req.trace, tick, end))
             machine_id = self.policy.allocate(vm_id, self)
             if machine_id is None:
                 self.rejected_requests += 1
@@ -635,16 +609,14 @@ class Simulation:
             if not hosted:
                 share = _USAGE_ZERO
             else:
-                # Skipping a zero row changes no sum: adding +0.0 leaves every
-                # float but -0.0 as it is, and a sum from +0.0 is never -0.0.
+                # A hosted VM's columns cover the tick.  A zero padded before
+                # a late first sample adds +0.0, which leaves every float but
+                # -0.0 as it is, and a sum from +0.0 is never -0.0: the totals
+                # are bit for bit those of the samples alone.
                 t0 = t1 = t2 = t3 = 0.0
                 for vm_id in hosted:
-                    _, first, last, cpu, mem, disk, bw = demand[vm_id]
+                    _, first, cpu, mem, disk, bw = demand[vm_id]
                     i = tick - first
-                    if i < 0:
-                        continue
-                    if i > last:
-                        i = last
                     t0 += cpu[i]
                     t1 += mem[i]
                     t2 += disk[i]
@@ -684,62 +656,54 @@ class Simulation:
 
         Each tick adds its sample while fewer than ``W`` are held, and from
         then on subtracts the sample ``W`` ticks back and adds the new one.
-        Ticks whose window is full and whose new and evicted samples are both
-        column entries run in one tight loop over list copies of the columns;
-        the rest (the VM's first ``W`` ticks, ticks near or past the trace's
-        ends, and every tick of a VM that holds overrides) read each sample
-        through ``_delivered_at``.  Overrides that have left the window go.
+        The samples are read from list copies of the columns, from the first
+        one the window can evict (never before placement) through
+        ``through``, with the VM's overrides written over their ticks; an
+        override stays only while it is inside the window.
         """
-        vm, first, last, cpu, mem, disk, bw = entry
+        vm, first, cpu, mem, disk, bw = entry
         window = self._window_ticks
         start = vm.cursor
-        stop = through + 1
+        placed = vm.placed_tick
+        base = start - window
+        if base < placed:
+            base = placed
+        # A list item reads faster than an array item.
+        lo = base - first
+        hi = through + 1 - first
+        c = cpu[lo:hi].tolist()
+        m = mem[lo:hi].tolist()
+        d = disk[lo:hi].tolist()
+        b = bw[lo:hi].tolist()
         overrides = vm.overrides
         if overrides:
-            fast_start = fast_stop = stop
-        else:
-            # The tight loop's span, [fast_start, fast_stop) within [start, stop):
-            # a full window, and both samples inside the trace.  Comparisons,
-            # not min() and max(): this runs on every read.
-            fast_start = vm.placed_tick + window
-            if fast_start < first + window:
-                fast_start = first + window
-            if fast_start < start:
-                fast_start = start
-            elif fast_start > stop:
-                fast_start = stop
-            fast_stop = first + last + 1
-            if fast_stop > stop:
-                fast_stop = stop
-            elif fast_stop < fast_start:
-                fast_stop = fast_start
-        sums = vm.sums
-        if start < fast_start:
-            sums = _fold_each(entry, window, start, fast_start, sums)
-        if fast_start < fast_stop:
-            # Each column from the first evicted entry to the last new one, as
-            # a list: a list item reads faster than an array item.
-            lo = fast_start - first - window
-            hi = fast_stop - first
-            c = cpu[lo:hi].tolist()
-            m = mem[lo:hi].tolist()
-            d = disk[lo:hi].tolist()
-            b = bw[lo:hi].tolist()
-            s0, s1, s2, s3 = sums
-            for k in range(fast_stop - fast_start):
-                j = k + window
-                s0 = (s0 - c[k]) + c[j]
-                s1 = (s1 - m[k]) + m[j]
-                s2 = (s2 - d[k]) + d[j]
-                s3 = (s3 - b[k]) + b[j]
-            sums = (s0, s1, s2, s3)
-        if fast_stop < stop:
-            sums = _fold_each(entry, window, fast_stop, stop, sums)
-        vm.sums = sums
-        vm.cursor = stop
-        if overrides:
+            # Every override is at a tick from ``base`` through ``through``.
+            for t, usage in overrides.items():
+                i = t - base
+                c[i], m[i], d[i], b[i] = usage
             for old in [t for t in overrides if t <= through - window]:
                 del overrides[old]
+        # Index ``j`` of the copies is tick ``base + j``; from ``full`` on the window is full.
+        k = start - base
+        full = placed + window - base
+        if full < k:
+            full = k
+        elif full > len(c):
+            full = len(c)
+        s0, s1, s2, s3 = vm.sums
+        for j in range(k, full):
+            s0 += c[j]
+            s1 += m[j]
+            s2 += d[j]
+            s3 += b[j]
+        for j in range(full, len(c)):
+            i = j - window
+            s0 = (s0 - c[i]) + c[j]
+            s1 = (s1 - m[i]) + m[j]
+            s2 = (s2 - d[i]) + d[j]
+            s3 = (s3 - b[i]) + b[j]
+        vm.sums = (s0, s1, s2, s3)
+        vm.cursor = through + 1
 
     # -- step 5: measurement + breach episodes ------------------------------
 

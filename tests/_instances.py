@@ -6,7 +6,8 @@ cross-checking arbitration, demand lookup and energy accounting against
 independent brute-force implementations after every tick.  With
 ``sparse=True`` the generated traces are first thinned by ``thin_workload``,
 so the demand lookup also meets gaps, late first and early last samples, and
-empty traces.  The engine's kept running list and the used shares that
+empty traces; ``delay_arrivals`` moves arrivals later, so traces begin
+before them.  The engine's kept running list and the used shares that
 arbitration seeds into its ``machine_rv`` memo are checked against
 recomputations as well.
 """
@@ -141,6 +142,23 @@ def thin_workload(workload, seed: int):
             trace = tuple(s for s in trace[start:stop] if rng.random() < keep)
         thinned.append(dataclasses.replace(req, trace=trace))
     return thinned
+
+
+def delay_arrivals(workload, seed: int):
+    """Copies whose arrival moves to a random tick of the VM's trace, trace kept.
+
+    A generated trace covers the VM's residency, so the new arrival stays
+    before its departure and the horizon, and the trace then begins before
+    the arrival.  Uses its own RNG stream; an empty trace is left as it is.
+    """
+    rng = random.Random(f"delay-{seed}")
+    delayed = []
+    for req in workload:
+        if req.trace:
+            arrival = rng.randint(req.arrival_tick, req.arrival_tick + len(req.trace) - 1)
+            req = dataclasses.replace(req, arrival_tick=arrival)
+        delayed.append(req)
+    return delayed
 
 
 # ---------------------------------------------------------------------------

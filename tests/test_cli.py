@@ -362,6 +362,43 @@ class TestCliRun:
         err = capsys.readouterr().err
         assert "config error" in err and name in err
 
+    @pytest.mark.parametrize(
+        "edit, override, key",
+        [
+            (None, "simulation.tick_length_seconds=true", "simulation.tick_length_seconds"),
+            (None, "simulation.tick_length_seconds=1" + "0" * 400, "simulation.tick_length_seconds"),
+            (("fleet", 0, "capacity", "bw"), True, "capacity.bw"),
+            (("fleet", 0, "capacity", "cpu"), "2000", "capacity.cpu"),
+            (("fleet", 0, "peak_power_watts"), "200", "peak_power_watts"),
+            (None, "simulation.power_model.idle_fraction=false", "power_model.idle_fraction"),
+            (None, "simulation.power_model.standby_watts=\"5\"", "power_model.standby_watts"),
+            (None, "simulation.energy_weights.cpu=true", "energy_weights.cpu"),
+            (None, "workload.spec.reference_capacity.mem=\"8192\"", "reference_capacity.mem"),
+        ],
+        ids=["tick-length-bool", "tick-length-huge", "bw-bool", "cpu-string", "peak-string",
+             "idle-bool", "standby-string", "weight-bool", "reference-string"],
+    )
+    def test_non_numeric_number_is_config_error(self, tmp_path, capsys, edit, override, key):
+        raw = base_config()
+        raw["simulation"]["energy_weights"] = {"cpu": 0.7, "mem": 0.1, "disk": 0.1, "bw": 0.1}
+        raw["workload"]["spec"]["reference_capacity"] = {
+            "cpu": 4000, "mem": 8192, "disk": 1000, "bw": 1000
+        }
+        sets = []
+        if edit is None:
+            sets = ["--set", override]
+        else:
+            node = raw["simulation"]
+            for part in edit[:-1]:
+                node = node[part]
+            node[edit[-1]] = override
+        path = tmp_path / "experiment.json"
+        path.write_text(json.dumps(raw))
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "o"), *sets])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and f"{key}: expected a number" in err
+
     def test_unknown_policy_is_config_error(self, config_file, tmp_path, capsys):
         code = main(
             [

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import _fakes as fakes
+from _instances import demand_at
 from dcsim.config import apply_overrides, build_experiment, load_raw_config
 from dcsim.engine import (
     EngineError,
@@ -356,15 +357,21 @@ class TestArrivalsAndDepartures:
         assert sim.vm_window_mean("vm-0") == (0.0, 0.0, 0.0, 0.0)
 
     def test_dense_trace_is_read_in_place(self):
-        req = flat_request("vm-0", 100.0, arrival=2)
-        sim = Simulation(config(1, duration=5), [req], ScriptedPolicy({"vm-0": 0}))
-        sim.run()
-        vm, first, _, *columns = sim._demand["vm-0"]
-        assert vm is sim.vms["vm-0"]
-        assert first == 2
-        trace = req.trace
-        own = (trace.cpu, trace.mem, trace.disk, trace.bw)
-        assert all(a is b for a, b in zip(columns, own, strict=True))
+        for start in (2, 0):  # from the arrival, and from before it
+            trace = tuple(DemandSample(t, 10.0 * t, 1.0, 2.0, 3.0) for t in range(start, 100))
+            req = VmRequest("vm-0", MachineCapacity(1000, 4, 4, 4), 2, None, trace)
+            sim = Simulation(config(1, duration=5), [req], ScriptedPolicy({"vm-0": 0}))
+            seen = []
+            for _ in range(5):
+                sim._step()
+                seen.append(sim.vm_delivered("vm-0"))
+            assert seen == [None, None] + [(10.0 * t, 1.0, 2.0, 3.0) for t in (2, 3, 4)]
+            vm, first, *columns = sim._demand["vm-0"]
+            assert vm is sim.vms["vm-0"]
+            assert first == start
+            trace = req.trace
+            own = (trace.cpu, trace.mem, trace.disk, trace.bw)
+            assert all(a is b for a, b in zip(columns, own, strict=True))
 
     def test_gapped_trace_expansion_stops_at_the_horizon(self):
         trace = (
@@ -372,15 +379,43 @@ class TestArrivalsAndDepartures:
             DemandSample(3, 200.0, 0.0, 0.0, 0.0),
             DemandSample(40, 900.0, 0.0, 0.0, 0.0),
         )
-        req = VmRequest("vm-0", MachineCapacity(900, 1, 1, 1), 0, None, trace)
-        sim = Simulation(config(1, duration=6), [req], ScriptedPolicy({"vm-0": 0}))
-        seen = []
-        for _ in range(6):
+        cases = {None: [0.0, 100.0, 100.0, 200.0, 200.0, 200.0], 4: [0.0, 100.0, 100.0, 200.0]}
+        for departure, expected in cases.items():  # staying, and leaving before the horizon
+            req = VmRequest("vm-0", MachineCapacity(900, 1, 1, 1), 0, departure, trace)
+            sim = Simulation(config(1, duration=6), [req], ScriptedPolicy({"vm-0": 0}))
+            seen = []
+            for _ in expected:
+                sim._step()
+                seen.append(sim.vm_delivered("vm-0")[0])
+            assert seen == expected
+            # One entry per tick from the arrival to the departure or the horizon.
+            columns = sim._demand["vm-0"][2:]
+            assert [len(col) for col in columns] == [len(expected)] * 4
+
+    @pytest.mark.parametrize(
+        "ticks, arrival, departure",
+        [
+            ((3, 4, 5), 0, None),  # late first sample
+            ((0, 2, 5, 6, 9), 0, None),  # gapped
+            ((1, 2, 3, 4), 1, 7),  # departs before the horizon
+            ((0, 1, 2), 0, None),  # ends before the horizon
+            ((), 2, 8),  # empty
+            ((0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13), 0, None),  # past the horizon
+            ((0, 3, 11, 15), 2, None),  # gapped, from before arrival to past the horizon
+        ],
+        ids=["late-first", "gapped", "departs", "ends-early", "empty", "past-horizon",
+             "early-gapped"],
+    )
+    def test_delivered_usage_is_the_step_function_of_the_trace(self, ticks, arrival, departure):
+        trace = tuple(DemandSample(t, 10.0 + t, 20.0 + t, 30.0 + t, 40.0 + t) for t in ticks)
+        req = VmRequest("vm-0", MachineCapacity(100, 100, 100, 100), arrival, departure, trace)
+        duration = 10
+        sim = Simulation(config(1, duration=duration), [req], ScriptedPolicy({"vm-0": 0}))
+        for tick in range(duration):
             sim._step()
-            seen.append(sim.vm_delivered("vm-0")[0])
-        assert seen == [0.0, 100.0, 100.0, 200.0, 200.0, 200.0]
-        columns = sim._demand["vm-0"][3:]
-        assert [len(col) for col in columns] == [3, 3, 3, 3]  # ticks 1, 2 and 3
+            hosted = arrival <= tick and (departure is None or tick < departure)
+            expected = demand_at(req, tick) if hosted else None
+            assert sim.vm_delivered("vm-0") == expected, f"tick {tick}"
 
 
 # ---------------------------------------------------------------------------

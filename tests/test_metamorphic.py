@@ -15,6 +15,10 @@ two reports.
 - *Late arrivals.*  A VM whose arrival tick is at or after the horizon is
   never offered, so adding one to the workload, anywhere in the list,
   leaves the report unchanged.
+- *Generator prefix.*  Each generated VM draws from streams derived from
+  the seed and its own index, so a workload of n VMs is the first n
+  requests of the same spec with n + 1 VMs, once ids are compared by index
+  (the zero padding of ``vm-0`` against ``vm-00`` follows the count).
 """
 
 from __future__ import annotations
@@ -28,12 +32,13 @@ from _instances import make_instance
 from dcsim.engine import FleetMachine, Simulation
 from dcsim.model import MachineCapacity
 from dcsim.policies import POLICY_IDS, build_policy
-from dcsim.workload import DemandSample, VmRequest
+from dcsim.workload import DemandSample, VmRequest, WorkloadProfile, WorkloadSpec, generate_workload
 
 CAUSALITY_INSTANCES = 400
 SCALE_INSTANCES = 300
 SHORTER_BY = 7
 LATE_INSTANCES = 150  # per policy
+PREFIX_SPECS = 256
 
 
 def _run(config, workload, spec):
@@ -104,3 +109,38 @@ def test_a_vm_arriving_at_or_after_the_horizon_leaves_the_report_unchanged(polic
         changed = workload[:]
         changed.insert(rng.randint(0, len(workload)), late)
         assert _run(config, changed, spec) == report, f"seed {seed}"
+
+
+def _random_spec(rng, vm_count):
+    duration = rng.randint(5, 40)
+    return WorkloadSpec(
+        seed=rng.randrange(2**31),
+        vm_count=vm_count,
+        duration_ticks=duration,
+        profile=rng.choice(list(WorkloadProfile)),
+        nominal_fraction=round(rng.uniform(0.1, 0.4), 2),
+        nominal_fraction_spread=rng.choice([0.0, 0.0, round(rng.uniform(0.0, 0.5), 2)]),
+        jitter=round(rng.uniform(0.0, 0.1), 3),
+        spike_probability=round(rng.uniform(0.0, 0.2), 3),
+        spike_duration_ticks=rng.randint(1, 5),
+        spike_synchronized=rng.random() < 0.5,
+        diurnal_period_ticks=rng.choice([None, rng.randint(2, 2 * duration)]),
+        arrival_spread_ticks=rng.randint(0, duration - 1),
+        lifetime_ticks=rng.choice([None, rng.randint(1, duration)]),
+    )
+
+
+def _by_index(requests):
+    return [
+        (int(r.vm_id.removeprefix("vm-")), r.nominal, r.arrival_tick, r.departure_tick, r.trace)
+        for r in requests
+    ]
+
+
+def test_a_generated_workload_is_a_prefix_of_one_with_one_more_vm():
+    rng = random.Random("prefix")
+    for index in range(PREFIX_SPECS):
+        spec = _random_spec(rng, (1, 9, 10, 99)[index % 4])
+        more = dataclasses.replace(spec, vm_count=spec.vm_count + 1)
+        longer = _by_index(generate_workload(more))
+        assert _by_index(generate_workload(spec)) == longer[: spec.vm_count], spec

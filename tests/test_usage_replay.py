@@ -5,8 +5,10 @@ delivered usage is its trace there, and only an over-committed machine
 keeps its VMs' delivered usage as overrides.  ``vm_window_mean`` replays
 the ticks since it was last read.  These tests hold that to an eagerly kept
 window, fed each tick by ``brute_arbitrate`` through
-``reference_record_usage``, bit for bit, on the random instances, dense and
-thinned, under every policy.  A second test checks that reading windows
+``reference_record_usage``, bit for bit, on the random instances under every
+policy: dense, thinned, and early (arrivals moved later inside the VM's
+lifetime, so its trace begins before it arrives; at odd seeds the traces are
+thinned as well).  A second test checks that reading windows
 changes nothing: a run whose policy reads every VM's window on every call
 reports exactly what the plain run reports.
 """
@@ -19,7 +21,7 @@ from collections import Counter
 
 import pytest
 
-from _instances import brute_arbitrate, demand_at, make_instance, thin_workload
+from _instances import brute_arbitrate, delay_arrivals, demand_at, make_instance, thin_workload
 from _oracles import EagerWindow, reference_record_usage
 from dcsim.engine import Simulation
 from dcsim.policies import POLICY_IDS, build_policy
@@ -71,7 +73,15 @@ class _EagerSimulation(Simulation):
         return super()._arbitrate(tick)
 
 
-def _check_instance(seed, policy_id, sparse, read_share):
+def _shaped(workload, seed, shape):
+    if shape == "early":
+        workload = delay_arrivals(workload, seed)
+    if shape == "thinned" or (shape == "early" and seed % 2):
+        workload = thin_workload(workload, seed)
+    return workload
+
+
+def _check_instance(seed, policy_id, shape, read_share):
     """Run one instance and compare every live VM's usage after every tick.
 
     The latest delivered usage is compared at every tick; the window mean
@@ -79,9 +89,7 @@ def _check_instance(seed, policy_id, sparse, read_share):
     share of the ticks, so that a replay spans many ticks.
     """
     config, workload, spec = make_instance(seed, policy_id)
-    if sparse:
-        workload = thin_workload(workload, seed)
-    sim = _EagerSimulation(config, workload, build_policy(spec))
+    sim = _EagerSimulation(config, _shaped(workload, seed, shape), build_policy(spec))
     rng = random.Random(f"reads-{seed}")
     for tick in range(config.duration_ticks):
         sim._step()
@@ -101,12 +109,12 @@ def _check_instance(seed, policy_id, sparse, read_share):
 
 
 @pytest.mark.parametrize("read_share", [1.0, 0.15], ids=["every-tick", "sparse-reads"])
-@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "thinned"])
-def test_replayed_windows_equal_an_eager_window_bit_for_bit(sparse, read_share):
+@pytest.mark.parametrize("shape", ["dense", "thinned", "early"])
+def test_replayed_windows_equal_an_eager_window_bit_for_bit(shape, read_share):
     seen = Counter()
     for policy_id in POLICY_IDS:
         for seed in range(REPLAY_INSTANCES):
-            seen += _check_instance(seed, policy_id, sparse, read_share)
+            seen += _check_instance(seed, policy_id, shape, read_share)
     for case in ("over-committed", "placed after a rejection", "departures", "window reads"):
         assert seen[case] > 0, f"no instance met {case!r}: {dict(seen)}"
 
