@@ -125,7 +125,11 @@ def build_simulation_config(raw: dict) -> SimulationConfig:
             raise ConfigError(f"{context}: count must be >= 1")
         capacity = _parse_capacity(_require(group, "capacity", context), f"{context}.capacity")
         peak = _number(_require(group, "peak_power_watts", context), f"{context}.peak_power_watts")
-        fleet.extend(FleetMachine(capacity, peak) for _ in range(count))
+        try:
+            machine = FleetMachine(capacity, peak)
+        except EngineError as exc:
+            raise ConfigError(f"{context}.peak_power_watts: {exc}") from None
+        fleet.extend([machine] * count)
 
     power_raw = section.get("power_model", {})
     power_raw = _expect_mapping(power_raw, "simulation.power_model")

@@ -111,6 +111,10 @@ class FleetMachine:
     capacity: MachineCapacity
     peak_power_watts: float
 
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.peak_power_watts) or self.peak_power_watts <= 0.0:
+            raise EngineError(f"peak_power_watts must be > 0, got {self.peak_power_watts!r}")
+
 
 @dataclass(frozen=True, slots=True)
 class SimulationConfig:

@@ -228,12 +228,20 @@ def shares_of(
 
 
 def clamped_sum_of(a: Shares, b: Shares) -> Shares:
-    """Componentwise sum of two share tuples, each component capped at 1."""
+    """Componentwise sum of two share tuples, each component capped at 1.
+
+    ``s if s < 1.0 else 1.0`` returns the operand ``min(1.0, s)`` returns,
+    NaN and -0.0 included, without a builtin call.
+    """
+    c = a[0] + b[0]
+    m = a[1] + b[1]
+    d = a[2] + b[2]
+    w = a[3] + b[3]
     return (
-        min(1.0, a[0] + b[0]),
-        min(1.0, a[1] + b[1]),
-        min(1.0, a[2] + b[2]),
-        min(1.0, a[3] + b[3]),
+        c if c < 1.0 else 1.0,
+        m if m < 1.0 else 1.0,
+        d if d < 1.0 else 1.0,
+        w if w < 1.0 else 1.0,
     )
 
 

@@ -136,8 +136,9 @@ class SimilarityPolicy(SchedulerPolicy):
         self.usage_window_seconds = self.config.delta_window_seconds
         self.default_rv = self.config.default_rv
         self.utilization_weights = self.config.weights
-        # Machine id -> (used share, the vector scored against, its norm); see ``_pick``.
-        self._terms: dict[int, tuple[Shares, Shares, float]] = {}
+        # Machine id -> (used share, its utilization, the vector scored against,
+        # that vector's norm); see ``_pick``.
+        self._terms: dict[int, tuple[Shares, float, Shares, float]] = {}
 
     @property
     def breach_thresholds(self) -> tuple[float, float]:
@@ -166,13 +167,22 @@ class SimilarityPolicy(SchedulerPolicy):
         best candidate that fits is the first fit of the sorted candidates.
         Only a candidate that beats the best so far is tested against the cap.
 
+        A machine whose own utilization is already at least the cap
+        (``u_up - buffer``) is skipped before the VM's share is fetched or a
+        cosine computed.  The skip is exact: shares are at least 0 and
+        weights lie in [0, 1], and IEEE rounding is monotone, so neither
+        ``clamped_sum_of`` nor ``utilization_of`` can decrease.  Such a
+        machine fails the cap test for every VM, and the best candidate
+        changes only on a fit, so skipping it changes no decision.
+
         ``extras`` layers hypothetical, not-yet-executed placements on top
         of the view so multi-VM plans stay internally consistent.  The VM's
         share and its norm are computed once per capacity object, keyed by
-        ``id(pm.capacity)`` within this call; the view gives the same share
-        on every machine of equal capacity.  Each machine's side of the
-        cosine (its used or free vector and that vector's norm) is cached
-        against the tuple it was derived from and reused while
+        ``id(pm.capacity)`` within this call, and only for a class with a
+        machine below the cap; the view gives the same share on every
+        machine of equal capacity.  Each machine's side of the cosine (its
+        utilization, its used or free vector and that vector's norm) is
+        cached against the tuple it was derived from and reused while
         ``view.machine_rv`` returns that same object; any other tuple, equal
         or not, and any sum with ``extras``, is scored afresh.
         """
@@ -188,19 +198,22 @@ class SimilarityPolicy(SchedulerPolicy):
             pm_id = pm.id
             if pm_id in exclude:
                 continue
-            vm_term = vm_terms.get(id(pm.capacity))
-            if vm_term is None:
-                share = view.vm_rv_on(vm_id, pm_id)
-                vm_term = vm_terms[id(pm.capacity)] = (share, _norm_of(share))
-            vm_share, vm_norm = vm_term
             used = view.machine_rv(pm_id)
             if extras is not None and pm_id in extras:
                 used = clamped_sum_of(used, extras[pm_id])
             term = terms.get(pm_id)
             if term is None or term[0] is not used:
                 vector = used if dissimilar else complement_of(used)
-                term = terms[pm_id] = (used, vector, _norm_of(vector))
-            score = _cosine_normed(vm_share, vm_norm, term[1], term[2])
+                u = utilization_of(used, weights)
+                term = terms[pm_id] = (used, u, vector, _norm_of(vector))
+            if term[1] >= cap_u:
+                continue  # at the cap already, so no VM fits
+            vm_term = vm_terms.get(id(pm.capacity))
+            if vm_term is None:
+                share = view.vm_rv_on(vm_id, pm_id)
+                vm_term = vm_terms[id(pm.capacity)] = (share, _norm_of(share))
+            vm_share, vm_norm = vm_term
+            score = _cosine_normed(vm_share, vm_norm, term[2], term[3])
             if dissimilar:
                 if score > threshold:
                     continue

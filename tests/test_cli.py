@@ -165,6 +165,13 @@ class TestBuildSimulationConfig:
         with pytest.raises(ConfigError, match=r"simulation\.energy_weights"):
             build_simulation_config(raw)
 
+    @pytest.mark.parametrize("peak", [float("nan"), float("inf"), -200.0, 0.0])
+    def test_peak_power_must_be_positive_and_finite(self, peak):
+        raw = base_config()
+        raw["simulation"]["fleet"][0]["peak_power_watts"] = peak
+        with pytest.raises(ConfigError, match=r"^simulation\.fleet\[0\]\.peak_power_watts: "):
+            build_simulation_config(raw)
+
     def test_engine_validation_is_wrapped(self):
         raw = base_config()
         raw["simulation"]["initial_running_count"] = 99
@@ -398,6 +405,17 @@ class TestCliRun:
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "config error" in err and f"{key}: expected a number" in err
+
+    @pytest.mark.parametrize("peak", [float("nan"), float("inf"), -200, 0])
+    def test_bad_peak_power_is_config_error(self, tmp_path, capsys, peak):
+        raw = base_config()
+        raw["simulation"]["fleet"][0]["peak_power_watts"] = peak
+        path = tmp_path / "experiment.json"
+        path.write_text(json.dumps(raw))  # NaN and Infinity as Python's json writes them
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error: simulation.fleet[0].peak_power_watts: " in err
 
     def test_unknown_policy_is_config_error(self, config_file, tmp_path, capsys):
         code = main(

@@ -114,6 +114,11 @@ class TestConfigValidation:
         with pytest.raises(EngineError):
             SimulationConfig(fleet=fleet(1), duration_ticks=5, migration_cost_ticks=-1)
 
+    @pytest.mark.parametrize("peak", [float("nan"), float("inf"), -200.0, 0.0])
+    def test_fleet_machine_rejects_bad_peak_power(self, peak):
+        with pytest.raises(EngineError, match="peak_power_watts must be > 0"):
+            FleetMachine(MachineCapacity(4000, 8192, 1000, 1000), peak)
+
     def test_rejects_duplicate_vm_ids(self):
         reqs = [flat_request("vm-0", 10.0), flat_request("vm-0", 10.0)]
         with pytest.raises(EngineError, match="duplicate"):

@@ -416,6 +416,63 @@ class TestInlineClamps:
         assert {"0x0.0p+0", "-0x0.0p+0", "0x1.0000000000000p+0", "nan"} <= results
 
 
+class TestClampedSum:
+    """``clamped_sum_of`` caps like ``min(1.0, s)`` and never lowers a utilization.
+
+    Similarity placement skips a machine whose own utilization is at the
+    packing cap, which is exact only if adding a VM's share to a machine's
+    used share cannot lower the machine's utilization.
+    """
+
+    def test_returns_the_operand_min_returns(self):
+        edges = _EDGES + [1.0 - 2.0**-53, 2.0**-1074]
+        sums = set()
+        for x in edges:
+            for y in edges:
+                a = (x, y, -x, 0.0)
+                b = (y, x, -y, x)
+                got = clamped_sum_of(a, b)
+                expected = [min(1.0, p + q) for p, q in zip(a, b)]
+                assert _bits(got) == _bits(expected), (a, b)
+                assert [math.copysign(1.0, g) for g in got] == [
+                    math.copysign(1.0, e) for e in expected
+                ], (a, b)
+                sums.update(_bits(p + q for p, q in zip(a, b)))
+        assert {"nan", "-0x0.0p+0", "0x1.0000000000000p+0", "0x1.0000000000001p+0"} <= sums
+
+    def test_adding_a_share_never_lowers_utilization(self):
+        rng = random.Random(109)
+        picks = [
+            lambda: 0.0,
+            lambda: 1.0,
+            lambda: rng.random(),
+            lambda: 1.0 - rng.random() * 2.0**-40,  # near 1 ...
+            lambda: rng.random() * 2.0**-40,  # ... plus a little passes 1 by a few ulp
+            lambda: rng.random() * 2.0**-1022,  # subnormal
+            lambda: 2.0**-1074,
+        ]
+        seen = set()
+        for _ in range(100_000):
+            a = tuple(rng.choice(picks)() for _ in range(4))
+            b = tuple(rng.choice(picks)() for _ in range(4))
+            if rng.random() < 0.5:
+                w = oracle.random_weights_tuple(rng)
+            else:  # any weights in [0, 1], summing to 1 or not
+                w = tuple(rng.choice((0.0, 1.0, rng.random())) for _ in range(4))
+            summed = clamped_sum_of(a, b)
+            assert utilization_of(summed, w) >= utilization_of(a, w), (a, b, w)
+            for p, q in zip(a, b):
+                if 1.0 < p + q < 1.0 + 2.0**-40:
+                    seen.add("sum just above 1")
+                if 0.0 < p < 2.0**-1022 or 0.0 < q < 2.0**-1022:
+                    seen.add("subnormal")
+                if 0.0 in (p, q) or 1.0 in (p, q):
+                    seen.add("0 or 1")
+            if utilization_of(summed, w) == 1.0:
+                seen.add("utilization at 1")
+        assert seen == {"sum just above 1", "subnormal", "0 or 1", "utilization at 1"}
+
+
 # ---------------------------------------------------------------------------
 # Randomized cross-checks against the exact reference implementations
 # ---------------------------------------------------------------------------

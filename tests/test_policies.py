@@ -1,5 +1,7 @@
 """Unit tests for the similarity consolidation policy."""
 
+import math
+
 import pytest
 
 import _fakes as fakes
@@ -8,6 +10,7 @@ from dcsim.model import (
     MachineState,
     ResourceVector,
     UtilizationWeights,
+    utilization_of,
 )
 from dcsim.policies.base import ActionKind, RebalanceAction
 from dcsim.policies.similarity import (
@@ -111,6 +114,35 @@ class TestAllocateRanking:
         view.machine_rvs[1] = ResourceVector(0.1, 0.1, 0.1, 0.1)
         policy = make_policy(u_up=0.75, buffer=0.15, similarity_threshold=0.0)
         assert fakes.allocation(policy, "vm-a", view) == (1, MachineState.RUNNING)
+
+    def test_machine_at_the_cap_is_skipped_and_one_an_ulp_below_still_fits(self):
+        # A zero share fits any machine below the cap, however close, and
+        # none at it; a class whose machines are all at the cap is never
+        # asked for the VM's share.
+        policy = make_policy(similarity_threshold=0.0)
+        cap = policy.config.u_up - policy.config.buffer
+        weights = policy.config.weights.as_tuple()
+        below = cap
+        while utilization_of((below,) * 4, weights) >= cap:
+            below = math.nextafter(below, 0.0)
+        assert utilization_of((cap,) * 4, weights) >= cap
+        view = fakes.FakeView([fakes.make_machine(0), fakes.make_machine(1)])
+        view.vm_rvs["vm-a"] = ResourceVector(0.0, 0.0, 0.0, 0.0)
+        view.machine_rvs[0] = ResourceVector(cap, cap, cap, cap)
+        view.machine_rvs[1] = ResourceVector(below, below, below, below)
+        assert fakes.allocation(policy, "vm-a", view) == (1, MachineState.RUNNING)
+
+        full = fakes.FakeView([fakes.make_machine(0)])
+        full.machine_rvs[0] = ResourceVector(cap, cap, cap, cap)
+        asked = []
+
+        def vm_rv_on(vm_id, machine_id):
+            asked.append((vm_id, machine_id))
+            return (0.0, 0.0, 0.0, 0.0)
+
+        full.vm_rv_on = vm_rv_on
+        assert fakes.allocation(policy, "vm-a", full) is None
+        assert asked == []
 
     def test_wakes_least_recently_used_standby(self):
         view = fakes.FakeView(

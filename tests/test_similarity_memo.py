@@ -17,7 +17,14 @@ import math
 from _instances import make_instance
 from _oracles import ReferenceSimilarity, fresh_machine_rv
 from dcsim.engine import FleetMachine, Simulation, SimulationConfig
-from dcsim.model import MachineCapacity, MachineState, PowerModel
+from dcsim.model import (
+    MachineCapacity,
+    MachineState,
+    PowerModel,
+    ResourceVector,
+    clamped_sum_of,
+    utilization_of,
+)
 from dcsim.policies import build_policy
 from dcsim.policies.base import RebalanceAction, SchedulerPolicy
 from dcsim.policies import similarity
@@ -53,6 +60,18 @@ class CheckedSimulation(Simulation):
         super()._process_departures(tick)
 
 
+def _below_cap(policy, view, machine_id, extras):
+    """Whether a machine's used share, with any planned extras, is below the packing cap."""
+    used = view.machine_rv(machine_id)
+    if extras and machine_id in extras:
+        extra = extras[machine_id]
+        if isinstance(extra, ResourceVector):  # the reference plans in vectors
+            extra = extra.as_tuple()
+        used = clamped_sum_of(used, extra)
+    cfg = policy.config
+    return utilization_of(used, cfg.weights.as_tuple()) < cfg.u_up - cfg.buffer
+
+
 def _recording(policy_cls):
     """``policy_cls`` extended to log its decisions and what its picks saw."""
 
@@ -62,6 +81,7 @@ def _recording(policy_cls):
             self.log = []
             self.picked_with_inbound = False
             self.picked_with_extras = False
+            self.picked_with_machine_at_cap = False
 
         def allocate(self, vm_id, view):
             decision = super().allocate(vm_id, view)
@@ -78,6 +98,11 @@ def _recording(policy_cls):
                 view.has_inbound(pm.id) for pm in view.running_machines()
             )
             self.picked_with_extras |= bool(extras)
+            self.picked_with_machine_at_cap |= any(
+                not _below_cap(self, view, pm.id, extras)
+                for pm in view.running_machines()
+                if pm.id not in exclude
+            )
             return super()._pick(vm_id, view, exclude, extras, allow_wake)
 
     return Recording
@@ -97,6 +122,7 @@ def test_matches_reference_on_random_instances():
         "migration_cost_ticks > 0": 0,
         "pick while an inbound flight exists": 0,
         "pick using planned extras": 0,
+        "pick skipped a machine at the cap": 0,
         "departure while a migration is in flight": 0,
         "wake": 0,
         "blocked scale-down": 0,
@@ -116,6 +142,7 @@ def test_matches_reference_on_random_instances():
             covered["migration_cost_ticks 0"] += 1
         covered["pick while an inbound flight exists"] += got.picked_with_inbound
         covered["pick using planned extras"] += got.picked_with_extras
+        covered["pick skipped a machine at the cap"] += got.picked_with_machine_at_cap
         covered["departure while a migration is in flight"] += sim.departed_in_flight
         covered["wake"] += got_report.wake_count > 0
         covered["blocked scale-down"] += got.stats.get("scale_down_blocked", 0) > 0
@@ -319,14 +346,21 @@ class _CountingView:
 class _CountedSimilarity(SimilarityPolicy):
     def __init__(self, config):
         super().__init__(config)
-        self.picks = []  # (share lookups, capacity classes, candidates) per pick
+        # Per pick: (share lookups, capacity classes, candidates, cosines,
+        # candidates below the cap).
+        self.picks = []
+        self.cosines = 0  # counted by the spy ``_check_work_is_bounded`` installs
 
     def _pick(self, vm_id, view, exclude, extras, allow_wake):
         counting = _CountingView(view)
+        cosines = self.cosines
         decision = super()._pick(vm_id, counting, exclude, extras, allow_wake)
         candidates = [pm for pm in view.running_machines() if pm.id not in exclude]
         classes = {pm.capacity for pm in candidates}
-        self.picks.append((counting.share_calls, len(classes), len(candidates)))
+        below_cap = sum(_below_cap(self, view, pm.id, extras) for pm in candidates)
+        self.picks.append(
+            (counting.share_calls, len(classes), len(candidates), self.cosines - cosines, below_cap)
+        )
         return decision
 
 
@@ -369,12 +403,14 @@ class _CountingSimulation(Simulation):
         return violations
 
 
-def _check_work_is_bounded(separate):
-    """Run a mixed fleet and bound the share lookups per pick and the
-    used-share computations per tick.
+def _check_work_is_bounded(separate, monkeypatch, loaded=False):
+    """Run a mixed fleet and bound the share lookups and cosines per pick and
+    the used-share computations per tick.
 
     With ``separate`` every machine gets its own, equal capacity object; the
-    engine must share them again for the per-class bound to hold.
+    engine must share them again for the per-class bound to hold.  With
+    ``loaded`` the VMs run near their nominal size and spike, so picks meet
+    machines already at the packing cap.
     """
     capacities = [
         MachineCapacity(2000.0, 4096.0, 500.0, 500.0),
@@ -401,28 +437,46 @@ def _check_work_is_bounded(separate):
             profile=WorkloadProfile.SPIKY,
             arrival_spread_ticks=20,
             lifetime_ticks=40,
+            mean_level=0.9 if loaded else 0.5,
+            spike_probability=0.1 if loaded else 0.0,
         )
     )
     spec = {"id": "similarity", "u_down": 0.3, "similarity_method": "dissimilar"}
     policy = _CountedSimilarity(build_policy(spec).config)
+    cosine_normed = similarity._cosine_normed
+
+    def counted_cosine(*args):
+        policy.cosines += 1
+        return cosine_normed(*args)
+
+    monkeypatch.setattr(similarity, "_cosine_normed", counted_cosine)
     sim = _CountingSimulation(config, workload, policy)
     report = sim.run()
 
     assert report.migration_count > 0 and policy.stats.get("scale_down_blocked", 0) > 0
     # Picks that see several machines of one class are where a per-machine
     # lookup would show.
-    assert sum(candidates > classes for _, classes, candidates in policy.picks) > 100
-    for calls, classes, _ in policy.picks:
+    assert sum(candidates > classes for _, classes, candidates, _, _ in policy.picks) > 100
+    for calls, classes, _, _, _ in policy.picks:
         assert calls <= classes
+    # A machine at the cap is skipped before its cosine is computed.
+    for _, _, _, cosines, below in policy.picks:
+        assert cosines <= below
+    if loaded:
+        assert sum(below < candidates for _, _, candidates, _, below in policy.picks) > 100
     windows = sim.windows + [(sim._computed, sim._bound)]
     assert sum(computed for computed, _ in windows) > 0
     for computed, bound in windows:
         assert computed <= bound
 
 
-def test_work_per_pick_and_per_tick_is_bounded():
-    _check_work_is_bounded(separate=False)
+def test_work_per_pick_and_per_tick_is_bounded(monkeypatch):
+    _check_work_is_bounded(separate=False, monkeypatch=monkeypatch)
 
 
-def test_work_is_bounded_when_equal_capacities_are_separate_objects():
-    _check_work_is_bounded(separate=True)
+def test_work_is_bounded_when_equal_capacities_are_separate_objects(monkeypatch):
+    _check_work_is_bounded(separate=True, monkeypatch=monkeypatch)
+
+
+def test_work_is_bounded_when_machines_reach_the_cap(monkeypatch):
+    _check_work_is_bounded(separate=False, monkeypatch=monkeypatch, loaded=True)
