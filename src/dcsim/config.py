@@ -17,7 +17,9 @@ from dataclasses import dataclass
 from typing import Any, Optional
 
 from .engine import EngineError, FleetMachine, SimulationConfig
-from .model import RESOURCES, MachineCapacity, PowerModel, UtilizationWeights, parse_components
+from .model import (
+    RESOURCES, MachineCapacity, PowerModel, UtilizationWeights, _not_integer, parse_components
+)
 from .workload import (
     VmRequest,
     WorkloadError,
@@ -87,7 +89,7 @@ def apply_overrides(raw: dict, overrides: list[str]) -> dict:
 
 def _integer(value: Any, context: str) -> int:
     """``value``, which must be an integer: a fractional count or tick is not truncated."""
-    if isinstance(value, bool) or not isinstance(value, int):
+    if _not_integer(value):
         raise ConfigError(f"{context}: expected an integer, got {value!r}")
     return value
 

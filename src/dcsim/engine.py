@@ -21,12 +21,12 @@ order, so a run is a pure function of (config, workload, policy).
 
 A VM's demand at a tick is a step function of its trace: zero before the
 first sample, each sample held until the next, the last held after the end.
-When a VM is created its demand becomes four columns with an entry for every
-tick it can be hosted, ``[arrival, end)`` with ``end`` the earlier of its
-departure and the horizon, and the engine reads resource ``r`` as
-``columns[r][tick - first]`` with no range check (see ``_trace_columns``).
-A generated trace has a sample on each of those ticks, and its own
-``DemandTrace`` columns are read in place.
+When a VM is created its demand becomes its ``VirtualMachine.columns``,
+``(first, cpu, mem, disk, bw)``, with an entry for every tick it can be
+hosted, ``[arrival, end)`` with ``end`` the earlier of its departure and the
+horizon, each read as ``column[tick - first]`` with no range check (see
+``_trace_columns``).  A generated trace has a sample on each of those ticks,
+and its own ``DemandTrace`` columns are read in place.
 
 A hosted VM's delivered usage is its demand, except at a tick its machine
 was over-committed: the VM keeps what ``proportional_delivery`` gave it then
@@ -84,6 +84,7 @@ from .model import (
     UtilizationWeights,
     VirtualMachine,
     _column_sums,
+    _not_integer,
     clamped_sum_of,
     complement_of,
     running_power,
@@ -95,8 +96,6 @@ from .policies.base import ActionKind, RebalanceAction, SchedulerPolicy
 from .workload import DemandTrace, VmRequest
 
 _USAGE_ZERO = (0.0, 0.0, 0.0, 0.0)
-#: A created VM with its ``_trace_columns``: ``(vm, first, cpu, mem, disk, bw)``.
-_Entry = tuple[VirtualMachine, int, array, array, array, array]
 _machine_id = attrgetter("id")
 
 
@@ -131,6 +130,9 @@ class SimulationConfig:
     def __post_init__(self) -> None:
         if not self.fleet:
             raise EngineError("fleet must contain at least one machine")
+        for name in ("duration_ticks", "initial_running_count", "migration_cost_ticks"):
+            if _not_integer(getattr(self, name)):
+                raise EngineError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.duration_ticks < 1:
             raise EngineError("duration_ticks must be >= 1")
         if not math.isfinite(self.tick_length_seconds) or self.tick_length_seconds <= 0:
@@ -163,16 +165,6 @@ def _trace_columns(
     # Index ``k`` of ``[0.0, *column]`` is in force once ``k`` samples have started.
     started = [bisect_right(ticks, tick) for tick in range(arrival, end)]
     return (arrival, *(array("d", map([0.0, *col].__getitem__, started)) for col in columns))
-
-
-def _delivered_at(entry: _Entry, tick: int) -> tuple[float, float, float, float]:
-    """A hosted VM's delivered usage at ``tick``: its override there, else its demand."""
-    vm, first, cpu, mem, disk, bw = entry
-    usage = vm.overrides.get(tick)
-    if usage is not None:
-        return usage
-    i = tick - first
-    return (cpu[i], mem[i], disk[i], bw[i])
 
 
 def proportional_delivery(
@@ -285,7 +277,6 @@ class Simulation:
                 self._arrivals.setdefault(req.arrival_tick, []).append(req.vm_id)
 
         self.vms: dict[str, VirtualMachine] = {}
-        self._demand: dict[str, _Entry] = {}
         # The last tick arbitrated: every window and latest usage ends there.
         self._arbitrated = -1
         self._pending: list[str] = []
@@ -348,16 +339,15 @@ class Simulation:
 
     def vm_window_mean(self, vm_id: str) -> Optional[tuple[float, float, float, float]]:
         """Mean delivered usage over the VM's window, or None before its first sample."""
-        entry = self._demand.get(vm_id)
-        if entry is None:
+        vm = self.vms.get(vm_id)
+        if vm is None:
             return None
-        vm = entry[0]
         placed = vm.placed_tick
         through = self._arbitrated
         if placed is None or through < placed:
             return None
         if vm.cursor <= through:
-            self._replay(entry, through)
+            self._replay(vm, through)
         n = through - placed + 1
         if n > self._window_ticks:
             n = self._window_ticks
@@ -369,13 +359,16 @@ class Simulation:
 
         Not a ``ClusterView`` member; ``machine_rv`` and the invariant checks read it.
         """
-        entry = self._demand.get(vm_id)
-        if entry is None:
+        vm = self.vms.get(vm_id)
+        tick = self._arbitrated
+        if vm is None or vm.placed_tick is None or tick < vm.placed_tick:
             return None
-        placed = entry[0].placed_tick
-        if placed is None or self._arbitrated < placed:
-            return None
-        return _delivered_at(entry, self._arbitrated)
+        usage = vm.overrides.get(tick)
+        if usage is not None:
+            return usage
+        first, cpu, mem, disk, bw = vm.columns
+        i = tick - first
+        return (cpu[i], mem[i], disk[i], bw[i])
 
     def vm_rv_on(self, vm_id: str, machine_id: int) -> Shares:
         """The VM's usage share relative to one machine's capacity.
@@ -551,7 +544,6 @@ class Simulation:
             host_id = vm.host_id
             self._set_host(vm, None)
             del self.vms[vm_id]
-            del self._demand[vm_id]
             if host_id is not None:
                 self.policy.notify_departure(vm_id, host_id, self, tick)
             elif vm_id in self._pending:
@@ -569,13 +561,11 @@ class Simulation:
             vm = self.vms.get(vm_id)
             if vm is None:
                 req = self._requests[vm_id]
-                vm = VirtualMachine(vm_id)
-                self.vms[vm_id] = vm
                 end = self.config.duration_ticks
                 if req.departure_tick is not None and req.departure_tick < end:
                     end = req.departure_tick
                     self._departures.setdefault(end, []).append(vm_id)
-                self._demand[vm_id] = (vm, *_trace_columns(req.trace, tick, end))
+                vm = self.vms[vm_id] = VirtualMachine(vm_id, _trace_columns(req.trace, tick, end))
             machine_id = self.policy.allocate(vm_id, self)
             if machine_id is None:
                 self.rejected_requests += 1
@@ -606,7 +596,7 @@ class Simulation:
         self._arbitrated = tick
         targets = {target_id for target_id, _ in self._inflight.values()}
         capacities = self._capacities
-        demand = self._demand
+        vms = self.vms
         for pm in self._running:
             pm_id = pm.id
             hosted = pm.hosted_vm_ids
@@ -619,7 +609,7 @@ class Simulation:
                 # are bit for bit those of the samples alone.
                 t0 = t1 = t2 = t3 = 0.0
                 for vm_id in hosted:
-                    _, first, cpu, mem, disk, bw = demand[vm_id]
+                    first, cpu, mem, disk, bw = vms[vm_id].columns
                     i = tick - first
                     t0 += cpu[i]
                     t1 += mem[i]
@@ -642,20 +632,22 @@ class Simulation:
         """Arbitrate an over-committed machine; return its delivered totals and shorted count.
 
         Each VM's delivered usage becomes its override at ``tick``, once its
-        window sums are brought up to the tick before.
+        window sums are brought up to the tick before.  Demands are read from
+        the columns: only this writes an override, once per machine per tick.
         """
-        entries = [self._demand[vm_id] for vm_id in hosted]
-        delivered, shorted = proportional_delivery(
-            [_delivered_at(entry, tick) for entry in entries], cap
-        )
-        for entry, usage in zip(entries, delivered):
-            vm = entry[0]
+        vms = [self.vms[vm_id] for vm_id in hosted]
+        demands = [
+            (cpu[tick - first], mem[tick - first], disk[tick - first], bw[tick - first])
+            for first, cpu, mem, disk, bw in [vm.columns for vm in vms]
+        ]
+        delivered, shorted = proportional_delivery(demands, cap)
+        for vm, usage in zip(vms, delivered):
             if vm.cursor < tick:
-                self._replay(entry, tick - 1)
+                self._replay(vm, tick - 1)
             vm.overrides[tick] = usage
         return _column_sums(delivered), len(shorted)
 
-    def _replay(self, entry: _Entry, through: int) -> None:
+    def _replay(self, vm: VirtualMachine, through: int) -> None:
         """Fold the VM's delivered usage at ticks ``cursor`` .. ``through`` into its sums.
 
         Each tick adds its sample while fewer than ``W`` are held, and from
@@ -665,7 +657,7 @@ class Simulation:
         ``through``, with the VM's overrides written over their ticks; an
         override stays only while it is inside the window.
         """
-        vm, first, cpu, mem, disk, bw = entry
+        first, cpu, mem, disk, bw = vm.columns
         window = self._window_ticks
         start = vm.cursor
         placed = vm.placed_tick
@@ -806,7 +798,11 @@ class Simulation:
         per_machine = {
             pm.id: self._machine_ws[pm.id] / 3.6e6 for pm in self.machines
         }
-        total_kwh = sum(self._machine_ws) / 3.6e6
+        # Left to right: ``sum`` of floats is compensated from CPython 3.12 on.
+        total_ws = 0.0
+        for ws in self._machine_ws:
+            total_ws += ws
+        total_kwh = total_ws / 3.6e6
         return SimulationReport(
             total_energy_kwh=total_kwh,
             sla_violation_count=self.sla_violation_count,

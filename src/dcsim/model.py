@@ -22,6 +22,11 @@ RESOURCES = ("cpu", "mem", "disk", "bw")
 Shares = tuple[float, float, float, float]
 
 
+def _not_integer(value: object) -> bool:
+    """Whether ``value`` is not an ``int``; a ``bool`` is not one here."""
+    return isinstance(value, bool) or not isinstance(value, int)
+
+
 def _check_fraction(name: str, value: float) -> None:
     if not math.isfinite(value) or not 0.0 <= value <= 1.0:
         raise ValueError(f"{name} must be a finite fraction in [0, 1], got {value!r}")
@@ -158,19 +163,22 @@ class PhysicalMachine:
 
 @dataclass(slots=True)
 class VirtualMachine:
-    """Run state of one VM: identity, host and its usage window's replay state.
+    """Run state of one VM: identity, host, demand and its usage window's replay state.
 
-    A hosted VM's delivered usage is its demand trace, except on a tick its
-    machine was over-committed; ``overrides`` maps such a tick to the
-    ``(cpu, mem, disk, bw)`` delivered then, for as long as the window may
-    still need it.  ``placed_tick`` is the tick the VM was first hosted
-    (None before), and ``sums`` are the window's per-resource sums over the
-    ticks before ``cursor``.  The engine folds later ticks into ``sums`` when
-    the window is read (``Simulation.vm_window_mean``).  The request (size
-    and lifetime) is the workload's ``VmRequest``.
+    ``columns`` is its demand, ``(first, cpu, mem, disk, bw)`` as
+    ``engine._trace_columns`` gives it.  A hosted VM's delivered usage is its
+    demand, except on a tick its machine was over-committed; ``overrides``
+    maps such a tick to the ``(cpu, mem, disk, bw)`` delivered then, for as
+    long as the window may still need it.  ``placed_tick`` is the tick the
+    VM was first hosted (None before), and ``sums`` are the window's
+    per-resource sums over the ticks before ``cursor``.  The engine folds
+    later ticks into ``sums`` when the window is read
+    (``Simulation.vm_window_mean``).  The request (size and lifetime) is the
+    workload's ``VmRequest``.
     """
 
     id: str
+    columns: tuple = ()
     host_id: Optional[int] = None
     placed_tick: Optional[int] = None
     cursor: int = 0

@@ -9,7 +9,7 @@ the power-save and retirement variants — never put back to standby.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import Iterator, Optional
 
 from ..model import (
@@ -17,6 +17,7 @@ from ..model import (
     PhysicalMachine,
     PowerModel,
     UtilizationWeights,
+    _not_integer,
     utilization_of,
 )
 from .base import ClusterView, RebalanceAction, SchedulerPolicy
@@ -106,8 +107,10 @@ class DynamicRoundRobinPolicy(RoundRobinPolicy):
 
     def __init__(self, retirement_threshold: int = 10) -> None:
         super().__init__()
-        if retirement_threshold < 1:
-            raise ValueError("retirement_threshold must be >= 1")
+        if _not_integer(retirement_threshold) or retirement_threshold < 1:
+            raise ValueError(
+                f"retirement_threshold must be an integer >= 1, got {retirement_threshold!r}"
+            )
         self.retirement_threshold = retirement_threshold
         self._retiring: dict[int, int] = {}
 
@@ -166,8 +169,8 @@ class SingleThresholdPolicy(SchedulerPolicy):
         super().__init__()
         if not 0.0 < threshold <= 1.0:
             raise ValueError("threshold must be in (0, 1]")
-        if epoch_ticks < 1:
-            raise ValueError("epoch_ticks must be >= 1")
+        if _not_integer(epoch_ticks) or epoch_ticks < 1:
+            raise ValueError(f"epoch_ticks must be an integer >= 1, got {epoch_ticks!r}")
         self.threshold = threshold
         self.epoch_ticks = epoch_ticks
         self.weights = weights or UtilizationWeights()
@@ -257,32 +260,20 @@ class SingleThresholdPolicy(SchedulerPolicy):
         threshold with the VM added qualify.  A machine planned off also
         pays its wake cost; the third item is its kind when the machine came
         from its kind's off list, and None when it came from an on list.
-
-        Every machine of one kind's on list, or of its off list, adds the
-        same increase bit for bit, so the least id that qualifies in a list
-        is its first machine that does.  The lists are visited in increasing
-        order of increase, and the visit stops at the first list whose
-        increase exceeds the best found: no later list can beat it.  Lists
-        whose increase equals the best are still visited, so the least id
-        wins a tie across kinds, as in a scan of every machine.
+        Every machine of one list adds the same increase, so each list offers
+        its first machine that qualifies.
         """
         threshold = self.threshold
-        lists = []
+        best = None
         for kind in kinds:
             cpu_capacity, slope, wake, cls, on, off = kind
             increase = slope * footprints[cls]
-            lists.append((increase, on, cpu_capacity, None))
-            lists.append((increase + wake, off, cpu_capacity, kind))
-        lists.sort(key=itemgetter(0))
-        best = None
-        for increase, ids, cpu_capacity, woken in lists:
-            if best is not None and increase > best[0]:
-                break
-            for pm_id in ids:
-                if (plan_cpu[pm_id] + vm_cpu) / cpu_capacity < threshold:
-                    if best is None or pm_id < best[1]:
-                        best = (increase, pm_id, woken)
-                    break
+            for cost, ids, woken in ((increase, on, None), (increase + wake, off, kind)):
+                for pm_id in ids:
+                    if (plan_cpu[pm_id] + vm_cpu) / cpu_capacity < threshold:
+                        if best is None or (cost, pm_id) < best[:2]:
+                            best = (cost, pm_id, woken)
+                        break
         return best
 
     # -- placement ---------------------------------------------------------

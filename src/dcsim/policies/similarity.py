@@ -31,6 +31,7 @@ from ..model import (
     ResourceVector,
     Shares,
     UtilizationWeights,
+    _not_integer,
     clamped_sum_of,
     complement_of,
     utilization_of,
@@ -119,8 +120,10 @@ class PolicyConfig:
             raise ValueError(f"need 0 <= buffer < u_up, got buffer={self.buffer!r}")
         if not 0.0 <= self.similarity_threshold <= 1.0:
             raise ValueError("similarity_threshold must be in [0, 1]")
-        if self.consistency_ticks < 1:
-            raise ValueError("consistency_ticks must be >= 1")
+        if _not_integer(self.consistency_ticks) or self.consistency_ticks < 1:
+            raise ValueError(
+                f"consistency_ticks must be an integer >= 1, got {self.consistency_ticks!r}"
+            )
         if not math.isfinite(self.delta_window_seconds) or self.delta_window_seconds <= 0:
             raise ValueError("delta_window_seconds must be > 0")
 

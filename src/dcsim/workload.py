@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional, Union
 
-from .model import MachineCapacity
+from .model import MachineCapacity, _not_integer
 
 
 class WorkloadError(ValueError):
@@ -115,11 +115,6 @@ class DemandTrace(Sequence):
 
     def __reduce__(self):
         return (DemandTrace, (self.ticks, self.cpu, self.mem, self.disk, self.bw))
-
-
-def _not_integer(value: object) -> bool:
-    """Whether ``value`` is not an ``int``; a ``bool`` is not one here."""
-    return isinstance(value, bool) or not isinstance(value, int)
 
 
 @dataclass(frozen=True, slots=True)

@@ -479,6 +479,34 @@ class TestCliSweep:
         assert err.count("need 0 <= u_down < u_up") == 2
         assert not (out / "sweep_u_up.csv").exists()
 
+    @pytest.mark.parametrize(
+        "policy_id, name",
+        [
+            ("single_threshold", "epoch_ticks"),
+            ("similarity", "consistency_ticks"),
+            ("dynamic_round_robin", "retirement_threshold"),
+        ],
+    )
+    def test_fractional_policy_ticks_are_config_errors(
+        self, config_file, tmp_path, capsys, caplog, policy_id, name
+    ):
+        cfg = config_file(policy={"id": policy_id})
+        argv = ["run", "--config", cfg, "--out", str(tmp_path / "o"), "--set", f"policy.{name}=2.5"]
+        assert main(argv) == EXIT_CONFIG
+        assert f"config error: {name} must be an integer >= 1, got 2.5" in capsys.readouterr().err
+        out = tmp_path / "s"
+        cfg = config_file(
+            policy={"id": policy_id}, sweep={"parameter": name, "values": [2.5, 3.0, True, 4]}
+        )
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        skipped = [m for m in caplog.messages if m.startswith("skipping")]
+        assert skipped == [
+            f"skipping {name}={value}: {name} must be an integer >= 1, got {value}"
+            for value in ("True", "2.5", "3.0")
+        ]
+        rows = (out / f"sweep_{name}.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in rows if not row.startswith("#")] == ["value", "4"]
+
     def test_sweep_without_section_is_config_error(self, config_file, tmp_path, capsys):
         code = main(["sweep", "--config", config_file(), "--out", str(tmp_path / "o")])
         assert code == EXIT_CONFIG

@@ -114,6 +114,25 @@ class TestConfigValidation:
         with pytest.raises(EngineError):
             SimulationConfig(fleet=fleet(1), duration_ticks=5, migration_cost_ticks=-1)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("duration_ticks", 119.5),
+            ("duration_ticks", 5.0),
+            ("duration_ticks", True),
+            ("initial_running_count", 1.5),
+            ("initial_running_count", 1.0),
+            ("initial_running_count", True),
+            ("migration_cost_ticks", 0.5),
+            ("migration_cost_ticks", 1.0),
+            ("migration_cost_ticks", False),
+        ],
+    )
+    def test_tick_counts_must_be_integers(self, name, value):
+        kwargs = {"duration_ticks": 5, name: value}
+        with pytest.raises(EngineError, match=f"^{name} must be an integer, got {value!r}$"):
+            SimulationConfig(fleet=fleet(2), **kwargs)
+
     @pytest.mark.parametrize("peak", [float("nan"), float("inf"), -200.0, 0.0])
     def test_fleet_machine_rejects_bad_peak_power(self, peak):
         with pytest.raises(EngineError, match="peak_power_watts must be > 0"):
@@ -371,8 +390,7 @@ class TestArrivalsAndDepartures:
                 sim._step()
                 seen.append(sim.vm_delivered("vm-0"))
             assert seen == [None, None] + [(10.0 * t, 1.0, 2.0, 3.0) for t in (2, 3, 4)]
-            vm, first, *columns = sim._demand["vm-0"]
-            assert vm is sim.vms["vm-0"]
+            first, *columns = sim.vms["vm-0"].columns
             assert first == start
             trace = req.trace
             own = (trace.cpu, trace.mem, trace.disk, trace.bw)
@@ -394,7 +412,7 @@ class TestArrivalsAndDepartures:
                 seen.append(sim.vm_delivered("vm-0")[0])
             assert seen == expected
             # One entry per tick from the arrival to the departure or the horizon.
-            columns = sim._demand["vm-0"][2:]
+            columns = sim.vms["vm-0"].columns[1:]
             assert [len(col) for col in columns] == [len(expected)] * 4
 
     @pytest.mark.parametrize(

@@ -72,6 +72,20 @@ class TestBuildPolicy:
         assert isinstance(policy, DynamicRoundRobinPolicy)
         assert policy.retirement_threshold == 7
 
+    @pytest.mark.parametrize(
+        "policy_id, name",
+        [
+            ("single_threshold", "epoch_ticks"),
+            ("similarity", "consistency_ticks"),
+            ("recommended", "consistency_ticks"),
+            ("dynamic_round_robin", "retirement_threshold"),
+        ],
+    )
+    @pytest.mark.parametrize("value", [2.5, 3.0, True])
+    def test_tick_parameters_must_be_integers(self, policy_id, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1, got {value!r}$"):
+            build_policy({"id": policy_id, name: value})
+
     def test_unknown_id_lists_known_ones(self):
         with pytest.raises(ValueError, match="unknown policy id"):
             build_policy("made-up")
