@@ -246,23 +246,19 @@ class Simulation:
 
         # Machines of equal capacity share one ``MachineCapacity`` object.
         shared: dict[MachineCapacity, MachineCapacity] = {}
+        running, standby = MachineState.RUNNING, MachineState.STANDBY
         self.machines: list[PhysicalMachine] = []
         for index, spec in enumerate(config.fleet):
-            state = (
-                MachineState.RUNNING
-                if index < config.initial_running_count
-                else MachineState.STANDBY
-            )
             self.machines.append(
                 PhysicalMachine(
                     id=index,
                     capacity=shared.setdefault(spec.capacity, spec.capacity),
                     peak_power_watts=spec.peak_power_watts,
-                    state=state,
+                    state=running if index < config.initial_running_count else standby,
                 )
             )
         # The running machines in id order; only ``_wake`` and ``_standby`` change it.
-        self._running = [pm for pm in self.machines if pm.state is MachineState.RUNNING]
+        self._running = self.machines[: config.initial_running_count]
         # Each machine's capacity as a tuple, indexed by machine id.
         self._capacities = [pm.capacity.as_tuple() for pm in self.machines]
 
@@ -322,7 +318,8 @@ class Simulation:
         return self._running[:]
 
     def standby_machines(self) -> list[PhysicalMachine]:
-        return [pm for pm in self.machines if pm.state is MachineState.STANDBY]
+        standby = MachineState.STANDBY
+        return [pm for pm in self.machines if pm.state is standby]
 
     def vm_host(self, vm_id: str) -> Optional[int]:
         vm = self.vms.get(vm_id)
@@ -557,6 +554,7 @@ class Simulation:
         if not queue:
             return
         self._pending = []
+        standby = MachineState.STANDBY
         for vm_id in queue:
             vm = self.vms.get(vm_id)
             if vm is None:
@@ -572,7 +570,7 @@ class Simulation:
                 self._pending.append(vm_id)
                 continue
             target = self._named_machine(machine_id)
-            if target.state is MachineState.STANDBY:
+            if target.state is standby:
                 self._wake(target)
             self._set_host(vm, target)
             vm.placed_tick = vm.cursor = tick
@@ -710,12 +708,13 @@ class Simulation:
         u_up, u_down = thresholds
         weights = self.policy.utilization_weights.as_tuple()
         shares = self._shares
+        over, under = BreachSide.OVER, BreachSide.UNDER
         for pm in self._running:
             u = utilization_of(shares[pm.id], weights)
             if u > u_up:
-                side = BreachSide.OVER
+                side = over
             elif u < u_down:
-                side = BreachSide.UNDER
+                side = under
             else:
                 side = None
             if side is not pm.breach_side:
@@ -779,14 +778,15 @@ class Simulation:
         machine_ws = self._machine_ws
         total = 0.0
         running = 0
-        for pm in self.machines:
-            if pm.state is MachineState.RUNNING:
+        running_state = MachineState.RUNNING
+        for pm_id, pm in enumerate(self.machines):  # an id is its index
+            if pm.state is running_state:
                 running += 1
-                u = utilization_of(shares.get(pm.id, _USAGE_ZERO), weights)
+                u = utilization_of(shares.get(pm_id, _USAGE_ZERO), weights)
                 watts = running_power(pm.peak_power_watts, u, model)
             else:
                 watts = standby_watts
-            machine_ws[pm.id] += watts * dt
+            machine_ws[pm_id] += watts * dt
             total += watts
         self._series_running.append(running)
         self._series_power.append(total)

@@ -71,14 +71,14 @@ POLICY_IDS = tuple(sorted(_REGISTRY))
 def build_policy(spec: dict[str, Any] | str) -> SchedulerPolicy:
     """Build a policy from a config mapping like ``{"id": "similarity", ...}``.
 
-    A bare string is shorthand for ``{"id": <string>}``.  Unknown ids and
-    unknown parameters raise ``ValueError`` naming the offender.
+    A bare string is shorthand for ``{"id": <string>}``.  An unknown or
+    non-string id, or unknown parameters, raise ``ValueError`` naming them.
     """
     if isinstance(spec, str):
         spec = {"id": spec}
     params = dict(spec)
     policy_id = params.pop("id", None)
-    if policy_id not in _REGISTRY:
+    if not isinstance(policy_id, str) or policy_id not in _REGISTRY:
         raise ValueError(f"unknown policy id {policy_id!r}; known: {', '.join(POLICY_IDS)}")
     try:
         return _REGISTRY[policy_id](params)

@@ -37,13 +37,16 @@ class ClusterView(Protocol):
     ``RESOURCES`` order, each component in [0, 1]; the view does not wrap
     them in ``ResourceVector``.
 
-    ``vm_rv_on`` and ``vm_nominal_rv_on`` depend on the machine only through
-    its capacity, and the engine gives all machines of equal capacity one
-    shared ``MachineCapacity`` object, so a policy may key per-capacity work,
-    such as a VM's share, by ``id(pm.capacity)`` within one call.  The
-    sharing is an efficiency contract only: a view whose equal capacities are
-    separate objects costs such a policy extra lookups, never a different
-    decision.
+    ``vm_rv_on(v, m)`` is ``shares_of(vm_window_mean(v), cap)``, ``cap`` being
+    machine ``m``'s capacity tuple, or the policy's ``default_rv`` while ``v``
+    has no window mean; ``vm_nominal_rv_on(v, m)`` is
+    ``shares_of(vm_nominal(v).as_tuple(), cap)``, and no policy here calls it.
+    Both depend on the machine only through its capacity, and the engine
+    gives all machines of equal capacity one shared ``MachineCapacity``
+    object, so a policy may key per-capacity work, such as a VM's share, by
+    ``id(pm.capacity)`` within one call.  The sharing is an efficiency
+    contract only: a view whose equal capacities are separate objects costs
+    such a policy extra lookups, never a different decision.
 
     ``machine_rv`` and ``vm_rv_on`` return the same value until the engine
     arbitrates a new tick or changes the VMs that machine hosts or that fly

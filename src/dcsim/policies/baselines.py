@@ -18,14 +18,14 @@ from ..model import (
     PowerModel,
     UtilizationWeights,
     _not_integer,
+    shares_of,
     utilization_of,
 )
 from .base import ClusterView, RebalanceAction, SchedulerPolicy
 
 # A machine kind (see ``SingleThresholdPolicy._fleet``).
 _Kind = tuple[float, float, float, int, list[int], list[int]]
-# A VM's ``view.vm_window_mean``; single_threshold reads it once per VM it scores.
-_Mean = Optional[tuple[float, float, float, float]]
+_Amounts = tuple[float, float, float, float]  # absolute amounts, in RESOURCES order
 _machine_id = attrgetter("id")
 
 
@@ -175,30 +175,30 @@ class SingleThresholdPolicy(SchedulerPolicy):
         self.epoch_ticks = epoch_ticks
         self.weights = weights or UtilizationWeights()
         # (machines, power model, kinds without their on and off lists,
-        # representatives) as ``_fleet`` last built them.
+        # capacities) as ``_fleet`` last built them.
         self._static: Optional[tuple] = None
 
     # -- helpers -----------------------------------------------------------
 
     @staticmethod
-    def _vm_cpu_abs(vm_id: str, mean: _Mean, view: ClusterView) -> float:
-        if mean is not None:
-            return mean[0]
-        return view.vm_nominal(vm_id).cpu
+    def _amounts(vm_id: str, view: ClusterView) -> _Amounts:
+        """The VM's window mean, or its nominal size before it has a sample."""
+        mean = view.vm_window_mean(vm_id)
+        return mean if mean is not None else view.vm_nominal(vm_id).as_tuple()
 
     def _fleet(
         self, machines: list[PhysicalMachine], model: PowerModel
-    ) -> tuple[list[_Kind], list[int]]:
-        """The fleet's kinds, and one machine standing for each capacity class.
+    ) -> tuple[list[_Kind], list[_Amounts]]:
+        """The fleet's kinds, and each capacity class's capacity as a tuple.
 
-        Returns ``(kinds, representatives)``.  A kind is the tuple
+        Returns ``(kinds, capacities)``.  A kind is the tuple
         ``(cpu capacity, slope, wake cost, class, on ids, off ids)``: the
         slope is the watts one unit of unified utilization adds, the wake
         cost what leaving standby adds, and the class an index into
-        ``representatives``, the id of the first machine of each capacity
-        object.  The two lists hold the kind's running and standby machines
-        in id order (``machines`` comes in id order); the replan moves a
-        machine it wakes from the one to the other.
+        ``capacities``, one entry per capacity object.  The two lists hold
+        the kind's running and standby machines in id order (``machines``
+        comes in id order); the replan moves a machine it wakes from the one
+        to the other.
 
         Only the two lists are made per call.  The rest depends on the
         machines' capacities and peak powers alone, and is built once for
@@ -208,12 +208,12 @@ class SingleThresholdPolicy(SchedulerPolicy):
         static = self._static
         if static is None or static[0] is not machines or static[1] is not model:
             classes: dict[int, int] = {}  # id(capacity) -> class
-            representatives: list[int] = []
+            capacities: list[_Amounts] = []
             members: dict[tuple[int, float], tuple] = {}
             for pm in machines:
-                cls = classes.setdefault(id(pm.capacity), len(representatives))
-                if cls == len(representatives):
-                    representatives.append(pm.id)
+                cls = classes.setdefault(id(pm.capacity), len(capacities))
+                if cls == len(capacities):
+                    capacities.append(pm.capacity.as_tuple())
                 peak = pm.peak_power_watts
                 kind = members.get((cls, peak))
                 if kind is None:
@@ -221,31 +221,26 @@ class SingleThresholdPolicy(SchedulerPolicy):
                     wake = peak * model.idle_fraction - model.standby_watts
                     kind = members[cls, peak] = (pm.capacity.cpu, slope, wake, cls, [])
                 kind[4].append(pm)
-            static = self._static = (machines, model, list(members.values()), representatives)
-        _, _, static_kinds, representatives = static
+            static = self._static = (machines, model, list(members.values()), capacities)
+        _, _, static_kinds, capacities = static
+        running = MachineState.RUNNING
         kinds = []
         for cpu_capacity, slope, wake, cls, kind_machines in static_kinds:
             on: list[int] = []
             off: list[int] = []
             for pm in kind_machines:
-                (on if pm.state is MachineState.RUNNING else off).append(pm.id)
+                (on if pm.state is running else off).append(pm.id)
             kinds.append((cpu_capacity, slope, wake, cls, on, off))
-        return kinds, representatives
+        return kinds, capacities
 
-    def _footprints(
-        self, vm_id: str, mean: _Mean, view: ClusterView, representatives: list[int]
-    ) -> list[float]:
+    def _footprints(self, amounts: _Amounts, capacities: list[_Amounts]) -> list[float]:
         """The VM's unified footprint on each capacity class.
 
-        One machine stands for its class because the view's share of a VM
-        on a machine depends on the machine only through its capacity.
+        ``shares_of(amounts, capacity)`` is the view's ``vm_rv_on`` for a VM
+        with a window mean and its ``vm_nominal_rv_on`` for one without.
         """
-        if mean is not None:
-            rv_on = view.vm_rv_on
-        else:
-            rv_on = view.vm_nominal_rv_on
         weights = self.weights.as_tuple()
-        return [utilization_of(rv_on(vm_id, pm_id), weights) for pm_id in representatives]
+        return [utilization_of(shares_of(amounts, cap), weights) for cap in capacities]
 
     def _cheapest(
         self,
@@ -280,11 +275,11 @@ class SingleThresholdPolicy(SchedulerPolicy):
 
     def allocate(self, vm_id: str, view: ClusterView) -> Optional[int]:
         machines = view.all_machines()
-        kinds, representatives = self._fleet(machines, view.power_model)
-        mean = view.vm_window_mean(vm_id)
+        kinds, capacities = self._fleet(machines, view.power_model)
+        amounts = self._amounts(vm_id, view)
         best = self._cheapest(
-            self._vm_cpu_abs(vm_id, mean, view),
-            self._footprints(vm_id, mean, view, representatives),
+            amounts[0],
+            self._footprints(amounts, capacities),
             {pm.id: view.cpu_used_abs(pm.id) for pm in machines},
             kinds,
         )
@@ -298,26 +293,24 @@ class SingleThresholdPolicy(SchedulerPolicy):
         # The whole plan is made before the engine executes its first move, so
         # the view cannot change under the per-pass kinds and footprints.
         machines = view.all_machines()
-        kinds, representatives = self._fleet(machines, view.power_model)
+        kinds, capacities = self._fleet(machines, view.power_model)
         plan_cpu = {pm.id: 0.0 for pm in machines}
 
         # An in-flight VM stays charged to the machine it is leaving.
-        placed: list[tuple[str, int, _Mean]] = []
+        placed: list[tuple[str, int, _Amounts]] = []
         for pm in machines:
             for vm_id in pm.hosted_vm_ids:
-                mean = view.vm_window_mean(vm_id)
+                amounts = self._amounts(vm_id, view)
                 if view.vm_in_flight(vm_id):
-                    plan_cpu[pm.id] += self._vm_cpu_abs(vm_id, mean, view)
+                    plan_cpu[pm.id] += amounts[0]
                 else:
-                    placed.append((vm_id, pm.id, mean))
+                    placed.append((vm_id, pm.id, amounts))
 
-        vm_cpu = {vm_id: self._vm_cpu_abs(vm_id, mean, view) for vm_id, _, mean in placed}
-        order = sorted(placed, key=lambda item: (-vm_cpu[item[0]], item[0]))
+        order = sorted(placed, key=lambda item: (-item[2][0], item[0]))
         moves = []
-        for vm_id, current_host, mean in order:
-            cpu = vm_cpu[vm_id]
-            footprints = self._footprints(vm_id, mean, view, representatives)
-            best = self._cheapest(cpu, footprints, plan_cpu, kinds)
+        for vm_id, current_host, amounts in order:
+            cpu = amounts[0]
+            best = self._cheapest(cpu, self._footprints(amounts, capacities), plan_cpu, kinds)
             if best is None:
                 self._count("replan_stuck")
                 target, woken = current_host, None

@@ -181,8 +181,9 @@ class SimilarityPolicy(SchedulerPolicy):
         ``extras`` layers hypothetical, not-yet-executed placements on top
         of the view so multi-VM plans stay internally consistent.  The VM's
         share and its norm are computed once per capacity object, keyed by
-        ``id(pm.capacity)`` within this call, and only for a class with a
-        machine below the cap; the view gives the same share on every
+        ``id(pm.capacity)`` within this call and looked up only when that
+        object changes from one candidate to the next, and only for a class
+        with a machine below the cap; the view gives the same share on every
         machine of equal capacity.  Each machine's side of the cosine (its
         utilization, its used or free vector and that vector's norm) is
         cached against the tuple it was derived from and reused while
@@ -196,6 +197,7 @@ class SimilarityPolicy(SchedulerPolicy):
         threshold = cfg.similarity_threshold
         terms = self._terms
         vm_terms: dict[int, tuple[Shares, float]] = {}
+        last_capacity = None  # a fleet group's machines come one after another
         best = None  # the rank of the best candidate that fits so far
         for pm in view.running_machines():
             pm_id = pm.id
@@ -211,11 +213,13 @@ class SimilarityPolicy(SchedulerPolicy):
                 term = terms[pm_id] = (used, u, vector, _norm_of(vector))
             if term[1] >= cap_u:
                 continue  # at the cap already, so no VM fits
-            vm_term = vm_terms.get(id(pm.capacity))
-            if vm_term is None:
-                share = view.vm_rv_on(vm_id, pm_id)
-                vm_term = vm_terms[id(pm.capacity)] = (share, _norm_of(share))
-            vm_share, vm_norm = vm_term
+            if pm.capacity is not last_capacity:
+                last_capacity = pm.capacity
+                vm_term = vm_terms.get(id(last_capacity))
+                if vm_term is None:
+                    share = view.vm_rv_on(vm_id, pm_id)
+                    vm_term = vm_terms[id(last_capacity)] = (share, _norm_of(share))
+                vm_share, vm_norm = vm_term
             score = _cosine_normed(vm_share, vm_norm, term[2], term[3])
             if dissimilar:
                 if score > threshold:

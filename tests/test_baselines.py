@@ -258,9 +258,8 @@ class TestSingleThreshold:
                 power_model=PowerModel(idle_fraction=0.5, standby_watts=10.0),
             )
             view.nominals["vm-a"] = MachineCapacity(400, 819.2, 100, 100)
-            kinds, representatives = policy._fleet(view.all_machines(), view.power_model)
-            mean = view.vm_window_mean("vm-a")
-            footprints = policy._footprints("vm-a", mean, view, representatives)
+            kinds, capacities = policy._fleet(view.all_machines(), view.power_model)
+            footprints = policy._footprints(policy._amounts("vm-a", view), capacities)
             best = policy._cheapest(0.0, footprints, {0: 0.0}, kinds)
             assert best is not None and best[1] == 0
             # The third item is the kind when the machine came from an off list.

@@ -430,6 +430,13 @@ class TestCliRun:
         assert code == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("policy_id", ["[]", "{}", "3"])
+    def test_non_string_policy_id_is_config_error(self, config_file, tmp_path, capsys, policy_id):
+        cfg = config_file(policy={"id": "recommended"})
+        argv = ["run", "--config", cfg, "--out", str(tmp_path / "o"), "--set", f"policy.id={policy_id}"]
+        assert main(argv) == EXIT_CONFIG
+        assert f"config error: unknown policy id {policy_id}" in capsys.readouterr().err
+
 
 class TestCliSweep:
     def test_sweep_writes_artifacts(self, config_file, tmp_path, capsys):

@@ -114,6 +114,11 @@ class TestConfigValidation:
         with pytest.raises(EngineError):
             SimulationConfig(fleet=fleet(1), duration_ticks=5, migration_cost_ticks=-1)
 
+    @pytest.mark.parametrize("seconds", [0, 0.0, -60.0, float("nan"), float("inf")])
+    def test_rejects_a_tick_length_that_is_not_positive_and_finite(self, seconds):
+        with pytest.raises(EngineError, match="tick_length_seconds must be > 0"):
+            SimulationConfig(fleet=fleet(1), duration_ticks=5, tick_length_seconds=seconds)
+
     @pytest.mark.parametrize(
         "name, value",
         [

@@ -19,6 +19,9 @@ two reports.
   the seed and its own index, so a workload of n VMs is the first n
   requests of the same spec with n + 1 VMs, once ids are compared by index
   (the zero padding of ``vm-0`` against ``vm-00`` follows the count).
+- *Power model.*  Only ``single_threshold`` reads the power model, so under
+  every other policy a different power model changes the report's energy
+  fields and nothing else.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import pytest
 
 from _instances import make_instance
 from dcsim.engine import FleetMachine, Simulation
-from dcsim.model import MachineCapacity
+from dcsim.model import MachineCapacity, PowerModel
 from dcsim.policies import POLICY_IDS, build_policy
 from dcsim.workload import DemandSample, VmRequest, WorkloadProfile, WorkloadSpec, generate_workload
 
@@ -38,6 +41,9 @@ CAUSALITY_INSTANCES = 400
 SCALE_INSTANCES = 300
 SHORTER_BY = 7
 LATE_INSTANCES = 150  # per policy
+POWER_INSTANCES = 100  # per policy
+#: The ``SimulationReport`` fields a power model may change.
+ENERGY_FIELDS = ("total_energy_kwh", "total_power_watts", "per_machine_energy_kwh")
 PREFIX_SPECS = 256
 
 
@@ -109,6 +115,24 @@ def test_a_vm_arriving_at_or_after_the_horizon_leaves_the_report_unchanged(polic
         changed = workload[:]
         changed.insert(rng.randint(0, len(workload)), late)
         assert _run(config, changed, spec) == report, f"seed {seed}"
+
+
+@pytest.mark.parametrize("policy_id", sorted(set(POLICY_IDS) - {"single_threshold"}))
+def test_a_power_model_moves_only_the_energy_fields(policy_id):
+    energy_moved = 0
+    for seed in range(POWER_INSTANCES):
+        config, workload, spec = make_instance(seed, policy_id)
+        report = _run(config, workload, spec)
+        rng = random.Random(f"power-{seed}")
+        model = PowerModel(
+            idle_fraction=round(rng.uniform(0.0, 1.0), 2), standby_watts=rng.choice((0.0, 7.0, 30.0))
+        )
+        changed = _run(dataclasses.replace(config, power_model=model), workload, spec)
+        energy_moved += changed.total_energy_kwh != report.total_energy_kwh
+        for name in ENERGY_FIELDS:
+            setattr(changed, name, getattr(report, name))
+        assert changed == report, f"seed {seed}"
+    assert energy_moved > POWER_INSTANCES // 2
 
 
 def _random_spec(rng, vm_count):

@@ -366,6 +366,13 @@ class TestMigrationLanding:
         policy = make_policy(u_up=0.75, buffer=0.15)  # cap 0.6 < 0.63
         assert not policy.migration_landing_ok("vm-a", 1, view)
 
+    def test_rejects_landing_exactly_at_the_cap(self):
+        view = fakes.FakeView([fakes.make_machine(0), fakes.make_machine(1)])
+        view.machine_rvs[1] = ResourceVector(0.25, 0.25, 0.25, 0.25)
+        view.vm_rvs["vm-a"] = ResourceVector(0.25, 0.25, 0.25, 0.25)
+        policy = make_policy(u_up=0.75, buffer=0.25)  # u = 0.5 = cap, both exact
+        assert not policy.migration_landing_ok("vm-a", 1, view)
+
     def test_accepts_target_with_headroom(self):
         target = fakes.make_machine(1)
         view = fakes.FakeView([fakes.make_machine(0), target])

@@ -1,11 +1,12 @@
 """``single_threshold`` against its direct per-(VM, machine) reference.
 
-The policy looks a VM's share up once per capacity class, scores it once per
-machine kind and scans each kind's machines only for CPU room.  These tests
-hold it to the reference policy in ``_oracles`` decision for decision, on
-the small random instances and on larger fleets where machines fill up and
-two kinds tie, and bound how many per-VM share lookups an epoch replan may
-make, so the per-machine cost cannot return unnoticed.
+The policy reads a VM's window mean once, computes its share of each
+capacity class itself, scores it once per machine kind and scans each kind's
+machines only for CPU room.  The reference in ``_oracles`` asks the view for
+the VM's share on every machine.  These tests hold the policy to it decision
+for decision, on the small random instances and on larger fleets where
+machines fill up and two kinds tie, and bound what an epoch replan reads of
+the view, so the per-machine cost cannot return unnoticed.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import _fakes as fakes
 from _instances import make_instance
 from _oracles import ReferenceSingleThreshold
 from dcsim.engine import FleetMachine, Simulation, SimulationConfig
-from dcsim.model import MachineCapacity, MachineState, PowerModel
+from dcsim.model import DEFAULT_RV, MachineCapacity, MachineState, PowerModel, shares_of
 from dcsim.policies import SingleThresholdPolicy
 from dcsim.workload import WorkloadProfile, WorkloadSpec, generate_workload
 
@@ -87,6 +88,20 @@ def test_matches_reference_on_random_instances():
     assert all(covered.values()), covered
 
 
+class _SharingView(fakes.FakeView):
+    """The view stub with the engine's ``vm_rv_on``.
+
+    A VM's share is its window mean's share of the machine's capacity, or
+    the default share while it has no window mean.
+    """
+
+    def vm_rv_on(self, vm_id, machine_id):
+        mean = self.window_means.get(vm_id)
+        if mean is None:
+            return DEFAULT_RV.as_tuple()
+        return shares_of(mean, self.machines[machine_id].capacity.as_tuple())
+
+
 def test_replan_matches_reference_for_vms_without_history():
     # The engine gives every hosted VM a usage sample before the replan, so
     # the replan's nominal fallback is exercised on the view stub instead.
@@ -102,7 +117,7 @@ def test_replan_matches_reference_for_vms_without_history():
             )
             for i in range(rng.randint(1, 6))
         ]
-        view = fakes.FakeView(
+        view = _SharingView(
             machines, power_model=PowerModel(idle_fraction=0.5, standby_watts=rng.choice([0.0, 5.0]))
         )
         for n in range(rng.randint(1, 8)):
@@ -126,11 +141,12 @@ def test_replan_matches_reference_for_vms_without_history():
 
 
 class _CountingView:
-    """Forwards every read to the simulation, counting per-VM share lookups."""
+    """Forwards every read to the simulation, counting share and mean lookups."""
 
     def __init__(self, sim):
         self._sim = sim
         self.share_calls = 0
+        self.mean_calls = 0
 
     def __getattr__(self, name):
         return getattr(self._sim, name)
@@ -143,29 +159,35 @@ class _CountingView:
         self.share_calls += 1
         return self._sim.vm_nominal_rv_on(vm_id, machine_id)
 
+    def vm_window_mean(self, vm_id):
+        self.mean_calls += 1
+        return self._sim.vm_window_mean(vm_id)
+
 
 class _CountedSingleThreshold(SingleThresholdPolicy):
     def __init__(self, **params):
         super().__init__(**params)
-        self.epochs = []  # (share lookups, VMs placed) per epoch replan
+        self.epochs = []  # (share lookups, mean lookups, VMs hosted) per epoch replan
+        self.classes = set()  # how many capacity classes ``_fleet`` found
+
+    def _fleet(self, machines, model):
+        kinds, capacities = super()._fleet(machines, model)
+        self.classes.add(len(capacities))
+        return kinds, capacities
 
     def rebalance(self, view, tick):
         counting = _CountingView(view)
-        placed = sum(
-            not view.vm_in_flight(vm_id)
-            for pm in view.all_machines()
-            for vm_id in pm.hosted_vm_ids
-        )
+        hosted = sum(len(pm.hosted_vm_ids) for pm in view.all_machines())
         yield from super().rebalance(counting, tick)
         if tick % self.epoch_ticks == 0:
-            self.epochs.append((counting.share_calls, placed))
+            self.epochs.append((counting.share_calls, counting.mean_calls, hosted))
 
 
 def _check_replan_lookups(separate):
-    """Bound an epoch replan's share lookups by VMs times capacity classes.
+    """An epoch replan asks the view for no share, and for each hosted VM's mean once.
 
     With ``separate`` every machine gets its own, equal capacity object; the
-    engine must share them again for the bound to hold.
+    engine must share them again for the policy to score each class once.
     """
     classes = [
         MachineCapacity(2000.0, 4096.0, 500.0, 500.0),
@@ -193,16 +215,18 @@ def _check_replan_lookups(separate):
     Simulation(config, workload, policy).run()
 
     assert len(policy.epochs) == 8
-    assert max(placed for _, placed in policy.epochs) > 0
-    for calls, placed in policy.epochs:
-        assert calls <= placed * len(classes)
+    assert max(hosted for _, _, hosted in policy.epochs) > 0
+    for share_calls, mean_calls, hosted in policy.epochs:
+        assert share_calls == 0
+        assert mean_calls <= hosted
+    assert policy.classes == {len(classes)}
 
 
-def test_replan_looks_up_shares_once_per_vm_and_capacity_class():
+def test_replan_reads_each_vm_mean_once_and_no_view_share():
     _check_replan_lookups(separate=False)
 
 
-def test_replan_lookups_stay_bounded_when_equal_capacities_are_separate_objects():
+def test_replan_scores_each_class_once_when_equal_capacities_are_separate():
     _check_replan_lookups(separate=True)
 
 
