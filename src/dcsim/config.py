@@ -16,14 +16,11 @@ import os
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from .engine import EngineError, FleetMachine, SimulationConfig
-from .model import (
-    RESOURCES, MachineCapacity, PowerModel, UtilizationWeights, _not_integer, parse_components
-)
+from .engine import FleetMachine, SimulationConfig
+from .model import build, checked, integer
 from .workload import (
     VmRequest,
     WorkloadError,
-    WorkloadProfile,
     WorkloadSpec,
     generate_workload,
     load_trace_files,
@@ -87,112 +84,30 @@ def apply_overrides(raw: dict, overrides: list[str]) -> dict:
     return raw
 
 
-def _integer(value: Any, context: str) -> int:
-    """``value``, which must be an integer: a fractional count or tick is not truncated."""
-    if _not_integer(value):
-        raise ConfigError(f"{context}: expected an integer, got {value!r}")
-    return value
-
-
-def _number(value: Any, context: str) -> float:
-    """``value`` as a float; it must be a number: ``true`` or ``"2000"`` is not coerced."""
-    if not isinstance(value, bool) and isinstance(value, (int, float)):
-        try:
-            return float(value)
-        except OverflowError:  # an integer too large for a float
-            pass
-    raise ConfigError(f"{context}: expected a number, got {value!r}")
-
-
-def _parse_capacity(raw: Any, context: str) -> MachineCapacity:
-    raw = _expect_mapping(raw, context)
-    amounts = [_number(_require(raw, r, context), f"{context}.{r}") for r in RESOURCES]
-    try:
-        return MachineCapacity(*amounts)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{context}: {exc}") from None
+#: The kind of a fleet group's ``count``, the one key no dataclass holds.
+_FLEET_COUNT = integer(1)
 
 
 def build_simulation_config(raw: dict) -> SimulationConfig:
-    section = _expect_mapping(_require(raw, "simulation", "config"), "simulation")
+    section = dict(_expect_mapping(_require(raw, "simulation", "config"), "simulation"))
     fleet_raw = _require(section, "fleet", "simulation")
     if not isinstance(fleet_raw, list) or not fleet_raw:
         raise ConfigError("simulation.fleet: expected a non-empty list of machine groups")
     fleet: list[FleetMachine] = []
     for index, group in enumerate(fleet_raw):
         context = f"simulation.fleet[{index}]"
-        group = _expect_mapping(group, context)
-        count = _integer(group.get("count", 1), f"{context}.count")
-        if count < 1:
-            raise ConfigError(f"{context}: count must be >= 1")
-        capacity = _parse_capacity(_require(group, "capacity", context), f"{context}.capacity")
-        peak = _number(_require(group, "peak_power_watts", context), f"{context}.peak_power_watts")
-        try:
-            machine = FleetMachine(capacity, peak)
-        except EngineError as exc:
-            raise ConfigError(f"{context}.peak_power_watts: {exc}") from None
-        fleet.extend([machine] * count)
-
-    power_raw = section.get("power_model", {})
-    power_raw = _expect_mapping(power_raw, "simulation.power_model")
-    idle = _number(power_raw.get("idle_fraction", 0.5), "simulation.power_model.idle_fraction")
-    standby = _number(power_raw.get("standby_watts", 0.0), "simulation.power_model.standby_watts")
-    try:
-        power = PowerModel(idle_fraction=idle, standby_watts=standby)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"simulation.power_model: {exc}") from None
-
-    energy_weights = UtilizationWeights()
-    if "energy_weights" in section:
-        weights_raw = _expect_mapping(section["energy_weights"], "simulation.energy_weights")
-        weights = {k: _number(v, f"simulation.energy_weights.{k}") for k, v in weights_raw.items()}
-        try:
-            energy_weights = parse_components(UtilizationWeights, weights)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"simulation.energy_weights: {exc}") from None
-
-    duration = _integer(
-        _require(section, "duration_ticks", "simulation"), "simulation.duration_ticks"
-    )
-    initial = _integer(section.get("initial_running_count", 1), "simulation.initial_running_count")
-    cost = _integer(section.get("migration_cost_ticks", 0), "simulation.migration_cost_ticks")
-    tick_length = _number(
-        section.get("tick_length_seconds", 60.0), "simulation.tick_length_seconds"
-    )
-    try:
-        return SimulationConfig(
-            fleet=tuple(fleet),
-            duration_ticks=duration,
-            tick_length_seconds=tick_length,
-            initial_running_count=initial,
-            power_model=power,
-            migration_cost_ticks=cost,
-            energy_weights=energy_weights,
-        )
-    except (EngineError, TypeError, ValueError) as exc:
-        raise ConfigError(f"simulation: {exc}") from None
+        group = dict(_expect_mapping(group, context))
+        count = checked(_FLEET_COUNT, f"{context}.count", group.pop("count", 1), ConfigError)
+        fleet.extend([build(FleetMachine, group, context, ConfigError)] * count)
+    section["fleet"] = tuple(fleet)
+    return build(SimulationConfig, section, "simulation", ConfigError)
 
 
 def build_workload_spec(raw_spec: dict, seed_override: Optional[int] = None) -> WorkloadSpec:
     spec = dict(_expect_mapping(raw_spec, "workload.spec"))
     if seed_override is not None:
         spec["seed"] = seed_override
-    if "profile" in spec:
-        try:
-            spec["profile"] = WorkloadProfile(spec["profile"])
-        except ValueError:
-            raise ConfigError(
-                f"workload.spec.profile: unknown profile {spec['profile']!r}; known: "
-                + ", ".join(p.value for p in WorkloadProfile)
-            ) from None
-    if "reference_capacity" in spec:
-        spec["reference_capacity"] = _parse_capacity(
-            spec["reference_capacity"], "workload.spec.reference_capacity"
-        )
-    try:
-        return WorkloadSpec(**spec)
-    except (TypeError, WorkloadError) as exc:
-        raise ConfigError(f"workload.spec: {exc}") from None
+    return build(WorkloadSpec, spec, "workload.spec", ConfigError)
 
 
 @dataclass(slots=True)

@@ -70,23 +70,27 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import attrgetter
 from typing import Optional
 
 from .model import (
+    POSITIVE,
+    BreachSide,
     MachineCapacity,
     MachineState,
-    BreachSide,
     PhysicalMachine,
     PowerModel,
     Shares,
     UtilizationWeights,
     VirtualMachine,
     _column_sums,
-    _not_integer,
+    check_fields,
     clamped_sum_of,
     complement_of,
+    declare,
+    integer,
+    record,
     running_power,
     shares_of,
     used_shares_of,
@@ -107,12 +111,11 @@ class EngineError(ValueError):
 class FleetMachine:
     """Static description of one physical machine."""
 
-    capacity: MachineCapacity
-    peak_power_watts: float
+    capacity: MachineCapacity = declare(record(MachineCapacity))
+    peak_power_watts: float = declare(POSITIVE)
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.peak_power_watts) or self.peak_power_watts <= 0.0:
-            raise EngineError(f"peak_power_watts must be > 0, got {self.peak_power_watts!r}")
+        check_fields(self, EngineError)
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,30 +123,24 @@ class SimulationConfig:
     """Static parameters of a simulation run."""
 
     fleet: tuple[FleetMachine, ...]
-    duration_ticks: int
-    tick_length_seconds: float = 60.0
-    initial_running_count: int = 1
-    power_model: PowerModel = field(default_factory=PowerModel)
-    migration_cost_ticks: int = 0
-    energy_weights: UtilizationWeights = field(default_factory=UtilizationWeights)
+    duration_ticks: int = declare(integer(1))
+    tick_length_seconds: float = declare(POSITIVE, 60.0)
+    initial_running_count: int = declare(integer(1), 1)
+    power_model: PowerModel = declare(record(PowerModel), default_factory=PowerModel)
+    migration_cost_ticks: int = declare(integer(0), 0)
+    energy_weights: UtilizationWeights = declare(
+        record(UtilizationWeights), default_factory=UtilizationWeights
+    )
 
     def __post_init__(self) -> None:
         if not self.fleet:
             raise EngineError("fleet must contain at least one machine")
-        for name in ("duration_ticks", "initial_running_count", "migration_cost_ticks"):
-            if _not_integer(getattr(self, name)):
-                raise EngineError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if self.duration_ticks < 1:
-            raise EngineError("duration_ticks must be >= 1")
-        if not math.isfinite(self.tick_length_seconds) or self.tick_length_seconds <= 0:
-            raise EngineError("tick_length_seconds must be > 0")
-        if not 1 <= self.initial_running_count <= len(self.fleet):
+        check_fields(self, EngineError)
+        if self.initial_running_count > len(self.fleet):
             raise EngineError(
                 f"initial_running_count must be in [1, {len(self.fleet)}], "
                 f"got {self.initial_running_count}"
             )
-        if self.migration_cost_ticks < 0:
-            raise EngineError("migration_cost_ticks must be >= 0")
 
 
 def _trace_columns(

@@ -10,9 +10,10 @@ consistent across a fleet (e.g. MHz / MB / MB/s / Mbit/s).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
-from typing import Iterable, Optional
+from functools import cache
+from typing import Any, Callable, Iterable, Optional
 
 RESOURCES = ("cpu", "mem", "disk", "bw")
 
@@ -22,30 +23,171 @@ RESOURCES = ("cpu", "mem", "disk", "bw")
 Shares = tuple[float, float, float, float]
 
 
-def _not_integer(value: object) -> bool:
-    """Whether ``value`` is not an ``int``; a ``bool`` is not one here."""
-    return isinstance(value, bool) or not isinstance(value, int)
+# ---------------------------------------------------------------------------
+# Parameter kinds
+# ---------------------------------------------------------------------------
+# A parameter from configuration or the public API declares its kind once, on
+# its dataclass field (``declare``) or in a policy's ``parameters``, and
+# ``checked`` applies it.  Rules relating two fields stay in ``__post_init__``.
+
+_BAD = object()  # what a kind's ``convert`` returns for a value it rejects
 
 
-def _check_fraction(name: str, value: float) -> None:
-    if not math.isfinite(value) or not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must be a finite fraction in [0, 1], got {value!r}")
+@dataclass(frozen=True, slots=True)
+class Kind:
+    """The values one parameter takes: ``text`` names them, ``convert`` applies them.
+
+    ``convert(value, key, error)`` returns the value as the parameter stores
+    it, or ``_BAD``.  A record kind's ``cls`` is the dataclass it builds.
+    """
+
+    text: str
+    convert: Callable[[Any, str, type], Any]
+    cls: Optional[type] = None
+
+
+def integer(low: int, optional: bool = False) -> Kind:
+    """An ``int`` (a ``bool`` is not one) of at least ``low``; also None when ``optional``."""
+
+    def convert(value: Any, key: str, error: type) -> Any:
+        if value is None and optional:
+            return None
+        ok = isinstance(value, int) and not isinstance(value, bool) and value >= low
+        return value if ok else _BAD
+
+    return Kind(f"an integer >= {low}" + (" or null" if optional else ""), convert)
+
+
+def number(
+    low: float, high: float = math.inf, low_open: bool = False, high_open: bool = False
+) -> Kind:
+    """A finite ``int`` or ``float`` (not a ``bool``) from ``low`` to ``high``, stored as a float.
+
+    Each end is closed unless marked open; an infinite ``high`` is no bound.
+    """
+
+    def convert(value: Any, key: str, error: type) -> Any:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            return _BAD
+        try:
+            value = float(value)
+        except OverflowError:  # an integer too large for a float
+            return _BAD
+        above = low < value if low_open else low <= value
+        below = value < high if high_open else value <= high
+        return value if math.isfinite(value) and above and below else _BAD
+
+    if high == math.inf:
+        return Kind(f"a finite number {'>' if low_open else '>='} {low:g}", convert)
+    ends = f"{'(' if low_open else '['}{low:g}, {high:g}{')' if high_open else ']'}"
+    return Kind(f"a finite number in {ends}", convert)
+
+
+#: ``True`` or ``False``; no other value stands in for one.
+FLAG = Kind("true or false", lambda value, key, error: value if isinstance(value, bool) else _BAD)
+
+
+def choice(enum: type[Enum]) -> Kind:
+    """A member of ``enum``, or the string value of one."""
+
+    def convert(value: Any, key: str, error: type) -> Any:
+        for member in enum:
+            if value is member or (isinstance(value, str) and value == member.value):
+                return member
+        return _BAD
+
+    return Kind("one of " + ", ".join(repr(member.value) for member in enum), convert)
+
+
+def record(cls: type, sequence: bool = False) -> Kind:
+    """An instance of dataclass ``cls``, or a mapping of its fields, each checked as ``key.field``.
+
+    With ``sequence``, a list or tuple of four numbers in ``RESOURCES`` order
+    is one too.
+    """
+
+    def convert(value: Any, key: str, error: type) -> Any:
+        if isinstance(value, cls):
+            return value
+        if sequence and isinstance(value, (list, tuple)) and len(value) == 4:
+            value = dict(zip(RESOURCES, value))
+        return build(cls, value, key, error) if isinstance(value, dict) else _BAD
+
+    return Kind("a mapping or a list of four numbers" if sequence else "a mapping", convert, cls)
+
+
+FRACTION = number(0.0, 1.0)
+POSITIVE = number(0.0, low_open=True)
+NON_NEGATIVE = number(0.0)
+
+
+def declare(kind: Kind, default: Any = MISSING, *, default_factory: Any = MISSING) -> Any:
+    """A dataclass field whose values are checked as ``kind`` (see ``check_fields``)."""
+    return field(default=default, default_factory=default_factory, metadata={"kind": kind})
+
+
+@cache
+def declared(cls: type) -> dict[str, Kind]:
+    """The kind each field of dataclass ``cls`` declares, by field name; read-only."""
+    return {f.name: f.metadata["kind"] for f in fields(cls) if "kind" in f.metadata}
+
+
+def checked(kind: Kind, key: str, value: Any, error: type = ValueError) -> Any:
+    """``value`` as a parameter of ``kind`` stores it; raises ``error`` naming ``key`` otherwise."""
+    result = kind.convert(value, key, error)
+    if result is _BAD:
+        raise error(f"{key} must be {kind.text}, got {value!r}")
+    return result
+
+
+def check_fields(obj: Any, error: type = ValueError, prefix: str = "") -> None:
+    """Check each declared field of dataclass instance ``obj``, keyed ``prefix + name``.
+
+    A field whose value its kind converts (an ``int`` to a float, a string
+    to an enum member, a mapping to a record) is set to the converted value.
+    """
+    for name, kind in declared(type(obj)).items():
+        value = getattr(obj, name)
+        result = checked(kind, prefix + name, value, error)
+        if result is not value:
+            object.__setattr__(obj, name, result)
+
+
+def build(cls: type, raw: dict, key: str, error: type = ValueError) -> Any:
+    """Dataclass ``cls`` from a mapping of its fields; each message names ``key`` or ``key.field``.
+
+    An unknown or missing key is an error.  A rule between fields that
+    ``cls`` raises as a ``ValueError`` is re-raised as ``error``, after
+    ``key: ``.
+    """
+    known = {f.name: f for f in fields(cls)}
+    kinds = declared(cls)
+    values = {}
+    for name, value in raw.items():
+        if name not in known:
+            raise error(f"unknown key {key}.{name}; known: {', '.join(known)}")
+        kind = kinds.get(name)
+        values[name] = value if kind is None else checked(kind, f"{key}.{name}", value, error)
+    for name, f in known.items():
+        if name not in values and f.default is MISSING and f.default_factory is MISSING:
+            raise error(f"{key}: missing required key {name!r}")
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise error(f"{key}: {exc}") from None
 
 
 @dataclass(frozen=True, slots=True)
 class ResourceVector:
     """Fractions of a machine's capacity, one component per tracked resource."""
 
-    cpu: float
-    mem: float
-    disk: float
-    bw: float
+    cpu: float = declare(FRACTION)
+    mem: float = declare(FRACTION)
+    disk: float = declare(FRACTION)
+    bw: float = declare(FRACTION)
 
     def __post_init__(self) -> None:
-        _check_fraction("cpu", self.cpu)
-        _check_fraction("mem", self.mem)
-        _check_fraction("disk", self.disk)
-        _check_fraction("bw", self.bw)
+        check_fields(self)
 
     def as_tuple(self) -> Shares:
         return (self.cpu, self.mem, self.disk, self.bw)
@@ -58,16 +200,13 @@ DEFAULT_RV = ResourceVector(0.25, 0.25, 0.25, 0.25)
 class MachineCapacity:
     """Absolute resource capacities of a physical machine (strictly positive)."""
 
-    cpu: float
-    mem: float
-    disk: float
-    bw: float
+    cpu: float = declare(POSITIVE)
+    mem: float = declare(POSITIVE)
+    disk: float = declare(POSITIVE)
+    bw: float = declare(POSITIVE)
 
     def __post_init__(self) -> None:
-        for name in RESOURCES:
-            value = getattr(self, name)
-            if not math.isfinite(value) or value <= 0.0:
-                raise ValueError(f"capacity {name} must be > 0, got {value!r}")
+        check_fields(self)
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.cpu, self.mem, self.disk, self.bw)
@@ -80,14 +219,13 @@ class UtilizationWeights:
     Each weight lies in [0, 1] and the four must sum to 1 (within 1e-9).
     """
 
-    cpu: float = 0.25
-    mem: float = 0.25
-    disk: float = 0.25
-    bw: float = 0.25
+    cpu: float = declare(FRACTION, 0.25)
+    mem: float = declare(FRACTION, 0.25)
+    disk: float = declare(FRACTION, 0.25)
+    bw: float = declare(FRACTION, 0.25)
 
     def __post_init__(self) -> None:
-        for name in RESOURCES:
-            _check_fraction(f"weight {name}", getattr(self, name))
+        check_fields(self)
         total = self.cpu + self.mem + self.disk + self.bw
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"utilization weights must sum to 1, got {total!r}")
@@ -105,13 +243,11 @@ class PowerModel:
     machines draw ``standby_watts`` regardless of load.
     """
 
-    idle_fraction: float = 0.5
-    standby_watts: float = 0.0
+    idle_fraction: float = declare(FRACTION, 0.5)
+    standby_watts: float = declare(NON_NEGATIVE, 0.0)
 
     def __post_init__(self) -> None:
-        _check_fraction("idle_fraction", self.idle_fraction)
-        if not math.isfinite(self.standby_watts) or self.standby_watts < 0.0:
-            raise ValueError(f"standby_watts must be >= 0, got {self.standby_watts!r}")
+        check_fields(self)
 
 
 class MachineState(Enum):
@@ -132,7 +268,7 @@ class PhysicalMachine:
 
     id: int
     capacity: MachineCapacity
-    peak_power_watts: float
+    peak_power_watts: float = declare(POSITIVE)
     state: MachineState = MachineState.RUNNING
     hosted_vm_ids: list[str] = field(default_factory=list)
     last_used_tick: int = -1  # the last tick it ran before going to standby; -1 until then
@@ -140,8 +276,7 @@ class PhysicalMachine:
     threshold_breach_since: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.peak_power_watts) or self.peak_power_watts <= 0.0:
-            raise ValueError(f"peak power must be > 0, got {self.peak_power_watts!r}")
+        check_fields(self)
 
     @property
     def is_running(self) -> bool:
@@ -184,21 +319,6 @@ class VirtualMachine:
     cursor: int = 0
     sums: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0)
     overrides: dict[int, tuple[float, float, float, float]] = field(default_factory=dict)
-
-
-def parse_components(cls: type, raw: object):
-    """Build a four-component value such as ``UtilizationWeights`` or ``ResourceVector``.
-
-    ``raw`` is an instance of ``cls``, a mapping of component names, or a
-    list or tuple of four numbers in ``RESOURCES`` order.
-    """
-    if isinstance(raw, cls):
-        return raw
-    if isinstance(raw, dict):
-        return cls(**raw)
-    if isinstance(raw, (list, tuple)) and len(raw) == 4:
-        return cls(*raw)
-    raise ValueError(f"cannot interpret {cls.__name__} from {raw!r}")
 
 
 # ---------------------------------------------------------------------------

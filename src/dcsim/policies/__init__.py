@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any, Callable, Mapping
 
-from ..model import ResourceVector, UtilizationWeights, parse_components
+from ..model import Kind, declared
 from .base import ActionKind, ClusterView, RebalanceAction, SchedulerPolicy
 from .baselines import (
     DynamicRoundRobinPolicy,
@@ -31,38 +31,24 @@ RECOMMENDED_POLICY_PARAMS: dict[str, Any] = {
 }
 
 
-def _build_similarity(params: dict[str, Any]) -> SimilarityPolicy:
-    kwargs = dict(params)
-    if "similarity_method" in kwargs:
-        kwargs["similarity_method"] = SimilarityMethod(kwargs["similarity_method"])
-    if "weights" in kwargs:
-        kwargs["weights"] = parse_components(UtilizationWeights, kwargs["weights"])
-    if "default_rv" in kwargs:
-        kwargs["default_rv"] = parse_components(ResourceVector, kwargs["default_rv"])
-    return SimilarityPolicy(PolicyConfig(**kwargs))
-
-
 def _build_recommended(params: dict[str, Any]) -> SimilarityPolicy:
-    merged = dict(RECOMMENDED_POLICY_PARAMS)
-    merged.update(params)
-    return _build_similarity(merged)
+    return SimilarityPolicy(PolicyConfig(**{**RECOMMENDED_POLICY_PARAMS, **params}))
 
 
-def _build_single_threshold(params: dict[str, Any]) -> SingleThresholdPolicy:
-    kwargs = dict(params)
-    if "weights" in kwargs:
-        kwargs["weights"] = parse_components(UtilizationWeights, kwargs["weights"])
-    return SingleThresholdPolicy(**kwargs)
-
-
-_REGISTRY: dict[str, Callable[[dict[str, Any]], SchedulerPolicy]] = {
-    "similarity": _build_similarity,
-    "recommended": _build_recommended,
-    "round_robin": lambda params: RoundRobinPolicy(**params),
-    "greedy": lambda params: GreedyPolicy(**params),
-    "power_save": lambda params: PowerSavePolicy(**params),
-    "dynamic_round_robin": lambda params: DynamicRoundRobinPolicy(**params),
-    "single_threshold": _build_single_threshold,
+#: id -> (the kind of each parameter the policy takes, by name; its builder).
+#: A builder receives only declared parameters, and the policy checks their values.
+_REGISTRY: dict[str, tuple[Mapping[str, Kind], Callable[[dict[str, Any]], SchedulerPolicy]]] = {
+    "similarity": (declared(PolicyConfig), lambda params: SimilarityPolicy(PolicyConfig(**params))),
+    "recommended": (declared(PolicyConfig), _build_recommended),
+    "round_robin": ({}, lambda params: RoundRobinPolicy()),
+    "greedy": ({}, lambda params: GreedyPolicy()),
+    "power_save": ({}, lambda params: PowerSavePolicy()),
+    "dynamic_round_robin": (
+        DynamicRoundRobinPolicy.parameters, lambda params: DynamicRoundRobinPolicy(**params)
+    ),
+    "single_threshold": (
+        SingleThresholdPolicy.parameters, lambda params: SingleThresholdPolicy(**params)
+    ),
 }
 
 POLICY_IDS = tuple(sorted(_REGISTRY))
@@ -72,7 +58,8 @@ def build_policy(spec: dict[str, Any] | str) -> SchedulerPolicy:
     """Build a policy from a config mapping like ``{"id": "similarity", ...}``.
 
     A bare string is shorthand for ``{"id": <string>}``.  An unknown or
-    non-string id, or unknown parameters, raise ``ValueError`` naming them.
+    non-string id, a parameter the policy does not declare, or a value its
+    kind rejects raises ``ValueError`` naming them.
     """
     if isinstance(spec, str):
         spec = {"id": spec}
@@ -80,10 +67,14 @@ def build_policy(spec: dict[str, Any] | str) -> SchedulerPolicy:
     policy_id = params.pop("id", None)
     if not isinstance(policy_id, str) or policy_id not in _REGISTRY:
         raise ValueError(f"unknown policy id {policy_id!r}; known: {', '.join(POLICY_IDS)}")
-    try:
-        return _REGISTRY[policy_id](params)
-    except TypeError as exc:
-        raise ValueError(f"bad parameters for policy {policy_id!r}: {exc}") from None
+    parameters, build = _REGISTRY[policy_id]
+    unknown = [name for name in params if name not in parameters]
+    if unknown:
+        raise ValueError(
+            f"bad parameters for policy {policy_id!r}: unknown {', '.join(map(repr, unknown))}; "
+            f"known: {', '.join(parameters) or 'none'}"
+        )
+    return build(params)
 
 
 __all__ = [

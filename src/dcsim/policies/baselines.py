@@ -17,7 +17,10 @@ from ..model import (
     PhysicalMachine,
     PowerModel,
     UtilizationWeights,
-    _not_integer,
+    checked,
+    integer,
+    number,
+    record,
     shares_of,
     utilization_of,
 )
@@ -105,13 +108,14 @@ class DynamicRoundRobinPolicy(RoundRobinPolicy):
 
     name = "dynamic_round_robin"
 
+    #: The kind of each constructor parameter, by name.
+    parameters = {"retirement_threshold": integer(1)}
+
     def __init__(self, retirement_threshold: int = 10) -> None:
         super().__init__()
-        if _not_integer(retirement_threshold) or retirement_threshold < 1:
-            raise ValueError(
-                f"retirement_threshold must be an integer >= 1, got {retirement_threshold!r}"
-            )
-        self.retirement_threshold = retirement_threshold
+        self.retirement_threshold = checked(
+            self.parameters["retirement_threshold"], "retirement_threshold", retirement_threshold
+        )
         self._retiring: dict[int, int] = {}
 
     def _accepting(self, view: ClusterView) -> list[PhysicalMachine]:
@@ -160,20 +164,24 @@ class SingleThresholdPolicy(SchedulerPolicy):
 
     name = "single_threshold"
 
+    #: The kind of each constructor parameter, by name.
+    parameters = {
+        "threshold": number(0.0, 1.0, low_open=True),
+        "epoch_ticks": integer(1),
+        "weights": record(UtilizationWeights, sequence=True),
+    }
+
     def __init__(
         self,
         threshold: float = 0.75,
         epoch_ticks: int = 5,
-        weights: Optional[UtilizationWeights] = None,
+        weights: UtilizationWeights = UtilizationWeights(),
     ) -> None:
         super().__init__()
-        if not 0.0 < threshold <= 1.0:
-            raise ValueError("threshold must be in (0, 1]")
-        if _not_integer(epoch_ticks) or epoch_ticks < 1:
-            raise ValueError(f"epoch_ticks must be an integer >= 1, got {epoch_ticks!r}")
-        self.threshold = threshold
-        self.epoch_ticks = epoch_ticks
-        self.weights = weights or UtilizationWeights()
+        kinds = self.parameters
+        self.threshold = checked(kinds["threshold"], "threshold", threshold)
+        self.epoch_ticks = checked(kinds["epoch_ticks"], "epoch_ticks", epoch_ticks)
+        self.weights = checked(kinds["weights"], "weights", weights)
         # (machines, power model, kinds without their on and off lists,
         # capacities) as ``_fleet`` last built them.
         self._static: Optional[tuple] = None

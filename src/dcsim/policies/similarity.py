@@ -20,20 +20,26 @@ running peers and put on standby.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Optional
 
 from ..model import (
     DEFAULT_RV,
+    FRACTION,
+    POSITIVE,
     BreachSide,
     PhysicalMachine,
     ResourceVector,
     Shares,
     UtilizationWeights,
-    _not_integer,
+    check_fields,
+    choice,
     clamped_sum_of,
     complement_of,
+    declare,
+    integer,
+    record,
     utilization_of,
 )
 from .base import ClusterView, RebalanceAction, SchedulerPolicy
@@ -96,18 +102,23 @@ class PolicyConfig:
     ``MIN_THRESHOLD_GAP`` apart.
     """
 
-    u_up: float = 0.75
-    u_down: float = 0.15
-    buffer: float = 0.15
-    similarity_method: SimilarityMethod = SimilarityMethod.FREE_FIT
-    similarity_threshold: float = 0.6
-    consistency_ticks: int = 3
-    weights: UtilizationWeights = field(default_factory=UtilizationWeights)
-    default_rv: ResourceVector = DEFAULT_RV
-    delta_window_seconds: float = 300.0
+    u_up: float = declare(FRACTION, 0.75)
+    u_down: float = declare(FRACTION, 0.15)
+    buffer: float = declare(FRACTION, 0.15)
+    similarity_method: SimilarityMethod = declare(
+        choice(SimilarityMethod), SimilarityMethod.FREE_FIT
+    )
+    similarity_threshold: float = declare(FRACTION, 0.6)
+    consistency_ticks: int = declare(integer(1), 3)
+    weights: UtilizationWeights = declare(
+        record(UtilizationWeights, sequence=True), default_factory=UtilizationWeights
+    )
+    default_rv: ResourceVector = declare(record(ResourceVector, sequence=True), DEFAULT_RV)
+    delta_window_seconds: float = declare(POSITIVE, 300.0)
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.u_down < self.u_up <= 1.0:
+        check_fields(self)
+        if not self.u_down < self.u_up:
             raise ValueError(
                 f"need 0 <= u_down < u_up <= 1, got u_down={self.u_down!r} u_up={self.u_up!r}"
             )
@@ -116,16 +127,8 @@ class PolicyConfig:
                 f"u_up - u_down = {self.u_up - self.u_down:.4f} is below the "
                 f"minimum gap {MIN_THRESHOLD_GAP}"
             )
-        if not 0.0 <= self.buffer < self.u_up:
+        if not self.buffer < self.u_up:
             raise ValueError(f"need 0 <= buffer < u_up, got buffer={self.buffer!r}")
-        if not 0.0 <= self.similarity_threshold <= 1.0:
-            raise ValueError("similarity_threshold must be in [0, 1]")
-        if _not_integer(self.consistency_ticks) or self.consistency_ticks < 1:
-            raise ValueError(
-                f"consistency_ticks must be an integer >= 1, got {self.consistency_ticks!r}"
-            )
-        if not math.isfinite(self.delta_window_seconds) or self.delta_window_seconds <= 0:
-            raise ValueError("delta_window_seconds must be > 0")
 
 
 class SimilarityPolicy(SchedulerPolicy):

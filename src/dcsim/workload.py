@@ -28,7 +28,17 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional, Union
 
-from .model import MachineCapacity, _not_integer
+from .model import (
+    FLAG,
+    FRACTION,
+    MachineCapacity,
+    check_fields,
+    choice,
+    declare,
+    integer,
+    number,
+    record,
+)
 
 
 class WorkloadError(ValueError):
@@ -126,22 +136,15 @@ class VmRequest:
     """
 
     vm_id: str
-    nominal: MachineCapacity
-    arrival_tick: int
-    departure_tick: Optional[int]
+    nominal: MachineCapacity = declare(record(MachineCapacity))
+    arrival_tick: int = declare(integer(0))
+    departure_tick: Optional[int] = declare(integer(0, optional=True))
     trace: DemandTrace
 
     def __post_init__(self) -> None:
         if not isinstance(self.trace, DemandTrace):
             object.__setattr__(self, "trace", DemandTrace.from_samples(self.trace))
-        for name in ("arrival_tick", "departure_tick"):
-            value = getattr(self, name)
-            if value is None and name == "departure_tick":
-                continue
-            if _not_integer(value):
-                raise WorkloadError(f"{self.vm_id}: {name} must be an integer, got {value!r}")
-        if self.arrival_tick < 0:
-            raise WorkloadError(f"{self.vm_id}: arrival tick must be >= 0")
+        check_fields(self, WorkloadError, f"{self.vm_id}: ")
         if self.departure_tick is not None and self.departure_tick <= self.arrival_tick:
             raise WorkloadError(
                 f"{self.vm_id}: departure {self.departure_tick} must be after "
@@ -164,17 +167,8 @@ class WorkloadProfile(Enum):
     MIXED_INTENSIVE = "mixed-intensive"
 
 
-_INTEGER_FIELDS = (
-    "seed",
-    "vm_count",
-    "duration_ticks",
-    "spike_duration_ticks",
-    "diurnal_period_ticks",
-    "arrival_spread_ticks",
-    "lifetime_ticks",
-)
-#: The integer fields that may be None.
-_OPTIONAL_FIELDS = ("diurnal_period_ticks", "lifetime_ticks")
+_LEVEL = number(0.0, 1.0, low_open=True)  # a size or demand level: a fraction above 0
+_BELOW_ONE = number(0.0, 1.0, high_open=True)
 
 
 @dataclass(frozen=True, slots=True)
@@ -187,63 +181,32 @@ class WorkloadSpec:
     per-VM demand ceiling.
     """
 
-    seed: int
-    vm_count: int
-    duration_ticks: int
-    profile: WorkloadProfile = WorkloadProfile.STEADY
-    reference_capacity: MachineCapacity = MachineCapacity(4000.0, 8192.0, 1000.0, 1000.0)
-    nominal_fraction: float = 0.25
-    nominal_fraction_spread: float = 0.0
-    mean_level: float = 0.5
-    jitter: float = 0.05
-    spike_probability: float = 0.0
-    spike_magnitude: float = 1.5
-    spike_duration_ticks: int = 5
-    spike_synchronized: bool = False
-    dominant_level: float = 0.7
-    background_level: float = 0.15
-    diurnal_amplitude: float = 0.8
-    diurnal_period_ticks: Optional[int] = None
-    arrival_spread_ticks: int = 0
-    lifetime_ticks: Optional[int] = None
+    seed: int = declare(integer(0))
+    vm_count: int = declare(integer(1))
+    duration_ticks: int = declare(integer(1))
+    profile: WorkloadProfile = declare(choice(WorkloadProfile), WorkloadProfile.STEADY)
+    reference_capacity: MachineCapacity = declare(
+        record(MachineCapacity), MachineCapacity(4000.0, 8192.0, 1000.0, 1000.0)
+    )
+    nominal_fraction: float = declare(_LEVEL, 0.25)
+    nominal_fraction_spread: float = declare(_BELOW_ONE, 0.0)
+    mean_level: float = declare(_LEVEL, 0.5)
+    jitter: float = declare(_BELOW_ONE, 0.05)
+    spike_probability: float = declare(FRACTION, 0.0)
+    spike_magnitude: float = declare(number(1.0), 1.5)
+    spike_duration_ticks: int = declare(integer(1), 5)
+    spike_synchronized: bool = declare(FLAG, False)
+    dominant_level: float = declare(_LEVEL, 0.7)
+    background_level: float = declare(_LEVEL, 0.15)
+    diurnal_amplitude: float = declare(FRACTION, 0.8)
+    diurnal_period_ticks: Optional[int] = declare(integer(2, optional=True), None)
+    arrival_spread_ticks: int = declare(integer(0), 0)
+    lifetime_ticks: Optional[int] = declare(integer(1, optional=True), None)
 
     def __post_init__(self) -> None:
-        for name in _INTEGER_FIELDS:
-            value = getattr(self, name)
-            if value is None and name in _OPTIONAL_FIELDS:
-                continue
-            if _not_integer(value):
-                raise WorkloadError(f"{name} must be an integer, got {value!r}")
-        if self.vm_count < 1:
-            raise WorkloadError("vm_count must be >= 1")
-        if self.duration_ticks < 1:
-            raise WorkloadError("duration_ticks must be >= 1")
-        for name in ("nominal_fraction", "mean_level", "dominant_level", "background_level"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or not 0.0 < value <= 1.0:
-                raise WorkloadError(f"{name} must be in (0, 1], got {value!r}")
-        if not 0.0 <= self.nominal_fraction_spread < 1.0:
-            raise WorkloadError(
-                f"nominal_fraction_spread must be in [0, 1), got {self.nominal_fraction_spread!r}"
-            )
-        if not 0.0 <= self.jitter < 1.0:
-            raise WorkloadError(f"jitter must be in [0, 1), got {self.jitter!r}")
-        if not 0.0 <= self.spike_probability <= 1.0:
-            raise WorkloadError("spike_probability must be in [0, 1]")
-        if not math.isfinite(self.spike_magnitude) or self.spike_magnitude < 1.0:
-            raise WorkloadError(
-                f"spike_magnitude must be finite and >= 1, got {self.spike_magnitude!r}"
-            )
-        if self.spike_duration_ticks < 1:
-            raise WorkloadError("spike_duration_ticks must be >= 1")
-        if not 0.0 <= self.diurnal_amplitude <= 1.0:
-            raise WorkloadError("diurnal_amplitude must be in [0, 1]")
-        if self.diurnal_period_ticks is not None and self.diurnal_period_ticks < 2:
-            raise WorkloadError("diurnal_period_ticks must be >= 2")
-        if self.arrival_spread_ticks < 0 or self.arrival_spread_ticks >= self.duration_ticks:
+        check_fields(self, WorkloadError)
+        if self.arrival_spread_ticks >= self.duration_ticks:
             raise WorkloadError("arrival_spread_ticks must be in [0, duration)")
-        if self.lifetime_ticks is not None and self.lifetime_ticks < 1:
-            raise WorkloadError("lifetime_ticks must be >= 1")
 
 
 def _derived_rng(seed: int, vm_index: int, stream: int) -> random.Random:

@@ -7,6 +7,7 @@ from typing import Optional
 from dcsim import policies
 from dcsim.model import (
     DEFAULT_RV,
+    integer,
     MachineCapacity,
     MachineState,
     PhysicalMachine,
@@ -153,7 +154,9 @@ def fixed_placer_spec(machine):
     return {"id": _FakePolicyId(FixedPlacer.name), "machine": machine}
 
 
-policies._REGISTRY.setdefault(FixedPlacer.name, lambda params: FixedPlacer(**params))
+policies._REGISTRY.setdefault(
+    FixedPlacer.name, ({"machine": integer(0)}, lambda params: FixedPlacer(**params))
+)
 
 
 class PickleCountingList(list):

@@ -3,7 +3,7 @@
 import pytest
 
 import _fakes as fakes
-from dcsim.model import MachineCapacity, MachineState, PowerModel, ResourceVector
+from dcsim.model import MachineCapacity, MachineState, PowerModel
 from dcsim.policies.base import ActionKind
 from dcsim.policies.baselines import (
     DynamicRoundRobinPolicy,
@@ -215,7 +215,6 @@ class TestSingleThreshold:
         view = three_machine_view()
         view.machines[2].add_vm("vm-a")
         view.window_means["vm-a"] = (1000.0, 10.0, 10.0, 10.0)
-        view.vm_rvs["vm-a"] = ResourceVector(0.25, 0.001, 0.01, 0.01)
         policy = SingleThresholdPolicy(epoch_ticks=5)
         assert list(policy.rebalance(view, 3)) == []
         moves = list(policy.rebalance(view, 5))
@@ -230,8 +229,6 @@ class TestSingleThreshold:
         view.machines[2].add_vm("vm-big")
         view.window_means["vm-small"] = (200.0, 10.0, 10.0, 10.0)
         view.window_means["vm-big"] = (900.0, 10.0, 10.0, 10.0)
-        view.vm_rvs["vm-small"] = ResourceVector(0.05, 0.001, 0.01, 0.01)
-        view.vm_rvs["vm-big"] = ResourceVector(0.225, 0.001, 0.01, 0.01)
         policy = SingleThresholdPolicy(epoch_ticks=1)
         moves = list(policy.rebalance(view, 0))
         assert [(m.vm_id, m.target_id) for m in moves] == [
@@ -243,7 +240,6 @@ class TestSingleThreshold:
         view = three_machine_view()
         view.machines[1].add_vm("vm-a")
         view.window_means["vm-a"] = (100.0, 10, 10, 10)
-        view.vm_rvs["vm-a"] = ResourceVector(0.025, 0.001, 0.01, 0.01)
         policy = SingleThresholdPolicy(epoch_ticks=1)
         for tick in range(4):
             for action in policy.rebalance(view, tick):

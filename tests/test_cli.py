@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -129,22 +130,22 @@ class TestBuildSimulationConfig:
             build_simulation_config(raw)
 
     @pytest.mark.parametrize(
-        "path, value, key",
+        "path, value, key, low",
         [
-            (("duration_ticks",), 59.9, "simulation.duration_ticks"),
-            (("fleet", 0, "count"), 2.7, r"simulation.fleet\[0\].count"),
-            (("migration_cost_ticks",), 1.5, "simulation.migration_cost_ticks"),
-            (("migration_cost_ticks",), 1.0, "simulation.migration_cost_ticks"),
+            (("duration_ticks",), 59.9, "simulation.duration_ticks", 1),
+            (("fleet", 0, "count"), 2.7, r"simulation.fleet\[0\].count", 1),
+            (("migration_cost_ticks",), 1.5, "simulation.migration_cost_ticks", 0),
+            (("migration_cost_ticks",), 1.0, "simulation.migration_cost_ticks", 0),
         ],
         ids=["duration", "count", "cost", "cost-integral-float"],
     )
-    def test_integer_keys_are_not_truncated(self, path, value, key):
+    def test_integer_keys_are_not_truncated(self, path, value, key, low):
         raw = base_config()
         node = raw["simulation"]
         for part in path[:-1]:
             node = node[part]
         node[path[-1]] = value
-        with pytest.raises(ConfigError, match=f"^{key}: expected an integer"):
+        with pytest.raises(ConfigError, match=f"^{key} must be an integer >= {low}, got {value!r}"):
             build_simulation_config(raw)
 
     def test_energy_weights_mapping_builds(self):
@@ -169,7 +170,8 @@ class TestBuildSimulationConfig:
     def test_peak_power_must_be_positive_and_finite(self, peak):
         raw = base_config()
         raw["simulation"]["fleet"][0]["peak_power_watts"] = peak
-        with pytest.raises(ConfigError, match=r"^simulation\.fleet\[0\]\.peak_power_watts: "):
+        message = f"simulation.fleet[0].peak_power_watts must be a finite number > 0, got {peak!r}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
             build_simulation_config(raw)
 
     def test_engine_validation_is_wrapped(self):
@@ -370,22 +372,29 @@ class TestCliRun:
         assert "config error" in err and name in err
 
     @pytest.mark.parametrize(
-        "edit, override, key",
+        "edit, override, key, kind, got",
         [
-            (None, "simulation.tick_length_seconds=true", "simulation.tick_length_seconds"),
-            (None, "simulation.tick_length_seconds=1" + "0" * 400, "simulation.tick_length_seconds"),
-            (("fleet", 0, "capacity", "bw"), True, "capacity.bw"),
-            (("fleet", 0, "capacity", "cpu"), "2000", "capacity.cpu"),
-            (("fleet", 0, "peak_power_watts"), "200", "peak_power_watts"),
-            (None, "simulation.power_model.idle_fraction=false", "power_model.idle_fraction"),
-            (None, "simulation.power_model.standby_watts=\"5\"", "power_model.standby_watts"),
-            (None, "simulation.energy_weights.cpu=true", "energy_weights.cpu"),
-            (None, "workload.spec.reference_capacity.mem=\"8192\"", "reference_capacity.mem"),
+            (None, "simulation.tick_length_seconds=true", "simulation.tick_length_seconds",
+             "> 0", "True"),
+            (None, "simulation.tick_length_seconds=1" + "0" * 400, "simulation.tick_length_seconds",
+             "> 0", "1" + "0" * 400),
+            (("fleet", 0, "capacity", "bw"), True, "capacity.bw", "> 0", "True"),
+            (("fleet", 0, "capacity", "cpu"), "2000", "capacity.cpu", "> 0", "'2000'"),
+            (("fleet", 0, "peak_power_watts"), "200", "peak_power_watts", "> 0", "'200'"),
+            (None, "simulation.power_model.idle_fraction=false", "power_model.idle_fraction",
+             "in [0, 1]", "False"),
+            (None, "simulation.power_model.standby_watts=\"5\"", "power_model.standby_watts",
+             ">= 0", "'5'"),
+            (None, "simulation.energy_weights.cpu=true", "energy_weights.cpu", "in [0, 1]", "True"),
+            (None, "workload.spec.reference_capacity.mem=\"8192\"", "reference_capacity.mem",
+             "> 0", "'8192'"),
         ],
         ids=["tick-length-bool", "tick-length-huge", "bw-bool", "cpu-string", "peak-string",
              "idle-bool", "standby-string", "weight-bool", "reference-string"],
     )
-    def test_non_numeric_number_is_config_error(self, tmp_path, capsys, edit, override, key):
+    def test_non_numeric_number_is_config_error(
+        self, tmp_path, capsys, edit, override, key, kind, got
+    ):
         raw = base_config()
         raw["simulation"]["energy_weights"] = {"cpu": 0.7, "mem": 0.1, "disk": 0.1, "bw": 0.1}
         raw["workload"]["spec"]["reference_capacity"] = {
@@ -404,7 +413,7 @@ class TestCliRun:
         code = main(["run", "--config", str(path), "--out", str(tmp_path / "o"), *sets])
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert "config error" in err and f"{key}: expected a number" in err
+        assert "config error" in err and f"{key} must be a finite number {kind}, got {got}" in err
 
     @pytest.mark.parametrize("peak", [float("nan"), float("inf"), -200, 0])
     def test_bad_peak_power_is_config_error(self, tmp_path, capsys, peak):
@@ -415,7 +424,10 @@ class TestCliRun:
         code = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert "config error: simulation.fleet[0].peak_power_watts: " in err
+        assert (
+            "config error: simulation.fleet[0].peak_power_watts must be a finite number > 0, "
+            f"got {peak!r}"
+        ) in err
 
     def test_unknown_policy_is_config_error(self, config_file, tmp_path, capsys):
         code = main(
@@ -436,6 +448,46 @@ class TestCliRun:
         argv = ["run", "--config", cfg, "--out", str(tmp_path / "o"), "--set", f"policy.id={policy_id}"]
         assert main(argv) == EXIT_CONFIG
         assert f"config error: unknown policy id {policy_id}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "policy, override, message",
+        [
+            ("recommended", "policy.u_up=true", "u_up must be a finite number in [0, 1], got True"),
+            ("recommended", "policy.similarity_threshold=true",
+             "similarity_threshold must be a finite number in [0, 1], got True"),
+            ("recommended", "policy.delta_window_seconds=true",
+             "delta_window_seconds must be a finite number > 0, got True"),
+            ("recommended", "policy.default_rv=[true,0,0,0]",
+             "default_rv.cpu must be a finite number in [0, 1], got True"),
+            ("recommended", "policy.similarity_method=[]",
+             "similarity_method must be one of 'dissimilar', 'free-fit', got []"),
+            ("single_threshold", "policy.threshold=true",
+             "threshold must be a finite number in (0, 1], got True"),
+            ("single_threshold", "policy.weights=[0,0,0,true]",
+             "weights.bw must be a finite number in [0, 1], got True"),
+            ("recommended", "workload.spec.mean_level=true",
+             "workload.spec.mean_level must be a finite number in (0, 1], got True"),
+            ("recommended", "workload.spec.spike_synchronized=2.5",
+             "workload.spec.spike_synchronized must be true or false, got 2.5"),
+            ("recommended", 'workload.spec.spike_synchronized="no"',
+             "workload.spec.spike_synchronized must be true or false, got 'no'"),
+            ("recommended", "workload.spec.seed=-1",
+             "workload.spec.seed must be an integer >= 0, got -1"),
+            ("recommended", 'workload.spec.jitter="0.5"',
+             "workload.spec.jitter must be a finite number in [0, 1), got '0.5'"),
+            ("recommended", "simulation.migration_cost_tick=5",
+             "unknown key simulation.migration_cost_tick; known: fleet, "),
+            ("recommended", "simulation.power_model.idle_fracton=0.9",
+             "unknown key simulation.power_model.idle_fracton; known: idle_fraction, "),
+        ],
+    )
+    def test_parameter_probes_are_config_errors(
+        self, config_file, tmp_path, capsys, policy, override, message
+    ):
+        cfg = config_file(policy={"id": policy})
+        argv = ["run", "--config", cfg, "--out", str(tmp_path / "o"), "--set", override]
+        assert main(argv) == EXIT_CONFIG
+        assert f"config error: {message}" in capsys.readouterr().err
 
 
 class TestCliSweep:

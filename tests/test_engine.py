@@ -2,6 +2,7 @@
 
 import importlib.util
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -116,7 +117,8 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("seconds", [0, 0.0, -60.0, float("nan"), float("inf")])
     def test_rejects_a_tick_length_that_is_not_positive_and_finite(self, seconds):
-        with pytest.raises(EngineError, match="tick_length_seconds must be > 0"):
+        message = f"tick_length_seconds must be a finite number > 0, got {seconds!r}"
+        with pytest.raises(EngineError, match=re.escape(message)):
             SimulationConfig(fleet=fleet(1), duration_ticks=5, tick_length_seconds=seconds)
 
     @pytest.mark.parametrize(
@@ -135,12 +137,16 @@ class TestConfigValidation:
     )
     def test_tick_counts_must_be_integers(self, name, value):
         kwargs = {"duration_ticks": 5, name: value}
-        with pytest.raises(EngineError, match=f"^{name} must be an integer, got {value!r}$"):
+        low = 0 if name == "migration_cost_ticks" else 1
+        with pytest.raises(
+            EngineError, match=f"^{name} must be an integer >= {low}, got {value!r}$"
+        ):
             SimulationConfig(fleet=fleet(2), **kwargs)
 
     @pytest.mark.parametrize("peak", [float("nan"), float("inf"), -200.0, 0.0])
     def test_fleet_machine_rejects_bad_peak_power(self, peak):
-        with pytest.raises(EngineError, match="peak_power_watts must be > 0"):
+        message = f"peak_power_watts must be a finite number > 0, got {peak!r}"
+        with pytest.raises(EngineError, match=re.escape(message)):
             FleetMachine(MachineCapacity(4000, 8192, 1000, 1000), peak)
 
     def test_rejects_duplicate_vm_ids(self):

@@ -1,5 +1,7 @@
 """Tests for the policy registry and its config-mapping constructor."""
 
+import re
+
 import pytest
 
 import dcsim
@@ -95,9 +97,21 @@ class TestBuildPolicy:
     def test_unknown_parameter_is_an_error(self):
         with pytest.raises(ValueError, match="bad parameters"):
             build_policy({"id": "greedy", "wibble": 1})
+        message = "bad parameters for policy 'greedy': unknown 'wibble', 'wobble'; known: none"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build_policy({"id": "greedy", "wibble": 1, "wobble": 2})
+
+    def test_a_type_error_inside_a_policy_is_a_fault(self, monkeypatch):
+        def broken(params):
+            raise TypeError("a fault inside the constructor")
+
+        monkeypatch.setitem(dcsim.policies._REGISTRY, "broken", ({}, broken))
+        with pytest.raises(TypeError, match="a fault inside the constructor"):
+            build_policy("broken")
 
     def test_uninterpretable_vector_is_an_error(self):
-        with pytest.raises(ValueError, match="cannot interpret ResourceVector"):
+        message = "default_rv must be a mapping or a list of four numbers, got [0.3, 0.3]"
+        with pytest.raises(ValueError, match=re.escape(message)):
             build_policy({"id": "similarity", "default_rv": [0.3, 0.3]})
 
     def test_invalid_parameter_value_propagates(self):
