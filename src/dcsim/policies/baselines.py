@@ -182,9 +182,6 @@ class SingleThresholdPolicy(SchedulerPolicy):
         self.threshold = checked(kinds["threshold"], "threshold", threshold)
         self.epoch_ticks = checked(kinds["epoch_ticks"], "epoch_ticks", epoch_ticks)
         self.weights = checked(kinds["weights"], "weights", weights)
-        # (machines, power model, kinds without their on and off lists,
-        # capacities) as ``_fleet`` last built them.
-        self._static: Optional[tuple] = None
 
     # -- helpers -----------------------------------------------------------
 
@@ -207,39 +204,23 @@ class SingleThresholdPolicy(SchedulerPolicy):
         the kind's running and standby machines in id order (``machines``
         comes in id order); the replan moves a machine it wakes from the one
         to the other.
-
-        Only the two lists are made per call.  The rest depends on the
-        machines' capacities and peak powers alone, and is built once for
-        each ``machines`` list and power model: the engine's
-        ``all_machines`` returns one list for a whole run.
         """
-        static = self._static
-        if static is None or static[0] is not machines or static[1] is not model:
-            classes: dict[int, int] = {}  # id(capacity) -> class
-            capacities: list[_Amounts] = []
-            members: dict[tuple[int, float], tuple] = {}
-            for pm in machines:
-                cls = classes.setdefault(id(pm.capacity), len(capacities))
-                if cls == len(capacities):
-                    capacities.append(pm.capacity.as_tuple())
-                peak = pm.peak_power_watts
-                kind = members.get((cls, peak))
-                if kind is None:
-                    slope = peak * (1.0 - model.idle_fraction)
-                    wake = peak * model.idle_fraction - model.standby_watts
-                    kind = members[cls, peak] = (pm.capacity.cpu, slope, wake, cls, [])
-                kind[4].append(pm)
-            static = self._static = (machines, model, list(members.values()), capacities)
-        _, _, static_kinds, capacities = static
+        classes: dict[int, int] = {}  # id(capacity) -> class
+        capacities: list[_Amounts] = []
+        kinds: dict[tuple[int, float], _Kind] = {}  # (id(capacity), peak) -> kind
         running = MachineState.RUNNING
-        kinds = []
-        for cpu_capacity, slope, wake, cls, kind_machines in static_kinds:
-            on: list[int] = []
-            off: list[int] = []
-            for pm in kind_machines:
-                (on if pm.state is running else off).append(pm.id)
-            kinds.append((cpu_capacity, slope, wake, cls, on, off))
-        return kinds, capacities
+        for pm in machines:
+            capacity, peak = pm.capacity, pm.peak_power_watts
+            kind = kinds.get((id(capacity), peak))
+            if kind is None:
+                cls = classes.setdefault(id(capacity), len(capacities))
+                if cls == len(capacities):
+                    capacities.append(capacity.as_tuple())
+                slope = peak * (1.0 - model.idle_fraction)
+                wake = peak * model.idle_fraction - model.standby_watts
+                kind = kinds[id(capacity), peak] = (capacity.cpu, slope, wake, cls, [], [])
+            kind[4 if pm.state is running else 5].append(pm.id)
+        return list(kinds.values()), capacities
 
     def _footprints(self, amounts: _Amounts, capacities: list[_Amounts]) -> list[float]:
         """The VM's unified footprint on each capacity class.

@@ -623,6 +623,19 @@ class TestCliGenWorkload:
         assert main(["run", "--config", str(cfg_path), "--out", str(out_trace)]) == EXIT_OK
         assert (out_spec / "report.csv").read_bytes() == (out_trace / "report.csv").read_bytes()
 
+    def test_bad_trace_field_is_config_error_naming_file_and_line(self, config_file, tmp_path, capsys):
+        gen = tmp_path / "gen"
+        assert main(["gen-workload", "--config", config_file(), "--out", str(gen)]) == EXIT_OK
+        meta = gen / "meta.csv"
+        header, first, *rest = meta.read_text().splitlines()
+        fields = first.split(",")
+        fields[3] = "0"  # the first VM's nominal cpu
+        meta.write_text("\n".join([header, ",".join(fields), *rest]) + "\n")
+        cfg = config_file(workload={"trace": str(gen / "trace.csv"), "meta": str(meta)})
+        capsys.readouterr()
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert re.search(r"meta\.csv:2: field 'cpu'", capsys.readouterr().err)
+
     def test_requires_spec_section(self, config_file, tmp_path, capsys):
         cfg = config_file(workload={"trace": "t.csv", "meta": "m.csv"})
         code = main(["gen-workload", "--config", cfg, "--out", str(tmp_path / "o")])

@@ -48,7 +48,14 @@ from dcsim.policies import (
     SingleThresholdPolicy,
     build_policy,
 )
-from dcsim.workload import VmRequest, WorkloadSpec
+from dcsim.workload import (
+    _META_HEADER,
+    _META_KINDS,
+    _TRACE_HEADER,
+    _TRACE_KINDS,
+    VmRequest,
+    WorkloadSpec,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 PRESETS = sorted((ROOT / "configs").glob("*.json"))
@@ -158,6 +165,14 @@ def test_every_registered_policy_declares_its_parameters():
         parameters, _ = policies._REGISTRY[policy_id]
         assert all(isinstance(kind, Kind) for kind in parameters.values()), policy_id
     assert policies._REGISTRY["similarity"][0] == declared(PolicyConfig)
+
+
+def test_trace_file_columns_take_the_kinds_their_fields_declare():
+    """The loader checks a meta column as its field's declaration, with no rule of its own."""
+    fields_of = {**declared(VmRequest), **declared(MachineCapacity)}
+    assert list(_META_KINDS) == _META_HEADER[1:]
+    assert all(kind is fields_of[name] for name, kind in _META_KINDS.items())
+    assert list(_TRACE_KINDS) == _TRACE_HEADER[1:]
 
 
 #: Values at and around every declared bound, and values of the wrong type.

@@ -2,6 +2,7 @@
 
 import math
 import pickle
+import re
 import sys
 
 import pytest
@@ -383,18 +384,34 @@ class TestTraceFiles:
         with pytest.raises(WorkloadError, match=r"meta\.csv:1"):
             load_trace_files(trace, meta)
 
-    def test_bad_number_names_file_line_and_field(self, tmp_path):
-        meta = self._write(
-            tmp_path / "meta.csv",
-            "vm_id,arrival_tick,departure_tick,cpu,mem,disk,bw\n"
-            "vm-0,0,,100,100,100,100\n",
-        )
-        trace = self._write(
-            tmp_path / "trace.csv",
-            "vm_id,tick,cpu,mem,disk,bw\nvm-0,0,oops,1,1,1\n",
-        )
-        with pytest.raises(WorkloadError, match=r"trace\.csv:2.*'cpu'"):
-            load_trace_files(trace, meta)
+    @pytest.mark.parametrize(
+        "file, column, value",
+        [
+            ("trace.csv", "cpu", "oops"),
+            ("trace.csv", "tick", "-1"),
+            ("trace.csv", "mem", "-0.5"),
+            ("meta.csv", "cpu", "0"),
+            ("meta.csv", "mem", "-1"),
+            ("meta.csv", "disk", "nan"),
+            ("meta.csv", "bw", "1e400"),
+            ("meta.csv", "arrival_tick", "1.5"),
+            ("meta.csv", "arrival_tick", "-1"),
+            ("meta.csv", "departure_tick", "1.5"),
+            ("meta.csv", "departure_tick", "0"),
+        ],
+    )
+    def test_bad_number_names_file_line_and_field(self, tmp_path, file, column, value):
+        rows = {
+            "meta.csv": dict(
+                vm_id="vm-0", arrival_tick="0", departure_tick="", cpu="100", mem="100", disk="100", bw="100"
+            ),
+            "trace.csv": dict(vm_id="vm-0", tick="0", cpu="1", mem="1", disk="1", bw="1"),
+        }
+        rows[file][column] = value
+        for name, row in rows.items():
+            self._write(tmp_path / name, f"{','.join(row)}\n{','.join(row.values())}\n")
+        with pytest.raises(WorkloadError, match=rf"{re.escape(file)}:2: field '{column}'"):
+            load_trace_files(str(tmp_path / "trace.csv"), str(tmp_path / "meta.csv"))
 
     def test_unknown_vm_in_trace_rejected(self, tmp_path):
         meta = self._write(
