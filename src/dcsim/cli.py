@@ -111,13 +111,12 @@ def cmd_sweep(args) -> int:
         raise ConfigError("config has no 'sweep' section")
     workload = experiment.materialize_workload(args.seed)
     parameter = experiment.sweep["parameter"]
-    values = experiment.sweep.get("values")
     result = run_sweep(
         experiment.sim_config,
         workload,
         experiment.policy_spec,
         parameter,
-        values=values,
+        values=experiment.sweep["values"],
         jobs=args.jobs,
     )
     if not result.points:

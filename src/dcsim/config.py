@@ -1,12 +1,12 @@
 """Experiment files: JSON documents describing one simulation/sweep/comparison.
 
-An experiment file has up to five sections: ``simulation`` (fleet and engine
-parameters), ``policy`` (a policy id plus its parameters), ``workload``
-(either an inline generator spec or paths to trace files), and optionally
-``sweep`` and ``compare`` directives.  Dotted overrides such as
-``policy.u_up=0.8`` are applied to the raw document before validation, and
-the fully resolved document is what commands echo into their output
-directory.
+An experiment file has the keys ``simulation`` (fleet and engine parameters),
+``policy`` (a policy id plus its parameters), ``workload`` (an inline
+generator spec or paths to trace files), and optionally ``sweep``,
+``compare`` and ``output_dir``; ``model.check_keys`` refuses any other key,
+in every section.  Dotted overrides such as ``policy.u_up=0.8`` are applied
+to the raw document before validation, and the fully resolved document is
+what commands echo into their output directory.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Any, Optional
 
 from .engine import FleetMachine, SimulationConfig
-from .model import build, checked, integer
+from .model import build, check_keys, checked, declared, integer
 from .workload import (
     VmRequest,
     WorkloadError,
@@ -31,18 +31,6 @@ class ConfigError(ValueError):
     """Raised for malformed or inconsistent experiment configuration."""
 
 
-def _require(mapping: dict, key: str, context: str) -> Any:
-    if key not in mapping:
-        raise ConfigError(f"{context}: missing required key {key!r}")
-    return mapping[key]
-
-
-def _expect_mapping(value: Any, context: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(f"{context}: expected a mapping, got {type(value).__name__}")
-    return value
-
-
 def load_raw_config(path: str) -> dict:
     """Read a JSON experiment file.  I/O errors propagate as OSError."""
     with open(path) as fh:
@@ -51,7 +39,9 @@ def load_raw_config(path: str) -> dict:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
-    return _expect_mapping(raw, path)
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: expected a mapping, got {type(raw).__name__}")
+    return raw
 
 
 def parse_override(expr: str) -> tuple[list[str], Any]:
@@ -89,14 +79,16 @@ _FLEET_COUNT = integer(1)
 
 
 def build_simulation_config(raw: dict) -> SimulationConfig:
-    section = dict(_expect_mapping(_require(raw, "simulation", "config"), "simulation"))
-    fleet_raw = _require(section, "fleet", "simulation")
+    known = ("fleet", *declared(SimulationConfig))
+    section = dict(check_keys(raw.get("simulation"), "simulation", known, ("fleet",), ConfigError))
+    fleet_raw = section["fleet"]
     if not isinstance(fleet_raw, list) or not fleet_raw:
         raise ConfigError("simulation.fleet: expected a non-empty list of machine groups")
+    group_keys = ("count", *declared(FleetMachine))
     fleet: list[FleetMachine] = []
     for index, group in enumerate(fleet_raw):
         context = f"simulation.fleet[{index}]"
-        group = dict(_expect_mapping(group, context))
+        group = dict(check_keys(group, context, group_keys, (), ConfigError))
         count = checked(_FLEET_COUNT, f"{context}.count", group.pop("count", 1), ConfigError)
         fleet.extend([build(FleetMachine, group, context, ConfigError)] * count)
     section["fleet"] = tuple(fleet)
@@ -104,10 +96,9 @@ def build_simulation_config(raw: dict) -> SimulationConfig:
 
 
 def build_workload_spec(raw_spec: dict, seed_override: Optional[int] = None) -> WorkloadSpec:
-    spec = dict(_expect_mapping(raw_spec, "workload.spec"))
-    if seed_override is not None:
-        spec["seed"] = seed_override
-    return build(WorkloadSpec, spec, "workload.spec", ConfigError)
+    if seed_override is not None and isinstance(raw_spec, dict):
+        raw_spec = {**raw_spec, "seed": seed_override}
+    return build(WorkloadSpec, raw_spec, "workload.spec", ConfigError)
 
 
 @dataclass(slots=True)
@@ -138,31 +129,37 @@ class Experiment:
 
 
 def build_experiment(raw: dict, base_dir: str = ".") -> Experiment:
+    known = ("simulation", "policy", "workload", "sweep", "compare", "output_dir")
+    check_keys(raw, "", known, known[:3], ConfigError)
     sim_config = build_simulation_config(raw)
-    policy_spec = _require(raw, "policy", "config")
+    policy_spec = raw["policy"]
     if not isinstance(policy_spec, (dict, str)):
         raise ConfigError("policy: expected a mapping or a policy id string")
-    workload_section = _expect_mapping(_require(raw, "workload", "config"), "workload")
+    workload = check_keys(raw["workload"], "workload", ("spec", "trace", "meta"), (), ConfigError)
+    if "spec" in workload and ("trace" in workload or "meta" in workload):
+        raise ConfigError("workload: give either a 'spec' or 'trace'+'meta' file paths, not both")
     sweep = raw.get("sweep")
     if sweep is not None:
-        sweep = _expect_mapping(sweep, "sweep")
-        parameter = _require(sweep, "parameter", "sweep")
+        check_keys(sweep, "sweep", ("parameter", "values"), ("parameter", "values"), ConfigError)
+        parameter = sweep["parameter"]
         if not isinstance(parameter, str) or not parameter:
             raise ConfigError(f"sweep.parameter: expected a non-empty string, got {parameter!r}")
-        values = sweep.get("values")
-        if values is not None and (not isinstance(values, list) or not values):
+        values = sweep["values"]
+        if not isinstance(values, list) or not values:
             raise ConfigError(f"sweep.values: expected a non-empty list, got {values!r}")
     compare = raw.get("compare")
     if compare is not None:
-        compare = _expect_mapping(compare, "compare")
-        policies = _require(compare, "policies", "compare")
+        check_keys(compare, "compare", ("policies", "baseline"), ("policies",), ConfigError)
+        policies = compare["policies"]
         if not isinstance(policies, list) or len(policies) < 2:
             raise ConfigError("compare.policies: expected a list of at least two policies")
     output_dir = raw.get("output_dir")
+    if output_dir is not None and not isinstance(output_dir, str):
+        raise ConfigError(f"output_dir: expected a string, got {output_dir!r}")
     return Experiment(
         sim_config=sim_config,
         policy_spec=policy_spec,
-        workload_section=workload_section,
+        workload_section=workload,
         base_dir=base_dir,
         sweep=sweep,
         compare=compare,

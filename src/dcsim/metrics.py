@@ -29,14 +29,6 @@ from .workload import VmRequest
 
 log = logging.getLogger("dcsim.metrics")
 
-#: Default value grids for the swept policy parameters (step 0.05).
-DEFAULT_GRIDS: dict[str, list[float]] = {
-    "u_up": [round(0.25 + 0.05 * i, 2) for i in range(16)],
-    "u_down": [round(0.0 + 0.05 * i, 2) for i in range(9)],
-    "buffer": [round(0.05 + 0.05 * i, 2) for i in range(10)],
-    "similarity_threshold": [round(0.05 * i, 2) for i in range(21)],
-}
-
 SWEEP_SCHEMA = "dcsim sweep v1"
 COMPARISON_SCHEMA = "dcsim comparison v1"
 RUN_SCHEMA = "dcsim run v1"
@@ -94,16 +86,6 @@ class ComparisonResult:
         raise KeyError(policy)
 
 
-def _derive_policy_spec(
-    policy_spec: Union[dict[str, Any], str], parameter: str, value: Union[float, str]
-) -> Union[dict[str, Any], str]:
-    if parameter == "policy":
-        return value if isinstance(value, (str, dict)) else str(value)
-    spec = {"id": policy_spec} if isinstance(policy_spec, str) else dict(policy_spec)
-    spec[parameter] = value
-    return spec
-
-
 def _run_point(
     sim_config: SimulationConfig,
     workload: list[VmRequest],
@@ -150,41 +132,44 @@ def _run_points(
     return [_run_point(sim_config, workload, spec) for spec in policy_specs]
 
 
+def _cell(value: Any, what: str) -> Any:
+    """``value`` if a CSV cell can hold it (a number, or a string with no comma or whitespace)."""
+    if isinstance(value, (int, float)) or isinstance(value, str) and not re.search(r"[,\s]", value):
+        return value
+    raise ValueError(f"{what} {value!r} must be a number or a string with no comma or whitespace")
+
+
 def run_sweep(
     sim_config: SimulationConfig,
     workload: list[VmRequest],
     policy_spec: Union[dict[str, Any], str],
     parameter: str,
-    values: Optional[list] = None,
+    values: list,
     jobs: int = 1,
 ) -> SweepResult:
     """Run one simulation per parameter value against a shared workload.
 
-    ``values`` defaults to the standard grid for the parameter.  Points
-    whose policy cannot be built (e.g. a ``u_up`` too close to ``u_down``)
-    are skipped with a warning and recorded in ``result.skipped``.  An error
-    raised while a point's simulation runs, such as an ``EngineError`` from
-    a faulty policy decision, is not a skip: it propagates to the caller.
+    Each value is set as the policy's ``parameter``, and must be unique and
+    fit a CSV cell (see ``_cell``); any other value is a ``ValueError``
+    raised before a simulation runs.  Points whose policy cannot be built
+    (e.g. a ``u_up`` too close to ``u_down``) are skipped with a warning and
+    recorded in ``result.skipped``.  An error raised while a point's
+    simulation runs, such as an ``EngineError`` from a faulty policy
+    decision, is not a skip: it propagates to the caller.
     """
-    if values is None:
-        if parameter not in DEFAULT_GRIDS:
-            raise ValueError(
-                f"no default grid for parameter {parameter!r}; pass values explicitly"
-            )
-        values = DEFAULT_GRIDS[parameter]
     if not values:
         raise ValueError("sweep needs at least one value")
     if len(set(map(repr, values))) != len(values):
         raise ValueError("sweep values must be unique")
-    numeric = all(isinstance(v, (int, float)) for v in values)
-    if numeric:
+    if all(isinstance(v, (int, float)) for v in values):
         values = sorted(values)
 
+    base = {"id": policy_spec} if isinstance(policy_spec, str) else policy_spec
     result = SweepResult(parameter=parameter)
     kept = []
     specs = []
     for v in values:
-        spec = _derive_policy_spec(policy_spec, parameter, v)
+        spec = {**base, parameter: _cell(v, f"{parameter} sweep value")}
         try:
             build_policy(spec)
         except ValueError as exc:
@@ -211,8 +196,8 @@ def compare_policies(
     against itself reports 0.  When the baseline count is zero the
     percentage is undefined and reported as ``None``.  An error raised by
     any simulation, such as an ``EngineError``, propagates to the caller.
-    A label with a comma or whitespace is a ``ValueError``: the CSV and the
-    plot file could not tell its cells apart.
+    A label must fit a CSV cell (see ``_cell``), or the CSV and the plot
+    file could not tell its cells apart.
     """
     names = []
     specs = []
@@ -224,9 +209,7 @@ def compare_policies(
             label = spec
         if label in names:
             raise ValueError(f"duplicate policy label {label!r}; add distinct 'label' keys")
-        if re.search(r"[,\s]", str(label)):
-            raise ValueError(f"policy label {label!r} contains a comma or whitespace")
-        names.append(label)
+        names.append(_cell(label, "policy label"))
         specs.append(spec)
     if baseline is None:
         baseline = names[0]

@@ -13,7 +13,7 @@ import math
 from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
 from functools import cache
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Collection, Iterable, Optional
 
 RESOURCES = ("cpu", "mem", "disk", "bw")
 
@@ -153,24 +153,42 @@ def check_fields(obj: Any, error: type = ValueError, prefix: str = "") -> None:
             object.__setattr__(obj, name, result)
 
 
-def build(cls: type, raw: dict, key: str, error: type = ValueError) -> Any:
+def check_keys(
+    raw: Any, key: str, known: Collection[str], required: Iterable[str], error: type = ValueError
+) -> dict:
+    """``raw`` if it is a mapping of ``known`` keys holding every ``required`` one.
+
+    Otherwise raises ``error`` naming ``key`` (the mapping's dotted path, empty
+    at the top level) with the first unknown or missing key.
+    """
+    where = key or "config"
+    if not isinstance(raw, dict):
+        raise error(f"{where}: expected a mapping, got {type(raw).__name__}")
+    for name in raw:
+        if name not in known:
+            dotted = f"{key}.{name}" if key else name
+            raise error(f"unknown key {dotted}; known: {', '.join(known)}")
+    for name in required:
+        if name not in raw:
+            raise error(f"{where}: missing required key {name!r}")
+    return raw
+
+
+def build(cls: type, raw: Any, key: str, error: type = ValueError) -> Any:
     """Dataclass ``cls`` from a mapping of its fields; each message names ``key`` or ``key.field``.
 
-    An unknown or missing key is an error.  A rule between fields that
-    ``cls`` raises as a ``ValueError`` is re-raised as ``error``, after
+    The mapping's keys are checked by ``check_keys``.  A rule between fields
+    that ``cls`` raises as a ``ValueError`` is re-raised as ``error``, after
     ``key: ``.
     """
-    known = {f.name: f for f in fields(cls)}
+    known = fields(cls)
+    required = [f.name for f in known if f.default is MISSING and f.default_factory is MISSING]
+    check_keys(raw, key, [f.name for f in known], required, error)
     kinds = declared(cls)
     values = {}
     for name, value in raw.items():
-        if name not in known:
-            raise error(f"unknown key {key}.{name}; known: {', '.join(known)}")
         kind = kinds.get(name)
         values[name] = value if kind is None else checked(kind, f"{key}.{name}", value, error)
-    for name, f in known.items():
-        if name not in values and f.default is MISSING and f.default_factory is MISSING:
-            raise error(f"{key}: missing required key {name!r}")
     try:
         return cls(**values)
     except ValueError as exc:

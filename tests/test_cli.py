@@ -3,6 +3,7 @@
 import hashlib
 import json
 import re
+from dataclasses import asdict
 
 import pytest
 
@@ -18,6 +19,7 @@ from dcsim.config import (
     load_raw_config,
     parse_override,
 )
+from dcsim.metrics import read_sweep_csv, write_csv
 from dcsim.model import UtilizationWeights
 from dcsim.workload import WorkloadProfile, generate_workload, load_trace_files
 
@@ -203,8 +205,8 @@ class TestBuildWorkloadSpec:
 
 class TestBuildExperiment:
     def test_full_document(self):
-        exp = build_experiment(base_config(sweep={"parameter": "u_up"}))
-        assert exp.sweep == {"parameter": "u_up"}
+        exp = build_experiment(base_config(sweep={"parameter": "u_up", "values": [0.5]}))
+        assert exp.sweep == {"parameter": "u_up", "values": [0.5]}
         assert exp.policy_spec == "recommended"
 
     def test_policy_must_be_string_or_mapping(self):
@@ -228,6 +230,13 @@ class TestBuildExperiment:
     def test_compare_requires_two_policies(self):
         with pytest.raises(ConfigError, match="at least two"):
             build_experiment(base_config(compare={"policies": ["greedy"]}))
+
+    @pytest.mark.parametrize("files", [{"trace": "t.csv"}, {"meta": "m.csv"},
+                                       {"trace": "t.csv", "meta": "m.csv"}], ids=repr)
+    def test_workload_names_one_source(self, files):
+        workload = dict(base_config()["workload"], **files)
+        with pytest.raises(ConfigError, match="^workload: give either a 'spec' or"):
+            build_experiment(base_config(workload=workload))
 
     def test_workload_requires_spec_or_traces(self):
         exp = build_experiment(base_config(workload={}))
@@ -489,6 +498,29 @@ class TestCliRun:
         assert main(argv) == EXIT_CONFIG
         assert f"config error: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, extra, message",
+        [
+            ("compare", {"compare": {"policies": ["greedy", "recommended"], "basline": "greedy"}},
+             "unknown key compare.basline; known: policies, baseline"),
+            ("sweep", {"sweep": {"parameter": "u_up", "valeus": [0.5, 0.7]}},
+             "unknown key sweep.valeus; known: parameter, values"),
+            ("run", {"outptu_dir": "elsewhere"}, "unknown key outptu_dir; known: simulation, "),
+            ("run", {"output_dir": 5}, "output_dir: expected a string, got 5"),
+            ("sweep", {"sweep": {"parameter": "u_up"}}, "sweep: missing required key 'values'"),
+            ("sweep", {"sweep": {"parameter": "weights",
+                                 "values": [[0.25, 0.25, 0.25, 0.25], [0.7, 0.1, 0.1, 0.1]]}},
+             "weights sweep value [0.25, 0.25, 0.25, 0.25] must be a number or a string "),
+        ],
+        ids=["basline", "valeus", "outptu_dir", "output_dir-5", "no-values", "list-values"],
+    )
+    def test_key_probes_are_config_errors(self, config_file, tmp_path, capsys, command, extra,
+                                          message):
+        out = tmp_path / "o"
+        assert main([command, "--config", config_file(**extra), "--out", str(out)]) == EXIT_CONFIG
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not list(out.glob("*.csv"))
+
 
 class TestCliSweep:
     def test_sweep_writes_artifacts(self, config_file, tmp_path, capsys):
@@ -502,6 +534,20 @@ class TestCliSweep:
         stdout = capsys.readouterr().out
         assert "u_up=0.5" in stdout
         assert "u_up=0.7" in stdout
+
+    def test_string_values_round_trip_through_the_csv(self, config_file, tmp_path):
+        out = tmp_path / "out"
+        cfg = config_file(
+            sweep={"parameter": "similarity_method", "values": ["dissimilar", "free-fit"]}
+        )
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        written = out / "sweep_similarity_method.csv"
+        loaded = read_sweep_csv(str(written))
+        assert loaded.values() == ["dissimilar", "free-fit"]
+        summary = json.loads((out / "summary.json").read_text())
+        assert [asdict(p) for p in loaded.points] == summary["points"]
+        write_csv(loaded, str(tmp_path / "again.csv"))
+        assert (tmp_path / "again.csv").read_bytes() == written.read_bytes()
 
     def test_sweep_reports_skipped_points(self, config_file, tmp_path, capsys):
         out = tmp_path / "out"
@@ -582,6 +628,21 @@ class TestCliCompare:
         stdout = capsys.readouterr().out
         assert "recommended" in stdout
         assert "single_threshold" in stdout
+
+    def test_undefined_violation_reduction_is_written_empty_null_and_dash(
+        self, config_file, tmp_path, capsys
+    ):
+        # At this load greedy keeps every machine below capacity, and piling
+        # every VM onto machine 0 does not: 0 violations against 229.
+        out = tmp_path / "out"
+        cfg = config_file(compare={"policies": ["greedy", {"id": "fixed_placer", "machine": 0}]})
+        argv = ["compare", "--config", cfg, "--out", str(out)]
+        assert main(argv + ["--set", "workload.spec.mean_level=0.8"]) == EXIT_OK
+        cells = (out / "comparison.csv").read_text().splitlines()[-1].split(",")
+        assert (cells[0], cells[2], cells[-1]) == ("fixed_placer", "229", "")
+        summary = json.loads((out / "summary.json").read_text())
+        assert [row["violation_reduction_pct"] for row in summary["rows"]] == [0.0, None]
+        assert capsys.readouterr().out.splitlines()[-1].endswith(" violation_reduction=-")
 
     def test_label_with_a_comma_is_config_error(self, config_file, tmp_path, capsys):
         out = tmp_path / "o"

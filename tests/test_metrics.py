@@ -12,7 +12,6 @@ from dcsim import metrics
 from dcsim.engine import EngineError, FleetMachine, SimulationConfig
 from dcsim.metrics import (
     COMPARISON_SCHEMA,
-    DEFAULT_GRIDS,
     RUN_SCHEMA,
     SWEEP_SCHEMA,
     ComparisonResult,
@@ -144,7 +143,7 @@ class TestRunSweep:
             run_sweep(sim_config, workload, spec, "machine", values=[0, 4], jobs=2)
 
     def test_unknown_parameter_without_values_is_an_error(self, sim_config, workload):
-        with pytest.raises(ValueError, match="no default grid"):
+        with pytest.raises(TypeError, match="missing 1 required positional argument: 'values'"):
             run_sweep(sim_config, workload, "similarity", "nonsense")
 
     def test_duplicate_values_rejected(self, sim_config, workload):
@@ -155,23 +154,36 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="at least one"):
             run_sweep(sim_config, workload, "similarity", "u_up", values=[])
 
-    def test_policy_can_be_the_swept_parameter(self, sim_config, workload):
+    def test_policy_is_not_a_sweep_parameter(self, sim_config, workload):
+        # compare runs several policies; a sweep sets one policy parameter.
         result = run_sweep(
-            sim_config,
-            workload,
-            "similarity",
-            "policy",
-            values=["greedy", "round_robin"],
+            sim_config, workload, "similarity", "policy", values=["greedy", "round_robin"]
         )
-        assert result.values() == ["greedy", "round_robin"]
+        assert result.points == []
+        assert [value for value, _ in result.skipped] == ["greedy", "round_robin"]
+        assert all("unknown 'policy'" in reason for _, reason in result.skipped)
 
-    def test_default_grids_have_expected_shape(self):
-        assert DEFAULT_GRIDS["u_up"][0] == 0.25
-        assert DEFAULT_GRIDS["u_up"][-1] == 1.0
-        assert DEFAULT_GRIDS["u_down"][0] == 0.0
-        assert DEFAULT_GRIDS["u_down"][-1] == 0.4
-        assert DEFAULT_GRIDS["similarity_threshold"][0] == 0.0
-        assert DEFAULT_GRIDS["similarity_threshold"][-1] == 1.0
+    @pytest.mark.parametrize(
+        "parameter, values",
+        [
+            ("weights", [[0.25, 0.25, 0.25, 0.25], [0.7, 0.1, 0.1, 0.1]]),
+            ("weights", [{"cpu": 1.0, "mem": 0.0, "disk": 0.0, "bw": 0.0}]),
+            ("similarity_method", ["free fit", "free-fit"]),
+            ("similarity_method", ["dissimilar,free-fit"]),
+            ("u_up", [None, 0.7]),
+        ],
+        ids=["lists", "mapping", "space", "comma", "null"],
+    )
+    def test_values_a_csv_cell_cannot_hold_are_rejected_before_any_run(
+        self, sim_config, workload, monkeypatch, parameter, values
+    ):
+        def no_runs(*args):
+            raise AssertionError("a simulation ran")
+
+        monkeypatch.setattr(metrics, "_run_points", no_runs)
+        message = f"{parameter} sweep value {values[0]!r} must be a number or a string with no "
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            run_sweep(sim_config, workload, "similarity", parameter, values=values)
 
     def test_parallel_matches_serial(self, sim_config, workload, start_method, point_reports):
         serial = run_sweep(sim_config, workload, EAGER_SIMILARITY, "u_up", FIVE_U_UP, jobs=1)
@@ -220,7 +232,9 @@ class TestComparePolicies:
         with pytest.raises(ValueError, match="duplicate"):
             compare_policies(sim_config, workload, ["greedy", "greedy"])
 
-    @pytest.mark.parametrize("label", ["a,b", "round robin", "line\nbreak", "tab\there"])
+    @pytest.mark.parametrize(
+        "label", ["a,b", "round robin", "line\nbreak", "tab\there", ["rr"], {"name": "rr"}]
+    )
     def test_labels_the_writers_cannot_represent_are_rejected(self, sim_config, workload, label):
         specs = ["greedy", {"id": "round_robin", "label": label}]
         with pytest.raises(ValueError, match=re.escape(repr(label))):

@@ -323,6 +323,43 @@ def test_unknown_simulation_keys_are_config_errors(path, key):
         build_simulation_config(_set(_small_preset(), path, 5))
 
 
+def _mappings(node, path=()):
+    """``(path, dotted key, mapping)`` of each mapping in a document, the document first."""
+    if isinstance(node, dict):
+        yield path, "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)[1:], node
+        for name, value in node.items():
+            yield from _mappings(value, path + (name,))
+    elif isinstance(node, list):
+        for index, value in enumerate(node):
+            yield from _mappings(value, path + (index,))
+
+
+@pytest.mark.parametrize("preset", PRESETS, ids=lambda p: p.stem)
+def test_an_undeclared_key_is_named_in_every_section(preset):
+    """A bogus key in any mapping of a preset is an error naming its dotted key.
+
+    Policy mappings keep ``build_policy``'s own message.
+    """
+    raw = load_raw_config(str(preset))
+    seen = []
+    for path, dotted, node in _mappings(raw):
+        if path[:1] == ("policy",) or path[:2] == ("compare", "policies"):
+            spec = {k: v for k, v in node.items() if k != "label"}
+            with pytest.raises(ValueError, match=r"^bad parameters for policy .*unknown 'bogus'"):
+                build_policy({**spec, "bogus": 1})
+            continue
+        doc = _set(raw, path + ("bogus",), 1)
+        key = f"{dotted}.bogus" if dotted else "bogus"
+        with pytest.raises(ConfigError, match=rf"^unknown key {re.escape(key)}; known: "):
+            build_experiment(doc)
+            build_workload_spec(doc["workload"]["spec"])
+        seen.append(re.sub(r"\[\d+\]", "[i]", dotted))
+    expected = {"", "simulation", "simulation.fleet[i]", "simulation.fleet[i].capacity",
+                "simulation.power_model", "workload", "workload.spec"}
+    assert expected <= set(seen)
+    assert ("sweep" in seen) != ("compare" in seen)
+
+
 @pytest.mark.parametrize(
     "path, key",
     [
