@@ -2,9 +2,10 @@
 
 Subcommands: ``run`` (one simulation), ``sweep`` (one simulation per
 parameter value), ``compare`` (several policies on identical inputs) and
-``gen-workload`` (materialize a workload spec into trace files).  Every
-command echoes the fully resolved configuration into its output directory,
-so results are reproducible from their own metadata.
+``gen-workload`` (materialize a workload spec into trace files).  A command
+writes its output directory only once its result exists: the fully resolved
+configuration, echoed so that results are reproducible from their own
+metadata, and the result's files.  A failed command writes nothing.
 
 Exit codes: 0 on success, 2 for configuration errors, 3 for I/O errors,
 4 for engine errors (a policy decision the engine cannot carry out).
@@ -26,14 +27,7 @@ from .config import (
     load_raw_config,
 )
 from .engine import EngineError, run_simulation
-from .metrics import (
-    compare_policies,
-    console_lines,
-    run_sweep,
-    write_csv,
-    write_plot_data,
-    write_summary,
-)
+from .metrics import compare_policies, console_lines, run_sweep, write_artifacts
 from .policies import build_policy
 from .workload import save_trace_files
 
@@ -43,116 +37,99 @@ EXIT_IO = 3
 EXIT_ENGINE = 4
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", required=True, help="experiment file (JSON)")
-    parser.add_argument(
-        "--set",
-        dest="overrides",
-        action="append",
-        default=[],
-        metavar="KEY=VALUE",
-        help="override a config value by dotted path (repeatable)",
-    )
-    parser.add_argument("--out", help="output directory (default: config output_dir or 'out')")
-    parser.add_argument("--seed", type=int, help="override the workload generator seed")
+#: Each subcommand and its help; ``sweep`` and ``compare`` also take ``--jobs``.
+_COMMAND_HELP = {
+    "run": "run one simulation",
+    "sweep": "run the sweep described by the config",
+    "compare": "compare the configured policies",
+    "gen-workload": "materialize a workload spec to trace files",
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="dcsim", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    run_p = sub.add_parser("run", help="run one simulation")
-    _add_common(run_p)
-
-    sweep_p = sub.add_parser("sweep", help="run the sweep described by the config")
-    _add_common(sweep_p)
-    sweep_p.add_argument("--jobs", type=int, default=1, help="parallel sweep processes")
-
-    cmp_p = sub.add_parser("compare", help="compare the configured policies")
-    _add_common(cmp_p)
-    cmp_p.add_argument("--jobs", type=int, default=1, help="parallel comparison processes")
-
-    gen_p = sub.add_parser("gen-workload", help="materialize a workload spec to trace files")
-    _add_common(gen_p)
+    for name, text in _COMMAND_HELP.items():
+        cmd_p = sub.add_parser(name, help=text)
+        cmd_p.add_argument("--config", required=True, help="experiment file (JSON)")
+        cmd_p.add_argument(
+            "--set",
+            dest="overrides",
+            action="append",
+            default=[],
+            metavar="KEY=VALUE",
+            help="override a config value by dotted path (repeatable)",
+        )
+        cmd_p.add_argument("--out", help="output directory (default: config output_dir or 'out')")
+        cmd_p.add_argument("--seed", type=int, help="override the workload generator seed")
+        if name in ("sweep", "compare"):
+            cmd_p.add_argument("--jobs", type=int, default=1, help="parallel simulation processes")
     return parser
 
 
-def _prepare(args) -> tuple[Experiment, str]:
+def _prepare(args) -> tuple[dict, Experiment]:
+    """The command's resolved config document and the experiment built from it."""
     raw = load_raw_config(args.config)
     apply_overrides(raw, args.overrides)
-    experiment = build_experiment(raw, base_dir=os.path.dirname(os.path.abspath(args.config)))
+    return raw, build_experiment(raw, base_dir=os.path.dirname(os.path.abspath(args.config)))
+
+
+def _make_out(args, raw: dict, experiment: Experiment) -> str:
+    """Create the output directory holding ``effective_config.json``; returns its path."""
     out_dir = args.out or experiment.output_dir or "out"
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "effective_config.json"), "w") as fh:
         fh.write(effective_config_json(raw))
-    return experiment, out_dir
+    return out_dir
 
 
-def _summarize(result, out_dir: str) -> None:
-    write_summary(result, os.path.join(out_dir, "summary.json"))
-    for line in console_lines(result):
-        print(line)
-
-
-def cmd_run(args) -> int:
-    experiment, out_dir = _prepare(args)
+def cmd_experiment(args) -> int:
+    """``run``, ``sweep`` or ``compare``: get the result, then write and print it."""
+    raw, experiment = _prepare(args)
+    section = {} if args.command == "run" else getattr(experiment, args.command)
+    if section is None:
+        raise ConfigError(f"config has no {args.command!r} section")
     workload = experiment.materialize_workload(args.seed)
-    policy = build_policy(experiment.policy_spec)
-    report = run_simulation(experiment.sim_config, workload, policy)
-    write_csv(report, os.path.join(out_dir, "report.csv"))
-    print(f"policy={policy.name}")
-    _summarize(report, out_dir)
-    return EXIT_OK
-
-
-def cmd_sweep(args) -> int:
-    experiment, out_dir = _prepare(args)
-    if experiment.sweep is None:
-        raise ConfigError("config has no 'sweep' section")
-    workload = experiment.materialize_workload(args.seed)
-    parameter = experiment.sweep["parameter"]
-    result = run_sweep(
-        experiment.sim_config,
-        workload,
-        experiment.policy_spec,
-        parameter,
-        values=experiment.sweep["values"],
-        jobs=args.jobs,
-    )
-    if not result.points:
-        raise ConfigError(
-            "sweep: every point was skipped: "
-            + "; ".join(f"{parameter}={value}: {reason}" for value, reason in result.skipped)
+    lines = []
+    if args.command == "run":
+        policy = build_policy(experiment.policy_spec)
+        result = run_simulation(experiment.sim_config, workload, policy)
+        lines.append(f"policy={policy.name}")
+    elif args.command == "sweep":
+        parameter = section["parameter"]
+        result = run_sweep(
+            experiment.sim_config,
+            workload,
+            experiment.policy_spec,
+            parameter,
+            values=section["values"],
+            jobs=args.jobs,
         )
-    write_csv(result, os.path.join(out_dir, f"sweep_{parameter}.csv"))
-    write_plot_data(result, os.path.join(out_dir, f"plot_{parameter}"))
-    _summarize(result, out_dir)
-    return EXIT_OK
-
-
-def cmd_compare(args) -> int:
-    experiment, out_dir = _prepare(args)
-    if experiment.compare is None:
-        raise ConfigError("config has no 'compare' section")
-    workload = experiment.materialize_workload(args.seed)
-    result = compare_policies(
-        experiment.sim_config,
-        workload,
-        experiment.compare["policies"],
-        baseline=experiment.compare.get("baseline"),
-        jobs=args.jobs,
-    )
-    write_csv(result, os.path.join(out_dir, "comparison.csv"))
-    write_plot_data(result, os.path.join(out_dir, "plot_compare"))
-    _summarize(result, out_dir)
+        if not result.points:
+            raise ConfigError(
+                "sweep: every point was skipped: "
+                + "; ".join(f"{parameter}={value}: {reason}" for value, reason in result.skipped)
+            )
+    else:
+        result = compare_policies(
+            experiment.sim_config,
+            workload,
+            section["policies"],
+            baseline=section.get("baseline"),
+            jobs=args.jobs,
+        )
+    write_artifacts(result, _make_out(args, raw, experiment))
+    for line in lines + console_lines(result):
+        print(line)
     return EXIT_OK
 
 
 def cmd_gen_workload(args) -> int:
-    experiment, out_dir = _prepare(args)
+    raw, experiment = _prepare(args)
     if "spec" not in experiment.workload_section:
         raise ConfigError("gen-workload requires a workload.spec section")
     workload = experiment.materialize_workload(args.seed)
+    out_dir = _make_out(args, raw, experiment)
     trace_path = os.path.join(out_dir, "trace.csv")
     meta_path = os.path.join(out_dir, "meta.csv")
     save_trace_files(workload, trace_path, meta_path)
@@ -163,19 +140,12 @@ def cmd_gen_workload(args) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "run": cmd_run,
-    "sweep": cmd_sweep,
-    "compare": cmd_compare,
-    "gen-workload": cmd_gen_workload,
-}
-
-
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    command = cmd_gen_workload if args.command == "gen-workload" else cmd_experiment
     try:
-        return _COMMANDS[args.command](args)
+        return command(args)
     except EngineError as exc:
         print(f"engine error: {exc}", file=sys.stderr)
         return EXIT_ENGINE

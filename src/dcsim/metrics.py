@@ -6,20 +6,21 @@ in a process pool of at most one worker per point; the simulation config
 and the workload reach each worker once, when it starts, and workers treat
 both as read-only.
 
-This module owns every artifact format: CSV, plot series, ``summary.json``
-and the CLI's console lines.  The sweep and comparison columns are the
-fields of :class:`SweepPoint` and :class:`ComparisonRow`, in order.  CSV
-output carries a versioned schema comment and uses round-trip float
-formatting; writing, reading and re-writing a file reproduces it byte for
-byte.
+This module owns every artifact format and file name (see
+:func:`write_artifacts`) and the CLI's console lines.  The sweep and
+comparison columns are the fields of :class:`SweepPoint` and
+:class:`ComparisonRow`, in order.  CSV output carries a versioned schema
+comment and uses round-trip float formatting; writing, reading and
+re-writing a file reproduces it byte for byte.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
+import os
 import re
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Optional, Union, get_type_hints
 
@@ -125,6 +126,7 @@ def _run_points(
     """
     workers = min(jobs, len(policy_specs))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loaded only to start a pool
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_init_worker, initargs=(sim_config, workload)
         ) as pool:
@@ -133,8 +135,9 @@ def _run_points(
 
 
 def _cell(value: Any, what: str) -> Any:
-    """``value`` if a CSV cell can hold it (a number, or a string with no comma or whitespace)."""
-    if isinstance(value, (int, float)) or isinstance(value, str) and not re.search(r"[,\s]", value):
+    """``value`` if it fits a CSV cell: a non-bool number, or a string with no comma or space."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if number or isinstance(value, str) and not re.search(r"[,\s]", value):
         return value
     raise ValueError(f"{what} {value!r} must be a number or a string with no comma or whitespace")
 
@@ -402,6 +405,24 @@ def write_summary(result, path: str) -> None:
     with open(path, "w") as fh:
         json.dump(_summary(result), fh, sort_keys=True, indent=2)
         fh.write("\n")
+
+
+def write_artifacts(result, out_dir: str) -> None:
+    """Write ``summary.json`` and the CSV and plot files of ``result`` into directory ``out_dir``.
+
+    These are ``report.csv`` for a run report, ``sweep_<parameter>.csv`` and
+    ``plot_<parameter>_*.dat`` for a sweep, ``comparison.csv`` and ``plot_compare_policies.dat``.
+    """
+    path = functools.partial(os.path.join, out_dir)
+    if isinstance(result, SweepResult):
+        write_csv(result, path(f"sweep_{result.parameter}.csv"))
+        write_plot_data(result, path(f"plot_{result.parameter}"))
+    elif isinstance(result, ComparisonResult):
+        write_csv(result, path("comparison.csv"))
+        write_plot_data(result, path("plot_compare"))
+    else:
+        write_csv(result, path("report.csv"))
+    write_summary(result, path("summary.json"))
 
 
 def _pct(value: Optional[float]) -> str:

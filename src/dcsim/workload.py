@@ -421,8 +421,7 @@ def _fields(path: str, line_no: int, kinds: dict[str, Kind], raws: list[str]) ->
     values = []
     for (name, kind), raw in zip(kinds.items(), raws):
         value: Any = None if raw == "" else raw
-        # An int never has a '.', so a decimal goes straight to ``float``.
-        for parse in (float,) if "." in raw else (int, float):
+        for parse in (int, float):
             try:
                 value = parse(raw)
                 break
@@ -474,7 +473,15 @@ def load_trace_files(trace_path: str, meta_path: str) -> list[VmRequest]:
             vm_id = row[0]
             if vm_id not in meta:
                 raise WorkloadError(f"{trace_path}:{line_no}: unknown vm_id {vm_id!r}")
-            tick, *values = _fields(trace_path, line_no, _TRACE_KINDS, row[1:])
+            # A plain row (an int tick >= 0, positive finite samples) reads as _fields
+            # reads it.  Any other row goes there: a zero too, as _fields reads "-0" as 0.0.
+            try:
+                tick, *values = int(row[1]), *map(float, row[2:])
+                plain = tick >= 0 and min(values) > 0.0 and all(map(math.isfinite, values))
+            except ValueError:
+                plain = False
+            if not plain:
+                tick, *values = _fields(trace_path, line_no, _TRACE_KINDS, row[1:])
             ticks, *columns = traces[vm_id]
             if ticks and tick <= ticks[-1]:
                 raise WorkloadError(

@@ -19,8 +19,16 @@ from dcsim.config import (
     load_raw_config,
     parse_override,
 )
-from dcsim.metrics import read_sweep_csv, write_csv
+from dcsim.engine import run_simulation
+from dcsim.metrics import (
+    compare_policies,
+    read_sweep_csv,
+    run_sweep,
+    write_artifacts,
+    write_csv,
+)
 from dcsim.model import UtilizationWeights
+from dcsim.policies import build_policy
 from dcsim.workload import WorkloadProfile, generate_workload, load_trace_files
 
 
@@ -601,16 +609,22 @@ class TestCliSweep:
         assert f"config error: {name} must be an integer >= 1, got 2.5" in capsys.readouterr().err
         out = tmp_path / "s"
         cfg = config_file(
-            policy={"id": policy_id}, sweep={"parameter": name, "values": [2.5, 3.0, True, 4]}
+            policy={"id": policy_id}, sweep={"parameter": name, "values": [2.5, 3.0, 4]}
         )
         assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_OK
         skipped = [m for m in caplog.messages if m.startswith("skipping")]
         assert skipped == [
             f"skipping {name}={value}: {name} must be an integer >= 1, got {value}"
-            for value in ("True", "2.5", "3.0")
+            for value in ("2.5", "3.0")
         ]
         rows = (out / f"sweep_{name}.csv").read_text().splitlines()
         assert [row.split(",")[0] for row in rows if not row.startswith("#")] == ["value", "4"]
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_a_bool_is_not_a_sweep_value(self, config_file, tmp_path, capsys, flag):
+        cfg = config_file(sweep={"parameter": "consistency_ticks", "values": [flag, 4]})
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert f"consistency_ticks sweep value {flag} must be a number" in capsys.readouterr().err
 
     def test_sweep_without_section_is_config_error(self, config_file, tmp_path, capsys):
         code = main(["sweep", "--config", config_file(), "--out", str(tmp_path / "o")])
@@ -770,3 +784,75 @@ class TestArtifactBytes:
         assert written == self.FILES[command]
         if command in self.STDOUT:
             assert capsys.readouterr().out == self.STDOUT[command]
+
+
+#: The sweep and compare sections ``TestArtifactBytes`` pins the files of.
+PINNED_SECTIONS = {
+    # u_up=0.25 is skipped: recommended's u_down is 0.25.
+    "sweep": {"parameter": "u_up", "values": [0.7, 0.25, 0.5]},
+    "compare": {
+        "policies": ["single_threshold", {"id": "recommended", "label": "tuned"}, "greedy"],
+        "baseline": "single_threshold",
+    },
+}
+
+
+class TestOnePath:
+    """A command writes its output directory only once its result exists."""
+
+    @pytest.mark.parametrize(
+        "command, extra, code",
+        [
+            ("sweep", {"sweep": {"parameter": "similarity_method", "values": ["a b"]}}, EXIT_CONFIG),
+            (
+                "compare",
+                {"compare": {"policies": ["greedy", {"id": "recommended", "label": "a,b"}]}},
+                EXIT_CONFIG,
+            ),
+            ("run", {"workload": {}}, EXIT_CONFIG),
+            ("sweep", {"sweep": {"parameter": "u_up", "values": [0.2, 0.25]}}, EXIT_CONFIG),
+            ("run", {"policy": {"id": "fixed_placer", "machine": 3}}, EXIT_ENGINE),
+            ("sweep", {}, EXIT_CONFIG),
+            ("gen-workload", {"workload": {"trace": "t.csv", "meta": "m.csv"}}, EXIT_CONFIG),
+        ],
+        ids=[
+            "space-in-sweep-value",
+            "comma-in-label",
+            "no-workload-source",
+            "every-point-skipped",
+            "machine-outside-fleet",
+            "no-sweep-section",
+            "gen-workload-without-spec",
+        ],
+    )
+    def test_a_failed_command_leaves_no_output(self, config_file, tmp_path, command, extra, code):
+        out = tmp_path / "out"
+        assert main([command, "--config", config_file(**extra), "--out", str(out)]) == code
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "compare", "gen-workload"])
+    def test_an_unwritable_out_is_an_io_error(self, config_file, tmp_path, capsys, command):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        cfg = config_file(**PINNED_SECTIONS)
+        assert main([command, "--config", cfg, "--out", str(blocker / "out")]) == EXIT_IO
+        assert "i/o error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "compare"])
+    def test_write_artifacts_writes_the_command_files(self, tmp_path, command):
+        experiment = build_experiment(base_config(**PINNED_SECTIONS))
+        workload = experiment.materialize_workload()
+        sim_config, policy_spec = experiment.sim_config, experiment.policy_spec
+        if command == "run":
+            result = run_simulation(sim_config, workload, build_policy(policy_spec))
+        elif command == "sweep":
+            sweep = experiment.sweep
+            result = run_sweep(sim_config, workload, policy_spec, sweep["parameter"], sweep["values"])
+        else:
+            compare = experiment.compare
+            result = compare_policies(sim_config, workload, compare["policies"], compare["baseline"])
+        write_artifacts(result, str(tmp_path))
+        written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+        expected = dict(TestArtifactBytes.FILES[command])
+        del expected["effective_config.json"]
+        assert written == expected

@@ -1,9 +1,14 @@
 """Unit tests for the experiment harness: sweeps, comparisons, CSV output."""
 
+import concurrent.futures
 import functools
 import multiprocessing
+import os
 import re
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import pytest
 
@@ -45,10 +50,16 @@ FIVE_POLICIES = [
 
 
 def _spawn_pools(monkeypatch):
-    """Start the pools of ``metrics`` with ``spawn`` instead of the default method."""
+    """Start the pools of ``metrics`` with ``spawn`` instead of the default method.
+
+    ``metrics`` imports ``ProcessPoolExecutor`` from ``concurrent.futures``
+    when it starts a pool, so the patched name is the one it gets.
+    """
     spawn = multiprocessing.get_context("spawn")
     monkeypatch.setattr(
-        metrics, "ProcessPoolExecutor", functools.partial(ProcessPoolExecutor, mp_context=spawn)
+        concurrent.futures,
+        "ProcessPoolExecutor",
+        functools.partial(ProcessPoolExecutor, mp_context=spawn),
     )
 
 
@@ -171,8 +182,9 @@ class TestRunSweep:
             ("similarity_method", ["free fit", "free-fit"]),
             ("similarity_method", ["dissimilar,free-fit"]),
             ("u_up", [None, 0.7]),
+            ("consistency_ticks", [True, 4]),
         ],
-        ids=["lists", "mapping", "space", "comma", "null"],
+        ids=["lists", "mapping", "space", "comma", "null", "bool"],
     )
     def test_values_a_csv_cell_cannot_hold_are_rejected_before_any_run(
         self, sim_config, workload, monkeypatch, parameter, values
@@ -233,7 +245,7 @@ class TestComparePolicies:
             compare_policies(sim_config, workload, ["greedy", "greedy"])
 
     @pytest.mark.parametrize(
-        "label", ["a,b", "round robin", "line\nbreak", "tab\there", ["rr"], {"name": "rr"}]
+        "label", ["a,b", "round robin", "line\nbreak", "tab\there", ["rr"], {"name": "rr"}, True]
     )
     def test_labels_the_writers_cannot_represent_are_rejected(self, sim_config, workload, label):
         specs = ["greedy", {"id": "round_robin", "label": label}]
@@ -277,9 +289,18 @@ class TestComparePolicies:
             sizes.append(max_workers)
             return ProcessPoolExecutor(*args, max_workers=max_workers, **kwargs)
 
-        monkeypatch.setattr(metrics, "ProcessPoolExecutor", recording_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool)
         compare_policies(sim_config, workload, ["greedy", "round_robin"], jobs=8)
         assert sizes == [2]
+
+
+def test_importing_the_package_loads_no_process_pool():
+    # metrics imports concurrent.futures only to start a pool (jobs > 1).
+    code = "import sys, dcsim.cli, dcsim.metrics; print('concurrent.futures' in sys.modules)"
+    src = str(Path(metrics.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
 
 
 class TestSavings:

@@ -16,6 +16,8 @@ from dcsim.workload import (
     WorkloadError,
     WorkloadProfile,
     WorkloadSpec,
+    _TRACE_KINDS,
+    _fields,
     generate_workload,
     load_trace_files,
     save_trace_files,
@@ -461,6 +463,45 @@ class TestTraceFiles:
         )
         with pytest.raises(WorkloadError, match=r"trace\.csv:2.*'tick'"):
             load_trace_files(trace, meta)
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "7", "+5", " 5", "-0", "0", "5.0", "1e3", "-0.0", "0.0", "1e-3", "1_000", "-1",
+            "-0.5", "nan", "inf", "-inf", "1e400", "9" * 400, "\u0665", "\uff15", "",
+        ],
+        ids=lambda field: repr(field) if len(field) < 20 else f"{len(field)}-digit",
+    )
+    def test_a_trace_row_loads_as_its_checked_fields_read_it(self, tmp_path, field):
+        # The loader reads plain rows without _fields; every row must still
+        # load as _fields reads it (values, types and signs of zero alike),
+        # or fail with the message _fields gives.
+        meta = self._write(
+            tmp_path / "meta.csv",
+            "vm_id,arrival_tick,departure_tick,cpu,mem,disk,bw\nvm-0,0,,100,100,100,100\n",
+        )
+        for places in ([0], [1], [2], [3], [4], [1, 2, 3, 4]):
+            raws = ["3", "1.5", "2", "0.25", "4"]
+            for place in places:
+                raws[place] = field
+            trace = self._write(
+                tmp_path / "trace.csv", "vm_id,tick,cpu,mem,disk,bw\nvm-0," + ",".join(raws) + "\n"
+            )
+            try:
+                expected = _fields(trace, 2, _TRACE_KINDS, raws)
+            except WorkloadError as exc:
+                with pytest.raises(WorkloadError) as caught:
+                    load_trace_files(trace, meta)
+                assert str(caught.value) == str(exc)
+                continue
+            if expected[0] >= 2**63:
+                with pytest.raises(WorkloadError, match=r"trace\.csv:2: field 'tick' is out of range"):
+                    load_trace_files(trace, meta)
+                continue
+            (request,) = load_trace_files(trace, meta)
+            tr = request.trace
+            loaded = [tr.ticks[0], tr.cpu[0], tr.mem[0], tr.disk[0], tr.bw[0]]
+            assert [(type(v), repr(v)) for v in loaded] == [(type(v), repr(v)) for v in expected]
 
 
 class TestDemandTrace:
