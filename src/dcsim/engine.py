@@ -26,7 +26,8 @@ When a VM is created its demand becomes its ``VirtualMachine.columns``,
 hosted, ``[arrival, end)`` with ``end`` the earlier of its departure and the
 horizon, each read as ``column[tick - first]`` with no range check (see
 ``_trace_columns``).  A generated trace has a sample on each of those ticks,
-and its own ``DemandTrace`` columns are read in place.
+so its ``DemandTrace`` holds its ticks as a ``range``, and its own columns
+are read in place.
 
 A hosted VM's delivered usage is its demand, except at a tick its machine
 was over-committed: the VM keeps what ``proportional_delivery`` gave it then
@@ -148,17 +149,16 @@ def _trace_columns(
 ) -> tuple[int, array, array, array, array]:
     """``(first, cpu, mem, disk, bw)``; each column's ``[tick - first]`` is in force.
 
-    Every tick from ``arrival`` to ``end - 1`` has an entry.  A trace with a
-    sample on every tick from ``arrival`` or before through ``end - 1``
-    (every generated trace) gives its own columns.  Any other gives new
-    columns over ``[arrival, end)``, expanded once: zero before the first
-    sample, each sample held until the next, the last held to ``end``.
+    Every tick from ``arrival`` to ``end - 1`` has an entry.  A trace whose
+    ticks are a range from ``arrival`` or before through ``end - 1`` (every
+    generated trace) gives its own columns.  Any other gives new columns
+    over ``[arrival, end)``, expanded once: zero before the first sample,
+    each sample held until the next, the last held to ``end``.
     """
     ticks = trace.ticks
     columns = (trace.cpu, trace.mem, trace.disk, trace.bw)
-    if ticks and ticks[0] <= arrival and ticks[-1] >= end - 1:
-        if ticks[-1] - ticks[0] == len(ticks) - 1:  # a sample every tick
-            return (ticks[0], *columns)
+    if isinstance(ticks, range) and ticks.start <= arrival and ticks.stop >= end:
+        return (ticks.start, *columns)
     # Index ``k`` of ``[0.0, *column]`` is in force once ``k`` samples have started.
     started = [bisect_right(ticks, tick) for tick in range(arrival, end)]
     return (arrival, *(array("d", map([0.0, *col].__getitem__, started)) for col in columns))

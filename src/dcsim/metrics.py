@@ -25,6 +25,7 @@ from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Optional, Union, get_type_hints
 
 from .engine import SimulationConfig, SimulationReport, run_simulation
+from .model import checked, integer
 from .policies import build_policy
 from .workload import VmRequest
 
@@ -122,9 +123,9 @@ def _run_points(
     inherited under the ``fork`` start method, pickled once per worker under
     ``spawn`` or ``forkserver``.  Each task then carries only its policy
     spec.  Workers treat both inputs as read-only, so every point sees the
-    same ones.
+    same ones.  A ``jobs`` below 1 is a ``ValueError``, raised before any run.
     """
-    workers = min(jobs, len(policy_specs))
+    workers = min(checked(integer(1), "jobs", jobs), len(policy_specs))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # loaded only to start a pool
         with ProcessPoolExecutor(

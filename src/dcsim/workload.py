@@ -12,16 +12,18 @@ The traces depend on the fixed order of the draws within each stream and on
 Python documentation gives for it: the generator calls ``random()`` and
 applies that formula itself.
 
-A VM's trace is a ``DemandTrace``: five columns (ticks, cpu, mem, disk, bw)
-held in ``array`` objects, which a loader fills value by value, a generator
-makes at their final size, and the engine indexes directly.  It reads as a
-sequence of ``DemandSample``.
+A VM's trace is a ``DemandTrace``: five columns (ticks, cpu, mem, disk, bw),
+which a loader fills value by value, a generator makes at their final size,
+and the engine indexes directly.  The ticks are a ``range`` when they are
+consecutive, as every generated trace's are, so such a trace stores no tick
+column.  It reads as a sequence of ``DemandSample``.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import operator
 import random
 from array import array
 from collections.abc import Iterable, Sequence
@@ -61,26 +63,43 @@ class DemandSample(NamedTuple):
     bw: float
 
 
+#: The kind each field of a trace sample is checked as.
+_TRACE_KINDS = {"tick": integer(0), **dict.fromkeys(RESOURCES, NON_NEGATIVE)}
+
+
 class DemandTrace(Sequence):
     """A VM's demand samples as five columns, read as a sequence of ``DemandSample``.
 
-    ``ticks`` is an ``array('q')``; ``cpu``, ``mem``, ``disk`` and ``bw`` are
-    ``array('d')``, so a sample takes 40 bytes.  An int index gives a
-    ``DemandSample``, a slice a ``DemandTrace``.  The arrays are held as
-    given, not copied, and nothing in the program writes to them.  Equal
-    traces have equal ticks, so the hash covers the ticks only.
+    ``ticks`` is a ``range`` with step 1 when the ticks are consecutive (an
+    empty trace's is ``range(0)``), and an ``array('q')`` otherwise: either
+    type is taken and turned into that form, so equal traces hold the same
+    type.  ``cpu``, ``mem``, ``disk`` and ``bw`` are ``array('d')``, so a
+    sample takes 32 bytes with range ticks and 40 otherwise.  An int index
+    gives a ``DemandSample``, a slice a ``DemandTrace``.  The value arrays
+    are held as given, not copied, and nothing in the program writes to
+    them.  Equal traces have equal ticks, so the hash covers the ticks only.
     """
 
     __slots__ = ("ticks", "cpu", "mem", "disk", "bw")
 
-    def __init__(self, ticks: array, cpu: array, mem: array, disk: array, bw: array) -> None:
-        if not (isinstance(ticks, array) and ticks.typecode == "q") or any(
+    def __init__(
+        self, ticks: Union[range, array], cpu: array, mem: array, disk: array, bw: array
+    ) -> None:
+        if isinstance(ticks, range) or isinstance(ticks, array) and ticks.typecode == "q":
+            dense = range(ticks[0], ticks[0] + len(ticks)) if ticks else range(0)
+            if isinstance(ticks, range):
+                ticks = dense if ticks == dense else array("q", ticks)
+            elif all(map(operator.eq, ticks, dense)):
+                ticks = dense
+        else:
+            ticks = None
+        if ticks is None or any(
             not isinstance(col, array) or col.typecode != "d" or len(col) != len(ticks)
             for col in (cpu, mem, disk, bw)
         ):
             raise WorkloadError(
-                "a demand trace needs an array('q') of ticks and four array('d') "
-                "columns of the same length"
+                "a demand trace needs a range or an array('q') of ticks and four "
+                "array('d') columns of the same length"
             )
         self.ticks = ticks
         self.cpu = cpu
@@ -90,8 +109,14 @@ class DemandTrace(Sequence):
 
     @classmethod
     def from_samples(cls, samples: Iterable[DemandSample]) -> DemandTrace:
-        """The columns of ``samples``, in order."""
-        ticks, *values = tuple(zip(*samples, strict=True)) or ((),) * 5
+        """The columns of ``samples``, in order, each field checked as a trace file's is."""
+        kinds = _TRACE_KINDS.items()
+        rows = [
+            [checked(kind, f"trace[{i}].{name}", value, WorkloadError) for (name, kind), value
+             in zip(kinds, sample, strict=True)]
+            for i, sample in enumerate(samples)
+        ]
+        ticks, *values = tuple(zip(*rows)) or ((),) * 5
         return cls(array("q", ticks), *(array("d", column) for column in values))
 
     def __len__(self) -> int:
@@ -120,7 +145,8 @@ class DemandTrace(Sequence):
         )
 
     def __hash__(self) -> int:
-        return hash(self.ticks.tobytes())
+        ticks = self.ticks
+        return hash(ticks if isinstance(ticks, range) else ticks.tobytes())
 
     def __repr__(self) -> str:
         # An array's repr holds each float's repr, so -0.0 stays apart from 0.0.
@@ -149,15 +175,21 @@ class VmRequest:
 
     def __post_init__(self) -> None:
         if not isinstance(self.trace, DemandTrace):
-            object.__setattr__(self, "trace", DemandTrace.from_samples(self.trace))
+            try:
+                trace = DemandTrace.from_samples(self.trace)
+            except WorkloadError as exc:
+                raise WorkloadError(f"{self.vm_id}: {exc}") from None
+            object.__setattr__(self, "trace", trace)
         check_fields(self, WorkloadError, f"{self.vm_id}: ")
         if self.departure_tick is not None and self.departure_tick <= self.arrival_tick:
             raise WorkloadError(
                 f"{self.vm_id}: departure {self.departure_tick} must be after "
                 f"arrival {self.arrival_tick}"
             )
+        # A range's ticks increase, so only its first one needs checking.
+        ticks = self.trace.ticks
         last = -1
-        for tick in self.trace.ticks:
+        for tick in ticks[:1] if isinstance(ticks, range) else ticks:
             if tick <= last:
                 raise WorkloadError(
                     f"{self.vm_id}: trace ticks must be strictly increasing "
@@ -362,7 +394,7 @@ def generate_workload(spec: WorkloadSpec) -> list[VmRequest]:
                 arrival_tick=arrival,
                 departure_tick=departure,
                 trace=DemandTrace(
-                    array("q", range(arrival, trace_end)),
+                    range(arrival, trace_end),
                     *(array("d", column) for column in (cpu, mem, disk, bw)),
                 ),
             )
@@ -409,7 +441,6 @@ _META_KINDS = {
     "departure_tick": declared(VmRequest)["departure_tick"],
     **declared(MachineCapacity),
 }
-_TRACE_KINDS = {"tick": integer(0), **dict.fromkeys(RESOURCES, NON_NEGATIVE)}
 
 
 def _fields(path: str, line_no: int, kinds: dict[str, Kind], raws: list[str]) -> list[Any]:

@@ -830,6 +830,15 @@ class TestOnePath:
         assert main([command, "--config", config_file(**extra), "--out", str(out)]) == code
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["sweep", "compare"])
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_a_config_error(self, config_file, tmp_path, capsys, command, jobs):
+        out = tmp_path / "out"
+        cfg = config_file(**PINNED_SECTIONS)
+        assert main([command, "--config", cfg, "--out", str(out), "--jobs", jobs]) == EXIT_CONFIG
+        assert f"jobs must be an integer >= 1, got {jobs}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["run", "sweep", "compare", "gen-workload"])
     def test_an_unwritable_out_is_an_io_error(self, config_file, tmp_path, capsys, command):
         blocker = tmp_path / "file"

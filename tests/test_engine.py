@@ -15,6 +15,7 @@ from dcsim.engine import (
     FleetMachine,
     Simulation,
     SimulationConfig,
+    _trace_columns,
     proportional_delivery,
     run_simulation,
 )
@@ -32,7 +33,7 @@ from dcsim.policies import build_policy
 from dcsim.policies.base import ClusterView, RebalanceAction, SchedulerPolicy
 from dcsim.policies.baselines import GreedyPolicy
 from dcsim.policies.similarity import PolicyConfig, SimilarityPolicy
-from dcsim.workload import DemandSample, VmRequest
+from dcsim.workload import DemandSample, VmRequest, WorkloadSpec, generate_workload
 
 CAP = MachineCapacity(1000.0, 1000.0, 1000.0, 1000.0)
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -406,6 +407,20 @@ class TestArrivalsAndDepartures:
             trace = req.trace
             own = (trace.cpu, trace.mem, trace.disk, trace.bw)
             assert all(a is b for a, b in zip(columns, own, strict=True))
+
+    def test_trace_columns_are_a_generated_traces_own_or_new_for_a_gap(self):
+        spec = WorkloadSpec(seed=3, vm_count=1, duration_ticks=20, arrival_spread_ticks=5)
+        (req,) = generate_workload(spec)
+        trace = req.trace
+        own = (trace.cpu, trace.mem, trace.disk, trace.bw)
+        first, *columns = _trace_columns(trace, req.arrival_tick, 20)
+        assert first == req.arrival_tick
+        assert all(a is b for a, b in zip(columns, own, strict=True))
+        gapped = trace[::2]
+        first, *columns = _trace_columns(gapped, req.arrival_tick, 20)
+        assert first == req.arrival_tick
+        assert not any(a is b for a, b in zip(columns, own))
+        assert [len(col) for col in columns] == [20 - req.arrival_tick] * 4
 
     def test_gapped_trace_expansion_stops_at_the_horizon(self):
         trace = (

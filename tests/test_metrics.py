@@ -86,6 +86,10 @@ def point_reports(monkeypatch):
     return calls
 
 
+def _no_run(*args):
+    raise AssertionError("a simulation ran")
+
+
 def _policy_stats(calls):
     return [[report.policy_stats for report in reports] for reports in calls]
 
@@ -144,6 +148,14 @@ class TestRunSweep:
         spec = fakes.fixed_placer_spec(0)
         with pytest.raises(EngineError, match="named machine 4, outside the fleet"):
             run_sweep(sim_config, workload, spec, "machine", values=[0, 4], jobs=jobs)
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_is_refused_before_any_run(
+        self, sim_config, workload, jobs, monkeypatch
+    ):
+        monkeypatch.setattr(metrics, "_run_point", _no_run)
+        with pytest.raises(ValueError, match=f"jobs must be an integer >= 1, got {jobs}"):
+            run_sweep(sim_config, workload, "similarity", "u_up", values=[0.5, 0.7], jobs=jobs)
 
     def test_engine_error_propagates_from_spawned_workers(
         self, sim_config, workload, monkeypatch
@@ -268,6 +280,14 @@ class TestComparePolicies:
         specs = ["greedy", fakes.fixed_placer_spec(4)]
         with pytest.raises(EngineError, match="named machine 4, outside the fleet"):
             compare_policies(sim_config, workload, specs, jobs=jobs)
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_is_refused_before_any_run(
+        self, sim_config, workload, jobs, monkeypatch
+    ):
+        monkeypatch.setattr(metrics, "_run_point", _no_run)
+        with pytest.raises(ValueError, match=f"jobs must be an integer >= 1, got {jobs}"):
+            compare_policies(sim_config, workload, ["greedy", "round_robin"], jobs=jobs)
 
     def test_unknown_baseline_rejected(self, sim_config, workload):
         with pytest.raises(ValueError, match="baseline"):

@@ -4,6 +4,7 @@ import math
 import pickle
 import re
 import sys
+from array import array
 
 import pytest
 
@@ -83,6 +84,26 @@ class TestSpecValidation:
         ticks = {"arrival_tick": 1, "departure_tick": 9, name: value}
         with pytest.raises(WorkloadError, match=f"vm-0: {name} must be an integer"):
             VmRequest("vm-0", MachineCapacity(1, 1, 1, 1), trace=(), **ticks)
+
+    @pytest.mark.parametrize(
+        "field, value, kind",
+        [
+            ("cpu", math.nan, "a finite number >= 0"),
+            ("mem", math.inf, "a finite number >= 0"),
+            ("bw", -1.0, "a finite number >= 0"),
+            ("tick", True, "an integer >= 0"),
+            ("tick", 0.5, "an integer >= 0"),
+            ("tick", -1, "an integer >= 0"),
+        ],
+    )
+    def test_request_samples_are_checked_as_trace_fields(self, field, value, kind):
+        good = DemandSample(0, 1.0, 1.0, 1.0, 1.0)
+        samples = (good, good._replace(**{"tick": 1, field: value}))
+        message = f"vm-7: trace[1].{field} must be {kind}, got {value!r}"
+        with pytest.raises(WorkloadError, match=re.escape(message)):
+            VmRequest("vm-7", MachineCapacity(1, 1, 1, 1), 0, None, samples)
+        with pytest.raises(WorkloadError, match=re.escape(message[len("vm-7: "):])):
+            DemandTrace.from_samples(samples)
 
     def test_request_validates_trace_order(self):
         nominal = MachineCapacity(1, 1, 1, 1)
@@ -363,6 +384,27 @@ class TestTraceFiles:
         save_trace_files(original, trace, meta)
         assert load_trace_files(trace, meta) == original
 
+    def test_a_loaded_generated_workload_holds_range_ticks(self, tmp_path):
+        original = generate_workload(make_spec(arrival_spread_ticks=10, lifetime_ticks=25))
+        trace = str(tmp_path / "trace.csv")
+        meta = str(tmp_path / "meta.csv")
+        save_trace_files(original, trace, meta)
+        loaded = load_trace_files(trace, meta)
+        assert loaded == original
+        assert all(type(req.trace.ticks) is range for req in original + loaded)
+
+    def test_a_trace_with_a_gap_loads_as_an_array(self, tmp_path):
+        meta = self._write(
+            tmp_path / "meta.csv",
+            "vm_id,arrival_tick,departure_tick,cpu,mem,disk,bw\nvm-0,0,,100,100,100,100\n",
+        )
+        trace = self._write(
+            tmp_path / "trace.csv",
+            "vm_id,tick,cpu,mem,disk,bw\nvm-0,1,1,1,1,1\nvm-0,2,1,1,1,1\nvm-0,4,1,1,1,1\n",
+        )
+        (request,) = load_trace_files(trace, meta)
+        assert request.trace.ticks == array("q", [1, 2, 4])
+
     def test_save_is_byte_stable(self, tmp_path):
         reqs = generate_workload(make_spec())
         a = tmp_path / "a.csv"
@@ -563,6 +605,48 @@ class TestDemandTrace:
         assert again == trace
         assert repr(again) == repr(trace)
 
+    @staticmethod
+    def columns(n):
+        return [array("d", [float(i)] * n) for i in range(4)]
+
+    def test_consecutive_ticks_are_held_as_a_range(self):
+        from_array = DemandTrace(array("q", range(5)), *self.columns(5))
+        from_range = DemandTrace(range(5), *self.columns(5))
+        assert type(from_array.ticks) is type(from_range.ticks) is range
+        assert from_array == from_range
+        assert hash(from_array) == hash(from_range)
+        assert repr(from_array) == repr(from_range)
+        assert DemandTrace(range(5, 6, 3), *self.columns(1)).ticks == range(5, 6)
+
+    def test_ticks_that_are_not_consecutive_are_held_as_an_array(self):
+        assert DemandTrace(range(0, 10, 2), *self.columns(5)).ticks == array("q", [0, 2, 4, 6, 8])
+        assert type(self.trace().ticks) is array
+        trace = DemandTrace(range(5), *(array("d", range(i, i + 5)) for i in range(4)))
+        for index in (slice(None, None, 2), slice(None, None, -1)):
+            part = trace[index]
+            assert type(part.ticks) is array
+            assert part == DemandTrace.from_samples(tuple(trace)[index])
+            assert hash(part) == hash(DemandTrace.from_samples(tuple(trace)[index]))
+        assert type(trace[1:3].ticks) is range
+        assert type(self.trace()[:2].ticks) is range
+
+    def test_empty_traces_are_equal(self):
+        traces = [
+            DemandTrace(array("q"), *self.columns(0)),
+            DemandTrace(range(3, 3), *self.columns(0)),
+            DemandTrace.from_samples([]),
+            self.trace()[3:],
+        ]
+        assert all(trace.ticks == range(0) and type(trace.ticks) is range for trace in traces)
+        assert len(set(traces)) == 1
+        assert len(set(map(repr, traces))) == 1
+
+    def test_pickling_keeps_a_range(self):
+        trace = generate_workload(make_spec(vm_count=1))[0].trace
+        again = pickle.loads(pickle.dumps(trace))
+        assert type(again.ticks) is range
+        assert again == trace
+
     def test_columns_must_match(self):
         trace = self.trace()
         with pytest.raises(WorkloadError):
@@ -589,3 +673,9 @@ class TestDemandTrace:
         assert len(trace) == 1440
         columns = (trace.ticks, trace.cpu, trace.mem, trace.disk, trace.bw)
         assert sum(map(sys.getsizeof, columns)) / len(trace) < 48
+
+    def test_generated_columns_take_under_33_bytes_per_sample(self):
+        trace = generate_workload(make_spec(vm_count=1, duration_ticks=1440))[0].trace
+        assert len(trace) == 1440
+        columns = (trace.ticks, trace.cpu, trace.mem, trace.disk, trace.bw)
+        assert sum(map(sys.getsizeof, columns)) / len(trace) < 33
