@@ -225,7 +225,10 @@ class SimulationReport:
 
 
 class Simulation:
-    """One mutable simulation run.  Also serves as the policy's ``ClusterView``."""
+    """One mutable simulation run.  Also serves as the policy's ``ClusterView``.
+
+    ``current_tick``, ``vm_host`` and ``vm_nominal_rv_on`` are not view members.
+    """
 
     def __init__(
         self,
@@ -326,7 +329,7 @@ class Simulation:
         return vm_id in self._inflight
 
     def has_inbound(self, machine_id: int) -> bool:
-        return bool(self._inbound_ids(machine_id))
+        return any(target == machine_id for target, _ in self._inflight.values())
 
     def vm_nominal(self, vm_id: str) -> MachineCapacity:
         return self._requests[vm_id].nominal

@@ -39,14 +39,12 @@ class ClusterView(Protocol):
 
     ``vm_rv_on(v, m)`` is ``shares_of(vm_window_mean(v), cap)``, ``cap`` being
     machine ``m``'s capacity tuple, or the policy's ``default_rv`` while ``v``
-    has no window mean; ``vm_nominal_rv_on(v, m)`` is
-    ``shares_of(vm_nominal(v).as_tuple(), cap)``, and no policy here calls it.
-    Both depend on the machine only through its capacity, and the engine
-    gives all machines of equal capacity one shared ``MachineCapacity``
-    object, so a policy may key per-capacity work, such as a VM's share, by
-    ``id(pm.capacity)`` within one call.  The sharing is an efficiency
-    contract only: a view whose equal capacities are separate objects costs
-    such a policy extra lookups, never a different decision.
+    has no window mean.  It depends on the machine only through its
+    capacity, and the engine gives all machines of equal capacity one shared
+    ``MachineCapacity`` object, so a policy may key per-capacity work, such
+    as a VM's share, by ``id(pm.capacity)`` within one call.  The sharing is
+    an efficiency contract only: a view whose equal capacities are separate
+    objects costs such a policy extra lookups, never a different decision.
 
     ``machine_rv`` and ``vm_rv_on`` return the same value until the engine
     arbitrates a new tick or changes the VMs that machine hosts or that fly
@@ -60,21 +58,17 @@ class ClusterView(Protocol):
     """
 
     @property
-    def current_tick(self) -> int: ...
-    @property
     def power_model(self) -> PowerModel: ...
 
     def all_machines(self) -> list[PhysicalMachine]: ...
     def machine(self, machine_id: int) -> PhysicalMachine: ...
     def running_machines(self) -> list[PhysicalMachine]: ...
     def standby_machines(self) -> list[PhysicalMachine]: ...
-    def vm_host(self, vm_id: str) -> Optional[int]: ...
     def vm_in_flight(self, vm_id: str) -> bool: ...
     def has_inbound(self, machine_id: int) -> bool: ...
     def vm_nominal(self, vm_id: str) -> MachineCapacity: ...
     def vm_window_mean(self, vm_id: str) -> Optional[tuple[float, float, float, float]]: ...
     def vm_rv_on(self, vm_id: str, machine_id: int) -> Shares: ...
-    def vm_nominal_rv_on(self, vm_id: str, machine_id: int) -> Shares: ...
     def machine_rv(self, machine_id: int) -> Shares: ...
     def nominal_free(self, machine_id: int) -> tuple[float, float, float, float]: ...
     def cpu_used_abs(self, machine_id: int) -> float: ...

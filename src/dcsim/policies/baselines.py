@@ -160,6 +160,8 @@ class SingleThresholdPolicy(SchedulerPolicy):
 
     A machine *kind* is the machines that share one capacity object and one
     peak power; they add equal power for a VM, which is scored once per kind.
+    ``allocate`` and the replan both price a VM's placement with ``_place``,
+    from its window mean, or its nominal size before it has a sample.
     """
 
     name = "single_threshold"
@@ -184,12 +186,6 @@ class SingleThresholdPolicy(SchedulerPolicy):
         self.weights = checked(kinds["weights"], "weights", weights)
 
     # -- helpers -----------------------------------------------------------
-
-    @staticmethod
-    def _amounts(vm_id: str, view: ClusterView) -> _Amounts:
-        """The VM's window mean, or its nominal size before it has a sample."""
-        mean = view.vm_window_mean(vm_id)
-        return mean if mean is not None else view.vm_nominal(vm_id).as_tuple()
 
     def _fleet(
         self, machines: list[PhysicalMachine], model: PowerModel
@@ -222,32 +218,27 @@ class SingleThresholdPolicy(SchedulerPolicy):
             kind[4 if pm.state is running else 5].append(pm.id)
         return list(kinds.values()), capacities
 
-    def _footprints(self, amounts: _Amounts, capacities: list[_Amounts]) -> list[float]:
-        """The VM's unified footprint on each capacity class.
-
-        ``shares_of(amounts, capacity)`` is the view's ``vm_rv_on`` for a VM
-        with a window mean and its ``vm_nominal_rv_on`` for one without.
-        """
-        weights = self.weights.as_tuple()
-        return [utilization_of(shares_of(amounts, cap), weights) for cap in capacities]
-
-    def _cheapest(
+    def _place(
         self,
-        vm_cpu: float,
-        footprints: list[float],
+        amounts: _Amounts,
         plan_cpu: dict[int, float],
         kinds: list[_Kind],
+        capacities: list[_Amounts],
     ) -> Optional[tuple[float, int, Optional[_Kind]]]:
         """The least ``(power increase, machine id, woken kind)`` for a VM, or None.
 
-        Only machines whose planned CPU utilization stays strictly below the
-        threshold with the VM added qualify.  A machine planned off also
-        pays its wake cost; the third item is its kind when the machine came
-        from its kind's off list, and None when it came from an on list.
-        Every machine of one list adds the same increase, so each list offers
-        its first machine that qualifies.
+        The VM's footprint on a capacity class is
+        ``utilization_of(shares_of(amounts, cap), weights)``.  Only machines
+        whose planned CPU utilization stays strictly below the threshold with
+        the VM added qualify.  A machine planned off also pays its wake cost;
+        the third item is its kind when the machine came from its kind's off
+        list, and None when it came from an on list.  Every machine of one
+        list adds the same increase, so each list offers its first machine
+        that qualifies.
         """
-        threshold = self.threshold
+        weights = self.weights.as_tuple()
+        footprints = [utilization_of(shares_of(amounts, cap), weights) for cap in capacities]
+        vm_cpu, threshold = amounts[0], self.threshold
         best = None
         for kind in kinds:
             cpu_capacity, slope, wake, cls, on, off = kind
@@ -265,13 +256,9 @@ class SingleThresholdPolicy(SchedulerPolicy):
     def allocate(self, vm_id: str, view: ClusterView) -> Optional[int]:
         machines = view.all_machines()
         kinds, capacities = self._fleet(machines, view.power_model)
-        amounts = self._amounts(vm_id, view)
-        best = self._cheapest(
-            amounts[0],
-            self._footprints(amounts, capacities),
-            {pm.id: view.cpu_used_abs(pm.id) for pm in machines},
-            kinds,
-        )
+        amounts = view.vm_window_mean(vm_id) or view.vm_nominal(vm_id).as_tuple()
+        plan_cpu = {pm.id: view.cpu_used_abs(pm.id) for pm in machines}
+        best = self._place(amounts, plan_cpu, kinds, capacities)
         return None if best is None else best[1]
 
     # -- epoch replanning ----------------------------------------------------
@@ -280,7 +267,7 @@ class SingleThresholdPolicy(SchedulerPolicy):
         if tick % self.epoch_ticks != 0:
             return []
         # The whole plan is made before the engine executes its first move, so
-        # the view cannot change under the per-pass kinds and footprints.
+        # the view cannot change under the per-pass kinds and CPU plan.
         machines = view.all_machines()
         kinds, capacities = self._fleet(machines, view.power_model)
         plan_cpu = {pm.id: 0.0 for pm in machines}
@@ -289,7 +276,7 @@ class SingleThresholdPolicy(SchedulerPolicy):
         placed: list[tuple[str, int, _Amounts]] = []
         for pm in machines:
             for vm_id in pm.hosted_vm_ids:
-                amounts = self._amounts(vm_id, view)
+                amounts = view.vm_window_mean(vm_id) or view.vm_nominal(vm_id).as_tuple()
                 if view.vm_in_flight(vm_id):
                     plan_cpu[pm.id] += amounts[0]
                 else:
@@ -298,14 +285,13 @@ class SingleThresholdPolicy(SchedulerPolicy):
         order = sorted(placed, key=lambda item: (-item[2][0], item[0]))
         moves = []
         for vm_id, current_host, amounts in order:
-            cpu = amounts[0]
-            best = self._cheapest(cpu, self._footprints(amounts, capacities), plan_cpu, kinds)
+            best = self._place(amounts, plan_cpu, kinds, capacities)
             if best is None:
                 self._count("replan_stuck")
                 target, woken = current_host, None
             else:
                 _, target, woken = best
-            plan_cpu[target] += cpu
+            plan_cpu[target] += amounts[0]
             if woken is not None:
                 # The plan turns the machine on: it moves to its kind's on list.
                 woken[5].remove(target)

@@ -76,6 +76,11 @@ def _cosine_normed(a: Shares, norm_a: float, b: Shares, norm_b: float) -> float:
     return value
 
 
+def _fits(used: Shares, share: Shares, weights: Shares, cap: float) -> bool:
+    """The packing-cap test: the unified utilization of ``used`` plus ``share`` is below ``cap``."""
+    return utilization_of(clamped_sum_of(used, share), weights) < cap
+
+
 def cosine_of(a: Shares, b: Shares) -> float:
     """Cosine of the angle between two share tuples, in [0, 1].
 
@@ -153,20 +158,19 @@ class SimilarityPolicy(SchedulerPolicy):
     # -- placement ---------------------------------------------------------
 
     def allocate(self, vm_id: str, view: ClusterView) -> Optional[int]:
-        return self._pick(vm_id, view, exclude=frozenset(), extras=None, allow_wake=True)
+        return self._pick(vm_id, view)
 
     def _pick(
         self,
         vm_id: str,
         view: ClusterView,
-        exclude: frozenset[int],
-        extras: Optional[dict[int, Shares]],
-        allow_wake: bool,
+        source: Optional[int] = None,
+        extras: Optional[dict[int, Shares]] = None,
     ) -> Optional[int]:
-        """The eligible running machine with the best score that fits.
+        """The eligible running machine other than ``source`` with the best score that fits.
 
-        Failing that, the least recently used standby machine if
-        ``allow_wake``, else None.
+        Failing that, the least recently used standby machine when ``extras``
+        is None, else None: a scale-down plan, which passes it, wakes none.
 
         Candidates rank by ``(score, machine id)``, the score negated for
         ``free-fit``.  Machine ids are unique, so the order is strict and the
@@ -204,7 +208,7 @@ class SimilarityPolicy(SchedulerPolicy):
         best = None  # the rank of the best candidate that fits so far
         for pm in view.running_machines():
             pm_id = pm.id
-            if pm_id in exclude:
+            if pm_id == source:
                 continue
             used = view.machine_rv(pm_id)
             if extras is not None and pm_id in extras:
@@ -232,13 +236,11 @@ class SimilarityPolicy(SchedulerPolicy):
                 if score < threshold:
                     continue
                 rank = (-score, pm_id)
-            if (best is None or rank < best) and utilization_of(
-                clamped_sum_of(used, vm_share), weights
-            ) < cap_u:
+            if (best is None or rank < best) and _fits(used, vm_share, weights, cap_u):
                 best = rank
         if best is not None:
             return best[1]
-        if allow_wake:
+        if extras is None:
             standby = view.standby_machines()
             if standby:
                 return min(standby, key=lambda pm: (pm.last_used_tick, pm.id)).id
@@ -287,7 +289,7 @@ class SimilarityPolicy(SchedulerPolicy):
         if hottest is None:
             return None
         vm_id = hottest[1]
-        target = self._pick(vm_id, view, exclude=frozenset((pm.id,)), extras=None, allow_wake=True)
+        target = self._pick(vm_id, view, pm.id)
         if target is None:
             self._count("scale_up_exhausted")
             return None
@@ -310,9 +312,7 @@ class SimilarityPolicy(SchedulerPolicy):
         extras: dict[int, Shares] = {}
         plan = []
         for vm_id in list(pm.hosted_vm_ids):
-            target = self._pick(
-                vm_id, view, exclude=frozenset((pm.id,)), extras=extras, allow_wake=False
-            )
+            target = self._pick(vm_id, view, pm.id, extras)
             if target is None:
                 self._count("scale_down_blocked")
                 return None
@@ -326,6 +326,6 @@ class SimilarityPolicy(SchedulerPolicy):
 
     def migration_landing_ok(self, vm_id: str, machine_id: int, view: ClusterView) -> bool:
         """A landing must still leave the running target below the packing cap."""
-        used = clamped_sum_of(view.machine_rv(machine_id), view.vm_rv_on(vm_id, machine_id))
-        estimated = utilization_of(used, self.config.weights.as_tuple())
-        return estimated < self.config.u_up - self.config.buffer
+        cfg = self.config
+        used, share = view.machine_rv(machine_id), view.vm_rv_on(vm_id, machine_id)
+        return _fits(used, share, cfg.weights.as_tuple(), cfg.u_up - cfg.buffer)

@@ -110,14 +110,16 @@ class DemandTrace(Sequence):
     @classmethod
     def from_samples(cls, samples: Iterable[DemandSample]) -> DemandTrace:
         """The columns of ``samples``, in order, each field checked as a trace file's is."""
-        kinds = _TRACE_KINDS.items()
-        rows = [
-            [checked(kind, f"trace[{i}].{name}", value, WorkloadError) for (name, kind), value
-             in zip(kinds, sample, strict=True)]
-            for i, sample in enumerate(samples)
-        ]
-        ticks, *values = tuple(zip(*rows)) or ((),) * 5
-        return cls(array("q", ticks), *(array("d", column) for column in values))
+        columns = (array("q"), array("d"), array("d"), array("d"), array("d"))
+        for i, sample in enumerate(samples):
+            if len(sample) != len(columns):
+                raise WorkloadError(f"trace[{i}] has {len(sample)} fields, not 5: {sample!r}")
+            try:
+                for column, (name, kind), value in zip(columns, _TRACE_KINDS.items(), sample):
+                    column.append(checked(kind, f"trace[{i}].{name}", value, WorkloadError))
+            except OverflowError:  # only the tick's ``array('q')`` overflows
+                raise WorkloadError(f"trace[{i}].tick {sample[0]} overflows int64") from None
+        return cls(*columns)
 
     def __len__(self) -> int:
         return len(self.ticks)

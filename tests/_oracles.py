@@ -354,12 +354,12 @@ class ReferenceSimilarity(SimilarityPolicy):
     accumulates its planned placements as vectors to match.
     """
 
-    def _pick(self, vm_id, view, exclude, extras, allow_wake):
+    def _pick(self, vm_id, view, source=None, extras=None):
         cfg = self.config
         cap_u = cfg.u_up - cfg.buffer
         ranked = []
         for pm in view.running_machines():
-            if pm.id in exclude:
+            if pm.id == source:
                 continue
             vm_rv = ResourceVector(*view.vm_rv_on(vm_id, pm.id))
             used = ResourceVector(*view.machine_rv(pm.id))
@@ -381,7 +381,7 @@ class ReferenceSimilarity(SimilarityPolicy):
             if unified_utilization(_add_clamped(used, vm_rv), cfg.weights) < cap_u:
                 return pm_id
 
-        if allow_wake:
+        if extras is None:
             standby = view.standby_machines()
             if standby:
                 chosen = min(standby, key=lambda pm: (pm.last_used_tick, pm.id))
@@ -396,9 +396,7 @@ class ReferenceSimilarity(SimilarityPolicy):
         extras = {}
         plan = []
         for vm_id in list(pm.hosted_vm_ids):
-            target = self._pick(
-                vm_id, view, exclude=frozenset((pm.id,)), extras=extras, allow_wake=False
-            )
+            target = self._pick(vm_id, view, pm.id, extras)
             if target is None:
                 self._count("scale_down_blocked")
                 return None

@@ -255,8 +255,7 @@ class TestSingleThreshold:
             )
             view.nominals["vm-a"] = MachineCapacity(400, 819.2, 100, 100)
             kinds, capacities = policy._fleet(view.all_machines(), view.power_model)
-            footprints = policy._footprints(policy._amounts("vm-a", view), capacities)
-            best = policy._cheapest(0.0, footprints, {0: 0.0}, kinds)
+            best = policy._place(view.vm_nominal("vm-a").as_tuple(), {0: 0.0}, kinds, capacities)
             assert best is not None and best[1] == 0
             # The third item is the kind when the machine came from an off list.
             assert (best[2] is not None) == (state is MachineState.STANDBY)

@@ -12,6 +12,11 @@ The pickled bytes of a generated workload must not depend on it either:
 ``spawn`` pool workers receive those bytes, and the benchmark's input check
 hashes them.
 
+Nor may the artifacts depend on the interpreter: a shortened ``compare`` and
+``sweep`` run under every other CPython 3.10+ that pyenv has installed
+(``~/.pyenv/versions/*/bin/python3``) must write the same bytes as under the
+interpreter running the tests.  Those tests skip when pyenv has no other one.
+
 Run directly (``python tests/test_determinism.py``), the module prints the
 digest of the scenario; with the argument ``workload``, the digest of the
 pickled workload.
@@ -23,6 +28,8 @@ import pickle
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from dcsim.engine import FleetMachine, Simulation, SimulationConfig
 from dcsim.model import MachineCapacity
@@ -37,6 +44,14 @@ from dcsim.workload import (
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 HASH_SEEDS = ("1", "2")
+
+PYENV_VERSIONS = Path.home() / ".pyenv" / "versions"
+#: Each command run across interpreters: its preset and its ``--set`` values.
+SHORT_RUNS = {
+    "compare": ("compare_single_threshold.json", []),
+    "sweep": ("sweep_scale_down.json", ["sweep.values=[0.0,0.2,0.4]"]),
+}
+SHORTENED = ["simulation.duration_ticks=120", "workload.spec.duration_ticks=120"]
 
 # vm id -> (first host, demand level); the first three fly to machine 0 at tick 1.
 VMS = {
@@ -141,6 +156,44 @@ def test_pickled_workload_does_not_depend_on_pythonhashseed():
     digests = _digests_under_hash_seeds("workload")
     assert digests[0] == digests[1], dict(zip(HASH_SEEDS, digests))
     assert digests[0] == workload_digest()
+
+
+@pytest.fixture(scope="module")
+def other_interpreters():
+    """Every pyenv CPython 3.10+ whose version differs from the running one."""
+    probe = "import platform, sys; print(platform.python_implementation(), *sys.version_info[:3])"
+    found = []
+    for python in sorted(PYENV_VERSIONS.glob("*/bin/python3")):
+        out = subprocess.run([python, "-c", probe], capture_output=True, text=True, timeout=60)
+        if out.returncode != 0:
+            continue
+        implementation, *version = out.stdout.split()
+        version = tuple(map(int, version))
+        if implementation == "CPython" and version >= (3, 10) and version != sys.version_info[:3]:
+            found.append(python)
+    if not found:
+        pytest.skip(f"no other CPython 3.10+ under {PYENV_VERSIONS}")
+    return found
+
+
+def _artifact_digests(python, command, out):
+    """The sha256 of every file ``python -m dcsim.cli`` writes for a shortened ``command``."""
+    config, sets = SHORT_RUNS[command]
+    args = [python, "-m", "dcsim.cli", command, "--config", str(SRC.parent / "configs" / config)]
+    for value in sets + SHORTENED:
+        args += ["--set", value]
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(SRC))
+    args += ["--out", str(out)]
+    subprocess.run(args, env=env, capture_output=True, check=True, timeout=300)
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize("command", sorted(SHORT_RUNS))
+def test_artifacts_are_identical_under_every_other_cpython(other_interpreters, tmp_path, command):
+    expected = _artifact_digests(sys.executable, command, tmp_path / "running")
+    for python in other_interpreters:
+        got = _artifact_digests(python, command, tmp_path / python.parent.parent.name)
+        assert got == expected, python
 
 
 if __name__ == "__main__":

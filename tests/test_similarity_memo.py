@@ -93,7 +93,7 @@ def _recording(policy_cls):
                 self.log.append((tick, action))
                 yield action
 
-        def _pick(self, vm_id, view, exclude, extras, allow_wake):
+        def _pick(self, vm_id, view, source=None, extras=None):
             self.picked_with_inbound |= any(
                 view.has_inbound(pm.id) for pm in view.running_machines()
             )
@@ -101,9 +101,9 @@ def _recording(policy_cls):
             self.picked_with_machine_at_cap |= any(
                 not _below_cap(self, view, pm.id, extras)
                 for pm in view.running_machines()
-                if pm.id not in exclude
+                if pm.id != source
             )
-            return super()._pick(vm_id, view, exclude, extras, allow_wake)
+            return super()._pick(vm_id, view, source, extras)
 
     return Recording
 
@@ -351,11 +351,11 @@ class _CountedSimilarity(SimilarityPolicy):
         self.picks = []
         self.cosines = 0  # counted by the spy ``_check_work_is_bounded`` installs
 
-    def _pick(self, vm_id, view, exclude, extras, allow_wake):
+    def _pick(self, vm_id, view, source=None, extras=None):
         counting = _CountingView(view)
         cosines = self.cosines
-        decision = super()._pick(vm_id, counting, exclude, extras, allow_wake)
-        candidates = [pm for pm in view.running_machines() if pm.id not in exclude]
+        decision = super()._pick(vm_id, counting, source, extras)
+        candidates = [pm for pm in view.running_machines() if pm.id != source]
         classes = {pm.capacity for pm in candidates}
         below_cap = sum(_below_cap(self, view, pm.id, extras) for pm in candidates)
         self.picks.append(

@@ -17,7 +17,14 @@ import _fakes as fakes
 from _instances import make_instance
 from _oracles import ReferenceSingleThreshold
 from dcsim.engine import FleetMachine, Simulation, SimulationConfig
-from dcsim.model import DEFAULT_RV, MachineCapacity, MachineState, PowerModel, shares_of
+from dcsim.model import (
+    DEFAULT_RV,
+    MachineCapacity,
+    MachineState,
+    PowerModel,
+    shares_of,
+    utilization_of,
+)
 from dcsim.policies import SingleThresholdPolicy
 from dcsim.workload import WorkloadProfile, WorkloadSpec, generate_workload
 
@@ -248,8 +255,10 @@ class _TieCountingSingleThreshold(SingleThresholdPolicy):
         self.skips = 0
         self.ties = 0
 
-    def _cheapest(self, vm_cpu, footprints, plan_cpu, kinds):
-        best = super()._cheapest(vm_cpu, footprints, plan_cpu, kinds)
+    def _place(self, amounts, plan_cpu, kinds, capacities):
+        best = super()._place(amounts, plan_cpu, kinds, capacities)
+        vm_cpu, weights = amounts[0], self.weights.as_tuple()
+        footprints = [utilization_of(shares_of(amounts, cap), weights) for cap in capacities]
         tied = set()
         for cpu_capacity, slope, wake, cls, on, off in kinds:
             on_increase = slope * footprints[cls]

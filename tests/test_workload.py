@@ -105,6 +105,26 @@ class TestSpecValidation:
         with pytest.raises(WorkloadError, match=re.escape(message[len("vm-7: "):])):
             DemandTrace.from_samples(samples)
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ((1, 1.0, 1.0, 1.0), "trace[1] has 4 fields, not 5: (1, 1.0, 1.0, 1.0)"),
+            ((1, 1.0, 1.0, 1.0, 1.0, 1.0), "trace[1] has 6 fields, not 5"),
+            (DemandSample(2**63, 1.0, 1.0, 1.0, 1.0), f"trace[1].tick {2**63} overflows int64"),
+        ],
+        ids=["4-fields", "6-fields", "tick-2**63"],
+    )
+    def test_request_samples_of_the_wrong_shape_are_workload_errors(self, bad, message):
+        samples = (DemandSample(0, 1.0, 1.0, 1.0, 1.0), bad)
+        with pytest.raises(WorkloadError, match=re.escape(f"vm-7: {message}")):
+            VmRequest("vm-7", MachineCapacity(1, 1, 1, 1), 0, None, samples)
+        with pytest.raises(WorkloadError, match=re.escape(message)):
+            DemandTrace.from_samples(samples)
+
+    def test_the_largest_int64_tick_is_accepted(self):
+        trace = DemandTrace.from_samples([DemandSample(2**63 - 1, 1.0, 1.0, 1.0, 1.0)])
+        assert list(trace.ticks) == [2**63 - 1]
+
     def test_request_validates_trace_order(self):
         nominal = MachineCapacity(1, 1, 1, 1)
         with pytest.raises(WorkloadError):
