@@ -26,9 +26,6 @@ from .model import (
     ResourceVector,
     UtilizationWeights,
     VirtualMachine,
-    power_draw,
-    rescale_rv,
-    unified_utilization,
     used_shares_of,
 )
 from .policies import (
@@ -38,7 +35,6 @@ from .policies import (
     SimilarityMethod,
     SimilarityPolicy,
     build_policy,
-    cosine_similarity,
 )
 from .workload import (
     DemandSample,
@@ -78,15 +74,11 @@ __all__ = [
     "WorkloadProfile",
     "WorkloadSpec",
     "build_policy",
-    "cosine_similarity",
     "generate_workload",
     "load_trace_files",
-    "power_draw",
     "proportional_delivery",
-    "rescale_rv",
     "run_simulation",
     "save_trace_files",
-    "unified_utilization",
     "used_shares_of",
     "__version__",
 ]

@@ -114,11 +114,17 @@ class Experiment:
     output_dir: Optional[str] = None
 
     def materialize_workload(self, seed_override: Optional[int] = None) -> list[VmRequest]:
-        """The experiment's workload: generated from its spec, or loaded from its traces."""
+        """The experiment's workload: generated from its spec, or loaded from its traces.
+
+        ``seed_override`` replaces a spec's seed; traces have none, so giving
+        one for them is a ``ConfigError``.
+        """
         section = self.workload_section
         if "spec" in section:
             return generate_workload(build_workload_spec(section["spec"], seed_override))
         if "trace" in section and "meta" in section:
+            if seed_override is not None:
+                raise ConfigError("workload: --seed applies only to a 'spec', not to trace files")
             trace = os.path.join(self.base_dir, section["trace"])
             meta = os.path.join(self.base_dir, section["meta"])
             try:

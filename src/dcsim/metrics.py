@@ -153,17 +153,20 @@ def run_sweep(
 ) -> SweepResult:
     """Run one simulation per parameter value against a shared workload.
 
-    Each value is set as the policy's ``parameter``, and must be unique and
-    fit a CSV cell (see ``_cell``); any other value is a ``ValueError``
-    raised before a simulation runs.  Points whose policy cannot be built
-    (e.g. a ``u_up`` too close to ``u_down``) are skipped with a warning and
-    recorded in ``result.skipped``.  An error raised while a point's
-    simulation runs, such as an ``EngineError`` from a faulty policy
-    decision, is not a skip: it propagates to the caller.
+    Each value is set as the policy's ``parameter``, and must fit a CSV cell
+    (see ``_cell``) and be unique: two values that are equal, as ``0`` and
+    ``-0.0`` are, or that print alike, as two NaNs do, would run one point
+    twice.  Any other value is a ``ValueError`` raised before a simulation
+    runs.  Points whose policy cannot be built (e.g. a ``u_up`` too close to
+    ``u_down``) are skipped with a warning and recorded in
+    ``result.skipped``.  An error raised while a point's simulation runs,
+    such as an ``EngineError`` from a faulty policy decision, is not a skip:
+    it propagates to the caller.
     """
     if not values:
         raise ValueError("sweep needs at least one value")
-    if len(set(map(repr, values))) != len(values):
+    values = [_cell(v, f"{parameter} sweep value") for v in values]
+    if any(a == b or repr(a) == repr(b) for i, a in enumerate(values) for b in values[:i]):
         raise ValueError("sweep values must be unique")
     if all(isinstance(v, (int, float)) for v in values):
         values = sorted(values)
@@ -173,7 +176,7 @@ def run_sweep(
     kept = []
     specs = []
     for v in values:
-        spec = {**base, parameter: _cell(v, f"{parameter} sweep value")}
+        spec = {**base, parameter: v}
         try:
             build_policy(spec)
         except ValueError as exc:

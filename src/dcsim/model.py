@@ -296,10 +296,6 @@ class PhysicalMachine:
     def __post_init__(self) -> None:
         check_fields(self)
 
-    @property
-    def is_running(self) -> bool:
-        return self.state is MachineState.RUNNING
-
     def add_vm(self, vm_id: str) -> None:
         if vm_id in self.hosted_vm_ids:
             raise ValueError(f"{vm_id} already hosted on machine {self.id}")
@@ -411,21 +407,6 @@ def utilization_of(shares: Shares, weights: tuple[float, float, float, float]) -
     return 0.0 if u < 0.0 else 1.0 if u > 1.0 else u
 
 
-def rescale_rv(
-    rv: ResourceVector, from_capacity: MachineCapacity, to_capacity: MachineCapacity
-) -> ResourceVector:
-    """Re-express a capacity-relative vector against a different machine.
-
-    A share of a big machine is a larger share of a small one:  each
-    component is multiplied by ``from`` capacity, then divided by ``to``
-    capacity and clamped to [0, 1], as ``shares_of`` divides and clamps.
-    """
-    f = from_capacity.as_tuple()
-    v = rv.as_tuple()
-    amounts = (v[0] * f[0], v[1] * f[1], v[2] * f[2], v[3] * f[3])
-    return ResourceVector(*shares_of(amounts, to_capacity.as_tuple()))
-
-
 def used_shares_of(
     pm: PhysicalMachine, usages: Iterable[Optional[tuple[float, float, float, float]]]
 ) -> Shares:
@@ -439,20 +420,6 @@ def used_shares_of(
     return shares_of(_column_sums(latest), pm.capacity.as_tuple())
 
 
-def unified_utilization(rv: ResourceVector, weights: UtilizationWeights) -> float:
-    """Weighted linear combination of the four resource shares, in [0, 1]."""
-    return utilization_of(rv.as_tuple(), weights.as_tuple())
-
-
 def running_power(peak_power_watts: float, u: float, model: PowerModel) -> float:
     """Watts drawn by a running machine at a unified utilization ``u`` already in [0, 1]."""
     return peak_power_watts * (model.idle_fraction + (1.0 - model.idle_fraction) * u)
-
-
-def power_draw(pm: PhysicalMachine, u: float, model: PowerModel) -> float:
-    """Instantaneous power in watts for a machine at unified utilization ``u``."""
-    if pm.state is MachineState.STANDBY:
-        return model.standby_watts
-    if not math.isfinite(u) or not 0.0 <= u <= 1.0:
-        raise ValueError(f"utilization must be in [0, 1], got {u!r}")
-    return running_power(pm.peak_power_watts, u, model)

@@ -13,12 +13,7 @@ from .baselines import (
     RoundRobinPolicy,
     SingleThresholdPolicy,
 )
-from .similarity import (
-    PolicyConfig,
-    SimilarityMethod,
-    SimilarityPolicy,
-    cosine_similarity,
-)
+from .similarity import PolicyConfig, SimilarityMethod, SimilarityPolicy
 
 #: Tuned similarity configuration used by the ``recommended`` preset.
 RECOMMENDED_POLICY_PARAMS: dict[str, Any] = {
@@ -93,5 +88,4 @@ __all__ = [
     "SimilarityPolicy",
     "SingleThresholdPolicy",
     "build_policy",
-    "cosine_similarity",
 ]

@@ -91,11 +91,6 @@ def cosine_of(a: Shares, b: Shares) -> float:
     return _cosine_normed(a, _norm_of(a), b, _norm_of(b))
 
 
-def cosine_similarity(a: ResourceVector, b: ResourceVector) -> float:
-    """Cosine similarity of two resource vectors; see :func:`cosine_of`."""
-    return cosine_of(a.as_tuple(), b.as_tuple())
-
-
 @dataclass(frozen=True, slots=True)
 class PolicyConfig:
     """Tunables of the similarity consolidation policy.

@@ -66,6 +66,9 @@ class DemandSample(NamedTuple):
 #: The kind each field of a trace sample is checked as.
 _TRACE_KINDS = {"tick": integer(0), **dict.fromkeys(RESOURCES, NON_NEGATIVE)}
 
+#: The ticks an ``array('q')`` holds.
+_INT64 = range(-(2**63), 2**63)
+
 
 class DemandTrace(Sequence):
     """A VM's demand samples as five columns, read as a sequence of ``DemandSample``.
@@ -73,11 +76,12 @@ class DemandTrace(Sequence):
     ``ticks`` is a ``range`` with step 1 when the ticks are consecutive (an
     empty trace's is ``range(0)``), and an ``array('q')`` otherwise: either
     type is taken and turned into that form, so equal traces hold the same
-    type.  ``cpu``, ``mem``, ``disk`` and ``bw`` are ``array('d')``, so a
-    sample takes 32 bytes with range ticks and 40 otherwise.  An int index
-    gives a ``DemandSample``, a slice a ``DemandTrace``.  The value arrays
-    are held as given, not copied, and nothing in the program writes to
-    them.  Equal traces have equal ticks, so the hash covers the ticks only.
+    type; a ``range`` reaching past int64 is a ``WorkloadError``.  ``cpu``,
+    ``mem``, ``disk`` and ``bw`` are ``array('d')``, so a sample takes 32
+    bytes with range ticks and 40 otherwise.  An int index gives a
+    ``DemandSample``, a slice a ``DemandTrace``.  The value arrays are held
+    as given, not copied, and nothing in the program writes to them.  Equal
+    traces have equal ticks, so the hash covers the ticks only.
     """
 
     __slots__ = ("ticks", "cpu", "mem", "disk", "bw")
@@ -85,6 +89,10 @@ class DemandTrace(Sequence):
     def __init__(
         self, ticks: Union[range, array], cpu: array, mem: array, disk: array, bw: array
     ) -> None:
+        if isinstance(ticks, range) and ticks and not (ticks[0] in _INT64 and ticks[-1] in _INT64):
+            raise WorkloadError(
+                f"trace ticks {ticks!r} overflow int64: each must lie in [-2**63, 2**63 - 1]"
+            )
         if isinstance(ticks, range) or isinstance(ticks, array) and ticks.typecode == "q":
             dense = range(ticks[0], ticks[0] + len(ticks)) if ticks else range(0)
             if isinstance(ticks, range):
@@ -188,16 +196,21 @@ class VmRequest:
                 f"{self.vm_id}: departure {self.departure_tick} must be after "
                 f"arrival {self.arrival_tick}"
             )
-        # A range's ticks increase, so only its first one needs checking.
         ticks = self.trace.ticks
-        last = -1
-        for tick in ticks[:1] if isinstance(ticks, range) else ticks:
-            if tick <= last:
-                raise WorkloadError(
-                    f"{self.vm_id}: trace ticks must be strictly increasing "
-                    f"(saw {tick} after {last})"
-                )
-            last = tick
+        if ticks and ticks[0] < 0:
+            raise WorkloadError(
+                f"{self.vm_id}: trace ticks must be integers >= 0, got first tick {ticks[0]}"
+            )
+        # A range's ticks increase, so only an array's need checking.
+        if isinstance(ticks, array):
+            last = -1
+            for tick in ticks:
+                if tick <= last:
+                    raise WorkloadError(
+                        f"{self.vm_id}: trace ticks must be strictly increasing "
+                        f"(saw {tick} after {last})"
+                    )
+                last = tick
 
 
 class WorkloadProfile(Enum):

@@ -36,12 +36,13 @@ import mpmath
 from dcsim.model import (
     BreachSide,
     MachineCapacity,
+    MachineState,
     ResourceVector,
     clamped_sum_of,
     complement_of,
     shares_of,
-    unified_utilization,
     used_shares_of,
+    utilization_of,
 )
 from dcsim.policies.base import RebalanceAction
 from dcsim.policies.baselines import (
@@ -51,7 +52,7 @@ from dcsim.policies.baselines import (
     RoundRobinPolicy,
     SingleThresholdPolicy,
 )
-from dcsim.policies.similarity import SimilarityMethod, SimilarityPolicy, cosine_similarity
+from dcsim.policies.similarity import SimilarityMethod, SimilarityPolicy, cosine_of
 from dcsim.workload import DemandSample, VmRequest, WorkloadProfile, WorkloadSpec, _derived_rng
 
 mpmath.mp.dps = 50
@@ -276,7 +277,7 @@ class ReferenceSingleThreshold(SingleThresholdPolicy):
             rv = ResourceVector(*view.vm_nominal_rv_on(vm_id, pm.id))
         model = view.power_model
         slope = pm.peak_power_watts * (1.0 - model.idle_fraction)
-        increase = slope * unified_utilization(rv, self.weights)
+        increase = slope * utilization_of(rv.as_tuple(), self.weights.as_tuple())
         if not plan_on:
             increase += pm.peak_power_watts * model.idle_fraction - model.standby_watts
         return increase
@@ -288,7 +289,7 @@ class ReferenceSingleThreshold(SingleThresholdPolicy):
             used_cpu = view.cpu_used_abs(pm.id)
             if (used_cpu + vm_cpu) / pm.capacity.cpu >= self.threshold:
                 continue
-            increase = self._ref_increase(vm_id, pm, view, pm.is_running)
+            increase = self._ref_increase(vm_id, pm, view, pm.state is MachineState.RUNNING)
             if best is None or (increase, pm.id) < (best[0], best[1]):
                 best = (increase, pm.id)
         if best is None:
@@ -300,7 +301,7 @@ class ReferenceSingleThreshold(SingleThresholdPolicy):
             return
         machines = view.all_machines()
         plan_cpu = {pm.id: 0.0 for pm in machines}
-        plan_on = {pm.id: pm.is_running for pm in machines}
+        plan_on = {pm.id: pm.state is MachineState.RUNNING for pm in machines}
 
         placed = []
         skipped = []
@@ -366,19 +367,19 @@ class ReferenceSimilarity(SimilarityPolicy):
             if extras is not None and pm.id in extras:
                 used = _add_clamped(used, extras[pm.id])
             if cfg.similarity_method is SimilarityMethod.DISSIMILAR:
-                score = cosine_similarity(vm_rv, used)
+                score = cosine_of(vm_rv.as_tuple(), used.as_tuple())
                 if score > cfg.similarity_threshold:
                     continue
                 ranked.append((score, pm.id, vm_rv, used))
             else:
-                score = cosine_similarity(vm_rv, ResourceVector(*complement_of(used.as_tuple())))
+                score = cosine_of(vm_rv.as_tuple(), complement_of(used.as_tuple()))
                 if score < cfg.similarity_threshold:
                     continue
                 ranked.append((-score, pm.id, vm_rv, used))
         ranked.sort(key=lambda item: (item[0], item[1]))
 
         for _, pm_id, vm_rv, used in ranked:
-            if unified_utilization(_add_clamped(used, vm_rv), cfg.weights) < cap_u:
+            if utilization_of(_add_clamped(used, vm_rv).as_tuple(), cfg.weights.as_tuple()) < cap_u:
                 return pm_id
 
         if extras is None:

@@ -41,18 +41,8 @@ from _instances import run_checked_instance
 from dcsim.cli import main as cli_main
 from dcsim.config import build_experiment, load_raw_config
 from dcsim.metrics import compare_policies, run_sweep
-from dcsim.model import (
-    MachineCapacity,
-    PhysicalMachine,
-    PowerModel,
-    ResourceVector,
-    UtilizationWeights,
-    power_draw,
-    rescale_rv,
-    shares_of,
-    unified_utilization,
-)
-from dcsim.policies.similarity import cosine_similarity
+from dcsim.model import PowerModel, running_power, shares_of, utilization_of
+from dcsim.policies.similarity import cosine_of
 
 pytestmark = pytest.mark.acceptance
 
@@ -105,31 +95,30 @@ def test_01_core_math_matches_exact_references_on_10000_inputs():
     for _ in range(ORACLE_INPUTS):
         a = oracle.random_rv_tuple(rng)
         b = oracle.random_rv_tuple(rng)
-        got = cosine_similarity(ResourceVector(*a), ResourceVector(*b))
+        got = cosine_of(a, b)
         worst = max(worst, oracle.rel_error(got, oracle.mp_cosine(a, b)))
 
     for _ in range(ORACLE_INPUTS):
         rv = oracle.random_rv_tuple(rng)
         w = oracle.random_weights_tuple(rng)
-        got = unified_utilization(ResourceVector(*rv), UtilizationWeights(*w))
+        got = utilization_of(rv, w)
         worst = max(worst, oracle.rel_error(got, oracle.exact_unified(rv, w)))
 
     for _ in range(ORACLE_INPUTS):
         rv = oracle.random_rv_tuple(rng)
         src = oracle.random_capacity_tuple(rng)
         dst = oracle.random_capacity_tuple(rng)
-        got = rescale_rv(ResourceVector(*rv), MachineCapacity(*src), MachineCapacity(*dst))
+        # Rescaling a share between machines: the amounts ``v·from`` as shares of ``to``.
+        got = shares_of(tuple(v * f for v, f in zip(rv, src)), dst)
         expect = oracle.exact_rescale(rv, src, dst)
-        for g, e in zip(got.as_tuple(), expect):
+        for g, e in zip(got, expect):
             worst = max(worst, oracle.rel_error(g, e))
 
-    pm = PhysicalMachine(0, MachineCapacity(1.0, 1.0, 1.0, 1.0), 1.0)
     for _ in range(ORACLE_INPUTS):
         peak = 10.0 ** rng.uniform(0.0, 4.0)
         idle = rng.random()
         u = oracle.random_fraction(rng)
-        pm.peak_power_watts = peak
-        got = power_draw(pm, u, PowerModel(idle_fraction=idle))
+        got = running_power(peak, u, PowerModel(idle_fraction=idle))
         worst = max(worst, oracle.rel_error(got, oracle.exact_power(peak, idle, u)))
 
     # The share formula the engine uses for resource vectors, including the

@@ -698,6 +698,24 @@ class TestCliGenWorkload:
         assert main(["run", "--config", str(cfg_path), "--out", str(out_trace)]) == EXIT_OK
         assert (out_spec / "report.csv").read_bytes() == (out_trace / "report.csv").read_bytes()
 
+    @pytest.mark.parametrize("command", ["run", "sweep", "compare"])
+    def test_seed_on_a_trace_workload_is_a_config_error(self, config_file, tmp_path, capsys,
+                                                         command):
+        gen = tmp_path / "gen"
+        assert main(["gen-workload", "--config", config_file(), "--out", str(gen)]) == EXIT_OK
+        cfg = config_file(
+            workload={"trace": str(gen / "trace.csv"), "meta": str(gen / "meta.csv")},
+            sweep={"parameter": "u_up", "values": [0.5, 0.7]},
+            compare={"policies": ["greedy", "recommended"]},
+        )
+        capsys.readouterr()
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out), "--seed", "1"]) == EXIT_CONFIG
+        message = "config error: workload: --seed applies only to a 'spec', not to trace files"
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+        assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_OK
+
     def test_bad_trace_field_is_config_error_naming_file_and_line(self, config_file, tmp_path, capsys):
         gen = tmp_path / "gen"
         assert main(["gen-workload", "--config", config_file(), "--out", str(gen)]) == EXIT_OK

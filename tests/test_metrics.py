@@ -173,6 +173,19 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="unique"):
             run_sweep(sim_config, workload, "similarity", "u_up", values=[0.5, 0.5])
 
+    @pytest.mark.parametrize(
+        "values",
+        [[0, 0.0], [0.0, -0.0], [0.1, 0, 0.2, -0.0], [float("nan"), float("nan")]],
+        ids=["int-and-float", "signed-zeros", "apart", "nans"],
+    )
+    def test_equal_numbers_are_duplicate_values(self, sim_config, workload, monkeypatch, values):
+        def no_runs(*args):
+            raise AssertionError("a simulation ran")
+
+        monkeypatch.setattr(metrics, "_run_points", no_runs)
+        with pytest.raises(ValueError, match="^sweep values must be unique$"):
+            run_sweep(sim_config, workload, "similarity", "u_down", values=values)
+
     def test_empty_values_rejected(self, sim_config, workload):
         with pytest.raises(ValueError, match="at least one"):
             run_sweep(sim_config, workload, "similarity", "u_up", values=[])

@@ -12,7 +12,6 @@ from dcsim.engine import FleetMachine, Simulation, SimulationConfig
 from dcsim.model import (
     DEFAULT_RV,
     MachineCapacity,
-    MachineState,
     PhysicalMachine,
     PowerModel,
     ResourceVector,
@@ -20,18 +19,21 @@ from dcsim.model import (
     VirtualMachine,
     clamped_sum_of,
     complement_of,
-    power_draw,
-    rescale_rv,
+    running_power,
     shares_of,
-    unified_utilization,
     used_shares_of,
     utilization_of,
 )
-from dcsim.policies.similarity import cosine_similarity
+from dcsim.policies.similarity import cosine_of
 from dcsim.workload import DemandSample, VmRequest
 
 #: A machine no test sample over-commits.
 _ROOMY = (1e12, 1e12, 1e12, 1e12)
+
+
+def _rescaled(shares, from_capacity, to_capacity):
+    """A share of one machine as a share of another: the amounts ``v·from`` as shares of ``to``."""
+    return shares_of(tuple(v * f for v, f in zip(shares, from_capacity)), to_capacity)
 
 
 def _window_sim(samples, window_ticks, capacity=_ROOMY):
@@ -118,26 +120,26 @@ class TestUtilizationWeights:
 class TestFrozenValues:
     def test_cosine_of_opposed_profiles(self):
         # dot = .07 + .07 + .0025 + .0025 = 0.145; each norm^2 = 0.505.
-        a = ResourceVector(0.70, 0.10, 0.05, 0.05)
-        b = ResourceVector(0.10, 0.70, 0.05, 0.05)
-        assert cosine_similarity(a, b) == pytest.approx(0.145 / 0.505, rel=1e-12)
-        assert cosine_similarity(a, b) == pytest.approx(0.2871287128712871, rel=1e-12)
+        a = (0.70, 0.10, 0.05, 0.05)
+        b = (0.10, 0.70, 0.05, 0.05)
+        assert cosine_of(a, b) == pytest.approx(0.145 / 0.505, rel=1e-12)
+        assert cosine_of(a, b) == pytest.approx(0.2871287128712871, rel=1e-12)
 
     def test_cosine_of_identical_direction_is_one(self):
-        a = ResourceVector(0.2, 0.4, 0.1, 0.3)
-        b = ResourceVector(0.1, 0.2, 0.05, 0.15)
-        assert cosine_similarity(a, b) == pytest.approx(1.0, rel=1e-12)
+        a = (0.2, 0.4, 0.1, 0.3)
+        b = (0.1, 0.2, 0.05, 0.15)
+        assert cosine_of(a, b) == pytest.approx(1.0, rel=1e-12)
 
     def test_cosine_of_orthogonal_is_zero(self):
-        a = ResourceVector(1.0, 0.0, 0.0, 0.0)
-        b = ResourceVector(0.0, 1.0, 0.0, 0.0)
-        assert cosine_similarity(a, b) == 0.0
+        a = (1.0, 0.0, 0.0, 0.0)
+        b = (0.0, 1.0, 0.0, 0.0)
+        assert cosine_of(a, b) == 0.0
 
     def test_cosine_zero_vector_is_zero(self):
-        a = ResourceVector(0.0, 0.0, 0.0, 0.0)
-        b = ResourceVector(0.5, 0.5, 0.5, 0.5)
-        assert cosine_similarity(a, b) == 0.0
-        assert cosine_similarity(b, a) == 0.0
+        a = (0.0, 0.0, 0.0, 0.0)
+        b = (0.5, 0.5, 0.5, 0.5)
+        assert cosine_of(a, b) == 0.0
+        assert cosine_of(b, a) == 0.0
 
     def test_vm_vector_from_window_mean(self):
         cap = MachineCapacity(2000, 500, 100, 100)
@@ -146,8 +148,8 @@ class TestFrozenValues:
         assert shares == pytest.approx((0.25, 0.5, 0.1, 0.1), rel=1e-12)
 
     def test_unified_utilization_equal_weights(self):
-        rv = ResourceVector(0.70, 0.10, 0.05, 0.05)
-        assert unified_utilization(rv, UtilizationWeights()) == pytest.approx(
+        rv = (0.70, 0.10, 0.05, 0.05)
+        assert utilization_of(rv, UtilizationWeights().as_tuple()) == pytest.approx(
             0.225, rel=1e-12
         )
 
@@ -160,23 +162,20 @@ class TestFrozenValues:
         assert shares == (0.5, 1.0, 0.0, 0.1)
 
     def test_power_idle_and_peak(self):
-        pm = PhysicalMachine(0, MachineCapacity(1, 1, 1, 1), peak_power_watts=200.0)
-        model = PowerModel(idle_fraction=0.5, standby_watts=7.0)
-        assert power_draw(pm, 0.0, model) == pytest.approx(100.0)
-        assert power_draw(pm, 1.0, model) == pytest.approx(200.0)
-        assert power_draw(pm, 0.5, model) == pytest.approx(150.0)
-        pm.state = MachineState.STANDBY
-        assert power_draw(pm, 0.0, model) == 7.0
+        model = PowerModel(idle_fraction=0.5)
+        assert running_power(200.0, 0.0, model) == pytest.approx(100.0)
+        assert running_power(200.0, 1.0, model) == pytest.approx(200.0)
+        assert running_power(200.0, 0.5, model) == pytest.approx(150.0)
 
     def test_rescale_between_machines(self):
-        small = MachineCapacity(1000, 2048, 500, 500)
-        big = MachineCapacity(4000, 8192, 1000, 1000)
-        rv = ResourceVector(0.8, 0.5, 0.2, 0.1)
-        out = rescale_rv(rv, small, big)
-        assert out.as_tuple() == pytest.approx((0.2, 0.125, 0.1, 0.05), rel=1e-12)
+        small = (1000, 2048, 500, 500)
+        big = (4000, 8192, 1000, 1000)
+        rv = (0.8, 0.5, 0.2, 0.1)
+        out = _rescaled(rv, small, big)
+        assert out == pytest.approx((0.2, 0.125, 0.1, 0.05), rel=1e-12)
         # Going the other way can saturate.
-        back = rescale_rv(ResourceVector(0.8, 0.5, 0.2, 0.1), big, small)
-        assert back.as_tuple() == pytest.approx((1.0, 1.0, 0.4, 0.2), rel=1e-12)
+        back = _rescaled((0.8, 0.5, 0.2, 0.1), big, small)
+        assert back == pytest.approx((1.0, 1.0, 0.4, 0.2), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -299,12 +298,9 @@ def _clamp01(x):
     return x
 
 
-def _rescale_rv_as_first_written(rv, from_capacity, to_capacity):
-    """``rescale_rv`` before it ran ``shares_of``: its own multiply, divide and clamp."""
-    f = from_capacity.as_tuple()
-    t = to_capacity.as_tuple()
-    v = rv.as_tuple()
-    return ResourceVector(
+def _rescale_as_first_written(v, f, t):
+    """Rescaling a share as first written, before it ran ``shares_of``: multiply, divide, clamp."""
+    return (
         _clamp01(v[0] * f[0] / t[0]),
         _clamp01(v[1] * f[1] / t[1]),
         _clamp01(v[2] * f[2] / t[2]),
@@ -335,19 +331,19 @@ def _usage(rng):
 
 
 class TestReroutedMath:
-    """``rescale_rv`` and ``used_shares_of`` give their first-written results bit for bit."""
+    """Rescaling by ``shares_of`` and ``used_shares_of`` give their first-written results bit for bit."""
 
-    def test_rescale_rv_equals_the_first_written(self):
+    def test_rescale_by_shares_of_equals_the_first_written(self):
         rng = random.Random(107)
         seen = set()
         for _ in range(REROUTED_INPUTS):
-            rv = ResourceVector(*oracle.random_rv_tuple(rng))
-            src = MachineCapacity(*oracle.random_capacity_tuple(rng))
-            dst = MachineCapacity(*oracle.random_capacity_tuple(rng))
+            rv = oracle.random_rv_tuple(rng)
+            src = oracle.random_capacity_tuple(rng)
+            dst = oracle.random_capacity_tuple(rng)
             if rng.random() < 0.1:
                 dst = src  # a full share lands exactly on the clamp
-            got = rescale_rv(rv, src, dst).as_tuple()
-            assert _bits(got) == _bits(_rescale_rv_as_first_written(rv, src, dst).as_tuple())
+            got = _rescaled(rv, src, dst)
+            assert _bits(got) == _bits(_rescale_as_first_written(rv, src, dst))
             seen.update("clamped" if x == 1.0 else "zero" if x == 0.0 else "inside" for x in got)
         assert seen == {"clamped", "zero", "inside"}
 
@@ -486,7 +482,7 @@ class TestRandomizedAgainstOracle:
         for _ in range(2000):
             a = oracle.random_rv_tuple(rng)
             b = oracle.random_rv_tuple(rng)
-            got = cosine_similarity(ResourceVector(*a), ResourceVector(*b))
+            got = cosine_of(a, b)
             assert oracle.rel_error(got, oracle.mp_cosine(a, b)) <= TOL
 
     def test_rescale_matches_exact_rational(self):
@@ -495,11 +491,9 @@ class TestRandomizedAgainstOracle:
             rv = oracle.random_rv_tuple(rng)
             f = oracle.random_capacity_tuple(rng)
             t = oracle.random_capacity_tuple(rng)
-            got = rescale_rv(
-                ResourceVector(*rv), MachineCapacity(*f), MachineCapacity(*t)
-            )
+            got = _rescaled(rv, f, t)
             expected = oracle.exact_rescale(rv, f, t)
-            for g, e in zip(got.as_tuple(), expected):
+            for g, e in zip(got, expected):
                 assert oracle.rel_error(g, e) <= TOL
 
     def test_unified_matches_exact_rational(self):
@@ -507,18 +501,16 @@ class TestRandomizedAgainstOracle:
         for _ in range(2000):
             rv = oracle.random_rv_tuple(rng)
             w = oracle.random_weights_tuple(rng)
-            got = unified_utilization(ResourceVector(*rv), UtilizationWeights(*w))
+            got = utilization_of(rv, w)
             assert oracle.rel_error(got, oracle.exact_unified(rv, w)) <= TOL
 
     def test_power_matches_exact_rational(self):
         rng = random.Random(104)
-        pm = PhysicalMachine(0, MachineCapacity(1, 1, 1, 1), 1.0)
         for _ in range(2000):
             peak = 10.0 ** rng.uniform(0.0, 4.0)
             idle = rng.random()
             u = oracle.random_fraction(rng)
-            pm.peak_power_watts = peak
-            got = power_draw(pm, u, PowerModel(idle_fraction=idle))
+            got = running_power(peak, u, PowerModel(idle_fraction=idle))
             assert oracle.rel_error(got, oracle.exact_power(peak, idle, u)) <= TOL
 
     def test_window_rv_matches_exact_rational(self):
@@ -537,9 +529,9 @@ class TestRandomizedAgainstOracle:
     def test_cosine_symmetry_and_bounds(self):
         rng = random.Random(106)
         for _ in range(500):
-            a = ResourceVector(*oracle.random_rv_tuple(rng))
-            b = ResourceVector(*oracle.random_rv_tuple(rng))
-            s = cosine_similarity(a, b)
+            a = oracle.random_rv_tuple(rng)
+            b = oracle.random_rv_tuple(rng)
+            s = cosine_of(a, b)
             assert 0.0 <= s <= 1.0
-            assert s == cosine_similarity(b, a)
+            assert s == cosine_of(b, a)
             assert math.isfinite(s)

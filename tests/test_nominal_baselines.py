@@ -21,6 +21,7 @@ from _oracles import (
     ReferenceRoundRobin,
 )
 from dcsim.engine import Simulation
+from dcsim.model import MachineState
 from dcsim.policies import (
     DynamicRoundRobinPolicy,
     GreedyPolicy,
@@ -65,7 +66,7 @@ def _recording(policy_cls):
                 # an index cursor and a machine-id cursor.
                 self.wraps += machine_id < cursor
             if machine_id is not None:
-                self.running_placements += view.machine(machine_id).is_running
+                self.running_placements += view.machine(machine_id).state is MachineState.RUNNING
             self.log.append((view.current_tick, vm_id, machine_id))
             return machine_id
 

@@ -129,7 +129,7 @@ def test_replan_matches_reference_for_vms_without_history():
         )
         for n in range(rng.randint(1, 8)):
             vm_id = f"vm-{n}"
-            running = [pm for pm in machines if pm.is_running]
+            running = [pm for pm in machines if pm.state is MachineState.RUNNING]
             if not running:
                 break
             rng.choice(running).add_vm(vm_id)

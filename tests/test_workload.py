@@ -136,6 +136,13 @@ class TestSpecValidation:
                 (DemandSample(1, 0, 0, 0, 0), DemandSample(1, 0, 0, 0, 0)),
             )
 
+    def test_a_negative_first_tick_names_the_rule_it_breaks(self):
+        ticks = range(-2, 1)
+        trace = DemandTrace(ticks, *TestDemandTrace.columns(len(ticks)))
+        message = "vm-0: trace ticks must be integers >= 0, got first tick -2"
+        with pytest.raises(WorkloadError, match=f"^{re.escape(message)}$"):
+            VmRequest("vm-0", MachineCapacity(1, 1, 1, 1), 0, None, trace)
+
 
 class TestGeneration:
     def test_deterministic_for_same_seed(self):
@@ -666,6 +673,29 @@ class TestDemandTrace:
         again = pickle.loads(pickle.dumps(trace))
         assert type(again.ticks) is range
         assert again == trace
+
+    @pytest.mark.parametrize(
+        "ticks",
+        [
+            range(2**63, 2**63 + 3),
+            range(2**63, 2**63 + 6, 2),
+            range(2**63, 2**63 - 3, -1),
+            range(-(2**63) - 1, -(2**63) + 2),
+            range(2**63 - 1, 2**64, 2**63),
+        ],
+        ids=["past-max", "past-max-strided", "past-max-reversed", "below-min", "last-past-max"],
+    )
+    def test_a_range_of_ticks_past_int64_is_a_workload_error(self, ticks):
+        message = f"trace ticks {ticks!r} overflow int64: each must lie in [-2**63, 2**63 - 1]"
+        with pytest.raises(WorkloadError, match=f"^{re.escape(message)}$"):
+            DemandTrace(ticks, *self.columns(len(ticks)))
+
+    def test_a_range_of_ticks_at_the_int64_ends_is_kept_and_sliced(self):
+        for ticks in (range(2**63 - 3, 2**63), range(2**63 - 1, -(2**63) - 1, 1 - 2**64)):
+            trace = DemandTrace(ticks, *self.columns(len(ticks)))
+            assert list(trace.ticks) == list(ticks)
+            assert list(trace[::2].ticks) == list(ticks[::2])
+            assert list(trace[::-1].ticks) == list(ticks[::-1])
 
     def test_columns_must_match(self):
         trace = self.trace()
