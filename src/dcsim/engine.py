@@ -71,7 +71,7 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Optional
 
@@ -198,20 +198,24 @@ def proportional_delivery(
 
 @dataclass(slots=True)
 class SimulationReport:
-    """Aggregated outcome of one run plus per-tick series."""
+    """Aggregated outcome of one run plus per-tick series.
 
-    total_energy_kwh: float
-    sla_violation_count: int
-    migration_count: int
-    wake_count: int
-    standby_count: int
-    rejected_requests: int
-    dropped_actions: int
-    running_machines: list[int]
-    total_power_watts: list[float]
-    violations_per_tick: list[int]
-    per_machine_energy_kwh: dict[int, float]
-    policy_stats: dict[str, int]
+    A ``Simulation`` counts into its ``report`` as it runs; the energy fields
+    and ``policy_stats`` are filled in when the run ends.
+    """
+
+    total_energy_kwh: float = 0.0
+    sla_violation_count: int = 0
+    migration_count: int = 0
+    wake_count: int = 0
+    standby_count: int = 0
+    rejected_requests: int = 0
+    dropped_actions: int = 0
+    running_machines: list[int] = field(default_factory=list)
+    total_power_watts: list[float] = field(default_factory=list)
+    violations_per_tick: list[int] = field(default_factory=list)
+    per_machine_energy_kwh: dict[int, float] = field(default_factory=dict)
+    policy_stats: dict[str, int] = field(default_factory=dict)
 
     @property
     def mean_running_machines(self) -> float:
@@ -289,16 +293,8 @@ class Simulation:
         # Memoized used shares (see the module docstring for invalidation).
         self._used: dict[int, Shares] = {}
 
-        self.migration_count = 0
-        self.wake_count = 0
-        self.standby_count = 0
-        self.rejected_requests = 0
-        self.dropped_actions = 0
-        self.sla_violation_count = 0
-
-        self._series_running: list[int] = []
-        self._series_power: list[float] = []
-        self._series_violations: list[int] = []
+        # What the run counts; ``run`` returns it.
+        self.report = SimulationReport()
 
     # ------------------------------------------------------------------
     # Cluster view: the ``ClusterView`` members policies read
@@ -438,7 +434,7 @@ class Simulation:
         """Bring a standby machine up; the caller has checked that it is on standby."""
         pm.state = MachineState.RUNNING
         insort(self._running, pm, key=_machine_id)
-        self.wake_count += 1
+        self.report.wake_count += 1
 
     def _standby(self, pm: PhysicalMachine) -> None:
         """Park an empty machine; the caller has checked that it is empty."""
@@ -446,7 +442,7 @@ class Simulation:
         del self._running[bisect_left(self._running, pm.id, key=_machine_id)]
         pm.last_used_tick = self.current_tick
         pm.clear_breach()
-        self.standby_count += 1
+        self.report.standby_count += 1
 
     def _set_host(self, vm: VirtualMachine, target: Optional[PhysicalMachine]) -> None:
         """Take ``vm`` off its host, if any, and put it on ``target``, if given.
@@ -494,7 +490,7 @@ class Simulation:
         source = self.machines[vm.host_id]
         self._set_host(vm, target)
         source.clear_breach()
-        self.migration_count += 1
+        self.report.migration_count += 1
 
     # ------------------------------------------------------------------
     # Tick pipeline
@@ -510,10 +506,10 @@ class Simulation:
         self._land_migrations(tick)
         self._process_departures(tick)
         self._process_arrivals(tick)
-        violations = self._arbitrate(tick)
+        self._arbitrate(tick)
         self._measure(tick)
         self._rebalance(tick)
-        self._integrate_energy(tick, violations)
+        self._integrate_energy()
         self.current_tick = tick + 1
 
     # -- step 1: migration landings -------------------------------------
@@ -527,7 +523,7 @@ class Simulation:
         for vm_id, target_id in due:
             self._set_flight(vm_id, None)
             if not self.policy.migration_landing_ok(vm_id, target_id, self):
-                self.dropped_actions += 1
+                self.report.dropped_actions += 1
                 continue
             self._move(self.vms[vm_id], self.machines[target_id])
 
@@ -566,7 +562,7 @@ class Simulation:
                 vm = self.vms[vm_id] = VirtualMachine(vm_id, _trace_columns(req.trace, tick, end))
             machine_id = self.policy.allocate(vm_id, self)
             if machine_id is None:
-                self.rejected_requests += 1
+                self.report.rejected_requests += 1
                 self._pending.append(vm_id)
                 continue
             target = self._named_machine(machine_id)
@@ -577,8 +573,8 @@ class Simulation:
 
     # -- step 4: demand + arbitration --------------------------------------
 
-    def _arbitrate(self, tick: int) -> int:
-        """Deliver each hosted VM's demand; return the tick's SLA violations.
+    def _arbitrate(self, tick: int) -> None:
+        """Deliver each hosted VM's demand and count the tick's SLA violations.
 
         Each machine's totals are summed in hosted order from the trace
         columns, as ``_column_sums`` sums them.  A machine whose totals fit
@@ -621,8 +617,9 @@ class Simulation:
             shares[pm_id] = share
             if pm_id not in targets:
                 used[pm_id] = share
-        self.sla_violation_count += violations
-        return violations
+        report = self.report
+        report.sla_violation_count += violations
+        report.violations_per_tick.append(violations)
 
     def _over_committed(
         self, hosted: list[str], tick: int, cap: tuple[float, float, float, float]
@@ -735,14 +732,14 @@ class Simulation:
                 elif all(vm_id in self._inflight for vm_id in pm.hosted_vm_ids):
                     still_waiting.append(pm_id)
                 else:
-                    self.dropped_actions += 1
+                    self.report.dropped_actions += 1
             self._deferred_standby = still_waiting
 
     def _execute_action(self, action: RebalanceAction, tick: int) -> None:
         if action.kind is ActionKind.STANDBY_MACHINE:
             pm = self._named_machine(action.target_id)
             if pm.state is not MachineState.RUNNING:
-                self.dropped_actions += 1
+                self.report.dropped_actions += 1
                 return
             if pm.id not in self._deferred_standby:
                 self._deferred_standby.append(pm.id)
@@ -755,7 +752,7 @@ class Simulation:
             or vm.host_id != action.source_id
             or action.vm_id in self._inflight
         ):
-            self.dropped_actions += 1
+            self.report.dropped_actions += 1
             return
         if target.state is MachineState.STANDBY:
             self._wake(target)
@@ -769,7 +766,7 @@ class Simulation:
 
     # -- step 7: energy -------------------------------------------------------
 
-    def _integrate_energy(self, tick: int, violations: int) -> None:
+    def _integrate_energy(self) -> None:
         model = self.config.power_model
         standby_watts = model.standby_watts
         weights = self.config.energy_weights.as_tuple()
@@ -788,35 +785,24 @@ class Simulation:
                 watts = standby_watts
             machine_ws[pm_id] += watts * dt
             total += watts
-        self._series_running.append(running)
-        self._series_power.append(total)
-        self._series_violations.append(violations)
+        self.report.running_machines.append(running)
+        self.report.total_power_watts.append(total)
 
     # ------------------------------------------------------------------
 
     def _report(self) -> SimulationReport:
-        per_machine = {
-            pm.id: self._machine_ws[pm.id] / 3.6e6 for pm in self.machines
-        }
+        """Fill in the report's energy and policy fields and return it."""
+        report = self.report
         # Left to right: ``sum`` of floats is compensated from CPython 3.12 on.
         total_ws = 0.0
         for ws in self._machine_ws:
             total_ws += ws
-        total_kwh = total_ws / 3.6e6
-        return SimulationReport(
-            total_energy_kwh=total_kwh,
-            sla_violation_count=self.sla_violation_count,
-            migration_count=self.migration_count,
-            wake_count=self.wake_count,
-            standby_count=self.standby_count,
-            rejected_requests=self.rejected_requests,
-            dropped_actions=self.dropped_actions,
-            running_machines=self._series_running,
-            total_power_watts=self._series_power,
-            violations_per_tick=self._series_violations,
-            per_machine_energy_kwh=per_machine,
-            policy_stats=dict(self.policy.stats),
-        )
+        report.total_energy_kwh = total_ws / 3.6e6
+        report.per_machine_energy_kwh = {
+            pm.id: self._machine_ws[pm.id] / 3.6e6 for pm in self.machines
+        }
+        report.policy_stats = dict(self.policy.stats)
+        return report
 
 
 def run_simulation(

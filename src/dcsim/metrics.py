@@ -40,7 +40,7 @@ RUN_SCHEMA = "dcsim run v1"
 class SweepPoint:
     """Aggregates of one simulation at one parameter value; the fields are the CSV columns."""
 
-    value: Union[float, str]
+    value: Union[int, float, str]
     energy_kwh: float
     sla_violations: int
     mean_running_machines: float
@@ -53,9 +53,9 @@ class SweepResult:
 
     parameter: str
     points: list[SweepPoint] = field(default_factory=list)
-    skipped: list[tuple[Union[float, str], str]] = field(default_factory=list)
+    skipped: list[tuple[Union[int, float, str], str]] = field(default_factory=list)
 
-    def values(self) -> list[Union[float, str]]:
+    def values(self) -> list[Union[int, float, str]]:
         return [p.value for p in self.points]
 
 
@@ -157,11 +157,11 @@ def run_sweep(
     (see ``_cell``) and be unique: two values that are equal, as ``0`` and
     ``-0.0`` are, or that print alike, as two NaNs do, would run one point
     twice.  Any other value is a ``ValueError`` raised before a simulation
-    runs.  Points whose policy cannot be built (e.g. a ``u_up`` too close to
-    ``u_down``) are skipped with a warning and recorded in
-    ``result.skipped``.  An error raised while a point's simulation runs,
-    such as an ``EngineError`` from a faulty policy decision, is not a skip:
-    it propagates to the caller.
+    runs.  Numeric values run in ascending order, a NaN last.  Points whose
+    policy cannot be built (e.g. a ``u_up`` too close to ``u_down``) are
+    skipped with a warning and recorded in ``result.skipped``.  An error
+    raised while a point's simulation runs, such as an ``EngineError`` from
+    a faulty policy decision, is not a skip: it propagates to the caller.
     """
     if not values:
         raise ValueError("sweep needs at least one value")
@@ -169,7 +169,8 @@ def run_sweep(
     if any(a == b or repr(a) == repr(b) for i, a in enumerate(values) for b in values[:i]):
         raise ValueError("sweep values must be unique")
     if all(isinstance(v, (int, float)) for v in values):
-        values = sorted(values)
+        # ``sorted`` cannot order values around a NaN (``v != v``); it goes last.
+        values = sorted(values, key=lambda v: (v != v, v))
 
     base = {"id": policy_spec} if isinstance(policy_spec, str) else policy_spec
     result = SweepResult(parameter=parameter)
@@ -204,7 +205,9 @@ def compare_policies(
     percentage is undefined and reported as ``None``.  An error raised by
     any simulation, such as an ``EngineError``, propagates to the caller.
     A label must fit a CSV cell (see ``_cell``), or the CSV and the plot
-    file could not tell its cells apart.
+    file could not tell its cells apart.  Every spec is built once before
+    any simulation runs, so a policy that cannot be built is a
+    ``ValueError`` that wastes no run.
     """
     names = []
     specs = []
@@ -217,6 +220,7 @@ def compare_policies(
         if label in names:
             raise ValueError(f"duplicate policy label {label!r}; add distinct 'label' keys")
         names.append(_cell(label, "policy label"))
+        build_policy(spec)
         specs.append(spec)
     if baseline is None:
         baseline = names[0]
@@ -337,11 +341,18 @@ def read_sweep_csv(path: str) -> SweepResult:
     return result
 
 
-def _parse_value(raw: str) -> Union[float, str]:
-    try:
-        return float(raw)
-    except ValueError:
-        return raw
+def _parse_value(raw: str) -> Union[int, float, str]:
+    """A value cell as an int, else a float, else the string itself.
+
+    A float's ``repr`` always holds ``.``, ``e``, ``inf`` or ``nan``, so no
+    float written by ``write_csv`` reads back as an int.
+    """
+    for parse in (int, float):
+        try:
+            return parse(raw)
+        except ValueError:
+            pass
+    return raw
 
 
 # Each sweep column's parser: its field's type when that is int or float.

@@ -216,14 +216,13 @@ class CheckedSimulation(Simulation):
             for pm in self.machines
             if pm.state is MachineState.RUNNING
         }
-        violations = super()._arbitrate(tick)
+        super()._arbitrate(tick)
         self.seeded_rv = {
             pm_id: (rv, fresh_machine_rv(self, pm_id)) for pm_id, rv in self._used.items()
         }
         self.inbound_at_arbitration = {
             pm_id for pm_id in self.arbitration_hosts if self.has_inbound(pm_id)
         }
-        return violations
 
 
 class InvariantViolation(AssertionError):
@@ -343,11 +342,11 @@ def check_tick(sim: CheckedSimulation, seed: int, tick: int) -> None:
                 _fail(seed, tick, f"machine {pm_id} delivered over capacity on {r}")
         checked_totals[pm_id] = totals
 
-    if violations != sim._series_violations[-1]:
+    if violations != sim.report.violations_per_tick[-1]:
         _fail(
             seed,
             tick,
-            f"violation count {sim._series_violations[-1]} != reference {violations}",
+            f"violation count {sim.report.violations_per_tick[-1]} != reference {violations}",
         )
 
     # --- energy cross-check --------------------------------------------------
@@ -364,14 +363,14 @@ def check_tick(sim: CheckedSimulation, seed: int, tick: int) -> None:
             )
         else:
             expected_power += model.standby_watts
-    if not _approx(sim._series_power[-1], expected_power, 1e-9):
+    if not _approx(sim.report.total_power_watts[-1], expected_power, 1e-9):
         _fail(
             seed,
             tick,
-            f"power {sim._series_power[-1]} != reference {expected_power}",
+            f"power {sim.report.total_power_watts[-1]} != reference {expected_power}",
         )
 
-    if sim._series_running[-1] != sum(
+    if sim.report.running_machines[-1] != sum(
         1 for pm in sim.machines if pm.state is MachineState.RUNNING
     ):
         _fail(seed, tick, "running-machine series does not match machine states")

@@ -49,6 +49,7 @@ PYENV_VERSIONS = Path.home() / ".pyenv" / "versions"
 #: Each command run across interpreters: its preset and its ``--set`` values.
 SHORT_RUNS = {
     "compare": ("compare_single_threshold.json", []),
+    "run": ("sweep_scale_up_energy.json", ["policy.u_up=0.4"]),
     "sweep": ("sweep_scale_down.json", ["sweep.values=[0.0,0.2,0.4]"]),
 }
 SHORTENED = ["simulation.duration_ticks=120", "workload.spec.duration_ticks=120"]

@@ -246,7 +246,7 @@ class TestArbitrationBoundary:
         demands = [(600.0, 250.0, 1000.0, 0.0), (400.0, 750.0, 0.0, 1000.0)]
         assert _column_sums(demands) == CAP.as_tuple()
         sim, delivered = self.step_once(demands)
-        assert sim.sla_violation_count == 0
+        assert sim.report.sla_violation_count == 0
         assert delivered == demands
         assert sim._shares[0] == shares_of(_column_sums(delivered), CAP.as_tuple())
 
@@ -255,7 +255,7 @@ class TestArbitrationBoundary:
         demands = [(600.0, 250.0, 1000.0, 0.0), (over - 600.0, 750.0, 0.0, 1000.0)]
         assert _column_sums(demands) == (over, 1000.0, 1000.0, 1000.0)
         sim, delivered = self.step_once(demands)
-        assert sim.sla_violation_count == 2  # both VMs, CPU only
+        assert sim.report.sla_violation_count == 2  # both VMs, CPU only
         for got, want in zip(delivered, demands):
             assert got[0] < want[0]
             assert got[1:] == want[1:]
@@ -265,7 +265,7 @@ class TestArbitrationBoundary:
         # Scaled down to capacity, these three CPU demands sum to just under it.
         demands = [(207.5, 0.0, 0.0, 0.0), (777.9, 0.0, 0.0, 0.0), (711.0, 0.0, 0.0, 0.0)]
         sim, delivered = self.step_once(demands)
-        assert sim.sla_violation_count == 3
+        assert sim.report.sla_violation_count == 3
         assert sim._shares[0] == shares_of(_column_sums(delivered), CAP.as_tuple())
         assert sim._shares[0][0] < 1.0
 
@@ -296,7 +296,7 @@ class TestArrivalsAndDepartures:
         sim = Simulation(config(2, running=1), reqs, ScriptedPolicy({"vm-0": 1}))
         sim._step()
         assert sim.machine(1).state is MachineState.RUNNING
-        assert sim.wake_count == 1
+        assert sim.report.wake_count == 1
 
     def test_allocate_naming_a_standby_machine_wakes_it_once(self):
         # Both VMs name standby machine 1; the first placement wakes it and
@@ -307,7 +307,7 @@ class TestArrivalsAndDepartures:
         sim._step()
         assert sim.machine(1).state is MachineState.RUNNING
         assert sim.machine(1).hosted_vm_ids == ["vm-0", "vm-1"]
-        assert sim.wake_count == 1
+        assert sim.report.wake_count == 1
         assert sim.machine_rv(1) == pytest.approx((0.3, 0.3, 0.3, 0.3))
 
     @pytest.mark.parametrize("machine", [-1, 3])
@@ -375,7 +375,7 @@ class TestArrivalsAndDepartures:
         sim = Simulation(config(1, duration=9), [req], policy)
         for _ in range(4):
             sim._step()
-        assert sim.rejected_requests == 4
+        assert sim.report.rejected_requests == 4
         assert sim.vm_delivered("vm-0") is None
         assert sim.vm_window_mean("vm-0") is None
         seen = []
@@ -542,7 +542,7 @@ class TestActionExecution:
         for _ in range(3):
             sim._step()
         assert sim.vm_host("vm-0") == 1
-        assert sim.migration_count == 1
+        assert sim.report.migration_count == 1
 
     def test_migration_with_stale_source_is_dropped(self):
         reqs = [flat_request("vm-0", 100.0)]
@@ -553,7 +553,7 @@ class TestActionExecution:
         for _ in range(3):
             sim._step()
         assert sim.vm_host("vm-0") == 0
-        assert sim.dropped_actions == 1
+        assert sim.report.dropped_actions == 1
 
     def test_wake_and_migrate_wakes_target(self):
         reqs = [flat_request("vm-0", 100.0)]
@@ -565,14 +565,14 @@ class TestActionExecution:
         sim._step()
         assert sim.machine(1).state is MachineState.RUNNING
         assert sim.vm_host("vm-0") == 1
-        assert sim.wake_count == 1
+        assert sim.report.wake_count == 1
 
     def test_standby_of_empty_machine_parks_it(self):
         policy = ScriptedPolicy({}, actions={0: [RebalanceAction.standby_machine(1)]})
         sim = Simulation(config(2), [], policy)
         sim._step()
         assert sim.machine(1).state is MachineState.STANDBY
-        assert sim.standby_count == 1
+        assert sim.report.standby_count == 1
 
     def test_standby_of_busy_machine_is_dropped(self):
         reqs = [flat_request("vm-0", 100.0)]
@@ -583,13 +583,13 @@ class TestActionExecution:
         sim._step()
         sim._step()
         assert sim.machine(0).state is MachineState.RUNNING
-        assert sim.dropped_actions == 1
+        assert sim.report.dropped_actions == 1
 
     def test_standby_of_standby_machine_is_dropped(self):
         policy = ScriptedPolicy({}, actions={0: [RebalanceAction.standby_machine(1)]})
         sim = Simulation(config(2, running=1), [], policy)
         sim._step()
-        assert sim.dropped_actions == 1
+        assert sim.report.dropped_actions == 1
 
     @pytest.mark.parametrize("target", [-1, 2])
     def test_migration_outside_the_fleet_is_an_error(self, target):
@@ -607,7 +607,7 @@ class TestActionExecution:
         policy = ScriptedPolicy({}, actions={0: [RebalanceAction.migrate("ghost", 0, 1)]})
         sim = Simulation(config(2), [], policy)
         sim._step()
-        assert sim.dropped_actions == 1
+        assert sim.report.dropped_actions == 1
 
 
 # ---------------------------------------------------------------------------
@@ -645,7 +645,7 @@ class TestDelayedMigrations:
         assert sim.vm_host("vm-0") == 1
         assert not sim.vm_in_flight("vm-0")
         assert not sim.has_inbound(1)
-        assert sim.migration_count == 1
+        assert sim.report.migration_count == 1
 
     def test_landing_veto_drops_the_move(self):
         sim, _ = self.make_sim(
@@ -654,8 +654,8 @@ class TestDelayedMigrations:
         for _ in range(5):
             sim._step()
         assert sim.vm_host("vm-0") == 0
-        assert sim.migration_count == 0
-        assert sim.dropped_actions == 1
+        assert sim.report.migration_count == 0
+        assert sim.report.dropped_actions == 1
 
     def test_departure_mid_flight_cancels_cleanly(self):
         reqs = [flat_request("vm-0", 100.0, departure=2)]
@@ -666,7 +666,7 @@ class TestDelayedMigrations:
             sim._step()
         assert "vm-0" not in sim.vms
         assert not sim.has_inbound(1)
-        assert sim.migration_count == 0
+        assert sim.report.migration_count == 0
 
     def test_in_flight_vm_cannot_be_remigrated(self):
         sim, _ = self.make_sim(
@@ -677,8 +677,8 @@ class TestDelayedMigrations:
         )
         for _ in range(4):
             sim._step()
-        assert sim.migration_count == 1
-        assert sim.dropped_actions == 1
+        assert sim.report.migration_count == 1
+        assert sim.report.dropped_actions == 1
 
     def test_flights_due_together_land_in_start_order(self):
         # Both VMs fly to machine 2 and land at tick 3; only one fits there.
@@ -708,8 +708,8 @@ class TestDelayedMigrations:
             sim._step()
         assert sim.vm_host("vm-1") == 2
         assert sim.vm_host("vm-0") == 0
-        assert sim.migration_count == 1
-        assert sim.dropped_actions == 1
+        assert sim.report.migration_count == 1
+        assert sim.report.dropped_actions == 1
         assert not sim.vm_in_flight("vm-0") and not sim.has_inbound(2)
 
     def test_inbound_reserves_capacity_in_views(self):
@@ -728,13 +728,13 @@ class TestDelayedMigrations:
         assert sim.machine(1).state is MachineState.STANDBY
         sim._step()  # tick 1: machine 1 wakes and the flight starts, landing at 3
         assert sim.machine(1).state is MachineState.RUNNING
-        assert sim.wake_count == 1
+        assert sim.report.wake_count == 1
         assert sim.vm_host("vm-0") == 0 and sim.has_inbound(1)
         sim._step()  # tick 2: still flying
         assert sim.vm_host("vm-0") == 0
         sim._step()  # tick 3: lands
         assert sim.vm_host("vm-0") == 1
-        assert sim.migration_count == 1
+        assert sim.report.migration_count == 1
 
     def test_dropped_migrate_to_standby_target_wakes_nothing(self):
         # The second move is dropped because vm-0 is already flying to 1;
@@ -751,9 +751,9 @@ class TestDelayedMigrations:
         )
         sim._step()
         sim._step()
-        assert sim.dropped_actions == 1
+        assert sim.report.dropped_actions == 1
         assert sim.machine(2).state is MachineState.STANDBY
-        assert sim.wake_count == 0
+        assert sim.report.wake_count == 0
         assert sim._inflight == {"vm-0": (1, 3)}
 
     def test_machine_with_an_inbound_flight_is_not_parked(self):
@@ -771,12 +771,12 @@ class TestDelayedMigrations:
         for _ in range(3):
             sim._step()
         assert sim.machine(1).state is MachineState.RUNNING and sim.has_inbound(1)
-        assert sim.dropped_actions == 0
+        assert sim.report.dropped_actions == 0
         sim._step()  # tick 3: lands
         assert sim.vm_host("vm-0") == 1
         assert sim.machine(1).state is MachineState.RUNNING
-        assert sim.dropped_actions == 1
-        assert sim.standby_count == 0
+        assert sim.report.dropped_actions == 1
+        assert sim.report.standby_count == 0
 
     def test_deferred_standby_waits_for_outbound_flight(self):
         # Machine 0 hosts only an in-flight VM; the standby request parks it

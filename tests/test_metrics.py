@@ -186,6 +186,13 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="^sweep values must be unique$"):
             run_sweep(sim_config, workload, "similarity", "u_down", values=values)
 
+    def test_a_nan_value_sorts_last_and_is_skipped(self, sim_config, workload):
+        result = run_sweep(
+            sim_config, workload, "similarity", "u_down", values=[0.2, float("nan"), 0.1]
+        )
+        assert result.values() == [0.1, 0.2]
+        assert [repr(value) for value, _ in result.skipped] == ["nan"]
+
     def test_empty_values_rejected(self, sim_config, workload):
         with pytest.raises(ValueError, match="at least one"):
             run_sweep(sim_config, workload, "similarity", "u_up", values=[])
@@ -302,6 +309,15 @@ class TestComparePolicies:
         with pytest.raises(ValueError, match=f"jobs must be an integer >= 1, got {jobs}"):
             compare_policies(sim_config, workload, ["greedy", "round_robin"], jobs=jobs)
 
+    def test_a_policy_that_cannot_be_built_is_refused_before_any_run(
+        self, sim_config, workload, monkeypatch
+    ):
+        monkeypatch.setattr(metrics, "_run_points", _no_run)
+        specs = ["recommended", {"id": "single_threshold", "threshold": 2.0}]
+        message = "threshold must be a finite number in (0, 1], got 2.0"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            compare_policies(sim_config, workload, specs)
+
     def test_unknown_baseline_rejected(self, sim_config, workload):
         with pytest.raises(ValueError, match="baseline"):
             compare_policies(sim_config, workload, ["greedy"], baseline="nope")
@@ -361,21 +377,35 @@ class TestCsvRoundTrip:
             skipped=[(0.25, "u_up - u_down = 0.1000 is below the minimum gap 0.2")],
         )
 
+    def make_int_result(self):
+        return SweepResult(
+            parameter="consistency_ticks",
+            points=[
+                SweepPoint(3, 1.2345678901234567, 12, 2.6666666666666665, 3),
+                SweepPoint(5, 0.9, 0, 2.0, 0),
+            ],
+            skipped=[(0, "consistency_ticks must be an integer >= 1, got 0")],
+        )
+
     def test_write_read_round_trip(self, tmp_path):
-        path = str(tmp_path / "sweep.csv")
-        original = self.make_result()
-        write_csv(original, path)
-        loaded = read_sweep_csv(path)
-        assert loaded.parameter == original.parameter
-        assert loaded.points == original.points
-        assert loaded.skipped == original.skipped
+        for original in (self.make_result(), self.make_int_result()):
+            path = str(tmp_path / f"{original.parameter}.csv")
+            write_csv(original, path)
+            loaded = read_sweep_csv(path)
+            assert loaded.parameter == original.parameter
+            assert loaded.points == original.points
+            assert loaded.skipped == original.skipped
+            # ``3 == 3.0``: an int value must also read back as an int.
+            assert [type(v) for v in loaded.values()] == [type(v) for v in original.values()]
+            assert [type(v) for v, _ in loaded.skipped] == [type(v) for v, _ in original.skipped]
 
     def test_rewrite_is_byte_identical(self, tmp_path):
-        first = tmp_path / "a.csv"
-        second = tmp_path / "b.csv"
-        write_csv(self.make_result(), str(first))
-        write_csv(read_sweep_csv(str(first)), str(second))
-        assert first.read_bytes() == second.read_bytes()
+        for original in (self.make_result(), self.make_int_result()):
+            first = tmp_path / f"{original.parameter}-a.csv"
+            second = tmp_path / f"{original.parameter}-b.csv"
+            write_csv(original, str(first))
+            write_csv(read_sweep_csv(str(first)), str(second))
+            assert first.read_bytes() == second.read_bytes()
 
     def test_schema_line_is_first(self, tmp_path):
         path = tmp_path / "sweep.csv"

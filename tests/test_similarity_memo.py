@@ -329,11 +329,13 @@ def test_departure_in_flight_drops_the_target_share_before_the_next_pick():
 
 
 class _CountingView:
-    """Forwards every read to the simulation, counting per-VM share lookups."""
+    """Forwards every read to the simulation, counting per-VM share lookups
+    and machine used-share reads."""
 
     def __init__(self, sim):
         self._sim = sim
         self.share_calls = 0
+        self.machine_reads = 0
 
     def __getattr__(self, name):
         return getattr(self._sim, name)
@@ -342,12 +344,16 @@ class _CountingView:
         self.share_calls += 1
         return self._sim.vm_rv_on(vm_id, machine_id)
 
+    def machine_rv(self, machine_id):
+        self.machine_reads += 1
+        return self._sim.machine_rv(machine_id)
+
 
 class _CountedSimilarity(SimilarityPolicy):
     def __init__(self, config):
         super().__init__(config)
         # Per pick: (share lookups, capacity classes, candidates, cosines,
-        # candidates below the cap).
+        # candidates below the cap, machine used-share reads).
         self.picks = []
         self.cosines = 0  # counted by the spy ``_check_work_is_bounded`` installs
 
@@ -359,7 +365,14 @@ class _CountedSimilarity(SimilarityPolicy):
         classes = {pm.capacity for pm in candidates}
         below_cap = sum(_below_cap(self, view, pm.id, extras) for pm in candidates)
         self.picks.append(
-            (counting.share_calls, len(classes), len(candidates), self.cosines - cosines, below_cap)
+            (
+                counting.share_calls,
+                len(classes),
+                len(candidates),
+                self.cosines - cosines,
+                below_cap,
+                counting.machine_reads,
+            )
         )
         return decision
 
@@ -397,17 +410,17 @@ class _CountingSimulation(Simulation):
 
     def _arbitrate(self, tick):
         self.windows.append((self._computed, self._bound))
-        violations = super()._arbitrate(tick)
+        super()._arbitrate(tick)
         self._computed = 0
         self._bound = sum(pm.state is MachineState.RUNNING for pm in self.machines)
-        return violations
 
 
-def _check_work_is_bounded(separate, monkeypatch, loaded=False):
-    """Run a mixed fleet and bound the share lookups and cosines per pick and
-    the used-share computations per tick.
+def _check_work_is_bounded(separate, monkeypatch, loaded=False, per_class=4):
+    """Run a mixed fleet and bound the share lookups, cosines and machine
+    used-share reads per pick and the used-share computations per tick.
 
-    With ``separate`` every machine gets its own, equal capacity object; the
+    The fleet has ``per_class`` machines of each of three capacities.  With
+    ``separate`` every machine gets its own, equal capacity object; the
     engine must share them again for the per-class bound to hold.  With
     ``loaded`` the VMs run near their nominal size and spike, so picks meet
     machines already at the packing cap.
@@ -420,7 +433,7 @@ def _check_work_is_bounded(separate, monkeypatch, loaded=False):
     fleet = tuple(
         FleetMachine(MachineCapacity(*cap.as_tuple()) if separate else cap, 200.0)
         for cap in capacities
-        for _ in range(4)
+        for _ in range(per_class)
     )
     config = SimulationConfig(
         fleet=fleet,
@@ -456,14 +469,17 @@ def _check_work_is_bounded(separate, monkeypatch, loaded=False):
     assert report.migration_count > 0 and policy.stats.get("scale_down_blocked", 0) > 0
     # Picks that see several machines of one class are where a per-machine
     # lookup would show.
-    assert sum(candidates > classes for _, classes, candidates, _, _ in policy.picks) > 100
-    for calls, classes, _, _, _ in policy.picks:
+    assert sum(candidates > classes for _, classes, candidates, _, _, _ in policy.picks) > 100
+    for calls, classes, _, _, _, _ in policy.picks:
         assert calls <= classes
     # A machine at the cap is skipped before its cosine is computed.
-    for _, _, _, cosines, below in policy.picks:
+    for _, _, _, cosines, below, _ in policy.picks:
         assert cosines <= below
+    # A pick reads each candidate's used share at most once, not once per VM.
+    for _, _, candidates, _, _, reads in policy.picks:
+        assert reads <= candidates
     if loaded:
-        assert sum(below < candidates for _, _, candidates, _, below in policy.picks) > 100
+        assert sum(below < candidates for _, _, candidates, _, below, _ in policy.picks) > 100
     windows = sim.windows + [(sim._computed, sim._bound)]
     assert sum(computed for computed, _ in windows) > 0
     for computed, bound in windows:
@@ -480,3 +496,11 @@ def test_work_is_bounded_when_equal_capacities_are_separate_objects(monkeypatch)
 
 def test_work_is_bounded_when_machines_reach_the_cap(monkeypatch):
     _check_work_is_bounded(separate=False, monkeypatch=monkeypatch, loaded=True)
+
+
+def test_work_is_bounded_on_a_fleet_twice_the_size(monkeypatch):
+    _check_work_is_bounded(separate=False, monkeypatch=monkeypatch, per_class=8)
+
+
+def test_work_is_bounded_on_a_loaded_fleet_twice_the_size(monkeypatch):
+    _check_work_is_bounded(separate=False, monkeypatch=monkeypatch, loaded=True, per_class=8)

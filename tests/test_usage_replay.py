@@ -70,7 +70,7 @@ class _EagerSimulation(Simulation):
                     self.seen["placed after a rejection"] += vm_id in self.rejected
                 reference_record_usage(self.eager[vm_id], usage)
         self.rejected.update(vm_id for vm_id in self.vms if self.vm_host(vm_id) is None)
-        return super()._arbitrate(tick)
+        super()._arbitrate(tick)
 
 
 def _shaped(workload, seed, shape):
