@@ -774,18 +774,16 @@ class Simulation:
         shares = self._shares
         machine_ws = self._machine_ws
         total = 0.0
-        running = 0
         running_state = MachineState.RUNNING
         for pm_id, pm in enumerate(self.machines):  # an id is its index
             if pm.state is running_state:
-                running += 1
                 u = utilization_of(shares.get(pm_id, _USAGE_ZERO), weights)
                 watts = running_power(pm.peak_power_watts, u, model)
             else:
                 watts = standby_watts
             machine_ws[pm_id] += watts * dt
             total += watts
-        self.report.running_machines.append(running)
+        self.report.running_machines.append(len(self._running))
         self.report.total_power_watts.append(total)
 
     # ------------------------------------------------------------------

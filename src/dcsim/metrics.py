@@ -26,7 +26,7 @@ from typing import Any, Optional, Union, get_type_hints
 
 from .engine import SimulationConfig, SimulationReport, run_simulation
 from .model import checked, integer
-from .policies import build_policy
+from .policies import SchedulerPolicy, build_policy
 from .workload import VmRequest
 
 log = logging.getLogger("dcsim.metrics")
@@ -88,15 +88,6 @@ class ComparisonResult:
         raise KeyError(policy)
 
 
-def _run_point(
-    sim_config: SimulationConfig,
-    workload: list[VmRequest],
-    policy_spec: Union[dict[str, Any], str],
-) -> SimulationReport:
-    # Policies are stateful; every run gets a freshly built instance.
-    return run_simulation(sim_config, workload, build_policy(policy_spec))
-
-
 # A pool worker's (sim_config, workload), set once by _init_worker.
 _worker_inputs: Optional[tuple[SimulationConfig, list[VmRequest]]] = None
 
@@ -106,33 +97,35 @@ def _init_worker(sim_config: SimulationConfig, workload: list[VmRequest]) -> Non
     _worker_inputs = (sim_config, workload)
 
 
-def _run_worker_point(policy_spec: Union[dict[str, Any], str]) -> SimulationReport:
-    return _run_point(*_worker_inputs, policy_spec)
+def _run_worker_point(policy: SchedulerPolicy) -> SimulationReport:
+    return run_simulation(*_worker_inputs, policy)
 
 
 def _run_points(
     sim_config: SimulationConfig,
     workload: list[VmRequest],
-    policy_specs: list[Union[dict[str, Any], str]],
+    policies: list[SchedulerPolicy],
     jobs: int,
 ) -> list[SimulationReport]:
-    """One report per policy spec, in order; in a process pool when ``jobs`` > 1.
+    """One report per policy, in order; in a process pool when ``jobs`` > 1.
 
-    The pool has ``min(jobs, len(policy_specs))`` workers.  Each receives
-    ``sim_config`` and ``workload`` once, through the pool initializer:
-    inherited under the ``fork`` start method, pickled once per worker under
-    ``spawn`` or ``forkserver``.  Each task then carries only its policy
-    spec.  Workers treat both inputs as read-only, so every point sees the
-    same ones.  A ``jobs`` below 1 is a ``ValueError``, raised before any run.
+    Policies are stateful, so each instance runs once.  The pool has
+    ``min(jobs, len(policies))`` workers.  Each receives ``sim_config`` and
+    ``workload`` once, through the pool initializer: inherited under the
+    ``fork`` start method, pickled once per worker under ``spawn`` or
+    ``forkserver``.  Each task then carries only its policy, so a worker
+    needs no policy registry.  Workers treat both inputs as read-only, so
+    every point sees the same ones.  A ``jobs`` below 1 is a ``ValueError``,
+    raised before any run.
     """
-    workers = min(checked(integer(1), "jobs", jobs), len(policy_specs))
+    workers = min(checked(integer(1), "jobs", jobs), len(policies))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # loaded only to start a pool
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_init_worker, initargs=(sim_config, workload)
         ) as pool:
-            return list(pool.map(_run_worker_point, policy_specs))
-    return [_run_point(sim_config, workload, spec) for spec in policy_specs]
+            return list(pool.map(_run_worker_point, policies))
+    return [run_simulation(sim_config, workload, policy) for policy in policies]
 
 
 def _cell(value: Any, what: str) -> Any:
@@ -153,16 +146,21 @@ def run_sweep(
 ) -> SweepResult:
     """Run one simulation per parameter value against a shared workload.
 
-    Each value is set as the policy's ``parameter``, and must fit a CSV cell
-    (see ``_cell``) and be unique: two values that are equal, as ``0`` and
-    ``-0.0`` are, or that print alike, as two NaNs do, would run one point
-    twice.  Any other value is a ``ValueError`` raised before a simulation
-    runs.  Numeric values run in ascending order, a NaN last.  Points whose
-    policy cannot be built (e.g. a ``u_up`` too close to ``u_down``) are
-    skipped with a warning and recorded in ``result.skipped``.  An error
-    raised while a point's simulation runs, such as an ``EngineError`` from
-    a faulty policy decision, is not a skip: it propagates to the caller.
+    Each value is set as the policy's ``parameter``, which may not be
+    ``id``: :func:`compare_policies` runs several policies.  A value must
+    fit a CSV cell (see ``_cell``) and be unique: two values that are equal,
+    as ``0`` and ``-0.0`` are, or that print alike, as two NaNs do, would run
+    one point twice.  Any other value or an ``id`` sweep is a ``ValueError``
+    raised before a policy is built.  Numeric values run in ascending order,
+    a NaN last.  Points whose policy cannot be built (e.g. a ``u_up`` too
+    close to ``u_down``) are skipped with a warning and recorded in
+    ``result.skipped``; every other point's policy is built once, and that
+    instance runs.  An error raised while a point's simulation runs, such as
+    an ``EngineError`` from a faulty policy decision, is not a skip: it
+    propagates to the caller.
     """
+    if parameter == "id":
+        raise ValueError("id is not a sweep parameter; compare runs several policies")
     if not values:
         raise ValueError("sweep needs at least one value")
     values = [_cell(v, f"{parameter} sweep value") for v in values]
@@ -174,19 +172,15 @@ def run_sweep(
 
     base = {"id": policy_spec} if isinstance(policy_spec, str) else policy_spec
     result = SweepResult(parameter=parameter)
-    kept = []
-    specs = []
+    built = []
     for v in values:
-        spec = {**base, parameter: v}
         try:
-            build_policy(spec)
+            built.append((v, build_policy({**base, parameter: v})))
         except ValueError as exc:
             log.warning("skipping %s=%r: %s", parameter, v, exc)
             result.skipped.append((v, str(exc)))
-            continue
-        kept.append(v)
-        specs.append(spec)
-    for v, report in zip(kept, _run_points(sim_config, workload, specs, jobs)):
+    reports = _run_points(sim_config, workload, [policy for _, policy in built], jobs)
+    for (v, _), report in zip(built, reports):
         result.points.append(SweepPoint(value=v, **_row_stats(report)))
     return result
 
@@ -210,7 +204,7 @@ def compare_policies(
     ``ValueError`` that wastes no run.
     """
     names = []
-    specs = []
+    policies = []
     for spec in policy_specs:
         if isinstance(spec, dict):
             spec = dict(spec)
@@ -220,19 +214,16 @@ def compare_policies(
         if label in names:
             raise ValueError(f"duplicate policy label {label!r}; add distinct 'label' keys")
         names.append(_cell(label, "policy label"))
-        build_policy(spec)
-        specs.append(spec)
+        policies.append(build_policy(spec))
     if baseline is None:
         baseline = names[0]
     if baseline not in names:
         raise ValueError(f"baseline {baseline!r} is not among the compared policies")
 
-    by_name = dict(zip(names, _run_points(sim_config, workload, specs, jobs)))
-
-    base = by_name[baseline]
+    reports = _run_points(sim_config, workload, policies, jobs)
+    base = reports[names.index(baseline)]
     result = ComparisonResult(baseline=baseline)
-    for name in names:
-        report = by_name[name]
+    for name, report in zip(names, reports):
         result.rows.append(
             ComparisonRow(
                 policy=name,
@@ -318,18 +309,14 @@ def read_sweep_csv(path: str) -> SweepResult:
     if len(lines) < 2 or not lines[1].startswith("# parameter: "):
         raise ValueError(f"{path}: missing parameter comment")
     result = SweepResult(parameter=lines[1][len("# parameter: "):])
-    body_start = 2
-    for line in lines[2:]:
-        if not line.startswith("# skipped: "):
-            break
-        body_start += 1
-        payload = line[len("# skipped: "):]
-        value_raw, _, reason = payload.partition(": ")
+    body = lines[2:]
+    while body and body[0].startswith("# skipped: "):
+        value_raw, _, reason = body.pop(0)[len("# skipped: "):].partition(": ")
         result.skipped.append((_parse_value(value_raw), reason))
-    header = lines[body_start] if body_start < len(lines) else ""
+    header = body.pop(0) if body else ""
     if header != ",".join(SWEEP_COLUMNS):
         raise ValueError(f"{path}: unexpected header {header!r}")
-    for line in lines[body_start + 1 :]:
+    for line in body:
         if not line:
             continue
         parts = line.split(",")
@@ -342,16 +329,18 @@ def read_sweep_csv(path: str) -> SweepResult:
 
 
 def _parse_value(raw: str) -> Union[int, float, str]:
-    """A value cell as an int, else a float, else the string itself.
+    """A value cell as the int or float that ``_fmt`` writes as ``raw``, else the string itself.
 
-    A float's ``repr`` always holds ``.``, ``e``, ``inf`` or ``nan``, so no
-    float written by ``write_csv`` reads back as an int.
+    So ``1_0``, ``007`` and ``1e3`` stay strings, but a string that is exactly
+    a number's form, as ``10`` or ``inf`` are, reads back as that number.
     """
-    for parse in (int, float):
+    for parse, fmt in ((int, str), (float, repr)):
         try:
-            return parse(raw)
+            value = parse(raw)
         except ValueError:
-            pass
+            continue
+        if fmt(value) == raw:
+            return value
     return raw
 
 

@@ -139,19 +139,9 @@ class FixedPlacer(SchedulerPolicy):
         return self.machine
 
 
-class _FakePolicyId(str):
-    """A policy id whose unpickling imports this module.
-
-    Sweep and compare workers build their policy from the spec they are
-    sent.  A worker started by ``spawn`` or ``forkserver`` has imported no
-    test module, so the id's class brings this module, and with it the
-    registry entry below, into the worker.
-    """
-
-
 def fixed_placer_spec(machine):
-    """A policy spec for ``FixedPlacer`` that any pool worker can build."""
-    return {"id": _FakePolicyId(FixedPlacer.name), "machine": machine}
+    """A policy spec for ``FixedPlacer``."""
+    return {"id": FixedPlacer.name, "machine": machine}
 
 
 policies._REGISTRY.setdefault(

@@ -133,6 +133,12 @@ class TestBuildSimulationConfig:
         with pytest.raises(ConfigError, match=r"fleet\[0\].capacity"):
             build_simulation_config(raw)
 
+    def test_empty_fleet_rejected(self):
+        raw = base_config()
+        raw["simulation"]["fleet"] = []
+        with pytest.raises(ConfigError, match=r"^simulation\.fleet: expected a non-empty list"):
+            build_simulation_config(raw)
+
     def test_bad_count_rejected(self):
         raw = base_config()
         raw["simulation"]["fleet"][0]["count"] = 0
@@ -556,6 +562,15 @@ class TestCliSweep:
         assert [asdict(p) for p in loaded.points] == summary["points"]
         write_csv(loaded, str(tmp_path / "again.csv"))
         assert (tmp_path / "again.csv").read_bytes() == written.read_bytes()
+
+    def test_id_sweep_is_config_error_and_writes_nothing(self, config_file, tmp_path, capsys):
+        out = tmp_path / "o"
+        cfg = config_file(sweep={"parameter": "u_up", "values": [0.5]})
+        argv = ["sweep", "--config", cfg, "--set", "sweep.parameter=id",
+                "--set", 'sweep.values=["power_save", "round_robin"]', "--out", str(out)]
+        assert main(argv) == EXIT_CONFIG
+        assert "config error: id is not a sweep parameter" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_sweep_reports_skipped_points(self, config_file, tmp_path, capsys):
         out = tmp_path / "out"

@@ -27,10 +27,11 @@ from dcsim.model import (
     ResourceVector,
     UtilizationWeights,
     _column_sums,
+    complement_of,
     shares_of,
 )
 from dcsim.policies import build_policy
-from dcsim.policies.base import ClusterView, RebalanceAction, SchedulerPolicy
+from dcsim.policies.base import ActionKind, ClusterView, RebalanceAction, SchedulerPolicy
 from dcsim.policies.baselines import GreedyPolicy
 from dcsim.policies.similarity import PolicyConfig, SimilarityPolicy
 from dcsim.workload import DemandSample, VmRequest, WorkloadSpec, generate_workload
@@ -615,6 +616,21 @@ class TestActionExecution:
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ((ActionKind.STANDBY_MACHINE, "vm-0", None, 1), "standby action names a machine and no VM"),
+        ((ActionKind.STANDBY_MACHINE, None, None, None), "standby action names a machine and no VM"),
+        ((ActionKind.MIGRATE, "vm-0", None, 1), "migrate requires vm, source and target"),
+        ((ActionKind.MIGRATE, "vm-0", 1, 1), "migration source and target must differ"),
+    ],
+    ids=["standby-with-vm", "standby-without-machine", "migrate-without-source", "same-machine"],
+)
+def test_a_malformed_rebalance_action_is_refused(fields, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        RebalanceAction(*fields)
+
+
 class TestDelayedMigrations:
     def make_sim(self, actions, duration=8, landing_ok=True, n=2, reqs=None, running=None):
         class LandingPolicy(ScriptedPolicy):
@@ -990,6 +1006,14 @@ class TestViewSemantics:
         sim = Simulation(config(1), reqs, ScriptedPolicy({"vm-0": 0}))
         sim._step()
         assert sim.machine_rv(0) == pytest.approx((0.1, 0.1, 0.1, 0.1))
+
+    def test_machine_free_is_the_complement_of_machine_rv(self):
+        # Not a ClusterView member, but perfbench's traced view binds it.
+        reqs = [flat_request("vm-0", 100.0)]
+        sim = Simulation(config(1), reqs, ScriptedPolicy({"vm-0": 0}))
+        sim._step()
+        assert sim.machine_free(0) == complement_of(sim.machine_rv(0))
+        assert sim.machine_free(0) == pytest.approx((0.9, 0.9, 0.9, 0.9))
 
     def test_last_used_tick_is_the_tick_the_machine_went_to_standby(self):
         # Machine 1 parks at tick 2 and wakes for vm-0 at tick 4; machine 0 never parks.

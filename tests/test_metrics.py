@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import _fakes as fakes
-from dcsim import metrics
+from dcsim import metrics, policies
 from dcsim.engine import EngineError, FleetMachine, SimulationConfig
 from dcsim.metrics import (
     COMPARISON_SCHEMA,
@@ -24,13 +24,15 @@ from dcsim.metrics import (
     SweepResult,
     _savings,
     compare_policies,
+    console_lines,
     read_sweep_csv,
     run_sweep,
     write_csv,
     write_plot_data,
+    write_summary,
 )
-from dcsim.model import MachineCapacity
-from dcsim.policies import build_policy
+from dcsim.model import MachineCapacity, integer
+from dcsim.policies import POLICY_IDS, build_policy
 from dcsim.engine import run_simulation
 from dcsim.workload import WorkloadProfile, WorkloadSpec, generate_workload
 
@@ -88,6 +90,19 @@ def point_reports(monkeypatch):
 
 def _no_run(*args):
     raise AssertionError("a simulation ran")
+
+
+@pytest.fixture
+def build_calls(monkeypatch):
+    """The specs of every ``build_policy`` call ``metrics`` makes during a test."""
+    specs = []
+
+    def counting(spec):
+        specs.append(spec)
+        return build_policy(spec)
+
+    monkeypatch.setattr(metrics, "build_policy", counting)
+    return specs
 
 
 def _policy_stats(calls):
@@ -153,7 +168,7 @@ class TestRunSweep:
     def test_jobs_below_one_is_refused_before_any_run(
         self, sim_config, workload, jobs, monkeypatch
     ):
-        monkeypatch.setattr(metrics, "_run_point", _no_run)
+        monkeypatch.setattr(metrics, "run_simulation", _no_run)
         with pytest.raises(ValueError, match=f"jobs must be an integer >= 1, got {jobs}"):
             run_sweep(sim_config, workload, "similarity", "u_up", values=[0.5, 0.7], jobs=jobs)
 
@@ -164,6 +179,33 @@ class TestRunSweep:
         spec = fakes.fixed_placer_spec(0)
         with pytest.raises(EngineError, match="named machine 4, outside the fleet"):
             run_sweep(sim_config, workload, spec, "machine", values=[0, 4], jobs=2)
+
+    def test_each_point_builds_its_policy_once(self, sim_config, workload, build_calls):
+        result = run_sweep(sim_config, workload, "similarity", "u_up", values=[0.5, 0.7, 0.9])
+        assert result.values() == [0.5, 0.7, 0.9]
+        assert len(build_calls) == 3
+
+    def test_a_policy_registered_at_runtime_runs_in_spawned_workers(
+        self, sim_config, workload, monkeypatch
+    ):
+        # A spawned worker imports dcsim afresh, so its registry lacks this id;
+        # it runs the instance the parent built.
+        _spawn_pools(monkeypatch)
+        monkeypatch.setitem(
+            policies._REGISTRY,
+            "late_placer",
+            ({"machine": integer(0)}, lambda params: fakes.FixedPlacer(**params)),
+        )
+        result = run_sweep(sim_config, workload, {"id": "late_placer"}, "machine", [0, 1], jobs=2)
+        assert result.values() == [0, 1]
+        assert result.skipped == []
+
+    def test_id_is_not_a_sweep_parameter(self, sim_config, workload, monkeypatch):
+        # compare runs several policies; a sweep varies one policy's parameter.
+        monkeypatch.setattr(metrics, "build_policy", _no_run)
+        monkeypatch.setattr(metrics, "_run_points", _no_run)
+        with pytest.raises(ValueError, match="^id is not a sweep parameter; compare runs"):
+            run_sweep(sim_config, workload, "greedy", "id", values=["power_save", "round_robin"])
 
     def test_unknown_parameter_without_values_is_an_error(self, sim_config, workload):
         with pytest.raises(TypeError, match="missing 1 required positional argument: 'values'"):
@@ -272,6 +314,11 @@ class TestComparePolicies:
         assert row.sla_violations == solo.sla_violation_count
         assert row.migrations == solo.migration_count
 
+    def test_each_policy_is_built_once(self, sim_config, workload, build_calls):
+        result = compare_policies(sim_config, workload, ["greedy", "recommended"])
+        assert [row.policy for row in result.rows] == ["greedy", "recommended"]
+        assert build_calls == ["greedy", "recommended"]
+
     def test_duplicate_labels_rejected(self, sim_config, workload):
         with pytest.raises(ValueError, match="duplicate"):
             compare_policies(sim_config, workload, ["greedy", "greedy"])
@@ -305,7 +352,7 @@ class TestComparePolicies:
     def test_jobs_below_one_is_refused_before_any_run(
         self, sim_config, workload, jobs, monkeypatch
     ):
-        monkeypatch.setattr(metrics, "_run_point", _no_run)
+        monkeypatch.setattr(metrics, "run_simulation", _no_run)
         with pytest.raises(ValueError, match=f"jobs must be an integer >= 1, got {jobs}"):
             compare_policies(sim_config, workload, ["greedy", "round_robin"], jobs=jobs)
 
@@ -322,6 +369,10 @@ class TestComparePolicies:
         with pytest.raises(ValueError, match="baseline"):
             compare_policies(sim_config, workload, ["greedy"], baseline="nope")
 
+    def test_row_of_an_unknown_policy_is_a_key_error(self):
+        with pytest.raises(KeyError, match="nope"):
+            ComparisonResult(baseline="greedy").row("nope")
+
     def test_parallel_matches_serial(self, sim_config, workload, start_method, point_reports):
         serial = compare_policies(sim_config, workload, FIVE_POLICIES, jobs=1)
         parallel = compare_policies(sim_config, workload, FIVE_POLICIES, jobs=2)
@@ -330,6 +381,13 @@ class TestComparePolicies:
         serial_stats, parallel_stats = _policy_stats(point_reports)
         assert serial_stats[3]["scale_down_blocked"] > 0
         assert serial_stats == parallel_stats
+
+    def test_every_registered_policy_runs_in_a_pool_worker(self, sim_config, workload):
+        # A pool task carries the policy its parent built, so each must pickle.
+        serial = compare_policies(sim_config, workload, list(POLICY_IDS), jobs=1)
+        parallel = compare_policies(sim_config, workload, list(POLICY_IDS), jobs=2)
+        assert len(parallel.rows) == len(POLICY_IDS) == 7
+        assert serial.rows == parallel.rows
 
     def test_pool_has_no_more_workers_than_points(self, sim_config, workload, monkeypatch):
         sizes = []
@@ -387,8 +445,19 @@ class TestCsvRoundTrip:
             skipped=[(0, "consistency_ticks must be an integer >= 1, got 0")],
         )
 
+    def make_string_result(self):
+        # Strings that int() or float() accept but that no int or float prints as.
+        return SweepResult(
+            parameter="similarity_method",
+            points=[SweepPoint("free-fit", 0.9, 0, 2.0, 0)],
+            skipped=[(raw, f"unknown similarity_method {raw!r}") for raw in ("1_0", "007", "1e3")],
+        )
+
+    def results(self):
+        return (self.make_result(), self.make_int_result(), self.make_string_result())
+
     def test_write_read_round_trip(self, tmp_path):
-        for original in (self.make_result(), self.make_int_result()):
+        for original in self.results():
             path = str(tmp_path / f"{original.parameter}.csv")
             write_csv(original, path)
             loaded = read_sweep_csv(path)
@@ -400,7 +469,7 @@ class TestCsvRoundTrip:
             assert [type(v) for v, _ in loaded.skipped] == [type(v) for v, _ in original.skipped]
 
     def test_rewrite_is_byte_identical(self, tmp_path):
-        for original in (self.make_result(), self.make_int_result()):
+        for original in self.results():
             first = tmp_path / f"{original.parameter}-a.csv"
             second = tmp_path / f"{original.parameter}-b.csv"
             write_csv(original, str(first))
@@ -416,6 +485,12 @@ class TestCsvRoundTrip:
         path = tmp_path / "bad.csv"
         path.write_text("# something else\n")
         with pytest.raises(ValueError, match="not a"):
+            read_sweep_csv(str(path))
+
+    def test_rejects_a_missing_parameter_comment(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"# {SWEEP_SCHEMA}\n" + ",".join(metrics.SWEEP_COLUMNS) + "\n")
+        with pytest.raises(ValueError, match="missing parameter comment"):
             read_sweep_csv(str(path))
 
     def test_rejects_bad_header(self, tmp_path):
@@ -460,6 +535,19 @@ class TestOtherCsvOutputs:
     def test_unknown_type_rejected(self, tmp_path):
         with pytest.raises(TypeError):
             write_csv(object(), str(tmp_path / "x.csv"))
+
+    @pytest.mark.parametrize(
+        "write, message",
+        [
+            (lambda result, path: write_plot_data(result, str(path)), "cannot write plot data for"),
+            (lambda result, path: write_summary(result, str(path)), "cannot summarize"),
+            (lambda result, path: console_lines(result), "cannot describe"),
+        ],
+        ids=["plot", "summary", "console"],
+    )
+    def test_other_writers_reject_an_unknown_type(self, tmp_path, write, message):
+        with pytest.raises(TypeError, match=f"^{message} object$"):
+            write(object(), tmp_path / "x")
 
 
 class TestPlotData:

@@ -455,6 +455,31 @@ class TestTraceFiles:
         with pytest.raises(WorkloadError, match=r"meta\.csv:1"):
             load_trace_files(trace, meta)
 
+    def test_bad_trace_header_is_reported(self, tmp_path):
+        meta = self._write(
+            tmp_path / "meta.csv",
+            "vm_id,arrival_tick,departure_tick,cpu,mem,disk,bw\nvm-0,0,,100,100,100,100\n",
+        )
+        trace = self._write(tmp_path / "trace.csv", "vm_id,tick,cpu\nvm-0,0,1\n")
+        with pytest.raises(WorkloadError, match=r"trace\.csv:1: expected header"):
+            load_trace_files(trace, meta)
+
+    @pytest.mark.parametrize(
+        "file, row",
+        [("meta.csv", "vm-0,0,,100,100,100"), ("trace.csv", "vm-0,0,1,1,1,1,1")],
+    )
+    def test_a_row_with_the_wrong_field_count_is_reported(self, tmp_path, file, row):
+        files = {
+            "meta.csv": ["vm_id,arrival_tick,departure_tick,cpu,mem,disk,bw", "vm-0,0,,100,100,100,100"],
+            "trace.csv": ["vm_id,tick,cpu,mem,disk,bw", "vm-0,0,1,1,1,1"],
+        }
+        files[file][1] = row
+        for name, (header, line) in files.items():
+            self._write(tmp_path / name, f"{header}\n{line}\n")
+        fields = len(files[file][0].split(","))
+        with pytest.raises(WorkloadError, match=rf"{re.escape(file)}:2: expected {fields} fields$"):
+            load_trace_files(str(tmp_path / "trace.csv"), str(tmp_path / "meta.csv"))
+
     @pytest.mark.parametrize(
         "file, column, value",
         [
